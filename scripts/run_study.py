@@ -3,7 +3,7 @@
 Fits both models to the training window, writes every artifact the analysis
 produces (chains, summaries, PACF tables, jump probabilities, fitted and
 forecast bands) under --out, and prints a compact report including holdout
-band coverage.
+band coverage. Each fit is reported and written as `gbmjump fit` does it.
 
 Usage: python3 scripts/run_study.py [--out results] [--seed 42]
                                     [--iters 5000] [--burnin 1000]
@@ -13,7 +13,6 @@ Usage: python3 scripts/run_study.py [--out results] [--seed 42]
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -28,28 +27,18 @@ from gbmjump import (  # noqa: E402
     forecast,
     load_price_series,
     mle_fit,
-    pacf,
     run_gibbs,
     run_jump_gibbs,
     summarize,
     to_increments,
     write_band_csv,
-    write_chain_csv,
 )
-from gbmjump.diagnostics import summary_to_dict, write_summary_csv  # noqa: E402
+from gbmjump.cli import print_summary, write_fit_artifacts  # noqa: E402
+from gbmjump.diagnostics import summary_to_dict  # noqa: E402
 from gbmjump.rngs import derived_generator  # noqa: E402
+from gbmjump.series import write_csv, write_json  # noqa: E402
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-
-
-def print_summary(title: str, summary) -> None:
-    print(f"\n{title}")
-    print(f"{'parameter':<12}{'mean':>12}{'sd':>12}{'q2.5':>12}{'q50':>12}{'q97.5':>12}")
-    for name, row in summary.rows.items():
-        print(
-            f"{name:<12}{row.mean:>12.4f}{row.sd:>12.4f}"
-            f"{row.q2_5:>12.4f}{row.q50:>12.4f}{row.q97_5:>12.4f}"
-        )
 
 
 def band_coverage(band, prices) -> float:
@@ -90,31 +79,25 @@ def main(argv=None) -> int:
     }
     chains = {}
     for model, runner in (("gbm", run_gibbs), ("gbm-jump", run_jump_gibbs)):
-        tag = model.replace("-", "_")
         t0 = time.perf_counter()
         chain = runner(inc, n_keep=args.iters, burn_in=args.burnin, seed=args.seed)
         elapsed = time.perf_counter() - t0
         chains[model] = chain
         summary = summarize(chain)
-        print_summary(f"{model} posterior ({elapsed:.1f}s)", summary)
-        write_chain_csv(chain, out / f"chain_{tag}.csv")
-        write_summary_csv(summary, out / f"summary_{tag}.csv")
-        lags = pacf(chain.column("mu"), max_lag=min(30, len(chain) - 2))
-        with open(out / f"pacf_{tag}.csv", "w", newline="") as fh:
-            fh.write("lag,pacf\n")
-            for lag, value in enumerate(lags, start=1):
-                fh.write(f"{lag},{float(value)!r}\n")
+        print(f"\n{model} posterior ({elapsed:.1f}s)")
+        print_summary(summary)
+        lags = write_fit_artifacts(chain, summary, out, "csv")
         report["models"][model] = {
             "seconds": elapsed,
             "summary": summary_to_dict(summary),
-            "pacf_lag1": float(lags[0]),
+            "pacf_lag1": None if lags is None else float(lags[0]),
         }
 
     jump_probs = chains["gbm-jump"].jump_probs
-    with open(out / "jump_probs_gbm_jump.csv", "w", newline="") as fh:
-        fh.write("date,probability\n")
-        for date, p in zip(train.dates[1:], jump_probs):
-            fh.write(f"{date.isoformat()},{float(p)!r}\n")
+    write_csv(
+        out / "jump_probs_gbm_jump.csv",
+        {"date": train.dates[1:], "probability": jump_probs},
+    )
     flagged = int(np.sum(jump_probs > 0.5))
     print(f"\nincrements with posterior jump probability > 0.5: {flagged}")
 
@@ -144,9 +127,7 @@ def main(argv=None) -> int:
         report["models"][model]["fitted_coverage"] = fitted_cov
         report["models"][model]["holdout_coverage"] = holdout_cov
 
-    with open(out / "study.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "study.json", report)
     print(f"\nartifacts written to {out}/")
     return 0
 

@@ -21,7 +21,7 @@ from .gibbs import read_chain_csv, run_gibbs, write_chain_csv
 from .jumps import run_jump_gibbs
 from .predict import credible_band, fitted_realizations, forecast, write_band_csv
 from .rngs import derived_generator
-from .series import load_price_series, to_increments
+from .series import load_price_series, to_increments, write_csv, write_json
 
 ENV_PREFIX = "GBMJUMP_"
 MODELS = ("gbm", "gbm-jump")
@@ -149,18 +149,15 @@ def cmd_mle(cfg: RunConfig) -> int:
             "degenerate": params.degenerate,
         }
         if cfg.format == "json":
-            with open(out / "mle.json", "w") as fh:
-                json.dump(values, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(out / "mle.json", values)
         else:
-            with open(out / "mle.csv", "w", newline="") as fh:
-                fh.write("quantity,value\n")
-                for key, val in values.items():
-                    fh.write(f"{key},{val!r}\n")
+            table = {"quantity": list(values), "value": list(values.values())}
+            write_csv(out / "mle.csv", table)
     return 0
 
 
-def _print_summary(summary) -> None:
+def print_summary(summary) -> None:
+    """The posterior summary as a fixed-width table on stdout."""
     print(f"{'parameter':<12}{'mean':>12}{'sd':>12}{'q2.5':>12}{'q50':>12}{'q97.5':>12}")
     for name, row in summary.rows.items():
         print(
@@ -169,30 +166,35 @@ def _print_summary(summary) -> None:
         )
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    _, inc = _load_increments(cfg)
-    chain = _run_fit(inc, cfg)
-    summary = summarize(chain)
-    _print_summary(summary)
-    out = _out_dir(cfg)
-    tag = cfg.model.replace("-", "_")
+def write_fit_artifacts(chain, summary, out: Path, fmt: str):
+    """Write chain_<tag>.csv, summary_<tag>.<fmt> and, when the chain is long
+    enough, pacf_<tag>.csv of the drift draws; return the PACF or None."""
+    tag = chain.meta.model.replace("-", "_")
     write_chain_csv(chain, out / f"chain_{tag}.csv")
-    if cfg.format == "json":
+    if fmt == "json":
         write_summary_json(summary, out / f"summary_{tag}.json")
     else:
         write_summary_csv(summary, out / f"summary_{tag}.csv")
     max_lag = min(30, len(chain) - 2)
-    if max_lag >= 1:
-        lags = pacf(chain.column("mu"), max_lag=max_lag)
-        with open(out / f"pacf_{tag}.csv", "w", newline="") as fh:
-            fh.write("lag,pacf\n")
-            for lag, value in enumerate(lags, start=1):
-                fh.write(f"{lag},{float(value)!r}\n")
-    if chain.jump_probs is not None:
-        with open(out / f"jump_probs_{tag}.csv", "w", newline="") as fh:
-            fh.write("index,probability\n")
-            for i, p in enumerate(chain.jump_probs):
-                fh.write(f"{i},{float(p)!r}\n")
+    if max_lag < 1:
+        return None
+    lags = pacf(chain.column("mu"), max_lag=max_lag)
+    write_csv(out / f"pacf_{tag}.csv", {"lag": range(1, max_lag + 1), "pacf": lags})
+    return lags
+
+
+def cmd_fit(cfg: RunConfig) -> int:
+    _, inc = _load_increments(cfg)
+    chain = _run_fit(inc, cfg)
+    summary = summarize(chain)
+    print_summary(summary)
+    out = _out_dir(cfg)
+    write_fit_artifacts(chain, summary, out, cfg.format)
+    probs = chain.jump_probs
+    if probs is not None:
+        tag = cfg.model.replace("-", "_")
+        table = {"index": range(len(probs)), "probability": probs}
+        write_csv(out / f"jump_probs_{tag}.csv", table)
     return 0
 
 

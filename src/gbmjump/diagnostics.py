@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .gibbs import PosteriorChain
+from .series import write_csv, write_json
 
 DEFAULT_PARAMS = {
     "gbm": ("mu", "sigma"),
@@ -112,14 +112,11 @@ def summary_to_dict(summary: Summary) -> dict:
 
 
 def write_summary_csv(summary: Summary, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("parameter,mean,sd,q2_5,q50,q97_5\n")
-        for name, row in summary.rows.items():
-            cells = (name, *(repr(v) for v in (row.mean, row.sd, row.q2_5, row.q50, row.q97_5)))
-            fh.write(",".join(cells) + "\n")
+    columns = {"parameter": list(summary.rows)}
+    for f in fields(ParamSummary):
+        columns[f.name] = [getattr(row, f.name) for row in summary.rows.values()]
+    write_csv(path, columns)
 
 
 def write_summary_json(summary: Summary, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary_to_dict(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, summary_to_dict(summary))

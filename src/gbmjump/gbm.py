@@ -109,9 +109,26 @@ def simulate_gbm_path(x0: float, params: GbmParams, grid, rng=None) -> np.ndarra
     steps = np.diff(grid)
     if np.any(steps <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    incs = params.theta * steps
-    if params.sigma2 > 0.0:
-        gen = as_generator(rng)
-        incs = incs + np.sqrt(params.sigma2 * steps) * gen.standard_normal(len(steps))
+    if params.degenerate:
+        incs = params.theta * steps
+    else:
+        incs = simulate_increments(params.theta, params.sigma2, steps, as_generator(rng))
     y = math.log(x0) + np.concatenate(([0.0], np.cumsum(incs)))
     return np.exp(y)
+
+
+def simulate_increments(theta, sigma2, dt, gen: np.random.Generator, jump=None):
+    """Log-increments Normal(theta*dt, sigma2*dt), plus jumps if jump is given.
+
+    jump = (lambda_star, mu_z, sigma2_z) adds, with probability lambda_star, an
+    independent Normal(mu_z, sigma2_z) jump to each increment. Parameters are
+    scalars or (n_draws, 1) columns and dt is a row of step lengths; the result
+    has their broadcast shape. Draw order: diffusion noise, jump hits, jump sizes.
+    """
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(sigma2), np.shape(dt))
+    d = theta * dt + np.sqrt(sigma2 * dt) * gen.standard_normal(shape)
+    if jump is not None:
+        lam, mu_z, sigma2_z = jump
+        hit = gen.random(shape) < lam
+        d += np.where(hit, mu_z + np.sqrt(sigma2_z) * gen.standard_normal(shape), 0.0)
+    return d

@@ -16,14 +16,14 @@ m = sum(d) / (0.01*sigma2 + sum(dt)), v = sigma2 / (0.01*sigma2 + sum(dt)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .gbm import mle_fit
 from .rngs import as_generator
-from .series import IncrementSeries
+from .series import IncrementSeries, write_csv
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,12 @@ class _SuffStats(NamedTuple):
     sdd: float
 
     @classmethod
-    def of(cls, inc: IncrementSeries) -> "_SuffStats":
+    def of(cls, d: np.ndarray, dt: np.ndarray) -> "_SuffStats":
         return cls(
-            n=inc.n,
-            sd=float(np.sum(inc.d)),
-            st=float(np.sum(inc.dt)),
-            sdd=float(np.sum(inc.d * inc.d / inc.dt)) if inc.n else 0.0,
+            n=len(d),
+            sd=float(np.sum(d)),
+            st=float(np.sum(dt)),
+            sdd=float(np.sum(d * d / dt)) if len(d) else 0.0,
         )
 
 
@@ -75,14 +75,22 @@ def _sigma2_conditional(stats: _SuffStats, theta: float, prior: GbmPrior):
     return prior.ig_shape + 0.5 * stats.n, prior.ig_scale + 0.5 * rss
 
 
+def _draw_theta_sigma2(stats: _SuffStats, sigma2: float, prior: GbmPrior, gen):
+    """One sweep of the diffusion block: theta | sigma2, then sigma2 | theta."""
+    mean, var = _theta_conditional(stats, sigma2, prior)
+    theta = mean + math.sqrt(var) * gen.standard_normal()
+    shape, scale = _sigma2_conditional(stats, theta, prior)
+    return float(theta), float(scale / gen.gamma(shape))
+
+
 def theta_conditional(inc: IncrementSeries, sigma2: float, prior: GbmPrior = GbmPrior()):
     """(mean, variance) of theta | sigma2, data."""
-    return _theta_conditional(_SuffStats.of(inc), sigma2, prior)
+    return _theta_conditional(_SuffStats.of(inc.d, inc.dt), sigma2, prior)
 
 
 def sigma2_conditional(inc: IncrementSeries, theta: float, prior: GbmPrior = GbmPrior()):
     """(shape, scale) of the inverse-gamma sigma2 | theta, data."""
-    return _sigma2_conditional(_SuffStats.of(inc), theta, prior)
+    return _sigma2_conditional(_SuffStats.of(inc.d, inc.dt), theta, prior)
 
 
 def sample_inverse_gamma(shape: float, scale: float, rng=None) -> float:
@@ -113,13 +121,6 @@ class ChainMeta:
     n_keep: int
     burn_in: int
     seed: int | None
-
-
-_DERIVED = {
-    "mu": ("theta", "sigma2"),
-    "sigma": ("sigma2",),
-    "sigma_z": ("sigma2_z",),
-}
 
 
 @dataclass
@@ -181,14 +182,11 @@ def run_gibbs(
         theta, sigma2 = start.theta, start.sigma2
     else:
         theta, sigma2 = prior.theta_mean, prior.sigma2_center()
-    stats = _SuffStats.of(inc)
+    stats = _SuffStats.of(inc.d, inc.dt)
     gen = as_generator(seed)
     draws = np.empty((n_keep, 2))
     for sweep in range(burn_in + n_keep):
-        mean, var = _theta_conditional(stats, sigma2, prior)
-        theta = mean + math.sqrt(var) * gen.standard_normal()
-        shape, scale = _sigma2_conditional(stats, theta, prior)
-        sigma2 = scale / gen.gamma(shape)
+        theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior, gen)
         if sweep >= burn_in:
             draws[sweep - burn_in] = (theta, sigma2)
     meta = ChainMeta(model="gbm", n_keep=n_keep, burn_in=burn_in, seed=seed)
@@ -211,23 +209,17 @@ _EXPORT_COLUMNS = {
 
 def write_chain_csv(chain: PosteriorChain, path) -> None:
     """One row per draw with a '# key: value' metadata header block."""
-    cols = _EXPORT_COLUMNS[chain.meta.model]
-    header = [
-        f"# model: {chain.meta.model}",
-        f"# n_keep: {chain.meta.n_keep}",
-        f"# burn_in: {chain.meta.burn_in}",
-        f"# seed: {chain.meta.seed}",
-    ]
-    body = np.column_stack([chain.column(c) for c in cols])
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(header) + "\n")
-        fh.write(",".join(cols) + "\n")
-        for row in body:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    columns = {c: chain.column(c) for c in _EXPORT_COLUMNS[chain.meta.model]}
+    write_csv(path, columns, meta=asdict(chain.meta))
 
 
 def read_chain_csv(path) -> PosteriorChain:
-    """Inverse of write_chain_csv; reconstructs sigma2_z from sigma_z."""
+    """Inverse of write_chain_csv; reconstructs sigma2_z from sigma_z.
+
+    Raises ValueError naming the file when the model is unknown, a column the
+    writer exports for it is missing, or the rows are none or differ in number
+    from the header's n_keep.
+    """
     meta_raw: dict[str, str] = {}
     with open(path) as fh:
         line = fh.readline()
@@ -236,12 +228,26 @@ def read_chain_csv(path) -> PosteriorChain:
             meta_raw[key.strip()] = value.strip()
             line = fh.readline()
         cols = tuple(line.strip().split(","))
+        start = fh.tell()
+        if not fh.readline().strip():
+            raise ValueError(f"{path}: chain file holds no draws")
+        fh.seek(start)
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
     model = meta_raw.get("model", "gbm")
+    if model not in _EXPORT_COLUMNS:
+        raise ValueError(f"{path}: unknown model {model!r}")
+    if body.shape[1] != len(cols):
+        raise ValueError(f"{path}: {body.shape[1]} values per row, {len(cols)} column names")
+    missing = [c for c in _EXPORT_COLUMNS[model] if c not in cols]
+    if missing:
+        raise ValueError(f"{path}: missing chain column(s) {', '.join(missing)}")
+    n_keep = int(meta_raw.get("n_keep", body.shape[0]))
+    if body.shape[0] != n_keep:
+        raise ValueError(f"{path}: {body.shape[0]} draws, header says n_keep {n_keep}")
     seed_raw = meta_raw.get("seed", "None")
     meta = ChainMeta(
         model=model,
-        n_keep=body.shape[0],
+        n_keep=n_keep,
         burn_in=int(meta_raw.get("burn_in", 0)),
         seed=None if seed_raw == "None" else int(seed_raw),
     )

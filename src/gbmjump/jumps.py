@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gbm import LOG_2PI, mle_fit
+from .gbm import LOG_2PI, mle_fit, simulate_increments
 from .gibbs import (
     ChainMeta,
     GbmPrior,
     PosteriorChain,
+    _draw_theta_sigma2,
     _SuffStats,
-    _sigma2_conditional,
-    _theta_conditional,
     sample_inverse_gamma,
 )
 from .rngs import as_generator
@@ -209,18 +208,8 @@ def update_diffusion_block(
     rng=None,
 ):
     """Draw (theta, sigma2) from the no-jump conditionals on d_i - J_i*Z_i."""
-    gen = as_generator(rng)
-    resid = inc.d - latent.contribution
-    stats = _SuffStats(
-        n=inc.n,
-        sd=float(np.sum(resid)),
-        st=float(np.sum(inc.dt)),
-        sdd=float(np.sum(resid * resid / inc.dt)) if inc.n else 0.0,
-    )
-    mean, var = _theta_conditional(stats, sigma2, prior)
-    theta = mean + math.sqrt(var) * gen.standard_normal()
-    shape, scale = _sigma2_conditional(stats, theta, prior)
-    return float(theta), sample_inverse_gamma(shape, scale, gen)
+    stats = _SuffStats.of(inc.d - latent.contribution, inc.dt)
+    return _draw_theta_sigma2(stats, sigma2, prior, as_generator(rng))
 
 
 def increment_moments(params: JumpParams, dt: float):
@@ -242,10 +231,8 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
     dt = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
     if np.any(dt <= 0.0):
         raise ValueError("dt must be positive")
-    d = params.theta * dt + np.sqrt(params.sigma2 * dt) * gen.standard_normal(n)
-    jumps = gen.random(n) < params.lambda_star
-    sizes = params.mu_z + math.sqrt(params.sigma2_z) * gen.standard_normal(n)
-    return d + np.where(jumps, sizes, 0.0)
+    jump = (params.lambda_star, params.mu_z, params.sigma2_z)
+    return simulate_increments(params.theta, params.sigma2, dt, gen, jump)
 
 
 def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gbm import simulate_increments
 from .gibbs import PosteriorChain
 from .rngs import as_generator
-from .series import IncrementSeries
+from .series import IncrementSeries, write_csv
 
 
 @dataclass(frozen=True)
@@ -76,17 +77,13 @@ def _simulate_increment_matrix(
     chain: PosteriorChain, rows: np.ndarray, dt: np.ndarray, gen: np.random.Generator
 ) -> np.ndarray:
     """(len(rows), len(dt)) matrix of model increments, one row per draw."""
-    theta = chain.column("theta")[rows, None]
-    sigma2 = chain.column("sigma2")[rows, None]
-    shape = (len(rows), len(dt))
-    d = theta * dt + np.sqrt(sigma2 * dt) * gen.standard_normal(shape)
+    def draws(name):
+        return chain.column(name)[rows, None]
+
+    jump = None
     if chain.meta.model == "gbm-jump":
-        lam = chain.column("lambda_star")[rows, None]
-        mu_z = chain.column("mu_z")[rows, None]
-        sigma_z = np.sqrt(chain.column("sigma2_z")[rows, None])
-        hit = gen.random(shape) < lam
-        d = d + np.where(hit, mu_z + sigma_z * gen.standard_normal(shape), 0.0)
-    return d
+        jump = (draws("lambda_star"), draws("mu_z"), draws("sigma2_z"))
+    return simulate_increments(draws("theta"), draws("sigma2"), dt, gen, jump)
 
 
 def fitted_realizations(
@@ -165,18 +162,12 @@ def credible_band(ens: PathEnsemble, level: float = 0.90) -> Band:
 
 def write_band_csv(band: Band, path, dates=None) -> None:
     """Rows of (time, date, lower, mean, upper); date blank when not supplied."""
-    if dates is not None and len(dates) != len(band.grid):
+    if dates is None:
+        dates = [None] * len(band.grid)
+    elif len(dates) != len(band.grid):
         raise ValueError("dates must match the band grid")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# level: {band.level!r}\n")
-        fh.write("time,date,lower,mean,upper\n")
-        for i, t in enumerate(band.grid):
-            date = dates[i].isoformat() if dates is not None else ""
-            cells = (
-                repr(float(t)),
-                date,
-                repr(float(band.lower[i])),
-                repr(float(band.mean[i])),
-                repr(float(band.upper[i])),
-            )
-            fh.write(",".join(cells) + "\n")
+    columns = {
+        "time": band.grid, "date": dates,
+        "lower": band.lower, "mean": band.mean, "upper": band.upper,
+    }
+    write_csv(path, columns, meta={"level": band.level})

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-RngLike = "np.random.Generator | int | None"
-
 
 def as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
     """Normalize a seed-or-generator argument to a numpy Generator.

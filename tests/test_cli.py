@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +270,19 @@ class TestErrorPaths:
         rc, _, err = run_cli(capsys, "fit")
         assert rc == 1
         assert len(err.strip().splitlines()) == 1
+
+
+class TestRunStudy:
+    def test_short_chains_complete(self, tmp_path, capsys):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_study.py"
+        spec = importlib.util.spec_from_file_location("run_study", script)
+        study = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(study)
+        out_dir = tmp_path / "study"
+        rc = study.main(["--out", str(out_dir), "--iters", "2", "--burnin", "1"])
+        assert rc == 0
+        report = json.loads((out_dir / "study.json").read_text())
+        assert report["models"]["gbm"]["pacf_lag1"] is None
+        assert not (out_dir / "pacf_gbm.csv").exists()
+        for name in ("chain_gbm_jump.csv", "jump_probs_gbm_jump.csv", "forecast_band_gbm.csv"):
+            assert (out_dir / name).exists()

@@ -202,3 +202,36 @@ class TestChainCsv:
         assert lines[0] == "# model: gbm"
         assert lines[4] == "theta,sigma2,mu,sigma"
         assert len(lines) == 5 + 3
+
+
+def drop_last_column(lines):
+    return [line if line.startswith("#") else line.rsplit(",", 1)[0] for line in lines]
+
+
+def drop_last_value(lines):
+    return lines[:5] + [line.rsplit(",", 1)[0] for line in lines[5:]]
+
+
+class TestChainCsvValidation:
+    """read_chain_csv rejects malformed files with a message naming the file."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (drop_last_column, "missing chain column.*sigma"),
+            (lambda lines: lines[:-3], "7 draws, header says n_keep 10"),
+            (lambda lines: lines[:5], "no draws"),
+            (lambda lines: ["# model: garch", *lines[1:]], "unknown model 'garch'"),
+            (drop_last_value, "3 values per row, 4 column names"),
+        ],
+        ids=["missing-column", "short", "no-rows", "unknown-model", "ragged"],
+    )
+    def test_rejected(self, tmp_path, train_inc, edit, message):
+        path = tmp_path / "chain.csv"
+        write_chain_csv(run_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "# n_keep: 10" and lines[4] == "theta,sigma2,mu,sigma"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            read_chain_csv(path)
+        assert str(path) in str(err.value)

@@ -4,12 +4,14 @@ import pytest
 from gbmjump import (
     ChainMeta,
     IncrementSeries,
+    JumpParams,
     PathEnsemble,
     PosteriorChain,
     credible_band,
     fitted_realizations,
     forecast,
     run_gibbs,
+    simulate_jump_increments,
     write_band_csv,
 )
 
@@ -206,3 +208,18 @@ class TestBandCsv:
         assert lines[2].split(",")[1] == holdout_series.dates[0].isoformat()
         with pytest.raises(ValueError):
             write_band_csv(band, path, dates=holdout_series.dates[:2])
+
+
+class TestSimulatorAgreement:
+    def test_one_draw_forecast_is_the_jump_increment_path(self):
+        params = JumpParams(theta=0.2, sigma2=0.01, mu_z=-0.01, sigma2_z=4e-4, lambda_star=0.3)
+        meta = ChainMeta(model="gbm-jump", n_keep=1, burn_in=0, seed=None)
+        chain = PosteriorChain(
+            columns=("theta", "sigma2", "mu_z", "sigma2_z", "lambda_star", "n_jumps"),
+            draws=[[params.theta, params.sigma2, params.mu_z, params.sigma2_z,
+                    params.lambda_star, 0.0]],
+            meta=meta,
+        )
+        ens = forecast(chain, s_last=80.0, horizon_steps=25, rng=np.random.default_rng(12))
+        d = simulate_jump_increments(params, DT, 25, rng=np.random.default_rng(12))
+        np.testing.assert_allclose(ens.paths[0], 80.0 * np.exp(np.cumsum(d)), rtol=1e-13)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmjump import DataError, IncrementSeries, PriceSeries, load_price_series, to_increments
+from gbmjump.series import write_csv as write_table
+from gbmjump.series import write_json
 
 
 def make_series(prices, start=dt.date(2020, 1, 1)):
@@ -157,3 +159,48 @@ class TestPriceSeries:
         day = dt.date(2020, 1, 1)
         with pytest.raises(DataError):
             PriceSeries((day, day), np.array([1.0, 2.0]))
+
+
+class TestTableWriters:
+    def test_csv_exact_text_for_mixed_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(
+            path,
+            {
+                "x": [0.1, 1e-300, np.float64(-2.5)],
+                "y": np.array([1 / 3, 7.0, 2.0**0.5]),
+                "k": np.arange(3),
+                "flag": [True, False, np.bool_(True)],
+                "name": ["a", "b", None],
+                "day": [dt.date(2020, 1, 2), None, dt.date(2021, 12, 31)],
+            },
+            meta={"model": "gbm", "level": np.float64(0.9), "seed": None},
+        )
+        assert path.read_text() == (
+            "# model: gbm\n"
+            "# level: 0.9\n"
+            "# seed: None\n"
+            "x,y,k,flag,name,day\n"
+            "0.1,0.3333333333333333,0,True,a,2020-01-02\n"
+            "1e-300,7.0,1,False,b,\n"
+            "-2.5,1.4142135623730951,2,True,,2021-12-31\n"
+        )
+
+    def test_csv_without_meta_and_float_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(2500) * 10.0 ** rng.integers(-300, 300, 2500)
+        path = tmp_path / "t.csv"
+        write_table(path, {"i": range(len(values)), "v": values})
+        lines = path.read_text().splitlines()
+        assert lines[0] == "i,v"
+        assert [float(line.split(",")[1]) for line in lines[1:]] == values.tolist()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(len(values)))
+
+    def test_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", {"a": [1, 2], "b": [1]})
+
+    def test_json_sorted_indented_with_newline(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_json(path, {"b": 0.1, "a": [1, None]})
+        assert path.read_text() == '{\n  "a": [\n    1,\n    null\n  ],\n  "b": 0.1\n}\n'
