@@ -124,10 +124,13 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _run_fit(inc, cfg: RunConfig):
+def _run_fit(inc, cfg: RunConfig, track_jump_probs: bool = True):
     if cfg.model == "gbm":
         return run_gibbs(inc, n_keep=cfg.iters, burn_in=cfg.burnin, seed=cfg.seed)
-    return run_jump_gibbs(inc, n_keep=cfg.iters, burn_in=cfg.burnin, seed=cfg.seed)
+    return run_jump_gibbs(
+        inc, n_keep=cfg.iters, burn_in=cfg.burnin, seed=cfg.seed,
+        track_jump_probs=track_jump_probs,
+    )
 
 
 def cmd_mle(cfg: RunConfig) -> int:
@@ -218,7 +221,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
                 f"chain file holds model {chain.meta.model!r}, requested {cfg.model!r}"
             )
     else:
-        chain = _run_fit(inc, cfg)
+        chain = _run_fit(inc, cfg, track_jump_probs=False)
     out = _out_dir(cfg)
     tag = cfg.model.replace("-", "_")
     rng = derived_generator(cfg.seed, stream=1)

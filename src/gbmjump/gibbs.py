@@ -142,8 +142,16 @@ class PosteriorChain:
             raise ValueError("draws must be (n_keep, len(columns))")
         if self.draws.shape[0] != self.meta.n_keep:
             raise ValueError("row count does not match meta.n_keep")
-        if "sigma2" in self.columns and np.any(self.column("sigma2") <= 0.0):
-            raise ValueError("non-positive sigma2 draw")
+        finite = np.isfinite(self.draws).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"non-finite {self.columns[int(np.argmin(finite))]} draw")
+        for name in ("sigma2", "sigma2_z"):
+            if name in self.columns and np.any(self.column(name) <= 0.0):
+                raise ValueError(f"non-positive {name} draw")
+        if "lambda_star" in self.columns:
+            lam = self.column("lambda_star")
+            if np.any((lam < 0.0) | (lam > 1.0)):
+                raise ValueError("lambda_star draw outside [0, 1]")
 
     def __len__(self) -> int:
         return self.draws.shape[0]
@@ -217,8 +225,8 @@ def read_chain_csv(path) -> PosteriorChain:
     """Inverse of write_chain_csv; reconstructs sigma2_z from sigma_z.
 
     Raises ValueError naming the file when the model is unknown, a column the
-    writer exports for it is missing, or the rows are none or differ in number
-    from the header's n_keep.
+    writer exports for it is missing, the rows are none or differ in number
+    from the header's n_keep, or a draw is one PosteriorChain rejects.
     """
     meta_raw: dict[str, str] = {}
     with open(path) as fh:
@@ -257,4 +265,7 @@ def read_chain_csv(path) -> PosteriorChain:
         take["sigma2_z"] = take["sigma_z"] ** 2
         stored += ["mu_z", "sigma2_z", "lambda_star", "n_jumps"]
     draws = np.column_stack([take[c] for c in stored])
-    return PosteriorChain(columns=tuple(stored), draws=draws, meta=meta)
+    try:
+        return PosteriorChain(columns=tuple(stored), draws=draws, meta=meta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

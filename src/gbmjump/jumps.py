@@ -6,19 +6,19 @@ sampler augments with latent indicators J_i and sizes Z_i and sweeps
 
     latent (J, Z)  ->  lambda_star  ->  (mu_z, sigma2_z)  ->  (theta, sigma2)
 
-where each block is conjugate. Inactive Z_i are refreshed from their prior
-Normal(mu_z, sigma2_z) so the joint kernel stays valid; only active sizes
-enter the jump-moment updates.
+where each block is conjugate. Only active sizes enter the later blocks, so
+run_jump_gibbs forms no inactive Z_i, but it draws a normal for every step to
+keep the random stream of sample_latent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gbm import LOG_2PI, mle_fit, simulate_increments
+from .gbm import mle_fit, simulate_increments
 from .gibbs import (
     ChainMeta,
     GbmPrior,
@@ -104,53 +104,55 @@ class LatentState:
         return np.where(self.indicators, self.sizes, 0.0)
 
 
-def _norm_logpdf(x, mean, var):
-    return -0.5 * (LOG_2PI + np.log(var)) - 0.5 * (x - mean) ** 2 / var
+def _jump_log_odds(d, dd, dt, params: JumpParams):
+    """Log-odds of J_i = 1, logit(lambda_star) + log N(d; m1, v1) - log N(d; m0, v0),
+    as a*d^2 + b*d + c with dd = d*d; a, b and c are scalars for a scalar dt,
+    and c is -inf or +inf at lambda_star 0 or 1."""
+    lam = params.lambda_star
+    c = math.log(lam) - math.log1p(-lam) if 0.0 < lam < 1.0 else (lam - 0.5) * math.inf
+    v0, m0 = params.sigma2 * dt, params.theta * dt
+    v1, m1 = v0 + params.sigma2_z, m0 + params.mu_z
+    log_odds = 0.5 * (1.0 / v0 - 1.0 / v1) * dd
+    log_odds += (m1 / v1 - m0 / v0) * d
+    log_odds += c - 0.5 * np.log(v1 / v0) + 0.5 * (m0 * m0 / v0 - m1 * m1 / v1)
+    return log_odds
+
+
+def _draw_indicators(u, log_odds):
+    """J_i = [u_i < 1/(1 + exp(-log_odds_i))]; exp overflowing to inf gives 0."""
+    with np.errstate(over="ignore"):
+        return u * (1.0 + np.exp(-log_odds)) < 1.0
+
+
+def _jump_sizes(d, dt, z, active, params: JumpParams):
+    """Z_i | J_i = 1 at the active steps (a mask or indices) from normals z:
+    Normal(m, v), v = 1/(1/sigma2_z + 1/v0), m = v*(mu_z/sigma2_z + (d_i - m0)/v0)."""
+    if np.ndim(dt):
+        dt = dt[active]
+    v0 = params.sigma2 * dt
+    v = 1.0 / (1.0 / params.sigma2_z + 1.0 / v0)
+    m = v * (params.mu_z / params.sigma2_z + (d[active] - params.theta * dt) / v0)
+    return m + np.sqrt(v) * z[active]
 
 
 def jump_indicator_prob(d, dt, params: JumpParams) -> np.ndarray:
-    """Posterior probability that each increment contains a jump.
-
-    Computed in log space from the two marginal component densities
-    Normal(theta*dt + mu_z, sigma2*dt + sigma2_z) and Normal(theta*dt, sigma2*dt),
-    so it stays finite far out in the tails.
-    """
-    d = np.asarray(d, dtype=float)
-    dt = np.asarray(dt, dtype=float)
+    """Posterior probability that each increment contains a jump, the logistic
+    of its log-odds; exactly 0 or 1 far out in the tails."""
+    d, dt = np.asarray(d, dtype=float), np.asarray(dt, dtype=float)
     if np.any(dt <= 0.0):
         raise ValueError("dt must be positive")
-    lam = params.lambda_star
-    if lam == 0.0:
-        return np.zeros(np.broadcast(d, dt).shape)
-    if lam == 1.0:
-        return np.ones(np.broadcast(d, dt).shape)
-    base_mean = params.theta * dt
-    base_var = params.sigma2 * dt
-    with_jump = math.log(lam) + _norm_logpdf(
-        d, base_mean + params.mu_z, base_var + params.sigma2_z
-    )
-    without = math.log1p(-lam) + _norm_logpdf(d, base_mean, base_var)
-    return np.exp(with_jump - np.logaddexp(with_jump, without))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-_jump_log_odds(d, d * d, dt, params)))
 
 
 def sample_latent(inc: IncrementSeries, params: JumpParams, rng=None) -> LatentState:
-    """Draw (J, Z) jointly given parameters and data.
-
-    J_i is Bernoulli with the indicator probability above. Given J_i = 1 the
-    size is Normal with precision-weighted moments
-        v = (1/sigma2_z + 1/(sigma2*dt_i))^-1,
-        m = v * (mu_z/sigma2_z + (d_i - theta*dt_i)/(sigma2*dt_i));
-    given J_i = 0 it is refreshed from the prior Normal(mu_z, sigma2_z).
-    """
+    """Draw (J, Z) given parameters and data; inactive Z_i come from the prior."""
     gen = as_generator(rng)
-    probs = jump_indicator_prob(inc.d, inc.dt, params)
-    indicators = gen.random(inc.n) < probs
-    base_var = params.sigma2 * inc.dt
-    v = 1.0 / (1.0 / params.sigma2_z + 1.0 / base_var)
-    m = v * (params.mu_z / params.sigma2_z + (inc.d - params.theta * inc.dt) / base_var)
-    mean = np.where(indicators, m, params.mu_z)
-    sd = np.sqrt(np.where(indicators, v, params.sigma2_z))
-    sizes = mean + sd * gen.standard_normal(inc.n)
+    log_odds = _jump_log_odds(inc.d, inc.d * inc.d, inc.dt, params)
+    indicators = _draw_indicators(gen.random(inc.n), log_odds)
+    z = gen.standard_normal(inc.n)
+    sizes = params.mu_z + math.sqrt(params.sigma2_z) * z
+    sizes[indicators] = _jump_sizes(inc.d, inc.dt, z, indicators, params)
     return LatentState(indicators=indicators, sizes=sizes)
 
 
@@ -281,33 +283,31 @@ def run_jump_gibbs(
     gen = as_generator(seed)
     params = _initial_params(inc, prior)
     if lambda_star_fixed is not None:
-        params = JumpParams(
-            params.theta, params.sigma2, params.mu_z, params.sigma2_z,
-            lambda_star_fixed,
-        )
+        params = replace(params, lambda_star=lambda_star_fixed)
+    d, n = inc.d, inc.n
+    dd, sum_dt = d * d, float(np.sum(inc.dt))
+    dt = inc.dt[0] if n and np.all(inc.dt == inc.dt[0]) else inc.dt
+    lam = lambda_star_fixed
     draws = np.empty((n_keep, 6))
-    jump_hits = np.zeros(inc.n)
+    jump_hits = np.zeros(n)
     for sweep in range(burn_in + n_keep):
-        latent = sample_latent(inc, params, gen)
+        active = _draw_indicators(gen.random(n), _jump_log_odds(d, dd, dt, params))
+        idx = np.flatnonzero(active)
+        sizes = _jump_sizes(d, dt, gen.standard_normal(n), idx, params)
         if lambda_star_fixed is None:
-            lam = update_lambda(latent.indicators, prior, gen)
-        else:
-            lam = lambda_star_fixed
-        mu_z, sigma2_z = update_jump_moments(
-            latent.active_sizes, params.sigma2_z, prior, gen
-        )
-        theta, sigma2 = update_diffusion_block(
-            inc, latent, params.sigma2, prior.diffusion, gen
-        )
+            lam = update_lambda(active, prior, gen)
+        mu_z, sigma2_z = update_jump_moments(sizes, params.sigma2_z, prior, gen)
+        resid = d.copy()
+        resid[idx] -= sizes
+        stats = _SuffStats(n, float(resid.sum()), sum_dt, float((resid * resid / dt).sum()))
+        theta, sigma2 = _draw_theta_sigma2(stats, params.sigma2, prior.diffusion, gen)
         params = JumpParams(
             theta=theta, sigma2=sigma2, mu_z=mu_z, sigma2_z=sigma2_z, lambda_star=lam
         )
         if sweep >= burn_in:
-            draws[sweep - burn_in] = (
-                theta, sigma2, mu_z, sigma2_z, lam, latent.n_jumps
-            )
+            draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, sizes.size)
             if track_jump_probs:
-                jump_hits += latent.indicators
+                jump_hits += active
     meta = ChainMeta(model="gbm-jump", n_keep=n_keep, burn_in=burn_in, seed=seed)
     return PosteriorChain(
         columns=("theta", "sigma2", "mu_z", "sigma2_z", "lambda_star", "n_jumps"),

@@ -35,7 +35,7 @@ class PathEnsemble:
             raise ValueError("paths must be (n_draws, len(grid))")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("grid must be strictly increasing")
-        if np.any(paths <= 0.0):
+        if not np.all(paths > 0.0):
             raise ValueError("price paths must stay positive")
 
     @property

@@ -195,6 +195,25 @@ class TestForecastCommand:
             == (fresh_dir / "forecast_band_gbm.csv").read_bytes()
         )
 
+    def test_non_finite_chain_fails(self, capsys, tmp_path):
+        fit_dir = tmp_path / "fit"
+        run_cli(
+            capsys, "fit", "--input", TRAIN_CSV, "--model", "gbm-jump", "--out", fit_dir,
+            "--iters", 5, "--burnin", 0, "--seed", 1,
+        )
+        chain = fit_dir / "chain_gbm_jump.csv"
+        lines = chain.read_text().splitlines()
+        lines[5] = "nan" + lines[5][lines[5].index(","):]
+        chain.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "fc"
+        rc, _, err = run_cli(
+            capsys, "forecast", "--input", TRAIN_CSV, "--model", "gbm-jump",
+            "--chain", chain, "--out", out_dir, "--seed", 1,
+        )
+        assert rc == 1
+        assert err.startswith("error:") and "non-finite theta" in err
+        assert not (out_dir / "forecast_band_gbm_jump.csv").exists()
+
     def test_band_file_shape_and_dates(self, capsys, tmp_path):
         out_dir = tmp_path / "fc"
         rc, out, _ = run_cli(

@@ -10,6 +10,7 @@ from gbmjump import (
     mle_fit,
     read_chain_csv,
     run_gibbs,
+    run_jump_gibbs,
     sample_sigma2_given_theta,
     sample_theta_given_sigma2,
     sigma2_conditional,
@@ -232,6 +233,26 @@ class TestChainCsvValidation:
         lines = path.read_text().splitlines()
         assert lines[1] == "# n_keep: 10" and lines[4] == "theta,sigma2,mu,sigma"
         path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            read_chain_csv(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("theta", "nan", "non-finite theta draw"),
+            ("sigma_z", "0.0", "non-positive sigma2_z draw"),
+            ("lambda_star", "1.5", r"lambda_star draw outside \[0, 1\]"),
+        ],
+        ids=["nan-theta", "zero-sigma_z", "lambda-above-one"],
+    )
+    def test_bad_jump_draw_rejected(self, tmp_path, train_inc, column, value, message):
+        path = tmp_path / "chain.csv"
+        write_chain_csv(run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
+        lines = path.read_text().splitlines()
+        row = lines[5].split(",")
+        row[lines[4].split(",").index(column)] = value
+        path.write_text("\n".join([*lines[:5], ",".join(row), *lines[6:]]) + "\n")
         with pytest.raises(ValueError, match=message) as err:
             read_chain_csv(path)
         assert str(path) in str(err.value)

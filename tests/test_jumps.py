@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from gbmjump import (
     theta_conditional,
     update_diffusion_block,
     update_jump_moments,
+    update_lambda,
 )
+from gbmjump.jumps import _initial_params
 
 DT = 1.0 / 252.0
 REF = JumpParams(theta=0.35, sigma2=0.008, mu_z=-0.002, sigma2_z=0.0003, lambda_star=0.36)
@@ -93,6 +97,15 @@ class TestIndicatorProb:
         p = jump_indicator_prob(np.array([-5.0, 5.0]), np.full(2, DT), REF)
         assert np.all(np.isfinite(p))
         assert p[0] == pytest.approx(1.0)
+
+    def test_tails_saturate_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = jump_indicator_prob(np.array([-5.0, 5.0]), np.full(2, DT), REF)
+            # exp(-log_odds) overflows here: lambda_star's logit alone is -737
+            tiny = jump_indicator_prob([0.0], [DT], _with(REF, lambda_star=1e-320))
+        assert np.array_equal(p, [1.0, 1.0])
+        assert 0.0 <= tiny[0] < 1e-300
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -325,3 +338,74 @@ class TestRunJumpGibbs:
         dt = np.array([0.1, 0.2])
         with pytest.raises(ValueError, match="degenerate"):
             run_jump_gibbs(IncrementSeries(d=3.0 * dt, dt=dt), n_keep=5)
+
+    def test_extreme_day_raises_no_warning(self):
+        rng = np.random.default_rng(50)
+        dt = np.full(50, DT)
+        sd = np.sqrt(0.0324 * DT)
+        d = 0.1 * DT + sd * rng.standard_normal(50)
+        d[25] += 50.0 * sd
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = run_jump_gibbs(IncrementSeries(d=d, dt=dt), n_keep=400, burn_in=100, seed=50)
+        assert np.all(np.isfinite(chain.draws))
+        assert chain.jump_probs[25] == 1.0
+
+
+def reference_chain(inc, n_keep, burn_in, seed, lambda_star_fixed=None):
+    """run_jump_gibbs rebuilt from the public conditionals, one block per call,
+    with JumpParams rebuilt after every sweep."""
+    prior = JumpPrior()
+    gen = np.random.default_rng(seed)
+    params = _initial_params(inc, prior)
+    if lambda_star_fixed is not None:
+        params = _with(params, lambda_star=lambda_star_fixed)
+    draws, hits = [], np.zeros(inc.n)
+    for sweep in range(burn_in + n_keep):
+        latent = sample_latent(inc, params, gen)
+        lam = params.lambda_star
+        if lambda_star_fixed is None:
+            lam = update_lambda(latent.indicators, prior, gen)
+        mu_z, sigma2_z = update_jump_moments(latent.active_sizes, params.sigma2_z, prior, gen)
+        theta, sigma2 = update_diffusion_block(inc, latent, params.sigma2, prior.diffusion, gen)
+        params = JumpParams(theta, sigma2, mu_z, sigma2_z, lam)
+        if sweep >= burn_in:
+            draws.append((theta, sigma2, mu_z, sigma2_z, lam, latent.n_jumps))
+            hits += latent.indicators
+    return np.array(draws), hits / n_keep
+
+
+class TestSweepWiring:
+    """The sampler's fused sweep draws exactly what the public conditionals do."""
+
+    @pytest.mark.parametrize(
+        "series, kw",
+        [
+            ("train", dict(seed=42)),
+            ("train", dict(seed=7)),
+            ("calendar", dict(seed=42)),
+            ("train", dict(seed=42, lambda_star_fixed=0.0)),
+            ("train", dict(seed=42, lambda_star_fixed=0.2)),
+            ("train", dict(seed=42, lambda_star_fixed=1.0)),
+            ("empty", dict(seed=42)),
+            ("one", dict(seed=42)),
+            ("train", dict(seed=42, track_jump_probs=False)),
+        ],
+        ids=["seed42", "seed7", "calendar-dt", "lambda0", "lambda0.2", "lambda1",
+             "empty", "one-increment", "untracked"],
+    )
+    def test_matches_reference_loop(self, train_inc, series, kw):
+        weekend = np.where(np.arange(train_inc.n) % 5 == 4, 3.0, 1.0)
+        inc = {
+            "train": train_inc,
+            "calendar": IncrementSeries(d=train_inc.d, dt=train_inc.dt * weekend),
+            "empty": IncrementSeries(d=np.array([]), dt=np.array([])),
+            "one": IncrementSeries(d=np.array([0.012]), dt=np.array([DT])),
+        }[series]
+        chain = run_jump_gibbs(inc, n_keep=20, burn_in=5, **kw)
+        draws, probs = reference_chain(inc, 20, 5, kw["seed"], kw.get("lambda_star_fixed"))
+        assert np.array_equal(chain.draws, draws)
+        if kw.get("track_jump_probs", True):
+            assert np.array_equal(chain.jump_probs, probs)
+        else:
+            assert chain.jump_probs is None

@@ -89,6 +89,8 @@ class TestEnsembles:
             PathEnsemble(grid=np.array([2.0, 1.0]), paths=np.ones((3, 2)), model="gbm")
         with pytest.raises(ValueError):
             PathEnsemble(grid=np.array([1.0, 2.0]), paths=np.zeros((3, 2)), model="gbm")
+        with pytest.raises(ValueError, match="positive"):
+            PathEnsemble(grid=np.array([1.0, 2.0]), paths=[[1.0, np.nan]], model="gbm")
 
 
 class TestCredibleBand:
