@@ -61,25 +61,31 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_FIELDS = {"iters", "burnin", "seed", "days_per_year", "horizon"}
-_FLOAT_FIELDS = {"level"}
-_BOOL_FIELDS = {"fitted_band"}
+_KINDS = {
+    "iters": int, "burnin": int, "seed": int, "days_per_year": int, "horizon": int,
+    "level": float, "fitted_band": bool,
+}
+_ACCEPTS = {int: (int,), float: (int, float), bool: (bool,)}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _coerce(name: str, raw):
+def _coerce(name: str, raw, source: str):
+    """raw as a value of field name, parsing strings; a wrong type, including
+    a bool for a number or a number for a bool, raises a ValueError naming the
+    key and its source (the config file or the environment variable)."""
+    kind = _KINDS.get(name)
+    if kind is None or (raw is None and name == "seed"):
+        return raw
+    value = raw
     if isinstance(raw, str):
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
-        if name in _BOOL_FIELDS:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes"):
-                return True
-            if lowered in ("0", "false", "no"):
-                return False
-            raise ValueError(f"bad boolean for {name}: {raw!r}")
-    return raw
+        try:
+            value = _BOOL_WORDS[raw.strip().lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            pass
+    if not isinstance(value, _ACCEPTS[kind]) or isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"{source}: {name} must be {_KIND_NAMES[kind]}, got {raw!r}")
+    return value
 
 
 def _load_config_file(path: str) -> dict:
@@ -99,11 +105,11 @@ def build_config(flag_values: dict, config_path: str | None, env=None) -> RunCon
     cfg = RunConfig()
     if config_path is not None:
         for key, value in _load_config_file(config_path).items():
-            setattr(cfg, key, _coerce(key, value))
+            setattr(cfg, key, _coerce(key, value, config_path))
     for name in _FIELD_TYPES:
-        raw = env.get(ENV_PREFIX + name.upper())
-        if raw is not None:
-            setattr(cfg, name, _coerce(name, raw))
+        var = ENV_PREFIX + name.upper()
+        if env.get(var) is not None:
+            setattr(cfg, name, _coerce(name, env[var], var))
     for name, value in flag_values.items():
         if value is not None:
             setattr(cfg, name, value)

@@ -168,6 +168,17 @@ class PosteriorChain:
         raise KeyError(name)
 
 
+def _start(inc: IncrementSeries, prior: GbmPrior):
+    """Chain start (theta, sigma2): the MLE, or the prior center below two
+    increments. Raises on degenerate data, which the MLE fits with sigma2 = 0."""
+    if inc.n < 2:
+        return prior.theta_mean, prior.sigma2_center()
+    start = mle_fit(inc)
+    if start.degenerate:
+        raise ValueError("degenerate data: sample volatility is zero")
+    return start.theta, start.sigma2
+
+
 def run_gibbs(
     inc: IncrementSeries,
     prior: GbmPrior = GbmPrior(),
@@ -183,13 +194,7 @@ def run_gibbs(
     """
     if n_keep < 1 or burn_in < 0:
         raise ValueError("need n_keep >= 1 and burn_in >= 0")
-    if inc.n >= 2:
-        start = mle_fit(inc)
-        if start.degenerate:
-            raise ValueError("degenerate data: sample volatility is zero")
-        theta, sigma2 = start.theta, start.sigma2
-    else:
-        theta, sigma2 = prior.theta_mean, prior.sigma2_center()
+    theta, sigma2 = _start(inc, prior)
     stats = _SuffStats.of(inc.d, inc.dt)
     gen = as_generator(seed)
     draws = np.empty((n_keep, 2))
@@ -226,7 +231,8 @@ def read_chain_csv(path) -> PosteriorChain:
 
     Raises ValueError naming the file when the model is unknown, a column the
     writer exports for it is missing, the rows are none or differ in number
-    from the header's n_keep, or a draw is one PosteriorChain rejects.
+    from the header's n_keep, a draw is one PosteriorChain rejects, or an
+    exported column differs from what the rebuilt chain derives for it.
     """
     meta_raw: dict[str, str] = {}
     with open(path) as fh:
@@ -266,6 +272,10 @@ def read_chain_csv(path) -> PosteriorChain:
         stored += ["mu_z", "sigma2_z", "lambda_star", "n_jumps"]
     draws = np.column_stack([take[c] for c in stored])
     try:
-        return PosteriorChain(columns=tuple(stored), draws=draws, meta=meta)
+        chain = PosteriorChain(columns=tuple(stored), draws=draws, meta=meta)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    for name in _EXPORT_COLUMNS[model]:
+        if not np.array_equal(take[name], chain.column(name)):
+            raise ValueError(f"{path}: column {name} disagrees with the draws it derives from")
+    return chain

@@ -18,14 +18,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gbm import mle_fit, simulate_increments
+from .gbm import simulate_increments
 from .gibbs import (
     ChainMeta,
     GbmPrior,
     PosteriorChain,
     _draw_theta_sigma2,
+    _sigma2_conditional,
+    _start,
     _SuffStats,
-    sample_inverse_gamma,
+    _theta_conditional,
 )
 from .rngs import as_generator
 from .series import IncrementSeries
@@ -59,20 +61,15 @@ class JumpParams:
 
 @dataclass(frozen=True)
 class JumpPrior:
-    """Diffusion block reuses the no-jump prior; jump moments get the same
-    Normal/inverse-gamma pair; lambda_star gets Beta(lambda_a, lambda_b)."""
+    """Normal/inverse-gamma priors on (theta, sigma2) and on (mu_z, sigma2_z),
+    each a GbmPrior, and Beta(lambda_a, lambda_b) on lambda_star."""
 
     diffusion: GbmPrior = field(default_factory=GbmPrior)
-    jump_mean_mean: float = 0.0
-    jump_mean_var: float = 100.0
-    jump_ig_shape: float = 2.0
-    jump_ig_scale: float = 0.001
+    jump: GbmPrior = field(default_factory=GbmPrior)
     lambda_a: float = 1.0
     lambda_b: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.jump_mean_var, self.jump_ig_shape, self.jump_ig_scale) <= 0.0:
-            raise ValueError("jump prior variance, shape and scale must be positive")
         if self.lambda_a <= 0.0 or self.lambda_b <= 0.0:
             raise ValueError("Beta prior parameters must be positive")
 
@@ -169,37 +166,32 @@ def update_lambda(indicators, prior: JumpPrior = JumpPrior(), rng=None) -> float
     return float(as_generator(rng).beta(a, b))
 
 
-def jump_mean_conditional(
-    z_active, sigma2_z: float, prior: JumpPrior = JumpPrior()
-):
-    """(mean, variance) of mu_z | sigma2_z and the active jump sizes."""
-    if sigma2_z <= 0.0:
-        raise ValueError("sigma2_z must be positive")
+def _size_stats(z_active) -> _SuffStats:
+    """The active sizes as increments of unit step length: Z_i ~ Normal(mu_z,
+    sigma2_z) is the diffusion model with theta = mu_z and every dt = 1."""
     z = np.asarray(z_active, dtype=float)
-    prec = 1.0 / prior.jump_mean_var + z.size / sigma2_z
-    mean = (prior.jump_mean_mean / prior.jump_mean_var + np.sum(z) / sigma2_z) / prec
-    return float(mean), 1.0 / prec
+    return _SuffStats(z.size, float(z.sum()), z.size, float(z @ z))
+
+
+def jump_mean_conditional(z_active, sigma2_z: float, prior: JumpPrior = JumpPrior()):
+    """(mean, variance) of mu_z | sigma2_z and the active jump sizes."""
+    return _theta_conditional(_size_stats(z_active), sigma2_z, prior.jump)
 
 
 def jump_var_conditional(z_active, mu_z: float, prior: JumpPrior = JumpPrior()):
     """(shape, scale) of the inverse-gamma sigma2_z | mu_z and active sizes."""
-    z = np.asarray(z_active, dtype=float)
-    rss = float(np.sum((z - mu_z) ** 2))
-    return prior.jump_ig_shape + 0.5 * z.size, prior.jump_ig_scale + 0.5 * rss
+    return _sigma2_conditional(_size_stats(z_active), mu_z, prior.jump)
 
 
 def update_jump_moments(
     z_active, sigma2_z: float, prior: JumpPrior = JumpPrior(), rng=None
 ):
-    """Draw mu_z | sigma2_z then sigma2_z | mu_z from the active sizes.
+    """Draw mu_z | sigma2_z then sigma2_z | mu_z from the active sizes, the
+    diffusion block's draw on sizes of unit step length.
 
     With no active jumps both reduce to prior draws.
     """
-    gen = as_generator(rng)
-    mean, var = jump_mean_conditional(z_active, sigma2_z, prior)
-    mu_z = mean + math.sqrt(var) * gen.standard_normal()
-    shape, scale = jump_var_conditional(z_active, mu_z, prior)
-    return float(mu_z), sample_inverse_gamma(shape, scale, gen)
+    return _draw_theta_sigma2(_size_stats(z_active), sigma2_z, prior.jump, as_generator(rng))
 
 
 def update_diffusion_block(
@@ -238,23 +230,14 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
 
 
 def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:
-    """MLE-anchored start: diffusion at the no-jump MLE, lambda_star = 0.1,
-    mu_z = 0, sigma2_z = excess variance of d over the diffusion share
-    (floored at 1e-6)."""
+    """Diffusion at the no-jump start (the MLE, or the prior center below two
+    increments), lambda_star = 0.1, mu_z = 0 and sigma2_z the excess variance
+    of d over the diffusion share (floored at 1e-6), or the prior center."""
+    theta, sigma2 = _start(inc, prior.diffusion)
     if inc.n >= 2:
-        start = mle_fit(inc)
-        if start.degenerate:
-            raise ValueError("degenerate data: sample volatility is zero")
-        theta, sigma2 = start.theta, start.sigma2
-        excess = float(np.var(inc.d) - sigma2 * np.mean(inc.dt))
-        sigma2_z = max(excess, 1e-6)
+        sigma2_z = max(float(np.var(inc.d) - sigma2 * np.mean(inc.dt)), 1e-6)
     else:
-        diff = prior.diffusion
-        theta, sigma2 = diff.theta_mean, diff.sigma2_center()
-        if prior.jump_ig_shape > 1.0:
-            sigma2_z = prior.jump_ig_scale / (prior.jump_ig_shape - 1.0)
-        else:
-            sigma2_z = prior.jump_ig_scale
+        sigma2_z = prior.jump.sigma2_center()
     return JumpParams(
         theta=theta, sigma2=sigma2, mu_z=0.0, sigma2_z=sigma2_z, lambda_star=0.1
     )

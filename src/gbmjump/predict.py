@@ -73,17 +73,16 @@ def _subsample_rows(n_rows: int, max_draws: int) -> np.ndarray:
     return (np.arange(max_draws) * n_rows) // max_draws
 
 
-def _simulate_increment_matrix(
-    chain: PosteriorChain, rows: np.ndarray, dt: np.ndarray, gen: np.random.Generator
-) -> np.ndarray:
-    """(len(rows), len(dt)) matrix of model increments, one row per draw."""
-    def draws(name):
-        return chain.column(name)[rows, None]
-
-    jump = None
+def _paths(chain: PosteriorChain, start: float, dt: np.ndarray, rng, max_draws: int):
+    """Prices after each step of dt from start, start * exp(cumsum of model
+    increments), one row per subsampled draw."""
+    rows = _subsample_rows(len(chain), max_draws)
+    names = ["theta", "sigma2"]
     if chain.meta.model == "gbm-jump":
-        jump = (draws("lambda_star"), draws("mu_z"), draws("sigma2_z"))
-    return simulate_increments(draws("theta"), draws("sigma2"), dt, gen, jump)
+        names += ["lambda_star", "mu_z", "sigma2_z"]
+    theta, sigma2, *jump = (chain.column(c)[rows, None] for c in names)
+    d = simulate_increments(theta, sigma2, dt, as_generator(rng), jump or None)
+    return np.exp(np.log(start) + np.cumsum(d, axis=1))
 
 
 def fitted_realizations(
@@ -104,11 +103,8 @@ def fitted_realizations(
         raise ValueError("need at least one increment")
     if max_draws < 1:
         raise ValueError("max_draws must be >= 1")
-    gen = as_generator(rng)
-    rows = _subsample_rows(len(chain), max_draws)
-    d = _simulate_increment_matrix(chain, rows, inc.dt, gen)
-    logs = np.log(x0) + np.cumsum(d, axis=1)
-    paths = np.hstack((np.full((len(rows), 1), x0), np.exp(logs)))
+    paths = _paths(chain, x0, inc.dt, rng, max_draws)
+    paths = np.hstack((np.full((len(paths), 1), x0), paths))
     grid = inc.t0 + np.concatenate(([0.0], np.cumsum(inc.dt)))
     return PathEnsemble(grid=grid, paths=paths, model=chain.meta.model)
 
@@ -134,11 +130,7 @@ def forecast(
         raise ValueError("dt must be positive")
     if max_draws < 1:
         raise ValueError("max_draws must be >= 1")
-    gen = as_generator(rng)
-    rows = _subsample_rows(len(chain), max_draws)
-    steps = np.full(horizon_steps, dt)
-    d = _simulate_increment_matrix(chain, rows, steps, gen)
-    paths = np.exp(np.log(s_last) + np.cumsum(d, axis=1))
+    paths = _paths(chain, s_last, np.full(horizon_steps, dt), rng, max_draws)
     grid = dt * np.arange(1, horizon_steps + 1)
     return PathEnsemble(grid=grid, paths=paths, model=chain.meta.model)
 

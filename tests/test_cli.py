@@ -30,11 +30,14 @@ class TestBuildConfig:
 
     def test_config_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"iters": 123, "model": "gbm-jump"}))
+        path.write_text(json.dumps(
+            {"iters": 123, "model": "gbm-jump", "seed": None, "level": 0.5, "fitted_band": True}
+        ))
         cfg = build_config({}, str(path), env={})
         assert cfg.iters == 123
         assert cfg.model == "gbm-jump"
         assert cfg.burnin == 1000
+        assert (cfg.seed, cfg.level, cfg.fitted_band) == (None, 0.5, True)
 
     def test_env_overrides_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -62,6 +65,38 @@ class TestBuildConfig:
     def test_bad_boolean_rejected(self):
         with pytest.raises(ValueError):
             build_config({}, None, env={"GBMJUMP_FITTED_BAND": "maybe"})
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"iters": 2.5}, "iters must be an integer, got 2.5"),
+            ({"iters": True}, "iters must be an integer, got True"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"level": True}, "level must be a number, got True"),
+            ({"fitted_band": 1}, "fitted_band must be a boolean, got 1"),
+        ],
+        ids=["float-iters", "bool-iters", "float-seed", "bool-level", "int-flag"],
+    )
+    def test_config_file_wrong_type_names_key_and_file(self, tmp_path, values, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        with pytest.raises(ValueError, match=message) as err:
+            build_config({}, str(path), env={})
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "var, raw, message",
+        [
+            ("GBMJUMP_ITERS", "abc", "iters must be an integer, got 'abc'"),
+            ("GBMJUMP_SEED", "1.5", "seed must be an integer, got '1.5'"),
+            ("GBMJUMP_LEVEL", "wide", "level must be a number, got 'wide'"),
+            ("GBMJUMP_FITTED_BAND", "maybe", "fitted_band must be a boolean, got 'maybe'"),
+        ],
+        ids=["iters", "seed", "level", "fitted_band"],
+    )
+    def test_env_wrong_type_names_key_and_variable(self, var, raw, message):
+        with pytest.raises(ValueError, match=f"^{var}: {message}$"):
+            build_config({}, None, env={var: raw})
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

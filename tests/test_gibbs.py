@@ -195,6 +195,18 @@ class TestChainCsv:
         assert np.array_equal(back.column("theta"), chain.column("theta"))
         assert np.array_equal(back.column("sigma2"), chain.column("sigma2"))
 
+    def test_jump_exports_read_back_exactly(self, tmp_path, train_inc):
+        chain = run_jump_gibbs(train_inc, n_keep=200, burn_in=0, seed=5)
+        path = tmp_path / "chain.csv"
+        write_chain_csv(chain, path)
+        back = read_chain_csv(path)
+        body = np.loadtxt(path, delimiter=",", skiprows=5)
+        header = path.read_text().splitlines()[4].split(",")
+        assert len(header) == 8
+        for i, name in enumerate(header):
+            assert np.array_equal(body[:, i], back.column(name)), name
+            assert np.array_equal(body[:, i], chain.column(name)), name
+
     def test_header_block_present(self, tmp_path, train_inc):
         chain = run_gibbs(train_inc, n_keep=3, burn_in=0, seed=1)
         path = tmp_path / "chain.csv"
@@ -238,21 +250,29 @@ class TestChainCsvValidation:
         assert str(path) in str(err.value)
 
     @pytest.mark.parametrize(
-        "column, value, message",
+        "column, edit, message",
         [
-            ("theta", "nan", "non-finite theta draw"),
-            ("sigma_z", "0.0", "non-positive sigma2_z draw"),
-            ("lambda_star", "1.5", r"lambda_star draw outside \[0, 1\]"),
+            ("theta", lambda v: "nan", "non-finite theta draw"),
+            ("sigma_z", lambda v: "0.0", "non-positive sigma2_z draw"),
+            ("lambda_star", lambda v: "1.5", r"lambda_star draw outside \[0, 1\]"),
+            ("sigma_z", lambda v: repr(-float(v)), "column sigma_z disagrees"),
+            ("sigma", lambda v: repr(2.0 * float(v)), "column sigma disagrees"),
+            ("mu", lambda v: repr(float(v) + 1.0), "column mu disagrees"),
         ],
-        ids=["nan-theta", "zero-sigma_z", "lambda-above-one"],
+        ids=["nan-theta", "zero-sigma_z", "lambda-above-one",
+             "negated-sigma_z", "doubled-sigma", "shifted-mu"],
     )
-    def test_bad_jump_draw_rejected(self, tmp_path, train_inc, column, value, message):
+    def test_bad_jump_draw_rejected(self, tmp_path, train_inc, column, edit, message):
+        """edit rewrites the column's value in every row."""
         path = tmp_path / "chain.csv"
         write_chain_csv(run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
         lines = path.read_text().splitlines()
-        row = lines[5].split(",")
-        row[lines[4].split(",").index(column)] = value
-        path.write_text("\n".join([*lines[:5], ",".join(row), *lines[6:]]) + "\n")
+        at = lines[4].split(",").index(column)
+        for i in range(5, len(lines)):
+            row = lines[i].split(",")
+            row[at] = edit(row[at])
+            lines[i] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message) as err:
             read_chain_csv(path)
         assert str(path) in str(err.value)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gbmjump import (
+    GbmPrior,
     IncrementSeries,
     JumpParams,
     JumpPrior,
@@ -56,7 +57,7 @@ class TestJumpParams:
         with pytest.raises(ValueError):
             JumpPrior(lambda_a=0.0)
         with pytest.raises(ValueError):
-            JumpPrior(jump_ig_scale=-0.1)
+            JumpPrior(jump=GbmPrior(ig_scale=-0.1))
 
 
 class TestLatentState:
@@ -196,6 +197,17 @@ class TestJumpMomentConditionals:
         shape, scale = jump_var_conditional(z, mu_z=-0.003)
         posterior_mean = scale / (shape - 1.0)
         assert posterior_mean == pytest.approx(0.0004, rel=0.05)
+
+    def test_equal_diffusion_conditionals_on_unit_steps(self):
+        # the sizes are increments of step length 1 with theta = mu_z
+        z = np.random.default_rng(13).normal(-0.003, 0.02, 300)
+        prior = JumpPrior(jump=GbmPrior(theta_mean=0.5, theta_var=0.04, ig_shape=3, ig_scale=0.02))
+        unit = IncrementSeries(d=z, dt=np.ones(z.size))
+        for got, want in (
+            (jump_mean_conditional(z, 0.0004, prior), theta_conditional(unit, 0.0004, prior.jump)),
+            (jump_var_conditional(z, -0.003, prior), sigma2_conditional(unit, -0.003, prior.jump)),
+        ):
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_update_with_no_active_reduces_to_prior(self):
         rng = np.random.default_rng(40)
@@ -338,6 +350,21 @@ class TestRunJumpGibbs:
         dt = np.array([0.1, 0.2])
         with pytest.raises(ValueError, match="degenerate"):
             run_jump_gibbs(IncrementSeries(d=3.0 * dt, dt=dt), n_keep=5)
+
+    def test_empty_data_reproduces_each_block_prior(self):
+        # a jump prior unlike the diffusion one, so a block fed the wrong
+        # prior shows in its marginal
+        jump = GbmPrior(theta_mean=0.5, theta_var=0.04, ig_shape=3, ig_scale=0.02)
+        empty = IncrementSeries(d=np.array([]), dt=np.array([]))
+        chain = run_jump_gibbs(empty, JumpPrior(jump=jump), n_keep=4000, burn_in=10, seed=21)
+        for name, law in (
+            ("mu_z", stats.norm(0.5, 0.2)),
+            ("sigma2_z", stats.invgamma(3.0, scale=0.02)),
+            ("theta", stats.norm(0.0, 10.0)),
+            ("sigma2", stats.invgamma(2.0, scale=0.001)),
+        ):
+            ks = stats.kstest(chain.column(name), law.cdf)
+            assert ks.pvalue > 0.001, f"{name}: p={ks.pvalue:.2g}"
 
     def test_extreme_day_raises_no_warning(self):
         rng = np.random.default_rng(50)
