@@ -61,30 +61,33 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_KINDS = {
-    "iters": int, "burnin": int, "seed": int, "days_per_year": int, "horizon": int,
-    "level": float, "fitted_band": bool,
-}
-_ACCEPTS = {int: (int,), float: (int, float), bool: (bool,)}
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# declared field type -> (string parser, exact types accepted, name in errors)
+_KINDS = {
+    "int": (int, (int,), "an integer"),
+    "float": (float, (int, float), "a number"),
+    "bool": (lambda s: _BOOL_WORDS[s.strip().lower()], (bool,), "a boolean"),
+}
 
 
 def _coerce(name: str, raw, source: str):
-    """raw as a value of field name, parsing strings; a wrong type, including
-    a bool for a number or a number for a bool, raises a ValueError naming the
-    key and its source (the config file or the environment variable)."""
-    kind = _KINDS.get(name)
-    if kind is None or (raw is None and name == "seed"):
+    """raw as a value of field name, parsing strings; a value of a type the
+    field does not take (bool is not int, so True is no number and 1 no
+    boolean) raises a ValueError naming the key and its source (the config
+    file or the environment variable)."""
+    declared = _FIELD_TYPES[name]
+    kind = _KINDS.get(declared.removesuffix(" | None"))
+    if kind is None or (raw is None and declared.endswith(" | None")):
         return raw
+    parse, accepts, what = kind
     value = raw
     if isinstance(raw, str):
         try:
-            value = _BOOL_WORDS[raw.strip().lower()] if kind is bool else kind(raw)
+            value = parse(raw)
         except (KeyError, ValueError):
             pass
-    if not isinstance(value, _ACCEPTS[kind]) or isinstance(value, bool) != (kind is bool):
-        raise ValueError(f"{source}: {name} must be {_KIND_NAMES[kind]}, got {raw!r}")
+    if type(value) not in accepts:
+        raise ValueError(f"{source}: {name} must be {what}, got {raw!r}")
     return value
 
 

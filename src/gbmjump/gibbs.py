@@ -275,7 +275,10 @@ def read_chain_csv(path) -> PosteriorChain:
         chain = PosteriorChain(columns=tuple(stored), draws=draws, meta=meta)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    # rounding slack: relative, plus absolute at theta's and sigma2's scale
+    # for mu = theta + sigma2/2, which can cancel to near zero
+    atol = 1e-12 * np.abs(draws[:, :2]).max()
     for name in _EXPORT_COLUMNS[model]:
-        if not np.array_equal(take[name], chain.column(name)):
+        if not np.allclose(take[name], chain.column(name), rtol=1e-12, atol=atol):
             raise ValueError(f"{path}: column {name} disagrees with the draws it derives from")
     return chain

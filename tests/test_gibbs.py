@@ -207,6 +207,17 @@ class TestChainCsv:
             assert np.array_equal(body[:, i], back.column(name)), name
             assert np.array_equal(body[:, i], chain.column(name)), name
 
+    def test_jump_export_resaved_with_15_digits_reads_back(self, tmp_path, train_inc):
+        chain = run_jump_gibbs(train_inc, n_keep=200, burn_in=0, seed=5)
+        path = tmp_path / "chain.csv"
+        write_chain_csv(chain, path)
+        lines = path.read_text().splitlines()
+        body = [",".join(f"{float(v):.15g}" for v in line.split(",")) for line in lines[5:]]
+        path.write_text("\n".join([*lines[:5], *body]) + "\n")
+        back = read_chain_csv(path)
+        for name in lines[4].split(","):
+            assert np.allclose(back.column(name), chain.column(name), rtol=1e-14, atol=0), name
+
     def test_header_block_present(self, tmp_path, train_inc):
         chain = run_gibbs(train_inc, n_keep=3, burn_in=0, seed=1)
         path = tmp_path / "chain.csv"
@@ -263,16 +274,14 @@ class TestChainCsvValidation:
              "negated-sigma_z", "doubled-sigma", "shifted-mu"],
     )
     def test_bad_jump_draw_rejected(self, tmp_path, train_inc, column, edit, message):
-        """edit rewrites the column's value in every row."""
+        """edit rewrites the column's value in the first row only."""
         path = tmp_path / "chain.csv"
         write_chain_csv(run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
         lines = path.read_text().splitlines()
+        row = lines[5].split(",")
         at = lines[4].split(",").index(column)
-        for i in range(5, len(lines)):
-            row = lines[i].split(",")
-            row[at] = edit(row[at])
-            lines[i] = ",".join(row)
-        path.write_text("\n".join(lines) + "\n")
+        row[at] = edit(row[at])
+        path.write_text("\n".join([*lines[:5], ",".join(row), *lines[6:]]) + "\n")
         with pytest.raises(ValueError, match=message) as err:
             read_chain_csv(path)
         assert str(path) in str(err.value)
