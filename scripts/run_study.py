@@ -22,11 +22,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gbmjump import (  # noqa: E402
-    credible_band,
-    fitted_realizations,
-    forecast,
+    fitted_band,
     load_price_series,
     mle_fit,
+    predictive_band,
     run_gibbs,
     run_jump_gibbs,
     summarize,
@@ -105,19 +104,17 @@ def main(argv=None) -> int:
     horizon = len(holdout.prices)
     for model, chain in chains.items():
         tag = model.replace("-", "_")
-        ens = fitted_realizations(
-            chain, inc, x0=float(train.prices[0]),
+        band = fitted_band(
+            chain, inc, x0=float(train.prices[0]), level=args.level,
             rng=derived_generator(args.seed, stream=2),
         )
-        band = credible_band(ens, level=args.level)
         write_band_csv(band, out / f"fitted_band_{tag}.csv", dates=train.dates)
         fitted_cov = band_coverage(band, train.prices)
 
-        ens = forecast(
-            chain, s_last=s_last, horizon_steps=horizon,
+        band = predictive_band(
+            chain, start=s_last, dt=[1.0 / 252.0] * horizon, level=args.level,
             rng=derived_generator(args.seed, stream=1),
         )
-        band = credible_band(ens, level=args.level)
         write_band_csv(band, out / f"forecast_band_{tag}.csv", dates=holdout.dates)
         holdout_cov = band_coverage(band, holdout.prices)
         print(

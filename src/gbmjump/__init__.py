@@ -44,8 +44,10 @@ from .predict import (
     Band,
     PathEnsemble,
     credible_band,
+    fitted_band,
     fitted_realizations,
     forecast,
+    predictive_band,
     write_band_csv,
 )
 from .series import (

@@ -19,7 +19,7 @@ from .diagnostics import pacf, summarize, write_summary_csv, write_summary_json
 from .gbm import mle_fit
 from .gibbs import read_chain_csv, run_gibbs, write_chain_csv
 from .jumps import run_jump_gibbs
-from .predict import credible_band, fitted_realizations, forecast, write_band_csv
+from .predict import fitted_band, predictive_band, write_band_csv
 from .rngs import derived_generator
 from .series import load_price_series, to_increments, write_csv, write_json
 
@@ -233,15 +233,13 @@ def cmd_forecast(cfg: RunConfig) -> int:
         chain = _run_fit(inc, cfg, track_jump_probs=False)
     out = _out_dir(cfg)
     tag = cfg.model.replace("-", "_")
-    rng = derived_generator(cfg.seed, stream=1)
-    ens = forecast(
+    band = predictive_band(
         chain,
-        s_last=float(series.prices[-1]),
-        horizon_steps=cfg.horizon,
-        dt=1.0 / cfg.days_per_year,
-        rng=rng,
+        start=float(series.prices[-1]),
+        dt=[1.0 / cfg.days_per_year] * cfg.horizon,
+        level=cfg.level,
+        rng=derived_generator(cfg.seed, stream=1),
     )
-    band = credible_band(ens, level=cfg.level)
     dates = _next_weekdays(series.dates[-1], cfg.horizon)
     write_band_csv(band, out / f"forecast_band_{tag}.csv", dates=dates)
     print(
@@ -249,10 +247,11 @@ def cmd_forecast(cfg: RunConfig) -> int:
         f"final mean {band.mean[-1]:.2f}"
     )
     if cfg.fitted_band:
-        rng = derived_generator(cfg.seed, stream=2)
-        fitted = fitted_realizations(chain, inc, x0=float(series.prices[0]), rng=rng)
-        fitted_band = credible_band(fitted, level=cfg.level)
-        write_band_csv(fitted_band, out / f"fitted_band_{tag}.csv", dates=series.dates)
+        band = fitted_band(
+            chain, inc, x0=float(series.prices[0]), level=cfg.level,
+            rng=derived_generator(cfg.seed, stream=2),
+        )
+        write_band_csv(band, out / f"fitted_band_{tag}.csv", dates=series.dates)
     return 0
 
 

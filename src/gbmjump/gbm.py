@@ -123,12 +123,57 @@ def simulate_increments(theta, sigma2, dt, gen: np.random.Generator, jump=None):
     jump = (lambda_star, mu_z, sigma2_z) adds, with probability lambda_star, an
     independent Normal(mu_z, sigma2_z) jump to each increment. Parameters are
     scalars or (n_draws, 1) columns and dt is a row of step lengths; the result
-    has their broadcast shape. Draw order: diffusion noise, jump hits, jump sizes.
+    has their broadcast shape. It is one IncrementKernel block over all of dt,
+    transposed to one row per draw.
     """
     shape = np.broadcast_shapes(np.shape(theta), np.shape(sigma2), np.shape(dt))
-    d = theta * dt + np.sqrt(sigma2 * dt) * gen.standard_normal(shape)
-    if jump is not None:
-        lam, mu_z, sigma2_z = jump
-        hit = gen.random(shape) < lam
-        d += np.where(hit, mu_z + np.sqrt(sigma2_z) * gen.standard_normal(shape), 0.0)
-    return d
+    kernel = IncrementKernel(theta, sigma2, gen, jump)
+    return kernel.block(np.ravel(dt)).T.reshape(shape)
+
+
+class IncrementKernel:
+    """Log-increments of a set of parameter draws, drawn block by block in time order.
+
+    theta and sigma2, and jump = (lambda_star, mu_z, sigma2_z) when given, hold
+    one value per draw (a scalar or a length-1 array is shared by all). Three
+    substreams are split off gen through a SeedSequence: diffusion noise, jump
+    hits, and jump sizes, the sizes drawn only at hits. Blocks are time-major,
+    (steps, draws), and every substream is consumed in time order, so any split
+    of the same steps into blocks gives the same increments bit for bit.
+    """
+
+    def __init__(self, theta, sigma2, gen: np.random.Generator, jump=None) -> None:
+        params = np.broadcast_arrays(*map(np.ravel, (theta, sigma2, *(jump or ()))))
+        self._draws = len(params[0])
+        self._theta, sigma2, *jump = params
+        self._sigma = np.sqrt(sigma2)
+        entropy = gen.integers(2**32, size=4)
+
+        def substream(k: int) -> np.random.Generator:
+            # child k of SeedSequence(entropy).spawn(3), built only when used
+            return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
+
+        self._noise = substream(0)
+        self._jump = None
+        if jump:
+            lam, mu_z, sigma2_z = jump
+            self._jump = (lam, mu_z, np.sqrt(sigma2_z))
+            self._hits = substream(1)
+            self._sizes = substream(2)
+
+    def block(self, dt) -> np.ndarray:
+        """The next len(dt) increments of every draw, one row per step of dt."""
+        dt = np.asarray(dt, dtype=float)[:, None]
+        d = self._noise.standard_normal((len(dt), self._draws))
+        d *= np.sqrt(dt)  # scaled by a row and a column: no full-size temporary
+        d *= self._sigma
+        d += self._theta * dt
+        if self._jump is not None:
+            lam, mu_z, sigma_z = self._jump
+            hit = self._hits.random(d.shape) < lam
+            draw = np.nonzero(hit)[1]  # row-major: time order, then draw
+            z = self._sizes.standard_normal(len(draw))
+            z *= sigma_z[draw]
+            z += mu_z[draw]
+            d[hit] += z
+        return d

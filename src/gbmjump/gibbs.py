@@ -229,7 +229,8 @@ def write_chain_csv(chain: PosteriorChain, path) -> None:
 def read_chain_csv(path) -> PosteriorChain:
     """Inverse of write_chain_csv; reconstructs sigma2_z from sigma_z.
 
-    Raises ValueError naming the file when the model is unknown, a column the
+    Raises ValueError naming the file when the model is unknown, the header's
+    n_keep, burn_in or seed is not an integer (naming the key), a column the
     writer exports for it is missing, the rows are none or differ in number
     from the header's n_keep, a draw is one PosteriorChain rejects, or an
     exported column differs from what the rebuilt chain derives for it.
@@ -255,15 +256,24 @@ def read_chain_csv(path) -> PosteriorChain:
     missing = [c for c in _EXPORT_COLUMNS[model] if c not in cols]
     if missing:
         raise ValueError(f"{path}: missing chain column(s) {', '.join(missing)}")
-    n_keep = int(meta_raw.get("n_keep", body.shape[0]))
+
+    def header_int(key: str, default: int | None) -> int | None:
+        raw = meta_raw.get(key)
+        if raw is None:
+            return default
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"{path}: header {key} must be an integer, got {raw!r}") from None
+
+    n_keep = header_int("n_keep", body.shape[0])
     if body.shape[0] != n_keep:
         raise ValueError(f"{path}: {body.shape[0]} draws, header says n_keep {n_keep}")
-    seed_raw = meta_raw.get("seed", "None")
     meta = ChainMeta(
         model=model,
         n_keep=n_keep,
-        burn_in=int(meta_raw.get("burn_in", 0)),
-        seed=None if seed_raw == "None" else int(seed_raw),
+        burn_in=header_int("burn_in", 0),
+        seed=None if meta_raw.get("seed") == "None" else header_int("seed", None),
     )
     take = {c: body[:, i] for i, c in enumerate(cols)}
     stored = ["theta", "sigma2"]

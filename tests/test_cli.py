@@ -249,6 +249,30 @@ class TestForecastCommand:
         assert err.startswith("error:") and "non-finite theta" in err
         assert not (out_dir / "forecast_band_gbm_jump.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("n_keep", "5e3"), ("burn_in", "x"), ("seed", "1.5")]
+    )
+    def test_malformed_chain_header_fails(self, capsys, tmp_path, key, value):
+        fit_dir = tmp_path / "fit"
+        run_cli(
+            capsys, "fit", "--input", TRAIN_CSV, "--out", fit_dir,
+            "--iters", 5, "--burnin", 0, "--seed", 1,
+        )
+        chain = fit_dir / "chain_gbm.csv"
+        lines = [
+            f"# {key}: {value}" if line.startswith(f"# {key}:") else line
+            for line in chain.read_text().splitlines()
+        ]
+        chain.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "fc"
+        rc, _, err = run_cli(
+            capsys, "forecast", "--input", TRAIN_CSV, "--chain", chain,
+            "--out", out_dir, "--seed", 1,
+        )
+        assert rc == 1
+        assert err == f"error: {chain}: header {key} must be an integer, got '{value}'\n"
+        assert not (out_dir / "forecast_band_gbm.csv").exists()
+
     def test_band_file_shape_and_dates(self, capsys, tmp_path):
         out_dir = tmp_path / "fc"
         rc, out, _ = run_cli(
@@ -273,6 +297,17 @@ class TestForecastCommand:
         lines = (out_dir / "fitted_band_gbm.csv").read_text().splitlines()
         assert len(lines) == 2 + 1511
         assert lines[2].split(",")[1] == "2009-01-02"
+
+    def test_fitted_band_starts_exactly_at_first_close(self, capsys, tmp_path):
+        out_dir = tmp_path / "fb"
+        rc, _, _ = run_cli(
+            capsys, "forecast", "--input", TRAIN_CSV, "--out", out_dir, "--model", "gbm-jump",
+            "--iters", 30, "--burnin", 5, "--seed", 2, "--fitted-band",
+        )
+        assert rc == 0
+        first_close = TRAIN_CSV.read_text().splitlines()[1].split(",")[1]
+        row = (out_dir / "fitted_band_gbm_jump.csv").read_text().splitlines()[2].split(",")
+        assert [float(v) for v in row[2:]] == [float(first_close)] * 3
 
     def test_chain_model_mismatch_fails(self, capsys, tmp_path):
         fit_dir = tmp_path / "fit"

@@ -261,6 +261,22 @@ class TestChainCsvValidation:
         assert str(path) in str(err.value)
 
     @pytest.mark.parametrize(
+        "key, value", [("n_keep", "5e3"), ("burn_in", "x"), ("seed", "1.5")]
+    )
+    def test_malformed_header_integer_names_file_and_key(self, tmp_path, train_inc, key, value):
+        path = tmp_path / "chain.csv"
+        write_chain_csv(run_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
+        lines = [
+            f"# {key}: {value}" if line.startswith(f"# {key}:") else line
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: header {key} must be an integer, got '{value}'"
+        with pytest.raises(ValueError) as err:
+            read_chain_csv(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "column, edit, message",
         [
             ("theta", lambda v: "nan", "non-finite theta draw"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,16 @@ from gbmjump import (
     PathEnsemble,
     PosteriorChain,
     credible_band,
+    fitted_band,
     fitted_realizations,
     forecast,
+    predictive_band,
     run_gibbs,
     simulate_jump_increments,
+    to_increments,
     write_band_csv,
 )
+from gbmjump import predict
 
 DT = 1.0 / 252.0
 
@@ -225,3 +231,81 @@ class TestSimulatorAgreement:
         ens = forecast(chain, s_last=80.0, horizon_steps=25, rng=np.random.default_rng(12))
         d = simulate_jump_increments(params, DT, 25, rng=np.random.default_rng(12))
         np.testing.assert_allclose(ens.paths[0], 80.0 * np.exp(np.cumsum(d)), rtol=1e-13)
+
+
+def band_bytes(band):
+    return [getattr(band, a).tobytes() for a in ("grid", "lower", "mean", "upper")]
+
+
+@pytest.fixture(params=["gbm", "gbm-jump"])
+def chain(request, gbm_chain, jump_chain):
+    return gbm_chain if request.param == "gbm" else jump_chain
+
+
+class TestStreamedBands:
+    def test_bytes_do_not_depend_on_block_length(self, monkeypatch, chain, train_series):
+        # the bundled data's calendar steps: weekends and holidays are longer
+        dt = to_increments(train_series, scale_by_calendar_days=True).dt
+        assert len(np.unique(dt)) > 1
+        bands = []
+        for block in (1, 7, 64, len(dt)):
+            monkeypatch.setattr(predict, "_BLOCK", block)
+            band = predictive_band(
+                chain, 931.80, dt, rng=np.random.default_rng(21), max_draws=300
+            )
+            bands.append(band_bytes(band))
+        assert all(b == bands[0] for b in bands[1:])
+
+    def test_forecast_band_is_credible_band_of_the_ensemble(self, chain):
+        ens = forecast(chain, 2058.90, 40, rng=np.random.default_rng(4))
+        band = predictive_band(chain, 2058.90, np.full(40, DT), rng=np.random.default_rng(4))
+        assert band_bytes(band) == band_bytes(credible_band(ens))
+
+    def test_fitted_band_is_credible_band_of_the_ensemble(self, chain, train_inc):
+        ens = fitted_realizations(chain, train_inc, 931.80, rng=np.random.default_rng(6))
+        band = fitted_band(chain, train_inc, 931.80, rng=np.random.default_rng(6))
+        expect = credible_band(ens)
+        assert band.grid.tobytes() == expect.grid.tobytes()
+        for name in ("lower", "mean", "upper"):
+            assert getattr(band, name)[1:].tobytes() == getattr(expect, name)[1:].tobytes()
+
+    def test_fitted_band_anchor_row_is_exactly_x0(self, jump_chain, train_inc):
+        band = fitted_band(jump_chain, train_inc, 931.80, rng=np.random.default_rng(6))
+        assert band.grid[0] == train_inc.t0
+        assert band.lower[0] == band.mean[0] == band.upper[0] == 931.80
+
+    def test_underflow_in_a_later_block_is_rejected(self):
+        # log-price falls by 1000/252 per step and underflows exp near step 188
+        chain = constant_chain(theta=-1000.0, sigma2=1e-6, n=4)
+        steps = np.full(300, DT)
+        assert 188 > predict._BLOCK
+        predictive_band(chain, 1.0, steps[: predict._BLOCK], rng=np.random.default_rng(1))
+        with pytest.raises(ValueError, match="price paths must stay positive"):
+            predictive_band(chain, 1.0, steps, rng=np.random.default_rng(1))
+
+    def test_memory_stays_below_the_path_matrix(self, jump_chain, train_inc):
+        # 2000 x 1510 prices would take 23 MiB; a block of 64 steps takes 1 MiB
+        tracemalloc.start()
+        try:
+            predictive_band(jump_chain, 931.80, train_inc.dt, rng=np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak / 2**20
+
+    def test_input_validation(self, gbm_chain):
+        steps = np.full(3, DT)
+        for kwargs in (
+            {"start": 0.0},
+            {"dt": []},
+            {"dt": [DT, -DT]},
+            {"dt": np.full((2, 2), DT)},
+            {"max_draws": 0},
+            {"max_draws": 1},
+            {"level": 1.0},
+        ):
+            args = {"start": 100.0, "dt": steps, **kwargs}
+            with pytest.raises(ValueError):
+                predictive_band(gbm_chain, **args)
+        with pytest.raises(ValueError, match="two paths"):
+            predictive_band(constant_chain(0.1, 0.04, n=1), 100.0, steps)
