@@ -139,8 +139,8 @@ def main(argv=None) -> int:
 
     if args.check:
         from gbmjump import (
-            credible_band, forecast, mle_fit, run_gibbs, run_jump_gibbs,
-            summarize, to_increments,
+            mle_fit, predictive_band, run_gibbs, run_jump_gibbs, summarize,
+            to_increments,
         )
         from gbmjump.series import PriceSeries
 
@@ -159,9 +159,8 @@ def main(argv=None) -> int:
                     f"q=[{row.q2_5:+.4f}, {row.q50:+.4f}, {row.q97_5:+.4f}]"
                 )
             if name == "gbm":
-                band = credible_band(
-                    forecast(chain, float(prices[-1]), 40, rng=9), level=0.90
-                )
+                steps = np.full(40, 1.0 / DAYS_PER_YEAR)
+                band = predictive_band(chain, float(prices[-1]), steps, level=0.90, rng=9)
                 hold = hold_prices[: len(band.grid)]
                 m = len(hold)
                 covered = np.mean(

@@ -4,7 +4,6 @@ sampling, posterior summaries, and predictive bands for daily price series."""
 from .diagnostics import (
     ParamSummary,
     Summary,
-    coefficient_of_variation,
     pacf,
     summarize,
     summarize_draws,
@@ -16,12 +15,10 @@ from .gibbs import (
     PosteriorChain,
     read_chain_csv,
     run_gibbs,
-    sample_inverse_gamma,
     sample_sigma2_given_theta,
     sample_theta_given_sigma2,
     sigma2_conditional,
     theta_conditional,
-    to_drift_diffusion,
     write_chain_csv,
 )
 from .jumps import (
@@ -42,11 +39,7 @@ from .jumps import (
 )
 from .predict import (
     Band,
-    PathEnsemble,
-    credible_band,
     fitted_band,
-    fitted_realizations,
-    forecast,
     predictive_band,
     write_band_csv,
 )

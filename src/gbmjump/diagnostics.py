@@ -96,17 +96,6 @@ def pacf(series, max_lag: int) -> np.ndarray:
     return out
 
 
-def coefficient_of_variation(draws) -> float:
-    """SD (n-1 divisor) over |mean|; rejects mean == 0."""
-    x = np.asarray(draws, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need a 1-d sample of at least two draws")
-    mean = float(x.mean())
-    if mean == 0.0:
-        raise ValueError("coefficient of variation undefined for zero mean")
-    return float(x.std(ddof=1) / abs(mean))
-
-
 def summary_to_dict(summary: Summary) -> dict:
     return {name: asdict(row) for name, row in summary.rows.items()}
 

@@ -112,23 +112,9 @@ def simulate_gbm_path(x0: float, params: GbmParams, grid, rng=None) -> np.ndarra
     if params.degenerate:
         incs = params.theta * steps
     else:
-        incs = simulate_increments(params.theta, params.sigma2, steps, as_generator(rng))
+        incs = IncrementKernel(params.theta, params.sigma2, as_generator(rng)).block(steps)[:, 0]
     y = math.log(x0) + np.concatenate(([0.0], np.cumsum(incs)))
     return np.exp(y)
-
-
-def simulate_increments(theta, sigma2, dt, gen: np.random.Generator, jump=None):
-    """Log-increments Normal(theta*dt, sigma2*dt), plus jumps if jump is given.
-
-    jump = (lambda_star, mu_z, sigma2_z) adds, with probability lambda_star, an
-    independent Normal(mu_z, sigma2_z) jump to each increment. Parameters are
-    scalars or (n_draws, 1) columns and dt is a row of step lengths; the result
-    has their broadcast shape. It is one IncrementKernel block over all of dt,
-    transposed to one row per draw.
-    """
-    shape = np.broadcast_shapes(np.shape(theta), np.shape(sigma2), np.shape(dt))
-    kernel = IncrementKernel(theta, sigma2, gen, jump)
-    return kernel.block(np.ravel(dt)).T.reshape(shape)
 
 
 class IncrementKernel:

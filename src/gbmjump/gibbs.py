@@ -93,14 +93,6 @@ def sigma2_conditional(inc: IncrementSeries, theta: float, prior: GbmPrior = Gbm
     return _sigma2_conditional(_SuffStats.of(inc.d, inc.dt), theta, prior)
 
 
-def sample_inverse_gamma(shape: float, scale: float, rng=None) -> float:
-    """One draw from IG(shape, scale), via the reciprocal of a gamma draw."""
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("shape and scale must be positive")
-    gen = as_generator(rng)
-    return float(scale / gen.gamma(shape))
-
-
 def sample_theta_given_sigma2(
     inc: IncrementSeries, sigma2: float, prior: GbmPrior = GbmPrior(), rng=None
 ) -> float:
@@ -112,7 +104,9 @@ def sample_sigma2_given_theta(
     inc: IncrementSeries, theta: float, prior: GbmPrior = GbmPrior(), rng=None
 ) -> float:
     shape, scale = sigma2_conditional(inc, theta, prior)
-    return sample_inverse_gamma(shape, scale, rng)
+    if shape <= 0.0 or scale <= 0.0:
+        raise ValueError("shape and scale must be positive")
+    return float(scale / as_generator(rng).gamma(shape))
 
 
 @dataclass(frozen=True)
@@ -204,11 +198,6 @@ def run_gibbs(
             draws[sweep - burn_in] = (theta, sigma2)
     meta = ChainMeta(model="gbm", n_keep=n_keep, burn_in=burn_in, seed=seed)
     return PosteriorChain(columns=("theta", "sigma2"), draws=draws, meta=meta)
-
-
-def to_drift_diffusion(chain: PosteriorChain) -> np.ndarray:
-    """Map draws to (mu, sigma) rows: mu = theta + sigma2/2, sigma = sqrt(sigma2)."""
-    return np.column_stack((chain.column("mu"), chain.column("sigma")))
 
 
 _EXPORT_COLUMNS = {

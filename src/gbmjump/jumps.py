@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gbm import simulate_increments
+from .gbm import IncrementKernel
 from .gibbs import (
     ChainMeta,
     GbmPrior,
@@ -226,7 +226,7 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
     if np.any(dt <= 0.0):
         raise ValueError("dt must be positive")
     jump = (params.lambda_star, params.mu_z, params.sigma2_z)
-    return simulate_increments(params.theta, params.sigma2, dt, gen, jump)
+    return IncrementKernel(params.theta, params.sigma2, gen, jump).block(dt)[:, 0]
 
 
 def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:

@@ -1,11 +1,11 @@
-"""Posterior-predictive path ensembles and pointwise credible bands.
+"""Posterior-predictive credible bands.
 
 Each retained posterior draw contributes one free-running path (parameter and
-path noise both enter), so bands reflect full predictive uncertainty. Fitted
-realizations rerun the model over the observation grid from the first observed
-price; forecasts extend horizon_steps equal steps past the last one. Bands can
-also be streamed (predictive_band, fitted_band): blocks of time steps are
-simulated, reduced to their band rows and dropped, with the same bytes.
+path noise both enter), so bands reflect full predictive uncertainty.
+predictive_band covers the steps of dt past a start price, as a forecast does;
+fitted_band reruns the model over the observation grid from the first observed
+price. Paths are simulated in blocks of time steps, reduced to their band rows
+and dropped, so no band holds the draws x steps path matrix.
 """
 
 from __future__ import annotations
@@ -18,31 +18,6 @@ from .gbm import IncrementKernel
 from .gibbs import PosteriorChain
 from .rngs import as_generator
 from .series import IncrementSeries, write_csv
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Simulated paths (one row per draw) on a common time grid in years."""
-
-    grid: np.ndarray
-    paths: np.ndarray
-    model: str
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        paths = np.asarray(self.paths, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "paths", paths)
-        if paths.ndim != 2 or paths.shape[1] != grid.shape[0]:
-            raise ValueError("paths must be (n_draws, len(grid))")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if not np.all(paths > 0.0):
-            raise ValueError("price paths must stay positive")
-
-    @property
-    def n_draws(self) -> int:
-        return self.paths.shape[0]
 
 
 @dataclass(frozen=True)
@@ -82,10 +57,9 @@ def _subsample_rows(n_rows: int, max_draws: int) -> np.ndarray:
 _BLOCK = 64
 
 
-def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng, max_draws: int,
-                  block: int):
+def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng, max_draws: int):
     """Prices after each step of dt from start, start * exp(cumsum of model
-    increments), as time-major blocks of up to `block` steps with one column
+    increments), as time-major blocks of up to _BLOCK steps with one column
     per subsampled draw.
 
     The log-price carried from block to block is added to a block's first row
@@ -98,94 +72,18 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng, max_
     theta, sigma2, *jump = (chain.column(c)[rows] for c in names)
     kernel = IncrementKernel(theta, sigma2, as_generator(rng), jump or None)
     carry = np.full(len(rows), np.log(start))
-    for lo in range(0, len(dt), block):
-        y = kernel.block(dt[lo:lo + block])
+    for lo in range(0, len(dt), _BLOCK):
+        y = kernel.block(dt[lo:lo + _BLOCK])
         y[0] += carry
         np.cumsum(y, axis=0, out=y)
         carry = y[-1].copy()
         yield np.exp(y, out=y)
 
 
-def _paths(chain: PosteriorChain, start: float, dt: np.ndarray, rng, max_draws: int):
-    """_price_blocks as one block: every step of dt, one column per draw."""
-    return next(_price_blocks(chain, start, dt, rng, max_draws, block=len(dt)))
-
-
-def _check_draws(max_draws: int) -> None:
-    if max_draws < 1:
-        raise ValueError("max_draws must be >= 1")
-
-
-def fitted_realizations(
-    chain: PosteriorChain,
-    inc: IncrementSeries,
-    x0: float,
-    rng=None,
-    max_draws: int = 2000,
-) -> PathEnsemble:
-    """Free-running paths over the observation grid, anchored at x0.
-
-    The grid is t0 followed by the cumulative observation times, so row j aligns
-    with observation j and paths[:, 0] == x0.
-    """
-    if x0 <= 0.0:
-        raise ValueError("x0 must be positive")
-    if inc.n < 1:
-        raise ValueError("need at least one increment")
-    _check_draws(max_draws)
-    prices = _paths(chain, x0, inc.dt, rng, max_draws)
-    prices = np.vstack((np.full((1, prices.shape[1]), x0), prices))
-    grid = inc.t0 + np.concatenate(([0.0], np.cumsum(inc.dt)))
-    return PathEnsemble(grid=grid, paths=prices.T, model=chain.meta.model)
-
-
-def forecast(
-    chain: PosteriorChain,
-    s_last: float,
-    horizon_steps: int,
-    dt: float = 1.0 / 252.0,
-    rng=None,
-    max_draws: int = 2000,
-) -> PathEnsemble:
-    """Paths extending horizon_steps steps of size dt beyond the last price.
-
-    The grid holds offsets dt, 2*dt, ..., horizon_steps*dt from the forecast
-    origin (as a cumulative sum), one band row per future step (the origin
-    itself is not a row).
-    """
-    if s_last <= 0.0:
-        raise ValueError("s_last must be positive")
-    if horizon_steps < 1:
-        raise ValueError("horizon_steps must be >= 1")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    _check_draws(max_draws)
-    steps = np.full(horizon_steps, dt)
-    prices = _paths(chain, s_last, steps, rng, max_draws)
-    return PathEnsemble(grid=np.cumsum(steps), paths=prices.T, model=chain.meta.model)
-
-
 def _tail(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly in (0, 1), got {level}")
     return 0.5 * (1.0 - level)
-
-
-def _band_rows(prices: np.ndarray, tail: float):
-    """Lower quantile, mean and upper quantile of each row of a time-major block."""
-    lower, upper = np.quantile(prices, [tail, 1.0 - tail], axis=1)
-    return lower, prices.mean(axis=1), upper
-
-
-def credible_band(ens: PathEnsemble, level: float = 0.90) -> Band:
-    """Pointwise empirical (1-level)/2 and 1-(1-level)/2 quantiles plus mean."""
-    tail = _tail(level)
-    if ens.n_draws < 2:
-        raise ValueError("need at least two paths for a band")
-    # time-major and C-ordered, as predictive_band reduces its blocks; for
-    # fitted_realizations and forecast ensembles this is a view, not a copy
-    lower, mean, upper = _band_rows(np.ascontiguousarray(ens.paths.T), tail)
-    return Band(grid=ens.grid, lower=lower, mean=mean, upper=upper, level=level)
 
 
 def predictive_band(
@@ -196,29 +94,29 @@ def predictive_band(
     rng=None,
     max_draws: int = 2000,
 ) -> Band:
-    """The band credible_band gives for paths after each step of dt from start,
-    without the path matrix.
+    """Pointwise band of the prices after each step of dt from start: the
+    empirical (1-level)/2 and 1-(1-level)/2 quantiles and the mean over one
+    path per chain row (up to max_draws rows, evenly strided).
 
     Prices are drawn _BLOCK steps at a time, checked positive, reduced to their
-    quantile and mean rows and dropped, so memory is O(draws x _BLOCK). At the
-    same rng the band is byte-identical to credible_band of the ensemble that
-    forecast or fitted_realizations builds. The grid holds the offsets
-    cumsum(dt) from the start.
+    quantile and mean rows and dropped, so memory is O(draws x _BLOCK). The
+    grid holds the offsets cumsum(dt) from the start; the start itself is not
+    a row.
     """
     dt = np.asarray(dt, dtype=float)
-    if start <= 0.0:
-        raise ValueError("start must be positive")
-    if dt.ndim != 1 or len(dt) < 1 or np.any(dt <= 0.0):
-        raise ValueError("dt must be a non-empty 1-d array of positive steps")
-    _check_draws(max_draws)
+    if not 0.0 < start < np.inf:
+        raise ValueError(f"start must be positive and finite, got {start}")
+    if dt.ndim != 1 or len(dt) < 1 or not np.all((dt > 0.0) & (dt < np.inf)):
+        raise ValueError("dt must be a non-empty 1-d array of positive finite steps")
     tail = _tail(level)
     if min(len(chain), max_draws) < 2:
-        raise ValueError("need at least two paths for a band")
+        raise ValueError("need at least two paths for a band (max_draws and chain rows >= 2)")
     rows = []
-    for prices in _price_blocks(chain, start, dt, rng, max_draws, _BLOCK):
+    for prices in _price_blocks(chain, start, dt, rng, max_draws):
         if not np.all(prices > 0.0):
             raise ValueError("price paths must stay positive")
-        rows.append(_band_rows(prices, tail))
+        lower, upper = np.quantile(prices, [tail, 1.0 - tail], axis=1)
+        rows.append((lower, prices.mean(axis=1), upper))
     lower, mean, upper = (np.concatenate(parts) for parts in zip(*rows))
     return Band(grid=np.cumsum(dt), lower=lower, mean=mean, upper=upper, level=level)
 
@@ -231,8 +129,13 @@ def fitted_band(
     rng=None,
     max_draws: int = 2000,
 ) -> Band:
-    """predictive_band over the observation grid of fitted_realizations, with
-    a first row (at t0) that is x0 exactly in lower, mean and upper."""
+    """predictive_band over the observation grid from x0, after a first row at
+    t0 that is x0 exactly in lower, mean and upper, so row j aligns with
+    observation j."""
+    if not 0.0 < x0 < np.inf:
+        raise ValueError(f"x0 must be positive and finite, got {x0}")
+    if inc.n < 1:
+        raise ValueError("need at least one increment")
     band = predictive_band(chain, x0, inc.dt, level, rng, max_draws)
     lower, mean, upper = (np.concatenate(([x0], row)) for row in (band.lower, band.mean, band.upper))
     grid = inc.t0 + np.concatenate(([0.0], band.grid))

@@ -26,14 +26,13 @@ from gbmjump import (
     GbmParams,
     IncrementSeries,
     JumpParams,
-    credible_band,
-    forecast,
     increment_moments,
     jump_var_conditional,
     lambda_conditional,
     log_likelihood,
     mle_fit,
     pacf,
+    predictive_band,
     run_gibbs,
     run_jump_gibbs,
     sample_sigma2_given_theta,
@@ -296,13 +295,13 @@ def test_criterion_7_moment_identities():
 def test_criterion_8_forecast_band_covers_holdout(timed_gbm, train_series, holdout_series):
     chain, _ = timed_gbm
     holdout = np.asarray(holdout_series.prices)
-    ens = forecast(
+    band = predictive_band(
         chain,
-        s_last=float(train_series.prices[-1]),
-        horizon_steps=len(holdout),
+        start=float(train_series.prices[-1]),
+        dt=np.full(len(holdout), DT),
+        level=0.90,
         rng=np.random.default_rng(77),
     )
-    band = credible_band(ens, level=0.90)
     covered = float(np.mean((holdout >= band.lower) & (holdout <= band.upper)))
     ok = covered >= 0.90
     report(8, ok, f"{len(holdout)}-day holdout, coverage {covered:.3f}")

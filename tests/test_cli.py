@@ -6,7 +6,16 @@ import pytest
 
 from gbmjump.cli import RunConfig, build_config, main
 
-from conftest import TRAIN_CSV
+from conftest import DATA_DIR, TRAIN_CSV
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(capsys, *args):
@@ -363,10 +372,7 @@ class TestErrorPaths:
 
 class TestRunStudy:
     def test_short_chains_complete(self, tmp_path, capsys):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_study.py"
-        spec = importlib.util.spec_from_file_location("run_study", script)
-        study = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(study)
+        study = load_script("run_study")
         out_dir = tmp_path / "study"
         rc = study.main(["--out", str(out_dir), "--iters", "2", "--burnin", "1"])
         assert rc == 0
@@ -375,3 +381,12 @@ class TestRunStudy:
         assert not (out_dir / "pacf_gbm.csv").exists()
         for name in ("chain_gbm_jump.csv", "jump_probs_gbm_jump.csv", "forecast_band_gbm.csv"):
             assert (out_dir / name).exists()
+
+
+class TestMakeDataset:
+    def test_check_regenerates_bundled_data(self, tmp_path, capsys):
+        rc = load_script("make_dataset").main(["--outdir", str(tmp_path), "--check"])
+        assert rc == 0
+        for name in ("sp500_synthetic.csv", "sp500_synthetic_holdout.csv"):
+            assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes()
+        assert "holdout coverage of 90% band: 1.000" in capsys.readouterr().out

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gbmjump import (
     Summary,
-    coefficient_of_variation,
     pacf,
     summarize,
     summarize_draws,
@@ -119,25 +118,6 @@ class TestPacf:
             pacf(np.ones(50), max_lag=3)
         with pytest.raises(ValueError):
             pacf(np.arange(50.0), max_lag=0)
-
-
-class TestCoefficientOfVariation:
-    def test_worked_example(self):
-        assert coefficient_of_variation([1.0, 3.0]) == pytest.approx(
-            0.7071067811865476, abs=1e-15
-        )
-
-    def test_constant_sample_is_zero(self):
-        assert coefficient_of_variation([2.5, 2.5, 2.5]) == 0.0
-
-    def test_sign_of_mean_irrelevant(self):
-        assert coefficient_of_variation([-1.0, -3.0]) == pytest.approx(
-            coefficient_of_variation([1.0, 3.0])
-        )
-
-    def test_zero_mean_rejected(self):
-        with pytest.raises(ValueError):
-            coefficient_of_variation([-1.0, 1.0])
 
 
 class TestSummaryExports:

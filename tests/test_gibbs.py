@@ -15,7 +15,6 @@ from gbmjump import (
     sample_theta_given_sigma2,
     sigma2_conditional,
     theta_conditional,
-    to_drift_diffusion,
     write_chain_csv,
 )
 
@@ -165,22 +164,20 @@ class TestDriftDiffusion:
     def test_exact_mapping(self):
         chain = run_gibbs(EMPTY, n_keep=1, burn_in=0, seed=0)
         chain.draws[0] = (0.0, 4.0)
-        md = to_drift_diffusion(chain)
-        assert md[0, 0] == pytest.approx(2.0)
-        assert md[0, 1] == pytest.approx(2.0)
+        assert chain.column("mu")[0] == pytest.approx(2.0)
+        assert chain.column("sigma")[0] == pytest.approx(2.0)
 
     def test_matches_columns(self, gbm_chain):
-        md = to_drift_diffusion(gbm_chain)
-        assert np.allclose(md[:, 0], gbm_chain.column("mu"))
-        assert np.allclose(md[:, 1], np.sqrt(gbm_chain.column("sigma2")))
+        theta, sigma2 = gbm_chain.column("theta"), gbm_chain.column("sigma2")
+        assert np.allclose(gbm_chain.column("mu"), theta + 0.5 * sigma2)
+        assert np.allclose(gbm_chain.column("sigma"), np.sqrt(sigma2))
 
     @settings(max_examples=50)
     @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=1e-6, max_value=4.0))
     def test_mu_exceeds_theta(self, theta, sigma2):
         chain = run_gibbs(EMPTY, n_keep=1, burn_in=0, seed=0)
         chain.draws[0] = (theta, sigma2)
-        md = to_drift_diffusion(chain)
-        assert md[0, 0] > theta
+        assert chain.column("mu")[0] > theta
 
 
 class TestChainCsv:

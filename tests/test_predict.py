@@ -1,18 +1,16 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gbmjump import (
+    Band,
     ChainMeta,
     IncrementSeries,
     JumpParams,
-    PathEnsemble,
     PosteriorChain,
-    credible_band,
     fitted_band,
-    fitted_realizations,
-    forecast,
     predictive_band,
     run_gibbs,
     simulate_jump_increments,
@@ -33,123 +31,126 @@ def constant_chain(theta: float, sigma2: float, n: int) -> PosteriorChain:
 
 class TestEnsembles:
     def test_forecast_grid_excludes_origin(self, gbm_chain):
-        ens = forecast(gbm_chain, s_last=100.0, horizon_steps=5, rng=np.random.default_rng(1))
-        assert ens.grid[0] == pytest.approx(DT)
-        assert len(ens.grid) == 5
-        assert ens.grid[-1] == pytest.approx(5 * DT)
+        band = predictive_band(gbm_chain, 100.0, np.full(5, DT), rng=np.random.default_rng(1))
+        assert band.grid[0] == pytest.approx(DT)
+        assert len(band.grid) == 5
+        assert band.grid[-1] == pytest.approx(5 * DT)
 
     def test_fitted_grid_starts_at_origin(self, gbm_chain, train_inc):
-        ens = fitted_realizations(gbm_chain, train_inc, x0=50.0, rng=np.random.default_rng(1))
-        assert ens.grid[0] == 0.0
-        assert ens.paths.shape[1] == train_inc.n + 1
-        assert np.all(ens.paths[:, 0] == 50.0)
+        band = fitted_band(gbm_chain, train_inc, x0=50.0, rng=np.random.default_rng(1))
+        assert band.grid[0] == 0.0
+        assert len(band.grid) == train_inc.n + 1
+        assert band.lower[0] == band.mean[0] == band.upper[0] == 50.0
 
     def test_vanishing_volatility_gives_exponential_drift(self):
         chain = constant_chain(theta=0.1, sigma2=1e-12, n=2)
-        ens = forecast(chain, s_last=100.0, horizon_steps=40, rng=np.random.default_rng(2))
-        expect = 100.0 * np.exp(0.1 * ens.grid)
-        assert np.allclose(ens.paths, expect[None, :], rtol=1e-4)
+        band = predictive_band(chain, 100.0, np.full(40, DT), rng=np.random.default_rng(2))
+        expect = 100.0 * np.exp(0.1 * band.grid)
+        for row in (band.lower, band.mean, band.upper):
+            assert np.allclose(row, expect, rtol=1e-4)
 
     def test_same_rng_is_reproducible(self, jump_chain, train_inc):
-        a = forecast(jump_chain, 100.0, 10, rng=np.random.default_rng(9))
-        b = forecast(jump_chain, 100.0, 10, rng=np.random.default_rng(9))
-        assert np.array_equal(a.paths, b.paths)
-        fa = fitted_realizations(jump_chain, train_inc, 100.0, rng=np.random.default_rng(9))
-        fb = fitted_realizations(jump_chain, train_inc, 100.0, rng=np.random.default_rng(9))
-        assert np.array_equal(fa.paths, fb.paths)
+        steps = np.full(10, DT)
+        a = predictive_band(jump_chain, 100.0, steps, rng=np.random.default_rng(9))
+        b = predictive_band(jump_chain, 100.0, steps, rng=np.random.default_rng(9))
+        assert band_bytes(a) == band_bytes(b)
+        fa = fitted_band(jump_chain, train_inc, 100.0, rng=np.random.default_rng(9))
+        fb = fitted_band(jump_chain, train_inc, 100.0, rng=np.random.default_rng(9))
+        assert band_bytes(fa) == band_bytes(fb)
 
     def test_paths_scale_exactly_with_start_price(self, gbm_chain):
-        a = forecast(gbm_chain, s_last=100.0, horizon_steps=8, rng=np.random.default_rng(3))
-        b = forecast(gbm_chain, s_last=200.0, horizon_steps=8, rng=np.random.default_rng(3))
-        assert np.allclose(b.paths, 2.0 * a.paths, rtol=1e-12)
+        steps = np.full(8, DT)
+        a = predictive_band(gbm_chain, 100.0, steps, rng=np.random.default_rng(3))
+        b = predictive_band(gbm_chain, 200.0, steps, rng=np.random.default_rng(3))
+        for name in ("lower", "mean", "upper"):
+            assert np.allclose(getattr(b, name), 2.0 * getattr(a, name), rtol=1e-12)
 
     def test_max_draws_subsamples_evenly(self, gbm_chain):
-        ens = forecast(gbm_chain, 100.0, 3, rng=np.random.default_rng(4), max_draws=10)
-        assert ens.n_draws == 10
-        small = forecast(gbm_chain, 100.0, 3, rng=np.random.default_rng(4), max_draws=10**6)
-        assert small.n_draws == len(gbm_chain)
+        steps = np.full(3, DT)
+        rows = (np.arange(10) * len(gbm_chain)) // 10
+        strided = PosteriorChain(
+            columns=gbm_chain.columns, draws=gbm_chain.draws[rows],
+            meta=replace(gbm_chain.meta, n_keep=10),
+        )
+        sub = predictive_band(gbm_chain, 100.0, steps, rng=np.random.default_rng(4), max_draws=10)
+        expect = predictive_band(strided, 100.0, steps, rng=np.random.default_rng(4))
+        assert band_bytes(sub) == band_bytes(expect)
+        every = predictive_band(
+            gbm_chain, 100.0, steps, rng=np.random.default_rng(4), max_draws=len(gbm_chain)
+        )
+        more = predictive_band(gbm_chain, 100.0, steps, rng=np.random.default_rng(4), max_draws=10**6)
+        assert band_bytes(more) == band_bytes(every)
 
     def test_paths_stay_positive(self, jump_chain, train_inc):
-        ens = fitted_realizations(jump_chain, train_inc, x0=931.80, rng=np.random.default_rng(5))
-        assert np.all(ens.paths > 0.0)
+        band = fitted_band(jump_chain, train_inc, x0=931.80, rng=np.random.default_rng(5))
+        assert np.all(band.lower > 0.0)
 
     def test_input_validation(self, gbm_chain, train_inc):
         with pytest.raises(ValueError):
-            forecast(gbm_chain, s_last=0.0, horizon_steps=5)
+            predictive_band(gbm_chain, 100.0, np.zeros(5))
         with pytest.raises(ValueError):
-            forecast(gbm_chain, s_last=100.0, horizon_steps=0)
-        with pytest.raises(ValueError):
-            forecast(gbm_chain, s_last=100.0, horizon_steps=5, dt=0.0)
-        with pytest.raises(ValueError):
-            forecast(gbm_chain, s_last=100.0, horizon_steps=5, max_draws=0)
-        with pytest.raises(ValueError):
-            fitted_realizations(gbm_chain, train_inc, x0=-5.0)
+            fitted_band(gbm_chain, train_inc, x0=-5.0)
         empty = IncrementSeries(d=np.array([]), dt=np.array([]))
-        with pytest.raises(ValueError):
-            fitted_realizations(gbm_chain, empty, x0=100.0)
+        with pytest.raises(ValueError, match="increment"):
+            fitted_band(gbm_chain, empty, x0=100.0)
 
-    def test_ensemble_shape_validation(self):
-        with pytest.raises(ValueError):
-            PathEnsemble(grid=np.array([1.0, 2.0]), paths=np.ones((3, 3)), model="gbm")
-        with pytest.raises(ValueError):
-            PathEnsemble(grid=np.array([2.0, 1.0]), paths=np.ones((3, 2)), model="gbm")
-        with pytest.raises(ValueError):
-            PathEnsemble(grid=np.array([1.0, 2.0]), paths=np.zeros((3, 2)), model="gbm")
-        with pytest.raises(ValueError, match="positive"):
-            PathEnsemble(grid=np.array([1.0, 2.0]), paths=[[1.0, np.nan]], model="gbm")
+    def test_band_shape_validation(self):
+        with pytest.raises(ValueError, match="one length"):
+            Band(grid=[1.0, 2.0], lower=[1.0], mean=[1.0, 2.0], upper=[1.0, 2.0], level=0.9)
+        with pytest.raises(ValueError, match="lower envelope"):
+            Band(grid=[1.0], lower=[2.0], mean=[1.5], upper=[1.0], level=0.9)
 
 
 class TestCredibleBand:
     def test_identical_paths_collapse_band(self):
-        grid = np.array([1.0, 2.0, 3.0])
-        paths = np.tile([10.0, 20.0, 30.0], (50, 1))
-        band = credible_band(PathEnsemble(grid=grid, paths=paths, model="gbm"), 0.90)
+        # doubling per unit step with volatility 1e-15: every path is 10, 20, 40, 80
+        chain = constant_chain(theta=np.log(2.0), sigma2=1e-30, n=50)
+        band = predictive_band(chain, 10.0, np.ones(3), 0.90, rng=np.random.default_rng(1))
         assert np.allclose(band.width, 0.0)
-        assert np.allclose(band.mean, [10.0, 20.0, 30.0])
+        assert np.allclose(band.mean, [20.0, 40.0, 80.0])
         assert np.allclose(band.lower, band.upper)
 
     def test_level_validation(self, gbm_chain):
-        ens = forecast(gbm_chain, 100.0, 2, rng=np.random.default_rng(1))
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
-                credible_band(ens, level=bad)
+                predictive_band(gbm_chain, 100.0, np.full(2, DT), level=bad,
+                                rng=np.random.default_rng(1))
 
-    def test_two_paths_minimum(self):
-        grid = np.array([1.0])
-        one = PathEnsemble(grid=grid, paths=np.array([[5.0]]), model="gbm")
-        with pytest.raises(ValueError):
-            credible_band(one)
+    def test_two_paths_minimum(self, gbm_chain):
+        steps = np.full(1, DT)
+        with pytest.raises(ValueError, match="two paths"):
+            predictive_band(constant_chain(0.0, 0.04, n=1), 5.0, steps)
+        with pytest.raises(ValueError, match="two paths"):
+            predictive_band(gbm_chain, 5.0, steps, max_draws=1)
 
     def test_one_step_unit_lognormal_quantiles(self):
         # theta = 0, sigma2 = 1 over one unit step: terminal value is standard
         # lognormal with 5% / 95% points 0.19304082 and 5.1802516
         n = 50_000
         chain = constant_chain(theta=0.0, sigma2=1.0, n=n)
-        ens = forecast(
-            chain, s_last=1.0, horizon_steps=1, dt=1.0,
-            rng=np.random.default_rng(5), max_draws=n,
+        band = predictive_band(
+            chain, 1.0, np.ones(1), level=0.90, rng=np.random.default_rng(5), max_draws=n
         )
-        band = credible_band(ens, level=0.90)
         assert band.lower[0] == pytest.approx(0.19304082, rel=0.02)
         assert band.upper[0] == pytest.approx(5.1802516, rel=0.02)
 
     def test_width_grows_with_horizon(self, gbm_chain):
-        ens = forecast(gbm_chain, 2058.90, 40, rng=np.random.default_rng(6))
-        band = credible_band(ens, level=0.90)
+        band = predictive_band(gbm_chain, 2058.90, np.full(40, DT), 0.90,
+                               rng=np.random.default_rng(6))
         assert band.width[-1] > 3.0 * band.width[0]
 
     def test_wider_level_is_wider_band(self, gbm_chain):
-        ens = forecast(gbm_chain, 100.0, 10, rng=np.random.default_rng(7))
-        narrow = credible_band(ens, level=0.50)
-        wide = credible_band(ens, level=0.95)
+        # the same rng draws the same paths at either level
+        steps = np.full(10, DT)
+        narrow = predictive_band(gbm_chain, 100.0, steps, 0.50, rng=np.random.default_rng(7))
+        wide = predictive_band(gbm_chain, 100.0, steps, 0.95, rng=np.random.default_rng(7))
         assert np.all(wide.width >= narrow.width)
 
     def test_fitted_band_covers_training_prices(self, gbm_chain, train_series, train_inc):
         prices = np.asarray(train_series.prices)
-        ens = fitted_realizations(
-            gbm_chain, train_inc, x0=float(prices[0]), rng=np.random.default_rng(7)
+        band = fitted_band(
+            gbm_chain, train_inc, x0=float(prices[0]), level=0.90, rng=np.random.default_rng(7)
         )
-        band = credible_band(ens, level=0.90)
         covered = np.mean((prices >= band.lower) & (prices <= band.upper))
         assert covered >= 0.80
 
@@ -166,8 +167,8 @@ class TestCredibleBand:
             d = 0.12 * dt + np.sqrt(0.04 * dt) * shocks[:m]
             nxt = 0.12 * DT + np.sqrt(0.04 * DT) * shocks[m]
             chain = run_gibbs(IncrementSeries(d=d, dt=dt), n_keep=300, burn_in=100, seed=rep)
-            ens = forecast(chain, s_last=100.0, horizon_steps=1, rng=np.random.default_rng(rep + 1))
-            band = credible_band(ens, level=0.90)
+            band = predictive_band(chain, 100.0, np.full(1, DT), 0.90,
+                                   rng=np.random.default_rng(rep + 1))
             target = 100.0 * np.exp(nxt)
             hits += band.lower[0] <= target <= band.upper[0]
         assert 0.84 <= hits / n_rep <= 0.96
@@ -181,8 +182,8 @@ class TestCredibleBand:
         for stream in (11, 13, 17):
             gen_g = np.random.default_rng(stream)
             gen_j = np.random.default_rng(stream)
-            bg = credible_band(fitted_realizations(gbm_chain, train_inc, 931.80, rng=gen_g), 0.90)
-            bj = credible_band(fitted_realizations(jump_chain, train_inc, 931.80, rng=gen_j), 0.90)
+            bg = fitted_band(gbm_chain, train_inc, 931.80, 0.90, rng=gen_g)
+            bj = fitted_band(jump_chain, train_inc, 931.80, 0.90, rng=gen_j)
             ratios.append(float(np.mean(bj.width[1:]) / np.mean(bg.width[1:])))
         mean_ratio = float(np.mean(ratios))
         assert mean_ratio < 1.0, (
@@ -194,8 +195,7 @@ class TestCredibleBand:
 
 class TestBandCsv:
     def test_rows_and_header(self, tmp_path, gbm_chain):
-        ens = forecast(gbm_chain, 100.0, 3, rng=np.random.default_rng(8))
-        band = credible_band(ens, level=0.90)
+        band = predictive_band(gbm_chain, 100.0, np.full(3, DT), 0.90, rng=np.random.default_rng(8))
         path = tmp_path / "band.csv"
         write_band_csv(band, path)
         lines = path.read_text().splitlines()
@@ -208,8 +208,7 @@ class TestBandCsv:
         assert float(cells[2]) <= float(cells[3]) <= float(cells[4])
 
     def test_dates_written_and_validated(self, tmp_path, gbm_chain, holdout_series):
-        ens = forecast(gbm_chain, 100.0, 3, rng=np.random.default_rng(8))
-        band = credible_band(ens, level=0.90)
+        band = predictive_band(gbm_chain, 100.0, np.full(3, DT), 0.90, rng=np.random.default_rng(8))
         path = tmp_path / "band.csv"
         write_band_csv(band, path, dates=holdout_series.dates[:3])
         lines = path.read_text().splitlines()
@@ -228,13 +227,26 @@ class TestSimulatorAgreement:
                     params.lambda_star, 0.0]],
             meta=meta,
         )
-        ens = forecast(chain, s_last=80.0, horizon_steps=25, rng=np.random.default_rng(12))
+        # the paths predictive_band reduces; a band needs two, so read the one directly
+        (prices,) = predict._price_blocks(
+            chain, 80.0, np.full(25, DT), np.random.default_rng(12), max_draws=1
+        )
         d = simulate_jump_increments(params, DT, 25, rng=np.random.default_rng(12))
-        np.testing.assert_allclose(ens.paths[0], 80.0 * np.exp(np.cumsum(d)), rtol=1e-13)
+        np.testing.assert_allclose(prices[:, 0], 80.0 * np.exp(np.cumsum(d)), rtol=1e-13)
 
 
 def band_bytes(band):
     return [getattr(band, a).tobytes() for a in ("grid", "lower", "mean", "upper")]
+
+
+def ensemble_band_rows(monkeypatch, chain, start, dt, rng, level=0.90):
+    """Lower, mean and upper of the whole draws x steps path matrix, drawn as
+    one block and reduced in one call: the credible band of the ensemble."""
+    monkeypatch.setattr(predict, "_BLOCK", len(dt))
+    (prices,) = predict._price_blocks(chain, start, dt, rng, max_draws=2000)
+    tail = predict._tail(level)
+    lower, upper = np.quantile(prices, [tail, 1.0 - tail], axis=1)
+    return lower, prices.mean(axis=1), upper
 
 
 @pytest.fixture(params=["gbm", "gbm-jump"])
@@ -256,18 +268,19 @@ class TestStreamedBands:
             bands.append(band_bytes(band))
         assert all(b == bands[0] for b in bands[1:])
 
-    def test_forecast_band_is_credible_band_of_the_ensemble(self, chain):
-        ens = forecast(chain, 2058.90, 40, rng=np.random.default_rng(4))
-        band = predictive_band(chain, 2058.90, np.full(40, DT), rng=np.random.default_rng(4))
-        assert band_bytes(band) == band_bytes(credible_band(ens))
+    def test_forecast_band_is_credible_band_of_the_ensemble(self, monkeypatch, chain):
+        steps = np.full(40, DT)
+        band = predictive_band(chain, 2058.90, steps, rng=np.random.default_rng(4))
+        rows = ensemble_band_rows(monkeypatch, chain, 2058.90, steps, np.random.default_rng(4))
+        assert band_bytes(band) == [np.cumsum(steps).tobytes(), *(r.tobytes() for r in rows)]
 
-    def test_fitted_band_is_credible_band_of_the_ensemble(self, chain, train_inc):
-        ens = fitted_realizations(chain, train_inc, 931.80, rng=np.random.default_rng(6))
+    def test_fitted_band_is_credible_band_of_the_ensemble(self, monkeypatch, chain, train_inc):
         band = fitted_band(chain, train_inc, 931.80, rng=np.random.default_rng(6))
-        expect = credible_band(ens)
-        assert band.grid.tobytes() == expect.grid.tobytes()
-        for name in ("lower", "mean", "upper"):
-            assert getattr(band, name)[1:].tobytes() == getattr(expect, name)[1:].tobytes()
+        rows = ensemble_band_rows(monkeypatch, chain, 931.80, train_inc.dt, np.random.default_rng(6))
+        grid = train_inc.t0 + np.concatenate(([0.0], np.cumsum(train_inc.dt)))
+        assert band.grid.tobytes() == grid.tobytes()
+        for name, row in zip(("lower", "mean", "upper"), rows):
+            assert getattr(band, name)[1:].tobytes() == row.tobytes()
 
     def test_fitted_band_anchor_row_is_exactly_x0(self, jump_chain, train_inc):
         band = fitted_band(jump_chain, train_inc, 931.80, rng=np.random.default_rng(6))
@@ -293,7 +306,7 @@ class TestStreamedBands:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak / 2**20
 
-    def test_input_validation(self, gbm_chain):
+    def test_input_validation(self, gbm_chain, train_inc):
         steps = np.full(3, DT)
         for kwargs in (
             {"start": 0.0},
@@ -309,3 +322,13 @@ class TestStreamedBands:
                 predictive_band(gbm_chain, **args)
         with pytest.raises(ValueError, match="two paths"):
             predictive_band(constant_chain(0.1, 0.04, n=1), 100.0, steps)
+        # non-finite inputs fail before any path is drawn, naming the argument
+        for name, bad in (
+            ("start", np.inf), ("start", np.nan), ("dt", [DT, np.nan]), ("dt", [DT, np.inf]),
+        ):
+            args = {"start": 100.0, "dt": steps, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                predictive_band(gbm_chain, **args)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="^x0 must be"):
+                fitted_band(gbm_chain, train_inc, bad)
