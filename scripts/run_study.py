@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         chains[model] = chain
         summary = summarize(chain)
         print(f"\n{model} posterior ({elapsed:.1f}s)")
-        print_summary(summary)
+        print_summary(summary, chain.meta.accept_rate)
         lags = write_fit_artifacts(chain, summary, out, "csv")
         report["models"][model] = {
             "seconds": elapsed,

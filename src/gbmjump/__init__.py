@@ -30,6 +30,7 @@ from .jumps import (
     jump_mean_conditional,
     jump_var_conditional,
     lambda_conditional,
+    marginal_log_posterior,
     run_jump_gibbs,
     sample_latent,
     simulate_jump_increments,

@@ -168,14 +168,17 @@ def cmd_mle(cfg: RunConfig) -> int:
     return 0
 
 
-def print_summary(summary) -> None:
-    """The posterior summary as a fixed-width table on stdout."""
+def print_summary(summary, accept_rate: float | None = None) -> None:
+    """The posterior summary as a fixed-width table on stdout, then the
+    Metropolis acceptance rate when the chain has one."""
     print(f"{'parameter':<12}{'mean':>12}{'sd':>12}{'q2.5':>12}{'q50':>12}{'q97.5':>12}")
     for name, row in summary.rows.items():
         print(
             f"{name:<12}{row.mean:>12.4f}{row.sd:>12.4f}"
             f"{row.q2_5:>12.4f}{row.q50:>12.4f}{row.q97_5:>12.4f}"
         )
+    if accept_rate is not None:
+        print(f"metropolis acceptance rate {accept_rate:.3f}")
 
 
 def write_fit_artifacts(chain, summary, out: Path, fmt: str):
@@ -199,7 +202,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     _, inc = _load_increments(cfg)
     chain = _run_fit(inc, cfg)
     summary = summarize(chain)
-    print_summary(summary)
+    print_summary(summary, chain.meta.accept_rate)
     out = _out_dir(cfg)
     write_fit_artifacts(chain, summary, out, cfg.format)
     probs = chain.jump_probs

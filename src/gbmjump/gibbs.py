@@ -75,6 +75,15 @@ def _sigma2_conditional(stats: _SuffStats, theta: float, prior: GbmPrior):
     return prior.ig_shape + 0.5 * stats.n, prior.ig_scale + 0.5 * rss
 
 
+def _normal_ig_log_kernel(stats: _SuffStats, theta: float, sigma2: float, prior: GbmPrior):
+    """log of prior(theta, sigma2) * prod_i N(d_i; theta*dt_i, sigma2*dt_i) up to
+    a constant free of (theta, sigma2): -(shape + 1)*log(sigma2) - scale/sigma2
+    - (theta - theta_mean)^2/(2*theta_var), with (shape, scale) of sigma2 | theta."""
+    shape, scale = _sigma2_conditional(stats, theta, prior)
+    dev = theta - prior.theta_mean
+    return -(shape + 1.0) * math.log(sigma2) - scale / sigma2 - 0.5 * dev * dev / prior.theta_var
+
+
 def _draw_theta_sigma2(stats: _SuffStats, sigma2: float, prior: GbmPrior, gen):
     """One sweep of the diffusion block: theta | sigma2, then sigma2 | theta."""
     mean, var = _theta_conditional(stats, sigma2, prior)
@@ -111,10 +120,14 @@ def sample_sigma2_given_theta(
 
 @dataclass(frozen=True)
 class ChainMeta:
+    """What produced a chain. accept_rate is the share of the jump sampler's
+    Metropolis proposals taken, None when that move did not run."""
+
     model: str
     n_keep: int
     burn_in: int
     seed: int | None
+    accept_rate: float | None = None
 
 
 @dataclass
@@ -210,19 +223,24 @@ _EXPORT_COLUMNS = {
 
 
 def write_chain_csv(chain: PosteriorChain, path) -> None:
-    """One row per draw with a '# key: value' metadata header block."""
+    """One row per draw with a '# key: value' metadata header block; the
+    accept_rate line only when the chain has one."""
     columns = {c: chain.column(c) for c in _EXPORT_COLUMNS[chain.meta.model]}
-    write_csv(path, columns, meta=asdict(chain.meta))
+    meta = asdict(chain.meta)
+    if meta["accept_rate"] is None:
+        del meta["accept_rate"]
+    write_csv(path, columns, meta=meta)
 
 
 def read_chain_csv(path) -> PosteriorChain:
     """Inverse of write_chain_csv; reconstructs sigma2_z from sigma_z.
 
     Raises ValueError naming the file when the model is unknown, the header's
-    n_keep, burn_in or seed is not an integer (naming the key), a column the
-    writer exports for it is missing, the rows are none or differ in number
-    from the header's n_keep, a draw is one PosteriorChain rejects, or an
-    exported column differs from what the rebuilt chain derives for it.
+    n_keep, burn_in or seed is not an integer or its accept_rate not a number
+    in [0, 1] (naming the key), a column the writer exports for it is missing,
+    the rows are none or differ in number from the header's n_keep, a draw is
+    one PosteriorChain rejects, or an exported column differs from what the
+    rebuilt chain derives for it.
     """
     meta_raw: dict[str, str] = {}
     with open(path) as fh:
@@ -255,6 +273,18 @@ def read_chain_csv(path) -> PosteriorChain:
         except ValueError:
             raise ValueError(f"{path}: header {key} must be an integer, got {raw!r}") from None
 
+    def header_rate(key: str) -> float | None:
+        raw = meta_raw.get(key)
+        if raw is None:
+            return None
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{path}: header {key} must be a number in [0, 1], got {raw!r}")
+        return value
+
     n_keep = header_int("n_keep", body.shape[0])
     if body.shape[0] != n_keep:
         raise ValueError(f"{path}: {body.shape[0]} draws, header says n_keep {n_keep}")
@@ -263,6 +293,7 @@ def read_chain_csv(path) -> PosteriorChain:
         n_keep=n_keep,
         burn_in=header_int("burn_in", 0),
         seed=None if meta_raw.get("seed") == "None" else header_int("seed", None),
+        accept_rate=header_rate("accept_rate"),
     )
     take = {c: body[:, i] for i, c in enumerate(cols)}
     stored = ["theta", "sigma2"]

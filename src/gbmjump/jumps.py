@@ -2,19 +2,28 @@
 
 Observation model per step: d_i ~ Normal(theta*dt_i, sigma2*dt_i) plus, with
 probability lambda_star, an independent Normal(mu_z, sigma2_z) jump. The
-sampler augments with latent indicators J_i and sizes Z_i and sweeps
+sampler augments with latent indicators J_i and sizes Z_i. Each sweep runs
 
-    latent (J, Z)  ->  lambda_star  ->  (mu_z, sigma2_z)  ->  (theta, sigma2)
+    move  ->  latent (J, Z)  ->  lambda_star  ->  (mu_z, sigma2_z)  ->  (theta, sigma2)
 
-where each block is conjugate. Only active sizes enter the later blocks, so
-run_jump_gibbs forms no inactive Z_i, but it draws a normal for every step to
-keep the random stream of sample_latent.
+and then records the row. The Gibbs blocks are conjugate. The move is one
+random-walk Metropolis step on x = (theta, log sigma2, mu_z, log sigma2_z,
+logit lambda_star) targeting the posterior with J and Z summed out, which
+leaves that posterior invariant and breaks the ridge through sigma2,
+lambda_star and sigma2_z that the blocks cross slowly. Its proposal is
+2.38^2/5 times the covariance of x over burn-in sweeps [B//4, B//2),
+frozen before sweep B//2 (Roberts, Gelman & Gilks 1997); the move is off
+below a 100-sweep pilot (burn-in < 400), under lambda_star_fixed, or when
+the pilot covariance is not positive definite. The array E = exp(-log-odds)
+that the move's target evaluates at the state it keeps is the indicator
+draw's input, and normals for the sizes are drawn only at the active steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +33,7 @@ from .gibbs import (
     GbmPrior,
     PosteriorChain,
     _draw_theta_sigma2,
+    _normal_ig_log_kernel,
     _sigma2_conditional,
     _start,
     _SuffStats,
@@ -76,7 +86,8 @@ class JumpPrior:
 
 @dataclass(frozen=True)
 class LatentState:
-    """Per-step jump indicators and sizes from one augmentation draw."""
+    """Per-step jump indicators and sizes from one augmentation draw; sample_latent
+    leaves the sizes of inactive steps at 0."""
 
     indicators: np.ndarray
     sizes: np.ndarray
@@ -101,35 +112,187 @@ class LatentState:
         return np.where(self.indicators, self.sizes, 0.0)
 
 
-def _jump_log_odds(d, dd, dt, params: JumpParams):
-    """Log-odds of J_i = 1, logit(lambda_star) + log N(d; m1, v1) - log N(d; m0, v0),
-    as a*d^2 + b*d + c with dd = d*d; a, b and c are scalars for a scalar dt,
-    and c is -inf or +inf at lambda_star 0 or 1."""
-    lam = params.lambda_star
-    c = math.log(lam) - math.log1p(-lam) if 0.0 < lam < 1.0 else (lam - 0.5) * math.inf
-    v0, m0 = params.sigma2 * dt, params.theta * dt
-    v1, m1 = v0 + params.sigma2_z, m0 + params.mu_z
-    log_odds = 0.5 * (1.0 / v0 - 1.0 / v1) * dd
-    log_odds += (m1 / v1 - m0 / v0) * d
-    log_odds += c - 0.5 * np.log(v1 / v0) + 0.5 * (m0 * m0 / v0 - m1 * m1 / v1)
-    return log_odds
+# Floor on the log-odds L: exp(-L) stays finite (exp(700) < 1.8e308), and
+# log1p(exp(-L)) + L still gives softplus(L) to within 1e-13 below it.
+_LOG_ODDS_FLOOR = -700.0
+_NO_DATA = _SuffStats(0, 0.0, 0.0, 0.0)
 
 
-def _draw_indicators(u, log_odds):
-    """J_i = [u_i < 1/(1 + exp(-log_odds_i))]; exp overflowing to inf gives 0."""
-    with np.errstate(over="ignore"):
-        return u * (1.0 + np.exp(-log_odds)) < 1.0
+def _logit(p: float) -> float:
+    """log(p/(1-p)); -inf at 0 and +inf at 1."""
+    return math.log(p) - math.log1p(-p) if 0.0 < p < 1.0 else (p - 0.5) * math.inf
 
 
-def _jump_sizes(d, dt, z, active, params: JumpParams):
-    """Z_i | J_i = 1 at the active steps (a mask or indices) from normals z:
-    Normal(m, v), v = 1/(1/sigma2_z + 1/v0), m = v*(mu_z/sigma2_z + (d_i - m0)/v0)."""
-    if np.ndim(dt):
-        dt = dt[active]
-    v0 = params.sigma2 * dt
-    v = 1.0 / (1.0 / params.sigma2_z + 1.0 / v0)
-    m = v * (params.mu_z / params.sigma2_z + (d[active] - params.theta * dt) / v0)
-    return m + np.sqrt(v) * z[active]
+def _softplus(t: float) -> float:
+    """log(1 + exp(t)) without overflow."""
+    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+
+
+def _log_odds_terms(dt, theta, sigma2, mu_z, sigma2_z, logit_lam):
+    """(a, b, c) with the log-odds of J_i = 1, logit(lambda_star)
+    + log N(d_i; m1, v1) - log N(d_i; m0, v0), equal to a*d_i^2 + b*d_i + c.
+    Scalars for a scalar dt; a > 0; c is -inf or +inf at lambda_star 0 or 1."""
+    v0, m0 = sigma2 * dt, theta * dt
+    v1, m1 = v0 + sigma2_z, m0 + mu_z
+    a = 0.5 * (1.0 / v0 - 1.0 / v1)
+    b = m1 / v1 - m0 / v0
+    c = logit_lam - 0.5 * np.log(v1 / v0) + 0.5 * (m0 * m0 / v0 - m1 * m1 / v1)
+    return a, b, c
+
+
+def _neg_log_odds(d, terms):
+    """-L = -((a*d + b)*d + c) for the log-odds L with terms (a, b, c)."""
+    a, b, c = terms
+    neg = -a * d
+    neg -= b
+    neg *= d
+    neg -= c
+    return neg
+
+
+def _floored_neg_log_odds(d, terms):
+    """(-max(L, _LOG_ODDS_FLOOR), whether the floor was applied): with scalar
+    terms the pass is skipped when L's minimum over all d, c - b^2/(4a),
+    clears the floor (a can round to 0 when sigma2_z is tiny)."""
+    neg = _neg_log_odds(d, terms)
+    a, b, c = terms
+    floored = isinstance(a, np.ndarray) or not (
+        a > 0.0 and c - b * b / (4.0 * a) >= _LOG_ODDS_FLOOR
+    )
+    if floored:
+        np.minimum(neg, -_LOG_ODDS_FLOOR, out=neg)
+    return neg, floored
+
+
+def _jump_odds_e(d, dt, theta, sigma2, mu_z, sigma2_z, logit_lam):
+    """E = exp(-max(L, _LOG_ODDS_FLOOR)) of the log-odds L at each step."""
+    terms = _log_odds_terms(dt, theta, sigma2, mu_z, sigma2_z, logit_lam)
+    neg, _ = _floored_neg_log_odds(d, terms)
+    return np.exp(neg, out=neg)
+
+
+def _draw_indicators(u, e):
+    """J_i = [u_i < 1/(1 + E_i)], E_i = exp(-log-odds_i)."""
+    return u * (1.0 + e) < 1.0
+
+
+def _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z):
+    """Z_i | J_i = 1 from one normal each in z, given the active steps'
+    increments d_act and step lengths dt_act (or one scalar dt): Normal(m, v),
+    v = 1/(1/sigma2_z + 1/v0) with v0 = sigma2*dt_i, and
+    m = v*(mu_z/sigma2_z + (d_i - theta*dt_i)/v0)
+      = (v/v0)*d_i + v*(mu_z/sigma2_z - theta/sigma2)."""
+    v0 = sigma2 * dt_act
+    v = 1.0 / (1.0 / sigma2_z + 1.0 / v0)
+    sizes = (v / v0) * d_act
+    sizes += v * (mu_z / sigma2_z - theta / sigma2)
+    sizes += np.sqrt(v) * z
+    return sizes
+
+
+def _jump_adjusted_stats(stats: _SuffStats, d_act, dt_act, sizes) -> _SuffStats:
+    """_SuffStats of d_i - J_i*Z_i from those of d, corrected at the active
+    steps only: (d - Z)^2/dt = d^2/dt - (2d - Z)*Z/dt."""
+    w = sizes / dt_act
+    sdd = stats.sdd - (2.0 * float(d_act @ w) - float(sizes @ w))
+    return _SuffStats(stats.n, stats.sd - float(sizes.sum()), stats.st, sdd)
+
+
+class _Marginal(NamedTuple):
+    """The posterior of (theta, sigma2, mu_z, sigma2_z, lambda_star) with J and Z
+    summed out: per step the mixture (1-lambda)*N(d; theta*dt, sigma2*dt) +
+    lambda*N(d; theta*dt + mu_z, sigma2*dt + sigma2_z), times the priors. Its
+    evaluations also return E = exp(-max(L, _LOG_ODDS_FLOOR)) of the log-odds,
+    the indicator draw's input at that point."""
+
+    d: np.ndarray
+    dt: float | np.ndarray  # a float when every step is equal
+    stats: _SuffStats
+    sum_dd: float
+    prior: JumpPrior
+
+    @classmethod
+    def of(cls, inc: IncrementSeries, prior: JumpPrior) -> "_Marginal":
+        d = inc.d
+        dt = float(inc.dt[0]) if inc.n and np.all(inc.dt == inc.dt[0]) else inc.dt
+        return cls(d, dt, _SuffStats.of(d, inc.dt), float(d @ d), prior)
+
+    def log_kernel(self, theta, sigma2, mu_z, sigma2_z, logit_lam):
+        """(log density up to a constant, E of the log-odds it summed).
+
+        Each step's log mixture density is log N(d; theta*dt, sigma2*dt)
+        + log(1 - lambda) + softplus(L) with L its jump log-odds, and
+        softplus(L) = L + log1p(exp(-L)) on the floored L; the no-jump
+        densities enter in closed form through the sufficient statistics.
+        """
+        terms = _log_odds_terms(self.dt, theta, sigma2, mu_z, sigma2_z, logit_lam)
+        neg, floored = _floored_neg_log_odds(self.d, terms)
+        if floored:
+            sum_log_odds = -float(neg.sum())
+        else:  # sum of a*d^2 + b*d + c in closed form
+            a, b, c = terms
+            sum_log_odds = a * self.sum_dd + b * self.stats.sd + c * self.stats.n
+        e = np.exp(neg, out=neg)
+        prior = self.prior
+        log_1m = -_softplus(logit_lam)  # log(1 - lambda_star)
+        value = (
+            _normal_ig_log_kernel(self.stats, theta, sigma2, prior.diffusion)
+            + _normal_ig_log_kernel(_NO_DATA, mu_z, sigma2_z, prior.jump)
+            + (prior.lambda_a - 1.0) * (logit_lam + log_1m)
+            + (prior.lambda_b - 1.0 + self.stats.n) * log_1m
+            + sum_log_odds
+            + float(np.log1p(e).sum())
+        )
+        return value, e
+
+    def move_target(self, x):
+        """log_kernel on x = (theta, log sigma2, mu_z, log sigma2_z, logit
+        lambda_star) plus the Jacobian log sigma2 + log sigma2_z
+        + log lambda_star + log(1 - lambda_star); and E."""
+        theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
+        value, e = self.log_kernel(theta, math.exp(log_s2), mu_z, math.exp(log_sz2), logit_lam)
+        return value + log_s2 + log_sz2 + logit_lam - 2.0 * _softplus(logit_lam), e
+
+
+def marginal_log_posterior(
+    inc: IncrementSeries, params: JumpParams, prior: JumpPrior = JumpPrior()
+) -> float:
+    """log p(params | d) up to a constant that depends on the data and prior
+    only, with J and Z summed out, on the natural scale (no Jacobian): the
+    log of prod_i [(1-lambda)*N(d_i; theta*dt_i, sigma2*dt_i)
+    + lambda*N(d_i; theta*dt_i + mu_z, sigma2*dt_i + sigma2_z)] plus the
+    Normal, inverse-gamma and Beta prior log densities. This is the target of
+    run_jump_gibbs's Metropolis move; lambda_star must lie inside (0, 1)."""
+    if not 0.0 < params.lambda_star < 1.0:
+        raise ValueError("lambda_star must lie strictly inside (0, 1)")
+    value, _ = _Marginal.of(inc, prior).log_kernel(
+        params.theta, params.sigma2, params.mu_z, params.sigma2_z, _logit(params.lambda_star)
+    )
+    return value
+
+
+def _metropolis_step(x, chol, target, gen):
+    """One random-walk Metropolis step from x with proposal x + chol @ N(0, I)
+    on target(x) -> (log density, E). Returns the next x, its E, and whether
+    the proposal was taken."""
+    current, e = target(x)
+    proposal = x + chol @ gen.standard_normal(len(x))
+    value, e_prop = target(proposal)
+    if gen.random() < math.exp(min(value - current, 0.0)):
+        return proposal, e_prop, True
+    return x, e, False
+
+
+def _proposal_factor(pilot):
+    """Cholesky factor of 2.38^2/5 times the covariance of the pilot rows of x,
+    or None when a row is not finite (a lambda_star draw of exactly 0 or 1) or
+    the covariance is not positive definite."""
+    if not np.all(np.isfinite(pilot)):
+        return None
+    try:
+        return np.linalg.cholesky(np.cov(pilot, rowvar=False) * (2.38**2 / 5.0))
+    except np.linalg.LinAlgError:
+        return None
 
 
 def jump_indicator_prob(d, dt, params: JumpParams) -> np.ndarray:
@@ -138,27 +301,36 @@ def jump_indicator_prob(d, dt, params: JumpParams) -> np.ndarray:
     d, dt = np.asarray(d, dtype=float), np.asarray(dt, dtype=float)
     if np.any(dt <= 0.0):
         raise ValueError("dt must be positive")
+    p = params
+    terms = _log_odds_terms(dt, p.theta, p.sigma2, p.mu_z, p.sigma2_z, _logit(p.lambda_star))
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-_jump_log_odds(d, d * d, dt, params)))
+        return 1.0 / (1.0 + np.exp(_neg_log_odds(d, terms)))
 
 
 def sample_latent(inc: IncrementSeries, params: JumpParams, rng=None) -> LatentState:
-    """Draw (J, Z) given parameters and data; inactive Z_i come from the prior."""
+    """Draw (J, Z) given parameters and data: n uniforms for the indicators,
+    then one normal per active step, in step order; inactive sizes are 0."""
     gen = as_generator(rng)
-    log_odds = _jump_log_odds(inc.d, inc.d * inc.d, inc.dt, params)
-    indicators = _draw_indicators(gen.random(inc.n), log_odds)
-    z = gen.standard_normal(inc.n)
-    sizes = params.mu_z + math.sqrt(params.sigma2_z) * z
-    sizes[indicators] = _jump_sizes(inc.d, inc.dt, z, indicators, params)
+    p = params
+    e = _jump_odds_e(inc.d, inc.dt, p.theta, p.sigma2, p.mu_z, p.sigma2_z, _logit(p.lambda_star))
+    indicators = _draw_indicators(gen.random(inc.n), e)
+    z = gen.standard_normal(int(np.count_nonzero(indicators)))
+    sizes = np.zeros(inc.n)
+    sizes[indicators] = _jump_sizes(
+        inc.d[indicators], inc.dt[indicators], z, p.theta, p.sigma2, p.mu_z, p.sigma2_z
+    )
     return LatentState(indicators=indicators, sizes=sizes)
+
+
+def _lambda_beta(k: int, n: int, prior: JumpPrior):
+    """(a, b) of the Beta conditional for lambda_star given k jumps in n steps."""
+    return prior.lambda_a + k, prior.lambda_b + n - k
 
 
 def lambda_conditional(indicators, prior: JumpPrior = JumpPrior()):
     """(a, b) of the Beta conditional for lambda_star given indicators."""
     indicators = np.asarray(indicators, dtype=bool)
-    k = int(np.count_nonzero(indicators))
-    n = indicators.size
-    return prior.lambda_a + k, prior.lambda_b + n - k
+    return _lambda_beta(int(np.count_nonzero(indicators)), indicators.size, prior)
 
 
 def update_lambda(indicators, prior: JumpPrior = JumpPrior(), rng=None) -> float:
@@ -202,7 +374,10 @@ def update_diffusion_block(
     rng=None,
 ):
     """Draw (theta, sigma2) from the no-jump conditionals on d_i - J_i*Z_i."""
-    stats = _SuffStats.of(inc.d - latent.contribution, inc.dt)
+    on = latent.indicators
+    stats = _jump_adjusted_stats(
+        _SuffStats.of(inc.d, inc.dt), inc.d[on], inc.dt[on], latent.sizes[on]
+    )
     return _draw_theta_sigma2(stats, sigma2, prior, as_generator(rng))
 
 
@@ -252,8 +427,10 @@ def run_jump_gibbs(
     lambda_star_fixed: float | None = None,
     track_jump_probs: bool = True,
 ) -> PosteriorChain:
-    """Full data-augmentation sampler; returns a chain with columns
-    (theta, sigma2, mu_z, sigma2_z, lambda_star, n_jumps).
+    """Metropolis-within-Gibbs sampler (see the module docstring); returns a
+    chain with columns (theta, sigma2, mu_z, sigma2_z, lambda_star, n_jumps)
+    whose meta.accept_rate is the share of Metropolis proposals taken from
+    sweep burn_in//2 on, or None when the move is off.
 
     lambda_star_fixed pins the jump probability instead of sampling it
     (0.0 reduces the diffusion block to the no-jump sampler). jump_probs on
@@ -264,34 +441,57 @@ def run_jump_gibbs(
     if lambda_star_fixed is not None and not 0.0 <= lambda_star_fixed <= 1.0:
         raise ValueError("lambda_star_fixed must lie in [0, 1]")
     gen = as_generator(seed)
-    params = _initial_params(inc, prior)
-    if lambda_star_fixed is not None:
-        params = replace(params, lambda_star=lambda_star_fixed)
-    d, n = inc.d, inc.n
-    dd, sum_dt = d * d, float(np.sum(inc.dt))
-    dt = inc.dt[0] if n and np.all(inc.dt == inc.dt[0]) else inc.dt
-    lam = lambda_star_fixed
+    start = _initial_params(inc, prior)
+    theta, sigma2, mu_z, sigma2_z = start.theta, start.sigma2, start.mu_z, start.sigma2_z
+    lam = start.lambda_star if lambda_star_fixed is None else lambda_star_fixed
+    marginal = _Marginal.of(inc, prior)
+    d, dt, n = marginal.d, marginal.dt, inc.n
+    pilot_start, freeze = burn_in // 4, burn_in // 2
+    pilot = None
+    if lambda_star_fixed is None and pilot_start >= 100:
+        pilot = np.empty((freeze - pilot_start, 5))
+    chol, moves, taken = None, 0, 0
     draws = np.empty((n_keep, 6))
     jump_hits = np.zeros(n)
     for sweep in range(burn_in + n_keep):
-        active = _draw_indicators(gen.random(n), _jump_log_odds(d, dd, dt, params))
+        # a lambda_star draw of exactly 0 or 1 has no logit: skip that move
+        if chol is not None and 0.0 < lam < 1.0:
+            x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
+            x, e, accepted = _metropolis_step(x, chol, marginal.move_target, gen)
+            moves += 1
+            if accepted:
+                taken += 1
+                # the move's lambda_star reaches the indicators through e
+                # only: the lambda block below redraws it
+                theta, log_s2, mu_z, log_sz2, _ = x.tolist()
+                sigma2, sigma2_z = math.exp(log_s2), math.exp(log_sz2)
+        else:
+            e = _jump_odds_e(d, dt, theta, sigma2, mu_z, sigma2_z, _logit(lam))
+        active = _draw_indicators(gen.random(n), e)
         idx = np.flatnonzero(active)
-        sizes = _jump_sizes(d, dt, gen.standard_normal(n), idx, params)
-        if lambda_star_fixed is None:
-            lam = update_lambda(active, prior, gen)
-        mu_z, sigma2_z = update_jump_moments(sizes, params.sigma2_z, prior, gen)
-        resid = d.copy()
-        resid[idx] -= sizes
-        stats = _SuffStats(n, float(resid.sum()), sum_dt, float((resid * resid / dt).sum()))
-        theta, sigma2 = _draw_theta_sigma2(stats, params.sigma2, prior.diffusion, gen)
-        params = JumpParams(
-            theta=theta, sigma2=sigma2, mu_z=mu_z, sigma2_z=sigma2_z, lambda_star=lam
+        d_act, dt_act = d[idx], dt[idx] if isinstance(dt, np.ndarray) else dt
+        sizes = _jump_sizes(
+            d_act, dt_act, gen.standard_normal(idx.size), theta, sigma2, mu_z, sigma2_z
         )
+        if lambda_star_fixed is None:
+            lam = float(gen.beta(*_lambda_beta(idx.size, n, prior)))
+        mu_z, sigma2_z = update_jump_moments(sizes, sigma2_z, prior, gen)
+        stats = _jump_adjusted_stats(marginal.stats, d_act, dt_act, sizes)
+        theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
+        if pilot is not None and pilot_start <= sweep < freeze:
+            pilot[sweep - pilot_start] = (
+                theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)
+            )
+            if sweep == freeze - 1:
+                chol = _proposal_factor(pilot)
         if sweep >= burn_in:
-            draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, sizes.size)
+            draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, idx.size)
             if track_jump_probs:
                 jump_hits += active
-    meta = ChainMeta(model="gbm-jump", n_keep=n_keep, burn_in=burn_in, seed=seed)
+    meta = ChainMeta(
+        model="gbm-jump", n_keep=n_keep, burn_in=burn_in, seed=seed,
+        accept_rate=taken / moves if moves else None,
+    )
     return PosteriorChain(
         columns=("theta", "sigma2", "mu_z", "sigma2_z", "lambda_star", "n_jumps"),
         draws=draws,

@@ -14,6 +14,8 @@ them) and then asserts, so the suite both reports and enforces the contract:
 7. the jump-model increment moment identities match simulation
 8. the 90% forecast band covers the held-out continuation on >= 90% of days
 9. retained chains decorrelate: PACF lag 1 < 0.3, later lags at noise level
+   (checked on the GBM chain; the jump chain's lag-1 PACF of lambda_star and
+   sigma is printed as an observation, not checked)
 """
 
 import time
@@ -308,7 +310,13 @@ def test_criterion_8_forecast_band_covers_holdout(timed_gbm, train_series, holdo
     assert ok, covered
 
 
-def test_criterion_9_chain_decorrelation(timed_gbm):
+def test_criterion_9_chain_decorrelation(timed_gbm, timed_jump):
+    jump_chain, _ = timed_jump
+    jump_lag1 = " ".join(
+        f"{name} {pacf(jump_chain.column(name), max_lag=1)[0]:+.4f}"
+        for name in ("lambda_star", "sigma")
+    )
+    print(f"\nOBSERVATION 9: jump chain lag-1 pacf {jump_lag1}")
     chain, _ = timed_gbm
     mu = chain.column("mu")
     lags = pacf(mu, max_lag=10)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gbmjump import read_chain_csv
 from gbmjump.cli import RunConfig, build_config, main
 
 from conftest import DATA_DIR, TRAIN_CSV
@@ -201,6 +202,19 @@ class TestFitCommand:
         probs = (out_dir / "jump_probs_gbm_jump.csv").read_text().splitlines()
         assert probs[0] == "index,probability"
         assert len(probs) == 1 + 1510  # one row per increment
+
+    def test_jump_fit_reports_acceptance_rate(self, capsys, tmp_path):
+        out_dir = tmp_path / "jump"
+        rc, out, _ = run_cli(
+            capsys, "fit", "--input", TRAIN_CSV, "--out", out_dir,
+            "--model", "gbm-jump", "--iters", 20, "--burnin", 400, "--seed", 3,
+        )
+        assert rc == 0
+        chain = read_chain_csv(out_dir / "chain_gbm_jump.csv")
+        assert 0.0 < chain.meta.accept_rate < 1.0
+        assert out.splitlines()[-1] == (
+            f"metropolis acceptance rate {chain.meta.accept_rate:.3f}"
+        )
 
     def test_same_seed_gives_byte_identical_outputs(self, capsys, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]

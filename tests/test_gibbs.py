@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,18 @@ class TestChainCsv:
         for name in lines[4].split(","):
             assert np.allclose(back.column(name), chain.column(name), rtol=1e-14, atol=0), name
 
+    def test_accept_rate_written_only_when_set_and_read_back(self, tmp_path, train_inc):
+        chain = run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4)
+        assert chain.meta.accept_rate is None
+        path = tmp_path / "chain.csv"
+        write_chain_csv(chain, path)
+        assert "accept_rate" not in path.read_text()
+        assert read_chain_csv(path).meta.accept_rate is None
+        chain.meta = replace(chain.meta, accept_rate=0.2875)
+        write_chain_csv(chain, path)
+        assert path.read_text().splitlines()[4] == "# accept_rate: 0.2875"
+        assert read_chain_csv(path).meta == chain.meta
+
     def test_header_block_present(self, tmp_path, train_inc):
         chain = run_gibbs(train_inc, n_keep=3, burn_in=0, seed=1)
         path = tmp_path / "chain.csv"
@@ -269,6 +283,18 @@ class TestChainCsvValidation:
         ]
         path.write_text("\n".join(lines) + "\n")
         message = f"{path}: header {key} must be an integer, got '{value}'"
+        with pytest.raises(ValueError) as err:
+            read_chain_csv(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value", ["x", "1.5", "nan", ""])
+    def test_malformed_accept_rate_names_file_and_key(self, tmp_path, train_inc, value):
+        path = tmp_path / "chain.csv"
+        chain = run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4)
+        write_chain_csv(chain, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:4], f"# accept_rate: {value}", *lines[4:]]) + "\n")
+        message = f"{path}: header accept_rate must be a number in [0, 1], got '{value}'"
         with pytest.raises(ValueError) as err:
             read_chain_csv(path)
         assert str(err.value) == message

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import expit, logsumexp
 
 from gbmjump import (
     GbmPrior,
@@ -17,6 +19,7 @@ from gbmjump import (
     jump_mean_conditional,
     jump_var_conditional,
     lambda_conditional,
+    marginal_log_posterior,
     run_gibbs,
     run_jump_gibbs,
     sample_latent,
@@ -27,7 +30,7 @@ from gbmjump import (
     update_jump_moments,
     update_lambda,
 )
-from gbmjump.jumps import _initial_params
+from gbmjump.jumps import _initial_params, _Marginal, _metropolis_step, _proposal_factor
 
 DT = 1.0 / 252.0
 REF = JumpParams(theta=0.35, sigma2=0.008, mu_z=-0.002, sigma2_z=0.0003, lambda_star=0.36)
@@ -143,16 +146,15 @@ class TestSampleLatent:
         ks = stats.kstest(state.sizes, stats.norm(m, np.sqrt(v)).cdf)
         assert ks.statistic < 0.006
 
-    def test_inactive_sizes_follow_prior(self):
-        n = 100_000
-        inc = IncrementSeries(d=np.zeros(n), dt=np.full(n, DT))
-        params = _with(REF, lambda_star=0.0)
-        state = sample_latent(inc, params, rng=np.random.default_rng(32))
-        assert state.n_jumps == 0
-        ks = stats.kstest(
-            state.sizes, stats.norm(params.mu_z, np.sqrt(params.sigma2_z)).cdf
-        )
-        assert ks.statistic < 0.006
+    def test_inactive_sizes_zero_after_n_uniforms_then_k_normals(self, train_inc):
+        gen = np.random.default_rng(32)
+        state = sample_latent(train_inc, REF, rng=gen)
+        assert 0 < state.n_jumps < train_inc.n
+        assert np.all(state.sizes[~state.indicators] == 0.0)
+        twin = np.random.default_rng(32)
+        twin.random(train_inc.n)
+        twin.standard_normal(state.n_jumps)
+        assert gen.bit_generator.state == twin.bit_generator.state
 
     def test_indicator_frequency_tracks_probability(self):
         n = 100_000
@@ -379,27 +381,196 @@ class TestRunJumpGibbs:
         assert chain.jump_probs[25] == 1.0
 
 
+# Asymmetric priors, unlike each other, so that a swapped prior or Beta
+# exponent changes the target.
+SKEWED = JumpPrior(
+    GbmPrior(theta_mean=0.1, theta_var=4.0, ig_shape=3.0, ig_scale=0.02),
+    GbmPrior(theta_mean=-0.01, theta_var=1e-3, ig_shape=4.0, ig_scale=1e-3),
+    lambda_a=2.0,
+    lambda_b=5.0,
+)
+
+
+def scipy_log_posterior(inc, p, prior):
+    """log p(d | params) + log p(params) from scipy densities, J summed out."""
+    sd0 = np.sqrt(p.sigma2 * inc.dt)
+    no_jump = np.log1p(-p.lambda_star) + stats.norm.logpdf(inc.d, p.theta * inc.dt, sd0)
+    jump = np.log(p.lambda_star) + stats.norm.logpdf(
+        inc.d, p.theta * inc.dt + p.mu_z, np.sqrt(sd0**2 + p.sigma2_z)
+    )
+    dif, jmp = prior.diffusion, prior.jump
+    return (
+        logsumexp([no_jump, jump], axis=0).sum()
+        + stats.norm.logpdf(p.theta, dif.theta_mean, np.sqrt(dif.theta_var))
+        + stats.invgamma.logpdf(p.sigma2, dif.ig_shape, scale=dif.ig_scale)
+        + stats.norm.logpdf(p.mu_z, jmp.theta_mean, np.sqrt(jmp.theta_var))
+        + stats.invgamma.logpdf(p.sigma2_z, jmp.ig_shape, scale=jmp.ig_scale)
+        + stats.beta.logpdf(p.lambda_star, prior.lambda_a, prior.lambda_b)
+    )
+
+
+class TestMarginalLogPosterior:
+    """marginal_log_posterior is the scipy mixture log posterior up to a constant."""
+
+    @pytest.mark.parametrize("calendar", [False, True], ids=["trading-dt", "calendar-dt"])
+    def test_matches_scipy_up_to_a_constant(self, calendar):
+        rng = np.random.default_rng(81)
+        n = 40
+        dt = np.full(n, DT) * np.where(calendar & (np.arange(n) % 5 == 4), 3.0, 1.0)
+        d = 0.1 * dt + np.sqrt(0.02 * dt) * rng.standard_normal(n)
+        d[[9, 27]] = [0.25, -0.30]  # outliers: log-odds in the hundreds there
+        inc = IncrementSeries(d=d, dt=dt)
+        points = [
+            JumpParams(
+                theta=rng.uniform(-1.0, 1.0),
+                sigma2=rng.uniform(0.005, 0.03),
+                mu_z=rng.uniform(-0.02, 0.02),
+                sigma2_z=rng.uniform(1e-4, 1e-3),
+                lambda_star=rng.uniform(0.05, 0.95),
+            )
+            for _ in range(20)
+        ]
+        # a tight jump law far from every increment: log-odds below -700
+        far = JumpParams(theta=0.1, sigma2=0.02, mu_z=1.0, sigma2_z=1e-4, lambda_star=0.3)
+        assert np.max(jump_indicator_prob(d, dt, far)) < math.exp(-700.0)
+        got = np.array([marginal_log_posterior(inc, p, SKEWED) for p in [*points, far]])
+        want = np.array([scipy_log_posterior(inc, p, SKEWED) for p in [*points, far]])
+        assert np.all(np.isfinite(got))
+        assert np.ptp(got - want) < 1e-9
+
+    def test_lambda_on_the_boundary_rejected(self, train_inc):
+        for lam in (0.0, 1.0):
+            with pytest.raises(ValueError, match="lambda_star"):
+                marginal_log_posterior(train_inc, _with(REF, lambda_star=lam))
+
+
+class TestMetropolisMove:
+    def test_geweke_move_alone_keeps_the_prior(self):
+        # Geweke (2004) successive-conditional simulator on the move by itself:
+        # d ~ p(d | x), then one Metropolis step x | d with a fixed proposal.
+        # Its draws of x keep the prior law; the exact Gibbs blocks would mask
+        # a wrong target if the whole sweep ran here.
+        prior = JumpPrior(GbmPrior(0, 1, 5, 0.16), GbmPrior(0, 1e-4, 5, 4e-4), 2, 5)
+        n, iters, batches = 20, 20_000, 50
+        gen = np.random.default_rng(4)
+        dt = np.full(n, DT)
+        chol = np.diag([0.8, 0.35, 0.008, 0.45, 0.9])
+        lam = gen.beta(prior.lambda_a, prior.lambda_b)
+        x = np.array((
+            gen.normal(0.0, 1.0),
+            np.log(0.16 / gen.gamma(5.0)),
+            gen.normal(0.0, 1e-2),
+            np.log(4e-4 / gen.gamma(5.0)),
+            np.log(lam) - np.log1p(-lam),
+        ))
+        rows = np.empty((iters, 5))
+        for i in range(iters):
+            theta, log_s2, mu_z, log_sz2, logit_lam = x
+            hit = gen.random(n) < expit(logit_lam)
+            d = theta * dt + np.sqrt(np.exp(log_s2) * dt) * gen.standard_normal(n)
+            d += hit * (mu_z + np.sqrt(np.exp(log_sz2)) * gen.standard_normal(n))
+            target = _Marginal.of(IncrementSeries(d=d, dt=dt), prior).move_target
+            x, _, _ = _metropolis_step(x, chol, target, gen)
+            rows[i] = x
+        draws = {
+            "theta": (rows[:, 0], 0.0),
+            "1/sigma2": (np.exp(-rows[:, 1]), 5.0 / 0.16),
+            "mu_z": (rows[:, 2], 0.0),
+            "1/sigma2_z": (np.exp(-rows[:, 3]), 5.0 / 4e-4),
+            "lambda_star": (expit(rows[:, 4]), 2.0 / 7.0),
+        }
+        z = {}
+        for name, (draw, prior_mean) in draws.items():
+            means = draw.reshape(batches, -1).mean(axis=1)
+            z[name] = (means.mean() - prior_mean) / (means.std(ddof=1) / np.sqrt(batches))
+        assert all(abs(v) < 4.0 for v in z.values()), z
+
+    def test_runs_after_a_100_sweep_pilot_with_lambda_free(self, train_inc):
+        inc = IncrementSeries(d=train_inc.d[:50], dt=train_inc.dt[:50])
+        rate = {
+            kw: run_jump_gibbs(inc, n_keep=10, seed=3, **dict(kw)).meta.accept_rate
+            for kw in (
+                (("burn_in", 399),),
+                (("burn_in", 400),),
+                (("burn_in", 400), ("lambda_star_fixed", 0.3)),
+            )
+        }
+        assert list(rate.values())[0] is None
+        assert 0.0 < list(rate.values())[1] < 1.0
+        assert list(rate.values())[2] is None
+
+    def test_proposal_factor_needs_a_positive_definite_covariance(self):
+        pilot = np.random.default_rng(5).standard_normal((100, 5))
+        chol = _proposal_factor(pilot)
+        assert np.allclose(chol @ chol.T, np.cov(pilot, rowvar=False) * 2.38**2 / 5)
+        flat = pilot.copy()
+        flat[:, 4] = 0.0
+        assert _proposal_factor(flat) is None
+        flat[0, 4] = np.inf
+        assert _proposal_factor(flat) is None
+
+
+def to_x(params):
+    lam = params.lambda_star
+    return (
+        params.theta, math.log(params.sigma2), params.mu_z, math.log(params.sigma2_z),
+        math.log(lam) - math.log1p(-lam),
+    )
+
+
+def move_target(inc, prior, x):
+    """marginal_log_posterior on x plus the Jacobian of x's transforms."""
+    theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
+    lam = float(expit(logit_lam))
+    params = JumpParams(theta, math.exp(log_s2), mu_z, math.exp(log_sz2), lam)
+    jacobian = log_s2 + log_sz2 + math.log(lam) + math.log1p(-lam)
+    return marginal_log_posterior(inc, params, prior) + jacobian
+
+
 def reference_chain(inc, n_keep, burn_in, seed, lambda_star_fixed=None):
-    """run_jump_gibbs rebuilt from the public conditionals, one block per call,
-    with JumpParams rebuilt after every sweep."""
+    """run_jump_gibbs rebuilt from the public conditionals and
+    marginal_log_posterior, one block per call, with JumpParams rebuilt after
+    every block. From sweep burn_in//2 on (burn_in >= 400, lambda_star free)
+    each sweep starts with a random-walk Metropolis step whose proposal
+    covariance is 2.38^2/5 times that of x over sweeps [burn_in//4, burn_in//2).
+    Returns the draws, the jump frequencies and the acceptance rate."""
     prior = JumpPrior()
     gen = np.random.default_rng(seed)
     params = _initial_params(inc, prior)
     if lambda_star_fixed is not None:
         params = _with(params, lambda_star=lambda_star_fixed)
+    use_pilot = lambda_star_fixed is None and burn_in // 4 >= 100
+    pilot, chol, moves, taken = [], None, 0, 0
     draws, hits = [], np.zeros(inc.n)
     for sweep in range(burn_in + n_keep):
+        if chol is not None:
+            x = np.array(to_x(params))
+            current = move_target(inc, prior, x)
+            proposal = x + chol @ gen.standard_normal(5)
+            moves += 1
+            if gen.random() < math.exp(min(move_target(inc, prior, proposal) - current, 0.0)):
+                taken += 1
+                theta, log_s2, mu_z, log_sz2, logit_lam = proposal.tolist()
+                params = JumpParams(
+                    theta, math.exp(log_s2), mu_z, math.exp(log_sz2), float(expit(logit_lam))
+                )
         latent = sample_latent(inc, params, gen)
         lam = params.lambda_star
         if lambda_star_fixed is None:
             lam = update_lambda(latent.indicators, prior, gen)
+        params = _with(params, lambda_star=lam)
         mu_z, sigma2_z = update_jump_moments(latent.active_sizes, params.sigma2_z, prior, gen)
+        params = _with(params, mu_z=mu_z, sigma2_z=sigma2_z)
         theta, sigma2 = update_diffusion_block(inc, latent, params.sigma2, prior.diffusion, gen)
-        params = JumpParams(theta, sigma2, mu_z, sigma2_z, lam)
+        params = _with(params, theta=theta, sigma2=sigma2)
+        if use_pilot and burn_in // 4 <= sweep < burn_in // 2:
+            pilot.append(to_x(params))
+            if sweep == burn_in // 2 - 1:
+                chol = np.linalg.cholesky(np.cov(pilot, rowvar=False) * 2.38**2 / 5)
         if sweep >= burn_in:
             draws.append((theta, sigma2, mu_z, sigma2_z, lam, latent.n_jumps))
             hits += latent.indicators
-    return np.array(draws), hits / n_keep
+    return np.array(draws), hits / n_keep, taken / moves if moves else None
 
 
 class TestSweepWiring:
@@ -417,9 +588,11 @@ class TestSweepWiring:
             ("empty", dict(seed=42)),
             ("one", dict(seed=42)),
             ("train", dict(seed=42, track_jump_probs=False)),
+            ("train", dict(seed=42, burn_in=400)),
+            ("calendar", dict(seed=7, burn_in=400)),
         ],
         ids=["seed42", "seed7", "calendar-dt", "lambda0", "lambda0.2", "lambda1",
-             "empty", "one-increment", "untracked"],
+             "empty", "one-increment", "untracked", "move-seed42", "move-calendar-dt"],
     )
     def test_matches_reference_loop(self, train_inc, series, kw):
         weekend = np.where(np.arange(train_inc.n) % 5 == 4, 3.0, 1.0)
@@ -429,8 +602,13 @@ class TestSweepWiring:
             "empty": IncrementSeries(d=np.array([]), dt=np.array([])),
             "one": IncrementSeries(d=np.array([0.012]), dt=np.array([DT])),
         }[series]
-        chain = run_jump_gibbs(inc, n_keep=20, burn_in=5, **kw)
-        draws, probs = reference_chain(inc, 20, 5, kw["seed"], kw.get("lambda_star_fixed"))
+        kw = {"burn_in": 5, **kw}
+        chain = run_jump_gibbs(inc, n_keep=20, **kw)
+        draws, probs, rate = reference_chain(
+            inc, 20, kw["burn_in"], kw["seed"], kw.get("lambda_star_fixed")
+        )
+        assert (chain.meta.accept_rate is None) == (kw["burn_in"] < 400)
+        assert chain.meta.accept_rate == rate
         assert np.array_equal(chain.draws, draws)
         if kw.get("track_jump_probs", True):
             assert np.array_equal(chain.jump_probs, probs)
