@@ -3,7 +3,8 @@
 Fits both models to the training window, writes every artifact the analysis
 produces (chains, summaries, PACF tables, jump probabilities, fitted and
 forecast bands) under --out, and prints a compact report including holdout
-band coverage. Each fit is reported and written as `gbmjump fit` does it.
+band coverage. Each fit is reported and written as `gbmjump fit` does it, and
+its bands as `gbmjump forecast --fitted-band` writes them.
 
 Usage: python3 scripts/run_study.py [--out results] [--seed 42]
                                     [--iters 5000] [--burnin 1000]
@@ -21,20 +22,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gbmjump import (  # noqa: E402
-    fitted_band,
-    load_price_series,
-    mle_fit,
-    predictive_band,
-    run_gibbs,
-    run_jump_gibbs,
-    summarize,
-    to_increments,
-    write_band_csv,
-)
-from gbmjump.cli import print_summary, write_fit_artifacts  # noqa: E402
+from gbmjump import load_price_series, mle_fit, summarize, to_increments  # noqa: E402
+from gbmjump.cli import SAMPLERS, print_summary, write_bands, write_fit_artifacts  # noqa: E402
 from gbmjump.diagnostics import summary_to_dict  # noqa: E402
-from gbmjump.rngs import derived_generator  # noqa: E402
 from gbmjump.series import write_csv, write_json  # noqa: E402
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -77,7 +67,7 @@ def main(argv=None) -> int:
         "models": {},
     }
     chains = {}
-    for model, runner in (("gbm", run_gibbs), ("gbm-jump", run_jump_gibbs)):
+    for model, runner in SAMPLERS.items():
         t0 = time.perf_counter()
         chain = runner(inc, n_keep=args.iters, burn_in=args.burnin, seed=args.seed)
         elapsed = time.perf_counter() - t0
@@ -100,23 +90,14 @@ def main(argv=None) -> int:
     flagged = int(np.sum(jump_probs > 0.5))
     print(f"\nincrements with posterior jump probability > 0.5: {flagged}")
 
-    s_last = float(train.prices[-1])
     horizon = len(holdout.prices)
     for model, chain in chains.items():
-        tag = model.replace("-", "_")
-        band = fitted_band(
-            chain, inc, x0=float(train.prices[0]), level=args.level,
-            rng=derived_generator(args.seed, stream=2),
+        forecast, fitted = write_bands(
+            chain, train, inc, out, steps=[1.0 / 252.0] * horizon, dates=holdout.dates,
+            level=args.level, seed=args.seed, fitted=True,
         )
-        write_band_csv(band, out / f"fitted_band_{tag}.csv", dates=train.dates)
-        fitted_cov = band_coverage(band, train.prices)
-
-        band = predictive_band(
-            chain, start=s_last, dt=[1.0 / 252.0] * horizon, level=args.level,
-            rng=derived_generator(args.seed, stream=1),
-        )
-        write_band_csv(band, out / f"forecast_band_{tag}.csv", dates=holdout.dates)
-        holdout_cov = band_coverage(band, holdout.prices)
+        fitted_cov = band_coverage(fitted, train.prices)
+        holdout_cov = band_coverage(forecast, holdout.prices)
         print(
             f"{model}: {args.level:.0%} band coverage, fitted {fitted_cov:.3f}, "
             f"{horizon}-day holdout {holdout_cov:.3f}"

@@ -24,7 +24,9 @@ from .rngs import derived_generator
 from .series import load_price_series, to_increments, write_csv, write_json
 
 ENV_PREFIX = "GBMJUMP_"
-MODELS = ("gbm", "gbm-jump")
+# model name -> sampler; both take (inc, prior, n_keep, burn_in, seed)
+SAMPLERS = {"gbm": run_gibbs, "gbm-jump": run_jump_gibbs}
+MODELS = tuple(SAMPLERS)
 FORMATS = ("csv", "json")
 
 
@@ -67,19 +69,19 @@ _KINDS = {
     "int": (int, (int,), "an integer"),
     "float": (float, (int, float), "a number"),
     "bool": (lambda s: _BOOL_WORDS[s.strip().lower()], (bool,), "a boolean"),
+    "str": (str, (str,), "a string"),
 }
 
 
 def _coerce(name: str, raw, source: str):
     """raw as a value of field name, parsing strings; a value of a type the
     field does not take (bool is not int, so True is no number and 1 no
-    boolean) raises a ValueError naming the key and its source (the config
-    file or the environment variable)."""
+    boolean; 7 is no path) raises a ValueError naming the key and its source
+    (the config file or the environment variable)."""
     declared = _FIELD_TYPES[name]
-    kind = _KINDS.get(declared.removesuffix(" | None"))
-    if kind is None or (raw is None and declared.endswith(" | None")):
+    if raw is None and declared.endswith(" | None"):
         return raw
-    parse, accepts, what = kind
+    parse, accepts, what = _KINDS[declared.removesuffix(" | None")]
     value = raw
     if isinstance(raw, str):
         try:
@@ -133,13 +135,8 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _run_fit(inc, cfg: RunConfig, track_jump_probs: bool = True):
-    if cfg.model == "gbm":
-        return run_gibbs(inc, n_keep=cfg.iters, burn_in=cfg.burnin, seed=cfg.seed)
-    return run_jump_gibbs(
-        inc, n_keep=cfg.iters, burn_in=cfg.burnin, seed=cfg.seed,
-        track_jump_probs=track_jump_probs,
-    )
+def _run_fit(inc, cfg: RunConfig):
+    return SAMPLERS[cfg.model](inc, n_keep=cfg.iters, burn_in=cfg.burnin, seed=cfg.seed)
 
 
 def cmd_mle(cfg: RunConfig) -> int:
@@ -224,6 +221,29 @@ def _next_weekdays(start: dt.date, count: int) -> list[dt.date]:
     return days
 
 
+def write_bands(chain, series, inc, out: Path, steps, dates, level: float, seed, fitted: bool):
+    """Write forecast_band_<tag>.csv, the band over steps (in years, one row
+    per date of dates) from the last close of series, and, when fitted,
+    fitted_band_<tag>.csv over inc from its first close, one row per date of
+    series; return (forecast band, fitted band or None). The bands draw from
+    streams 1 and 2 derived from seed, so they leave the chain's stream alone.
+    """
+    tag = chain.meta.model.replace("-", "_")
+    forecast = predictive_band(
+        chain, start=float(series.prices[-1]), dt=steps, level=level,
+        rng=derived_generator(seed, stream=1),
+    )
+    write_band_csv(forecast, out / f"forecast_band_{tag}.csv", dates=dates)
+    if not fitted:
+        return forecast, None
+    band = fitted_band(
+        chain, inc, x0=float(series.prices[0]), level=level,
+        rng=derived_generator(seed, stream=2),
+    )
+    write_band_csv(band, out / f"fitted_band_{tag}.csv", dates=series.dates)
+    return forecast, band
+
+
 def cmd_forecast(cfg: RunConfig) -> int:
     series, inc = _load_increments(cfg)
     if cfg.chain is not None:
@@ -233,28 +253,17 @@ def cmd_forecast(cfg: RunConfig) -> int:
                 f"chain file holds model {chain.meta.model!r}, requested {cfg.model!r}"
             )
     else:
-        chain = _run_fit(inc, cfg, track_jump_probs=False)
-    out = _out_dir(cfg)
-    tag = cfg.model.replace("-", "_")
-    band = predictive_band(
-        chain,
-        start=float(series.prices[-1]),
-        dt=[1.0 / cfg.days_per_year] * cfg.horizon,
-        level=cfg.level,
-        rng=derived_generator(cfg.seed, stream=1),
+        chain = _run_fit(inc, cfg)
+    band, _ = write_bands(
+        chain, series, inc, _out_dir(cfg),
+        steps=[1.0 / cfg.days_per_year] * cfg.horizon,
+        dates=_next_weekdays(series.dates[-1], cfg.horizon),
+        level=cfg.level, seed=cfg.seed, fitted=cfg.fitted_band,
     )
-    dates = _next_weekdays(series.dates[-1], cfg.horizon)
-    write_band_csv(band, out / f"forecast_band_{tag}.csv", dates=dates)
     print(
         f"forecast written: {cfg.horizon} steps, level {cfg.level}, "
         f"final mean {band.mean[-1]:.2f}"
     )
-    if cfg.fitted_band:
-        band = fitted_band(
-            chain, inc, x0=float(series.prices[0]), level=cfg.level,
-            rng=derived_generator(cfg.seed, stream=2),
-        )
-        write_band_csv(band, out / f"fitted_band_{tag}.csv", dates=series.dates)
     return 0
 
 

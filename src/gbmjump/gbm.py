@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,25 @@ class GbmParams:
         return self.sigma2 == 0.0
 
 
+class _SuffStats(NamedTuple):
+    """The GBM sufficient statistics n, sum d, sum dt and sum d^2/dt: all that
+    the MLE and the Gibbs conditionals read of the data."""
+
+    n: int
+    sd: float
+    st: float
+    sdd: float
+
+    @classmethod
+    def of(cls, d: np.ndarray, dt: np.ndarray) -> "_SuffStats":
+        return cls(
+            n=len(d),
+            sd=float(np.sum(d)),
+            st=float(np.sum(dt)),
+            sdd=float(np.sum(d * d / dt)) if len(d) else 0.0,
+        )
+
+
 def transition_logpdf(d, dt, params: GbmParams):
     """Exact log-density of a log-increment d over duration dt.
 
@@ -82,12 +102,9 @@ def mle_fit(inc: IncrementSeries) -> GbmParams:
     increments are exactly proportional to dt yields sigma2_hat == 0; the
     result carries params.degenerate == True rather than raising.
     """
-    n = inc.n
-    if n < 2:
-        raise ValueError(f"MLE needs n >= 2 increments, got {n}")
-    sd = float(np.sum(inc.d))
-    st = float(np.sum(inc.dt))
-    sdd = float(np.sum(inc.d * inc.d / inc.dt))
+    if inc.n < 2:
+        raise ValueError(f"MLE needs n >= 2 increments, got {inc.n}")
+    n, sd, st, sdd = _SuffStats.of(inc.d, inc.dt)
     theta = sd / st
     sigma2 = (sdd - sd * sd / st) / n
     if sigma2 < 0.0:  # roundoff from cancellation; the true value is >= 0

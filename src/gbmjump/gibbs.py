@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
-
 import numpy as np
 
-from .gbm import mle_fit
+from .gbm import _SuffStats, mle_fit
 from .rngs import as_generator
 from .series import IncrementSeries, write_csv
 
@@ -42,24 +40,6 @@ class GbmPrior:
         if self.ig_shape > 1.0:
             return self.ig_scale / (self.ig_shape - 1.0)
         return self.ig_scale
-
-
-class _SuffStats(NamedTuple):
-    """Everything the conditionals need: n, sum d, sum dt, sum d^2/dt."""
-
-    n: int
-    sd: float
-    st: float
-    sdd: float
-
-    @classmethod
-    def of(cls, d: np.ndarray, dt: np.ndarray) -> "_SuffStats":
-        return cls(
-            n=len(d),
-            sd=float(np.sum(d)),
-            st=float(np.sum(dt)),
-            sdd=float(np.sum(d * d / dt)) if len(d) else 0.0,
-        )
 
 
 def _theta_conditional(stats: _SuffStats, sigma2: float, prior: GbmPrior):

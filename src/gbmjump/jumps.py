@@ -13,10 +13,12 @@ leaves that posterior invariant and breaks the ridge through sigma2,
 lambda_star and sigma2_z that the blocks cross slowly. Its proposal is
 2.38^2/5 times the covariance of x over burn-in sweeps [B//4, B//2),
 frozen before sweep B//2 (Roberts, Gelman & Gilks 1997); the move is off
-below a 100-sweep pilot (burn-in < 400), under lambda_star_fixed, or when
-the pilot covariance is not positive definite. The array E = exp(-log-odds)
-that the move's target evaluates at the state it keeps is the indicator
-draw's input, and normals for the sizes are drawn only at the active steps.
+below a 100-sweep pilot (burn-in < 400), when the pilot covariance is not
+positive definite, and after a lambda_star draw of exactly 0 or 1. The
+array E = exp(-log-odds) that the move's target evaluates at the state it
+keeps is the indicator draw's input, and normals for the sizes are drawn
+only at the active steps. run_jump_gibbs takes the same (inc, prior, n_keep,
+burn_in, seed) as gibbs.run_gibbs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gbm import IncrementKernel
+from .gbm import IncrementKernel, _SuffStats
 from .gibbs import (
     ChainMeta,
     GbmPrior,
@@ -36,7 +38,6 @@ from .gibbs import (
     _normal_ig_log_kernel,
     _sigma2_conditional,
     _start,
-    _SuffStats,
     _theta_conditional,
 )
 from .rngs import as_generator
@@ -424,32 +425,23 @@ def run_jump_gibbs(
     n_keep: int = 5000,
     burn_in: int = 1000,
     seed: int | None = None,
-    lambda_star_fixed: float | None = None,
-    track_jump_probs: bool = True,
 ) -> PosteriorChain:
     """Metropolis-within-Gibbs sampler (see the module docstring); returns a
     chain with columns (theta, sigma2, mu_z, sigma2_z, lambda_star, n_jumps)
     whose meta.accept_rate is the share of Metropolis proposals taken from
-    sweep burn_in//2 on, or None when the move is off.
-
-    lambda_star_fixed pins the jump probability instead of sampling it
-    (0.0 reduces the diffusion block to the no-jump sampler). jump_probs on
-    the returned chain holds the posterior mean of each J_i over kept sweeps.
+    sweep burn_in//2 on, or None when the move is off, and whose jump_probs
+    holds the posterior mean of each J_i over kept sweeps.
     """
     if n_keep < 1 or burn_in < 0:
         raise ValueError("need n_keep >= 1 and burn_in >= 0")
-    if lambda_star_fixed is not None and not 0.0 <= lambda_star_fixed <= 1.0:
-        raise ValueError("lambda_star_fixed must lie in [0, 1]")
     gen = as_generator(seed)
     start = _initial_params(inc, prior)
     theta, sigma2, mu_z, sigma2_z = start.theta, start.sigma2, start.mu_z, start.sigma2_z
-    lam = start.lambda_star if lambda_star_fixed is None else lambda_star_fixed
+    lam = start.lambda_star
     marginal = _Marginal.of(inc, prior)
     d, dt, n = marginal.d, marginal.dt, inc.n
     pilot_start, freeze = burn_in // 4, burn_in // 2
-    pilot = None
-    if lambda_star_fixed is None and pilot_start >= 100:
-        pilot = np.empty((freeze - pilot_start, 5))
+    pilot = np.empty((freeze - pilot_start, 5)) if pilot_start >= 100 else None
     chol, moves, taken = None, 0, 0
     draws = np.empty((n_keep, 6))
     jump_hits = np.zeros(n)
@@ -473,8 +465,7 @@ def run_jump_gibbs(
         sizes = _jump_sizes(
             d_act, dt_act, gen.standard_normal(idx.size), theta, sigma2, mu_z, sigma2_z
         )
-        if lambda_star_fixed is None:
-            lam = float(gen.beta(*_lambda_beta(idx.size, n, prior)))
+        lam = float(gen.beta(*_lambda_beta(idx.size, n, prior)))
         mu_z, sigma2_z = update_jump_moments(sizes, sigma2_z, prior, gen)
         stats = _jump_adjusted_stats(marginal.stats, d_act, dt_act, sizes)
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
@@ -486,8 +477,7 @@ def run_jump_gibbs(
                 chol = _proposal_factor(pilot)
         if sweep >= burn_in:
             draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, idx.size)
-            if track_jump_probs:
-                jump_hits += active
+            jump_hits += active
     meta = ChainMeta(
         model="gbm-jump", n_keep=n_keep, burn_in=burn_in, seed=seed,
         accept_rate=taken / moves if moves else None,
@@ -496,5 +486,5 @@ def run_jump_gibbs(
         columns=("theta", "sigma2", "mu_z", "sigma2_z", "lambda_star", "n_jumps"),
         draws=draws,
         meta=meta,
-        jump_probs=jump_hits / n_keep if track_jump_probs else None,
+        jump_probs=jump_hits / n_keep,
     )

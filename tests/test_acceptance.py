@@ -29,7 +29,6 @@ from gbmjump import (
     IncrementSeries,
     JumpParams,
     increment_moments,
-    jump_var_conditional,
     lambda_conditional,
     log_likelihood,
     mle_fit,

@@ -84,8 +84,15 @@ class TestBuildConfig:
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
             ({"level": True}, "level must be a number, got True"),
             ({"fitted_band": 1}, "fitted_band must be a boolean, got 1"),
+            ({"input": 7}, "input must be a string, got 7"),
+            ({"input": 0}, "input must be a string, got 0"),
+            ({"out": ["results"]}, r"out must be a string, got \['results'\]"),
+            ({"chain": 9}, "chain must be a string, got 9"),
+            ({"model": None}, "model must be a string, got None"),
+            ({"format": False}, "format must be a string, got False"),
         ],
-        ids=["float-iters", "bool-iters", "float-seed", "bool-level", "int-flag"],
+        ids=["float-iters", "bool-iters", "float-seed", "bool-level", "int-flag",
+             "int-input", "fd0-input", "list-out", "int-chain", "null-model", "bool-format"],
     )
     def test_config_file_wrong_type_names_key_and_file(self, tmp_path, values, message):
         path = tmp_path / "cfg.json"
@@ -388,13 +395,23 @@ class TestRunStudy:
     def test_short_chains_complete(self, tmp_path, capsys):
         study = load_script("run_study")
         out_dir = tmp_path / "study"
-        rc = study.main(["--out", str(out_dir), "--iters", "2", "--burnin", "1"])
+        rc = study.main(["--out", str(out_dir), "--iters", "2", "--burnin", "1", "--seed", "42"])
         assert rc == 0
         report = json.loads((out_dir / "study.json").read_text())
         assert report["models"]["gbm"]["pacf_lag1"] is None
         assert not (out_dir / "pacf_gbm.csv").exists()
         for name in ("chain_gbm_jump.csv", "jump_probs_gbm_jump.csv", "forecast_band_gbm.csv"):
             assert (out_dir / name).exists()
+        # the study's bands are the ones forecast writes at the same settings
+        for model in ("gbm", "gbm-jump"):
+            cli_dir = tmp_path / model
+            rc, _, _ = run_cli(
+                capsys, "forecast", "--input", TRAIN_CSV, "--model", model, "--iters", "2",
+                "--burnin", "1", "--seed", "42", "--fitted-band", "--out", cli_dir,
+            )
+            assert rc == 0
+            name = f"fitted_band_{model.replace('-', '_')}.csv"
+            assert (cli_dir / name).read_bytes() == (out_dir / name).read_bytes()
 
 
 class TestMakeDataset:

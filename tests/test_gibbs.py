@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gbmjump import (
+    GbmParams,
     GbmPrior,
     IncrementSeries,
     mle_fit,
@@ -19,6 +20,8 @@ from gbmjump import (
     theta_conditional,
     write_chain_csv,
 )
+
+from conftest import batch_means_z
 
 EMPTY = IncrementSeries(d=np.array([]), dt=np.array([]))
 ONE = IncrementSeries(d=np.array([1.0]), dt=np.array([1.0]))
@@ -160,6 +163,55 @@ class TestRunGibbs:
             run_gibbs(train_inc, n_keep=0)
         with pytest.raises(ValueError):
             run_gibbs(train_inc, n_keep=10, burn_in=-1)
+
+
+def public_sweep(inc, theta, sigma2, prior, gen):
+    """One sweep of run_gibbs from the public conditionals."""
+    theta = sample_theta_given_sigma2(inc, sigma2, prior, gen)
+    return theta, sample_sigma2_given_theta(inc, theta, prior, gen)
+
+
+class TestWholeSampler:
+    @pytest.mark.parametrize("series", ["train", "calendar", "empty", "one"])
+    def test_public_sweep_matches_run_gibbs(self, train_inc, series):
+        inc = {
+            "train": train_inc,
+            "calendar": IncrementSeries(
+                d=np.array([0.01, -0.02, 0.015]), dt=np.array([0.1, 0.3, 0.1])
+            ),
+            "empty": EMPTY,
+            "one": ONE,
+        }[series]
+        prior = GbmPrior(theta_mean=0.2, theta_var=2.0, ig_shape=3.0, ig_scale=0.05)
+        chain = run_gibbs(inc, prior, n_keep=20, burn_in=5, seed=42)
+        gen = np.random.default_rng(42)
+        start = mle_fit(inc) if inc.n >= 2 else GbmParams(prior.theta_mean, prior.sigma2_center())
+        theta, sigma2 = start.theta, start.sigma2
+        draws = []
+        for _ in range(25):
+            theta, sigma2 = public_sweep(inc, theta, sigma2, prior, gen)
+            draws.append((theta, sigma2))
+        assert np.array_equal(chain.draws, draws[5:])
+
+    def test_geweke_whole_sweep_keeps_the_prior(self):
+        # Geweke (2004) successive-conditional simulator: d ~ p(d | theta,
+        # sigma2), then one public_sweep, the loop pinned to run_gibbs above.
+        # Its draws keep the prior law only if both blocks are right.
+        prior = GbmPrior(theta_mean=0.0, theta_var=1.0, ig_shape=5.0, ig_scale=0.16)
+        n, iters = 20, 10_000
+        gen = np.random.default_rng(1)
+        dt = np.full(n, 1.0 / 252.0)
+        theta, sigma2 = gen.normal(0.0, 1.0), 0.16 / gen.gamma(5.0)
+        rows = np.empty((iters, 2))
+        for i in range(iters):
+            d = theta * dt + np.sqrt(sigma2 * dt) * gen.standard_normal(n)
+            theta, sigma2 = public_sweep(IncrementSeries(d=d, dt=dt), theta, sigma2, prior, gen)
+            rows[i] = (theta, 1.0 / sigma2)
+        z = {
+            "theta": batch_means_z(rows[:, 0], prior.theta_mean),
+            "1/sigma2": batch_means_z(rows[:, 1], prior.ig_shape / prior.ig_scale),
+        }
+        assert all(abs(v) < 4.0 for v in z.values()), z
 
 
 class TestDriftDiffusion:
