@@ -1,4 +1,4 @@
-"""Command-line interface: mle, fit, and forecast subcommands.
+"""Command-line interface: mle, fit, forecast and study subcommands.
 
 Option precedence is flags > GBMJUMP_* environment variables > --config JSON
 file > built-in defaults. Identical configuration plus identical seed yields
@@ -12,10 +12,13 @@ import datetime as dt
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .diagnostics import pacf, summarize, write_summary_csv, write_summary_json
+import numpy as np
+
+from .diagnostics import pacf, summarize, summary_to_dict, write_summary_csv, write_summary_json
 from .gbm import mle_fit
 from .gibbs import read_chain_csv, run_gibbs, write_chain_csv
 from .jumps import run_jump_gibbs
@@ -44,6 +47,7 @@ class RunConfig:
     format: str = "csv"
     chain: str | None = None
     fitted_band: bool = False
+    holdout: str | None = None
 
     def validate(self) -> None:
         if self.model not in MODELS:
@@ -135,8 +139,8 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _run_fit(inc, cfg: RunConfig):
-    return SAMPLERS[cfg.model](inc, n_keep=cfg.iters, burn_in=cfg.burnin, seed=cfg.seed)
+def _run_fit(inc, cfg: RunConfig, model: str):
+    return SAMPLERS[model](inc, n_keep=cfg.iters, burn_in=cfg.burnin, seed=cfg.seed)
 
 
 def cmd_mle(cfg: RunConfig) -> int:
@@ -165,48 +169,42 @@ def cmd_mle(cfg: RunConfig) -> int:
     return 0
 
 
-def print_summary(summary, accept_rate: float | None = None) -> None:
-    """The posterior summary as a fixed-width table on stdout, then the
-    Metropolis acceptance rate when the chain has one."""
+def _report(chain, out: Path, fmt: str):
+    """Print the posterior summary table of chain, then the Metropolis
+    acceptance rate when the chain has one. Write chain_<tag>.csv,
+    summary_<tag>.<fmt>, pacf_<tag>.csv of the drift draws when the chain is
+    long enough and, for a jump chain, jump_probs_<tag>.csv with one row per
+    increment. Return the summary and the PACF or None."""
+    summary = summarize(chain)
     print(f"{'parameter':<12}{'mean':>12}{'sd':>12}{'q2.5':>12}{'q50':>12}{'q97.5':>12}")
     for name, row in summary.rows.items():
         print(
             f"{name:<12}{row.mean:>12.4f}{row.sd:>12.4f}"
             f"{row.q2_5:>12.4f}{row.q50:>12.4f}{row.q97_5:>12.4f}"
         )
-    if accept_rate is not None:
-        print(f"metropolis acceptance rate {accept_rate:.3f}")
-
-
-def write_fit_artifacts(chain, summary, out: Path, fmt: str):
-    """Write chain_<tag>.csv, summary_<tag>.<fmt> and, when the chain is long
-    enough, pacf_<tag>.csv of the drift draws; return the PACF or None."""
+    if chain.meta.accept_rate is not None:
+        print(f"metropolis acceptance rate {chain.meta.accept_rate:.3f}")
     tag = chain.meta.model.replace("-", "_")
     write_chain_csv(chain, out / f"chain_{tag}.csv")
     if fmt == "json":
         write_summary_json(summary, out / f"summary_{tag}.json")
     else:
         write_summary_csv(summary, out / f"summary_{tag}.csv")
+    probs = chain.jump_probs
+    if probs is not None:
+        table = {"index": range(len(probs)), "probability": probs}
+        write_csv(out / f"jump_probs_{tag}.csv", table)
     max_lag = min(30, len(chain) - 2)
     if max_lag < 1:
-        return None
+        return summary, None
     lags = pacf(chain.column("mu"), max_lag=max_lag)
     write_csv(out / f"pacf_{tag}.csv", {"lag": range(1, max_lag + 1), "pacf": lags})
-    return lags
+    return summary, lags
 
 
 def cmd_fit(cfg: RunConfig) -> int:
     _, inc = _load_increments(cfg)
-    chain = _run_fit(inc, cfg)
-    summary = summarize(chain)
-    print_summary(summary, chain.meta.accept_rate)
-    out = _out_dir(cfg)
-    write_fit_artifacts(chain, summary, out, cfg.format)
-    probs = chain.jump_probs
-    if probs is not None:
-        tag = cfg.model.replace("-", "_")
-        table = {"index": range(len(probs)), "probability": probs}
-        write_csv(out / f"jump_probs_{tag}.csv", table)
+    _report(_run_fit(inc, cfg, cfg.model), _out_dir(cfg), cfg.format)
     return 0
 
 
@@ -253,7 +251,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
                 f"chain file holds model {chain.meta.model!r}, requested {cfg.model!r}"
             )
     else:
-        chain = _run_fit(inc, cfg)
+        chain = _run_fit(inc, cfg, cfg.model)
     band, _ = write_bands(
         chain, series, inc, _out_dir(cfg),
         steps=[1.0 / cfg.days_per_year] * cfg.horizon,
@@ -267,24 +265,62 @@ def cmd_forecast(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, forecast_opts: bool) -> None:
-    parser.add_argument("--input", help="price CSV with date and close columns")
-    parser.add_argument("--config", help="JSON file of option defaults")
-    parser.add_argument("--days-per-year", dest="days_per_year", type=int)
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=FORMATS)
-    parser.add_argument("--model", choices=MODELS)
-    parser.add_argument("--iters", type=int, help="retained draws")
-    parser.add_argument("--burnin", type=int, help="discarded initial sweeps")
-    parser.add_argument("--seed", type=int)
-    if forecast_opts:
-        parser.add_argument("--horizon", type=int, help="forecast steps")
-        parser.add_argument("--level", type=float, help="credible level in (0, 1)")
-        parser.add_argument("--chain", help="reuse a previously written chain CSV")
-        parser.add_argument(
-            "--fitted-band", dest="fitted_band", action="store_const", const=True,
-            help="also write the fitted-window band",
+def _coverage(band, series) -> float:
+    """Share of the closes of series inside the band, row by row."""
+    return float(np.mean((series.prices >= band.lower) & (series.prices <= band.upper)))
+
+
+def cmd_study(cfg: RunConfig) -> int:
+    """Fit every model to --input, report and write each fit as fit does,
+    band each chain over --input and over --holdout's dates as forecast
+    --fitted-band does, print the bands' coverage and write study.json."""
+    if cfg.holdout is None:
+        raise ValueError("--holdout is required")
+    train, inc = _load_increments(cfg)
+    holdout = load_price_series(cfg.holdout)
+    if holdout.dates[0] <= train.dates[-1]:
+        raise ValueError(
+            f"{cfg.holdout}: holdout starts {holdout.dates[0]}, "
+            f"not after the last close of --input ({train.dates[-1]})"
         )
+    out = _out_dir(cfg)
+    print(f"training window: {len(train)} closes {train.dates[0]} .. {train.dates[-1]}")
+    mle = mle_fit(inc)
+    print(
+        f"closed-form MLE: mu_hat {mle.mu:.4f}  sigma_hat {mle.sigma:.4f} "
+        f"(theta_hat {mle.theta:.4f}, sigma2_hat {mle.sigma2:.6f})"
+    )
+    report = {"seed": cfg.seed, "mle": {"mu": mle.mu, "sigma": mle.sigma}, "models": {}}
+    horizon = len(holdout)
+    for model in SAMPLERS:
+        start = time.perf_counter()
+        chain = _run_fit(inc, cfg, model)
+        seconds = time.perf_counter() - start
+        print(f"\n{model} posterior ({seconds:.1f}s)")
+        summary, lags = _report(chain, out, cfg.format)
+        if chain.jump_probs is not None:
+            flagged = int(np.sum(chain.jump_probs > 0.5))
+            print(f"increments with posterior jump probability > 0.5: {flagged}")
+        forecast, fitted = write_bands(
+            chain, train, inc, out, steps=[1.0 / cfg.days_per_year] * horizon,
+            dates=holdout.dates, level=cfg.level, seed=cfg.seed, fitted=True,
+        )
+        fitted_cov = _coverage(fitted, train)
+        holdout_cov = _coverage(forecast, holdout)
+        print(
+            f"{model}: {cfg.level:.0%} band coverage, fitted {fitted_cov:.3f}, "
+            f"{horizon}-day holdout {holdout_cov:.3f}"
+        )
+        report["models"][model] = {
+            "seconds": seconds,
+            "summary": summary_to_dict(summary),
+            "pacf_lag1": None if lags is None else float(lags[0]),
+            "fitted_coverage": fitted_cov,
+            "holdout_coverage": holdout_cov,
+        }
+    write_json(out / "study.json", report)
+    print(f"\nartifacts written to {out}/")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,15 +329,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fit GBM or GBM-with-jumps to daily closes and forecast.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("mle", help="closed-form maximum likelihood"), False)
-    _add_common(sub.add_parser("fit", help="Gibbs posterior sampling"), False)
-    _add_common(sub.add_parser("forecast", help="posterior predictive band"), True)
+    for command, help_text in (
+        ("mle", "closed-form maximum likelihood"),
+        ("fit", "Gibbs posterior sampling"),
+        ("forecast", "posterior predictive band"),
+        ("study", "fit every model, band it over a holdout, report coverage"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--input", help="price CSV with date and close columns")
+        p.add_argument("--config", help="JSON file of option defaults")
+        p.add_argument("--days-per-year", dest="days_per_year", type=int)
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--format", choices=FORMATS)
+        p.add_argument("--iters", type=int, help="retained draws")
+        p.add_argument("--burnin", type=int, help="discarded initial sweeps")
+        p.add_argument("--seed", type=int)
+        if command == "study":
+            p.add_argument("--holdout", help="price CSV of the closes after --input's")
+        else:
+            p.add_argument("--model", choices=MODELS)
+        if command in ("forecast", "study"):
+            p.add_argument("--level", type=float, help="credible level in (0, 1)")
+        if command == "forecast":
+            p.add_argument("--horizon", type=int, help="forecast steps")
+            p.add_argument("--chain", help="reuse a previously written chain CSV")
+            p.add_argument(
+                "--fitted-band", dest="fitted_band", action="store_const", const=True,
+                help="also write the fitted-window band",
+            )
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"mle": cmd_mle, "fit": cmd_fit, "forecast": cmd_forecast}
+    handlers = {"mle": cmd_mle, "fit": cmd_fit, "forecast": cmd_forecast, "study": cmd_study}
     flag_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = build_config(flag_values, args.config)

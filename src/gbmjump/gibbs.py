@@ -217,10 +217,12 @@ def read_chain_csv(path) -> PosteriorChain:
 
     Raises ValueError naming the file when the model is unknown, the header's
     n_keep, burn_in or seed is not an integer or its accept_rate not a number
-    in [0, 1] (naming the key), a column the writer exports for it is missing,
-    the rows are none or differ in number from the header's n_keep, a draw is
-    one PosteriorChain rejects, or an exported column differs from what the
-    rebuilt chain derives for it.
+    in [0, 1] (naming the key), a column the writer exports for the model is
+    missing or a column it does not export is present (so a jump chain whose
+    model line is lost does not read as a GBM chain), a cell is not a number,
+    the rows are none, differ in length or differ in number from the header's
+    n_keep, a draw is one PosteriorChain rejects, or an exported column
+    differs from what the rebuilt chain derives for it.
     """
     meta_raw: dict[str, str] = {}
     with open(path) as fh:
@@ -234,7 +236,10 @@ def read_chain_csv(path) -> PosteriorChain:
         if not fh.readline().strip():
             raise ValueError(f"{path}: chain file holds no draws")
         fh.seek(start)
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     model = meta_raw.get("model", "gbm")
     if model not in _EXPORT_COLUMNS:
         raise ValueError(f"{path}: unknown model {model!r}")
@@ -243,6 +248,9 @@ def read_chain_csv(path) -> PosteriorChain:
     missing = [c for c in _EXPORT_COLUMNS[model] if c not in cols]
     if missing:
         raise ValueError(f"{path}: missing chain column(s) {', '.join(missing)}")
+    extra = [c for c in cols if c not in _EXPORT_COLUMNS[model]]
+    if extra:
+        raise ValueError(f"{path}: chain column(s) {', '.join(extra)} not in a {model} chain")
 
     def header_int(key: str, default: int | None) -> int | None:
         raw = meta_raw.get(key)

@@ -7,7 +7,7 @@ import pytest
 from gbmjump import read_chain_csv
 from gbmjump.cli import RunConfig, build_config, main
 
-from conftest import DATA_DIR, TRAIN_CSV
+from conftest import DATA_DIR, HOLDOUT_CSV, TRAIN_CSV
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -90,9 +90,11 @@ class TestBuildConfig:
             ({"chain": 9}, "chain must be a string, got 9"),
             ({"model": None}, "model must be a string, got None"),
             ({"format": False}, "format must be a string, got False"),
+            ({"holdout": 7}, "holdout must be a string, got 7"),
         ],
         ids=["float-iters", "bool-iters", "float-seed", "bool-level", "int-flag",
-             "int-input", "fd0-input", "list-out", "int-chain", "null-model", "bool-format"],
+             "int-input", "fd0-input", "list-out", "int-chain", "null-model", "bool-format",
+             "int-holdout"],
     )
     def test_config_file_wrong_type_names_key_and_file(self, tmp_path, values, message):
         path = tmp_path / "cfg.json"
@@ -391,11 +393,13 @@ class TestErrorPaths:
         assert len(err.strip().splitlines()) == 1
 
 
-class TestRunStudy:
+class TestStudyCommand:
     def test_short_chains_complete(self, tmp_path, capsys):
-        study = load_script("run_study")
         out_dir = tmp_path / "study"
-        rc = study.main(["--out", str(out_dir), "--iters", "2", "--burnin", "1", "--seed", "42"])
+        rc, _, _ = run_cli(
+            capsys, "study", "--input", TRAIN_CSV, "--holdout", HOLDOUT_CSV, "--out", out_dir,
+            "--iters", "2", "--burnin", "1", "--seed", "42",
+        )
         assert rc == 0
         report = json.loads((out_dir / "study.json").read_text())
         assert report["models"]["gbm"]["pacf_lag1"] is None
@@ -412,6 +416,37 @@ class TestRunStudy:
             assert rc == 0
             name = f"fitted_band_{model.replace('-', '_')}.csv"
             assert (cli_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+    def test_jump_probs_match_fit(self, tmp_path, capsys):
+        settings = ("--input", TRAIN_CSV, "--iters", 20, "--burnin", 2, "--seed", 5)
+        rc, _, _ = run_cli(
+            capsys, "study", *settings, "--holdout", HOLDOUT_CSV, "--out", tmp_path / "study"
+        )
+        assert rc == 0
+        rc, _, _ = run_cli(capsys, "fit", *settings, "--model", "gbm-jump", "--out", tmp_path / "fit")
+        assert rc == 0
+        name = "jump_probs_gbm_jump.csv"
+        assert (tmp_path / "study" / name).read_bytes() == (tmp_path / "fit" / name).read_bytes()
+
+    def test_missing_holdout(self, capsys, tmp_path):
+        rc, _, err = run_cli(
+            capsys, "study", "--input", TRAIN_CSV, "--iters", 2, "--out", tmp_path / "study"
+        )
+        assert rc == 1
+        assert err == "error: --holdout is required\n"
+        assert not (tmp_path / "study").exists()
+
+    def test_holdout_before_training_end_fails(self, capsys, tmp_path):
+        rc, _, err = run_cli(
+            capsys, "study", "--input", TRAIN_CSV, "--holdout", TRAIN_CSV, "--iters", 2,
+            "--out", tmp_path / "study",
+        )
+        assert rc == 1
+        assert err == (
+            f"error: {TRAIN_CSV}: holdout starts 2009-01-02, "
+            "not after the last close of --input (2014-12-31)\n"
+        )
+        assert not (tmp_path / "study").exists()
 
 
 class TestMakeDataset:

@@ -310,8 +310,13 @@ class TestChainCsvValidation:
             (lambda lines: lines[:5], "no draws"),
             (lambda lines: ["# model: garch", *lines[1:]], "unknown model 'garch'"),
             (drop_last_value, "3 values per row, 4 column names"),
+            (lambda lines: [*lines[:5], "abc" + lines[5][lines[5].index(","):], *lines[6:]],
+             "could not convert string 'abc'"),
+            (lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]],
+             "number of columns changed from 4 to 3"),
         ],
-        ids=["missing-column", "short", "no-rows", "unknown-model", "ragged"],
+        ids=["missing-column", "short", "no-rows", "unknown-model", "ragged",
+             "non-numeric-cell", "short-last-row"],
     )
     def test_rejected(self, tmp_path, train_inc, edit, message):
         path = tmp_path / "chain.csv"
@@ -321,7 +326,21 @@ class TestChainCsvValidation:
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ValueError, match=message) as err:
             read_chain_csv(path)
-        assert str(path) in str(err.value)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_jump_chain_without_model_line_rejected(self, tmp_path, train_inc):
+        """Without its model line a jump chain would read as a GBM chain of
+        the jump fit's diffusion draws; its jump columns reject it."""
+        path = tmp_path / "chain.csv"
+        write_chain_csv(run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# model: gbm-jump"
+        path.write_text("\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_chain_csv(path)
+        assert str(err.value) == (
+            f"{path}: chain column(s) mu_z, sigma_z, lambda_star, n_jumps not in a gbm chain"
+        )
 
     @pytest.mark.parametrize(
         "key, value", [("n_keep", "5e3"), ("burn_in", "x"), ("seed", "1.5")]

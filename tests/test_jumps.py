@@ -567,14 +567,13 @@ def move_target(inc, prior, x):
     return marginal_log_posterior(inc, params, prior) + jacobian
 
 
-def reference_chain(inc, n_keep, burn_in, seed):
-    """run_jump_gibbs rebuilt as public_sweep under the default prior, with
-    the move built from marginal_log_posterior. From sweep burn_in//2 on
+def reference_chain(inc, n_keep, burn_in, seed, prior):
+    """run_jump_gibbs rebuilt as public_sweep under prior, with the move
+    built from marginal_log_posterior. From sweep burn_in//2 on
     (burn_in >= 400) each sweep starts with a random-walk Metropolis step
     whose proposal covariance is 2.38^2/5 times that of x over sweeps
     [burn_in//4, burn_in//2). Returns the draws, the jump frequencies and the
     acceptance rate."""
-    prior = JumpPrior()
     gen = np.random.default_rng(seed)
     params = _initial_params(inc, prior)
     pilot, chol, moves, taken = [], None, 0, 0
@@ -597,7 +596,7 @@ def reference_chain(inc, n_keep, burn_in, seed):
         if burn_in // 4 >= 100 and burn_in // 4 <= sweep < burn_in // 2:
             pilot.append(to_x(params))
             if sweep == burn_in // 2 - 1:
-                chol = np.linalg.cholesky(np.cov(pilot, rowvar=False) * 2.38**2 / 5)
+                chol = np.linalg.cholesky(np.cov(pilot, rowvar=False) * (2.38**2 / 5.0))
         if sweep >= burn_in:
             p = params
             draws.append((p.theta, p.sigma2, p.mu_z, p.sigma2_z, p.lambda_star, latent.n_jumps))
@@ -618,9 +617,14 @@ class TestSweepWiring:
             ("one", dict(seed=42)),
             ("train", dict(seed=42, burn_in=400)),
             ("calendar", dict(seed=7, burn_in=400)),
+            ("train", dict(seed=42, prior=SKEWED)),
+            ("train", dict(seed=42, burn_in=400, prior=SKEWED)),
+            ("calendar", dict(seed=7, burn_in=400, prior=SKEWED)),
+            ("calendar", dict(seed=3, burn_in=400, prior=SKEWED)),
         ],
         ids=["seed42", "seed7", "calendar-dt", "empty", "one-increment",
-             "move-seed42", "move-calendar-dt"],
+             "move-seed42", "move-calendar-dt", "skewed-seed42", "skewed-move-seed42",
+             "skewed-move-calendar-dt-seed7", "skewed-move-calendar-dt-seed3"],
     )
     def test_matches_reference_loop(self, train_inc, series, kw):
         weekend = np.where(np.arange(train_inc.n) % 5 == 4, 3.0, 1.0)
@@ -630,9 +634,9 @@ class TestSweepWiring:
             "empty": IncrementSeries(d=np.array([]), dt=np.array([])),
             "one": IncrementSeries(d=np.array([0.012]), dt=np.array([DT])),
         }[series]
-        kw = {"burn_in": 5, **kw}
+        kw = {"burn_in": 5, "prior": JumpPrior(), **kw}
         chain = run_jump_gibbs(inc, n_keep=20, **kw)
-        draws, probs, rate = reference_chain(inc, 20, kw["burn_in"], kw["seed"])
+        draws, probs, rate = reference_chain(inc, 20, kw["burn_in"], kw["seed"], kw["prior"])
         assert (chain.meta.accept_rate is None) == (kw["burn_in"] < 400)
         assert chain.meta.accept_rate == rate
         assert np.array_equal(chain.draws, draws)
