@@ -1,14 +1,10 @@
 """GBM and GBM-with-Bernoulli-jumps fitting: closed-form MLE, conjugate Gibbs
 sampling, posterior summaries, and predictive bands for daily price series."""
 
-from .diagnostics import (
-    ParamSummary,
-    Summary,
-    pacf,
-    summarize,
-    summarize_draws,
-)
-from .gbm import GbmParams, log_likelihood, mle_fit, simulate_gbm_path, transition_logpdf
+from types import ModuleType as _ModuleType
+
+from .diagnostics import ParamSummary, Summary, pacf, summarize
+from .gbm import GbmParams, log_likelihood, mle_fit
 from .gibbs import (
     ChainMeta,
     GbmPrior,
@@ -27,8 +23,6 @@ from .jumps import (
     LatentState,
     increment_moments,
     jump_indicator_prob,
-    jump_mean_conditional,
-    jump_var_conditional,
     lambda_conditional,
     marginal_log_posterior,
     run_jump_gibbs,
@@ -52,5 +46,9 @@ from .series import (
     to_increments,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, not the submodules that importing them binds
+__all__ = [
+    name for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command-line interface: mle, fit, forecast and study subcommands.
 
 Option precedence is flags > GBMJUMP_* environment variables > --config JSON
-file > built-in defaults. Identical configuration plus identical seed yields
-byte-identical output files.
+file > built-in defaults. Each subcommand has a flag for every option it reads
+and takes only those options from the environment and the config file.
+Identical configuration plus identical seed yields byte-identical output files.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class RunConfig:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}, expected one of {FORMATS}")
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
+        if self.iters < 2:  # a posterior summary needs two draws
+            raise ValueError("iters must be >= 2")
         if self.burnin < 0:
             raise ValueError("burnin must be >= 0")
         if self.days_per_year < 1:
@@ -109,13 +110,17 @@ def _load_config_file(path: str) -> dict:
 
 
 def build_config(flag_values: dict, config_path: str | None, env=None) -> RunConfig:
-    """Layer defaults < config file < environment < explicit flags."""
+    """Layer defaults < config file < environment < explicit flags over the keys
+    of flag_values, the dests of a subcommand's flags: the keys it reads. Other
+    keys keep their defaults, so validate passes them whatever the file or the
+    environment holds."""
     env = os.environ if env is None else env
     cfg = RunConfig()
     if config_path is not None:
         for key, value in _load_config_file(config_path).items():
-            setattr(cfg, key, _coerce(key, value, config_path))
-    for name in _FIELD_TYPES:
+            if key in flag_values:
+                setattr(cfg, key, _coerce(key, value, config_path))
+    for name in flag_values:
         var = ENV_PREFIX + name.upper()
         if env.get(var) is not None:
             setattr(cfg, name, _coerce(name, env[var], var))
@@ -340,8 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file of option defaults")
         p.add_argument("--days-per-year", dest="days_per_year", type=int)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=FORMATS)
-        p.add_argument("--iters", type=int, help="retained draws")
+        if command != "forecast":
+            p.add_argument("--format", choices=FORMATS)
+        if command == "mle":
+            continue
+        p.add_argument("--iters", type=int, help="retained draws (at least 2)")
         p.add_argument("--burnin", type=int, help="discarded initial sweeps")
         p.add_argument("--seed", type=int)
         if command == "study":

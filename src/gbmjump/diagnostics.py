@@ -49,15 +49,11 @@ def summarize_draws(draws) -> ParamSummary:
     )
 
 
-def summarize(chain: PosteriorChain, parameters=None) -> Summary:
-    """Summary of selected (possibly derived) chain columns.
-
-    Defaults to the reporting set for the chain's model: (mu, sigma) for gbm,
-    plus (mu_z, sigma_z, lambda_star) for gbm-jump.
-    """
-    if parameters is None:
-        parameters = DEFAULT_PARAMS[chain.meta.model]
-    return Summary(rows={p: summarize_draws(chain.column(p)) for p in parameters})
+def summarize(chain: PosteriorChain) -> Summary:
+    """Summary of the reporting columns of the chain's model: (mu, sigma) for
+    gbm, plus (mu_z, sigma_z, lambda_star) for gbm-jump."""
+    params = DEFAULT_PARAMS[chain.meta.model]
+    return Summary(rows={p: summarize_draws(chain.column(p)) for p in params})
 
 
 def pacf(series, max_lag: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rngs import as_generator
 from .series import IncrementSeries
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -69,27 +68,16 @@ class _SuffStats(NamedTuple):
         )
 
 
-def transition_logpdf(d, dt, params: GbmParams):
-    """Exact log-density of a log-increment d over duration dt.
-
-    Vectorizes over d and dt. Requires sigma2 > 0 and dt > 0.
-    """
-    if params.degenerate:
-        raise ValueError("transition density undefined for sigma2 == 0")
-    d = np.asarray(d, dtype=float)
-    dt = np.asarray(dt, dtype=float)
-    if np.any(dt <= 0.0):
-        raise ValueError("dt must be positive")
-    var = params.sigma2 * dt
-    resid = d - params.theta * dt
-    return -0.5 * (LOG_2PI + np.log(var)) - 0.5 * resid * resid / var
-
-
 def log_likelihood(inc: IncrementSeries, params: GbmParams) -> float:
-    """Sum of transition log-densities over a non-empty increment series."""
+    """Sum over a non-empty increment series of the exact transition
+    log-densities log Normal(d_i; theta*dt_i, sigma2*dt_i); sigma2 == 0 has none."""
     if inc.n == 0:
         raise ValueError("log_likelihood needs at least one increment")
-    return float(np.sum(transition_logpdf(inc.d, inc.dt, params)))
+    if params.degenerate:
+        raise ValueError("transition density undefined for sigma2 == 0")
+    var = params.sigma2 * inc.dt
+    resid = inc.d - params.theta * inc.dt
+    return float(np.sum(-0.5 * (LOG_2PI + np.log(var)) - 0.5 * resid * resid / var))
 
 
 def mle_fit(inc: IncrementSeries) -> GbmParams:
@@ -110,28 +98,6 @@ def mle_fit(inc: IncrementSeries) -> GbmParams:
     if sigma2 < 0.0:  # roundoff from cancellation; the true value is >= 0
         sigma2 = 0.0
     return GbmParams(theta=theta, sigma2=sigma2)
-
-
-def simulate_gbm_path(x0: float, params: GbmParams, grid, rng=None) -> np.ndarray:
-    """Sample one exact path on an increasing time grid, anchored at grid[0].
-
-    Returns an array of len(grid) values with path[0] == x0. With sigma2 == 0
-    the path is the deterministic x0 * exp(theta * (t - grid[0])).
-    """
-    if x0 <= 0.0:
-        raise ValueError("x0 must be positive")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1:
-        raise ValueError("grid must be a non-empty 1-d array")
-    steps = np.diff(grid)
-    if np.any(steps <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    if params.degenerate:
-        incs = params.theta * steps
-    else:
-        incs = IncrementKernel(params.theta, params.sigma2, as_generator(rng)).block(steps)[:, 0]
-    y = math.log(x0) + np.concatenate(([0.0], np.cumsum(incs)))
-    return np.exp(y)
 
 
 class IncrementKernel:

@@ -36,9 +36,7 @@ from .gibbs import (
     PosteriorChain,
     _draw_theta_sigma2,
     _normal_ig_log_kernel,
-    _sigma2_conditional,
     _start,
-    _theta_conditional,
 )
 from .rngs import as_generator
 from .series import IncrementSeries
@@ -106,11 +104,6 @@ class LatentState:
     @property
     def active_sizes(self) -> np.ndarray:
         return self.sizes[self.indicators]
-
-    @property
-    def contribution(self) -> np.ndarray:
-        """J_i * Z_i, the jump part of each increment."""
-        return np.where(self.indicators, self.sizes, 0.0)
 
 
 # Floor on the log-odds L: exp(-L) stays finite (exp(700) < 1.8e308), and
@@ -344,16 +337,6 @@ def _size_stats(z_active) -> _SuffStats:
     sigma2_z) is the diffusion model with theta = mu_z and every dt = 1."""
     z = np.asarray(z_active, dtype=float)
     return _SuffStats(z.size, float(z.sum()), z.size, float(z @ z))
-
-
-def jump_mean_conditional(z_active, sigma2_z: float, prior: JumpPrior = JumpPrior()):
-    """(mean, variance) of mu_z | sigma2_z and the active jump sizes."""
-    return _theta_conditional(_size_stats(z_active), sigma2_z, prior.jump)
-
-
-def jump_var_conditional(z_active, mu_z: float, prior: JumpPrior = JumpPrior()):
-    """(shape, scale) of the inverse-gamma sigma2_z | mu_z and active sizes."""
-    return _sigma2_conditional(_size_stats(z_active), mu_z, prior.jump)
 
 
 def update_jump_moments(

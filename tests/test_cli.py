@@ -1,11 +1,12 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from gbmjump import read_chain_csv
-from gbmjump.cli import RunConfig, build_config, main
+from gbmjump.cli import RunConfig, _build_parser, build_config, main
 
 from conftest import DATA_DIR, HOLDOUT_CSV, TRAIN_CSV
 
@@ -33,6 +34,14 @@ def flat_csv(tmp_path):
     return path
 
 
+def read_by(command, **values):
+    """The flag values main passes build_config for command: every key the
+    subcommand reads, None where its flag is unset, values where given."""
+    args = vars(_build_parser().parse_args([command]))
+    del args["command"], args["config"]
+    return {**args, **values}
+
+
 class TestBuildConfig:
     def test_defaults(self):
         cfg = build_config({}, None, env={})
@@ -43,7 +52,7 @@ class TestBuildConfig:
         path.write_text(json.dumps(
             {"iters": 123, "model": "gbm-jump", "seed": None, "level": 0.5, "fitted_band": True}
         ))
-        cfg = build_config({}, str(path), env={})
+        cfg = build_config(read_by("forecast"), str(path), env={})
         assert cfg.iters == 123
         assert cfg.model == "gbm-jump"
         assert cfg.burnin == 1000
@@ -52,16 +61,16 @@ class TestBuildConfig:
     def test_env_overrides_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"iters": 123}))
-        cfg = build_config({}, str(path), env={"GBMJUMP_ITERS": "55"})
+        cfg = build_config(read_by("fit"), str(path), env={"GBMJUMP_ITERS": "55"})
         assert cfg.iters == 55
 
     def test_flags_override_env(self):
-        cfg = build_config({"iters": 7}, None, env={"GBMJUMP_ITERS": "55"})
+        cfg = build_config(read_by("fit", iters=7), None, env={"GBMJUMP_ITERS": "55"})
         assert cfg.iters == 7
 
     def test_env_coercion(self):
         cfg = build_config(
-            {}, None,
+            read_by("forecast"), None,
             env={
                 "GBMJUMP_LEVEL": "0.5",
                 "GBMJUMP_SEED": "9",
@@ -74,67 +83,145 @@ class TestBuildConfig:
 
     def test_bad_boolean_rejected(self):
         with pytest.raises(ValueError):
-            build_config({}, None, env={"GBMJUMP_FITTED_BAND": "maybe"})
+            build_config(read_by("forecast"), None, env={"GBMJUMP_FITTED_BAND": "maybe"})
 
     @pytest.mark.parametrize(
-        "values, message",
+        "command, values, message",
         [
-            ({"iters": 2.5}, "iters must be an integer, got 2.5"),
-            ({"iters": True}, "iters must be an integer, got True"),
-            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-            ({"level": True}, "level must be a number, got True"),
-            ({"fitted_band": 1}, "fitted_band must be a boolean, got 1"),
-            ({"input": 7}, "input must be a string, got 7"),
-            ({"input": 0}, "input must be a string, got 0"),
-            ({"out": ["results"]}, r"out must be a string, got \['results'\]"),
-            ({"chain": 9}, "chain must be a string, got 9"),
-            ({"model": None}, "model must be a string, got None"),
-            ({"format": False}, "format must be a string, got False"),
-            ({"holdout": 7}, "holdout must be a string, got 7"),
+            ("fit", {"iters": 2.5}, "iters must be an integer, got 2.5"),
+            ("fit", {"iters": True}, "iters must be an integer, got True"),
+            ("fit", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ("forecast", {"level": True}, "level must be a number, got True"),
+            ("forecast", {"fitted_band": 1}, "fitted_band must be a boolean, got 1"),
+            ("mle", {"input": 7}, "input must be a string, got 7"),
+            ("mle", {"input": 0}, "input must be a string, got 0"),
+            ("mle", {"out": ["results"]}, r"out must be a string, got \['results'\]"),
+            ("forecast", {"chain": 9}, "chain must be a string, got 9"),
+            ("fit", {"model": None}, "model must be a string, got None"),
+            ("mle", {"format": False}, "format must be a string, got False"),
+            ("study", {"holdout": 7}, "holdout must be a string, got 7"),
         ],
         ids=["float-iters", "bool-iters", "float-seed", "bool-level", "int-flag",
              "int-input", "fd0-input", "list-out", "int-chain", "null-model", "bool-format",
              "int-holdout"],
     )
-    def test_config_file_wrong_type_names_key_and_file(self, tmp_path, values, message):
+    def test_config_file_wrong_type_names_key_and_file(self, tmp_path, command, values, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values))
         with pytest.raises(ValueError, match=message) as err:
-            build_config({}, str(path), env={})
+            build_config(read_by(command), str(path), env={})
         assert str(err.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize(
-        "var, raw, message",
+        "command, var, raw, message",
         [
-            ("GBMJUMP_ITERS", "abc", "iters must be an integer, got 'abc'"),
-            ("GBMJUMP_SEED", "1.5", "seed must be an integer, got '1.5'"),
-            ("GBMJUMP_LEVEL", "wide", "level must be a number, got 'wide'"),
-            ("GBMJUMP_FITTED_BAND", "maybe", "fitted_band must be a boolean, got 'maybe'"),
+            ("fit", "GBMJUMP_ITERS", "abc", "iters must be an integer, got 'abc'"),
+            ("fit", "GBMJUMP_SEED", "1.5", "seed must be an integer, got '1.5'"),
+            ("forecast", "GBMJUMP_LEVEL", "wide", "level must be a number, got 'wide'"),
+            ("forecast", "GBMJUMP_FITTED_BAND", "maybe",
+             "fitted_band must be a boolean, got 'maybe'"),
         ],
         ids=["iters", "seed", "level", "fitted_band"],
     )
-    def test_env_wrong_type_names_key_and_variable(self, var, raw, message):
+    def test_env_wrong_type_names_key_and_variable(self, command, var, raw, message):
         with pytest.raises(ValueError, match=f"^{var}: {message}$"):
-            build_config({}, None, env={var: raw})
+            build_config(read_by(command), None, env={var: raw})
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"itres": 5}))
-        with pytest.raises(ValueError, match="itres"):
-            build_config({}, str(path), env={})
+        for command in ("mle", "fit", "forecast", "study"):
+            with pytest.raises(ValueError, match="itres"):
+                build_config(read_by(command), str(path), env={})
 
     def test_validation_failures(self):
-        for bad in (
-            {"model": "garch"},
-            {"format": "yaml"},
-            {"iters": 0},
-            {"burnin": -1},
-            {"level": 1.0},
-            {"horizon": 0},
-            {"days_per_year": 0},
+        for command, bad, message in (
+            ("fit", {"model": "garch"}, "unknown model 'garch'"),
+            ("mle", {"format": "yaml"}, "unknown format 'yaml'"),
+            ("fit", {"iters": 0}, "iters must be >= 2"),
+            ("fit", {"burnin": -1}, "burnin must be >= 0"),
+            ("forecast", {"level": 1.0}, "level must lie strictly in"),
+            ("forecast", {"horizon": 0}, "horizon must be >= 1"),
+            ("mle", {"days_per_year": 0}, "days-per-year must be >= 1"),
         ):
-            with pytest.raises(ValueError):
-                build_config(bad, None, env={})
+            with pytest.raises(ValueError, match=message):
+                build_config(read_by(command, **bad), None, env={})
+
+    def test_keys_the_command_does_not_read_are_ignored(self, tmp_path):
+        # even values of the wrong type: mle reads no iters, model or level
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": 3, "iters": 50}))
+        env = {"GBMJUMP_ITERS": "abc", "GBMJUMP_LEVEL": "2"}
+        assert build_config(read_by("mle"), str(path), env=env) == RunConfig()
+
+
+class TestScopedOptions:
+    """Each subcommand takes the flags of the options it reads, and only those
+    options from the environment and the config file."""
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("mle", {"--input", "--config", "--days-per-year", "--out", "--format"}),
+            ("fit", {"--input", "--config", "--days-per-year", "--out", "--format",
+                     "--iters", "--burnin", "--seed", "--model"}),
+            ("forecast", {"--input", "--config", "--days-per-year", "--out", "--iters",
+                          "--burnin", "--seed", "--model", "--level", "--horizon",
+                          "--chain", "--fitted-band"}),
+            ("study", {"--input", "--config", "--days-per-year", "--out", "--format",
+                       "--iters", "--burnin", "--seed", "--holdout", "--level"}),
+        ],
+    )
+    def test_help_lists_the_flags_read(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        listed = set(re.findall(r"(--[a-z-]+)", capsys.readouterr().out)) - {"--help"}
+        assert listed == flags
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [(["mle", "--seed", "3"], "--seed 3"), (["forecast", "--format", "json"], "--format json")],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, args, flag):
+        with pytest.raises(SystemExit) as stop:
+            main([*args, "--input", str(TRAIN_CSV)])
+        assert stop.value.code == 2
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_study_ignores_model_env(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("GBMJUMP_MODEL", "garch")
+        rc, _, err = run_cli(
+            capsys, "study", "--input", TRAIN_CSV, "--holdout", HOLDOUT_CSV, "--iters", 2,
+            "--burnin", 1, "--seed", 1, "--out", tmp_path,
+        )
+        assert (rc, err) == (0, "")
+
+    def test_fit_ignores_horizon_env_and_file(self, capsys, tmp_path, monkeypatch):
+        settings = ("fit", "--input", TRAIN_CSV, "--iters", 2, "--burnin", 1, "--seed", 1)
+        monkeypatch.setenv("GBMJUMP_HORIZON", "0")
+        rc, _, err = run_cli(capsys, *settings, "--out", tmp_path / "env")
+        assert (rc, err) == (0, "")
+        monkeypatch.delenv("GBMJUMP_HORIZON")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"horizon": 0}))
+        rc, _, err = run_cli(capsys, *settings, "--config", path, "--out", tmp_path / "file")
+        assert (rc, err) == (0, "")
+
+    def test_mle_ignores_level_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("GBMJUMP_LEVEL", "2")
+        rc, out, err = run_cli(capsys, "mle", "--input", TRAIN_CSV)
+        assert (rc, err) == (0, "")
+        assert "mu_hat=0.149" in out
+
+    @pytest.mark.parametrize("command", ["fit", "forecast", "study"])
+    def test_one_draw_is_refused_before_sampling(self, capsys, tmp_path, command):
+        holdout = ("--holdout", HOLDOUT_CSV) if command == "study" else ()
+        rc, _, err = run_cli(
+            capsys, command, "--input", TRAIN_CSV, *holdout, "--iters", 1, "--out", tmp_path / "out"
+        )
+        assert (rc, err) == (1, "error: iters must be >= 2\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestMleCommand:

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbmjump import (
-    Summary,
-    pacf,
-    summarize,
+from gbmjump import Summary, pacf, summarize
+from gbmjump.diagnostics import (
     summarize_draws,
+    summary_to_dict,
+    write_summary_csv,
+    write_summary_json,
 )
-from gbmjump.diagnostics import summary_to_dict, write_summary_csv, write_summary_json
 
 
 class TestSummarizeDraws:
@@ -63,11 +63,6 @@ class TestSummarize:
     def test_jump_default_parameters(self, jump_chain):
         summary = summarize(jump_chain)
         assert tuple(summary.rows) == ("mu", "sigma", "mu_z", "sigma_z", "lambda_star")
-
-    def test_explicit_parameter_list(self, gbm_chain):
-        summary = summarize(gbm_chain, parameters=("theta",))
-        assert tuple(summary.rows) == ("theta",)
-        assert summary["theta"].mean == pytest.approx(gbm_chain.column("theta").mean())
 
 
 class TestPacf:

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbmjump import (
-    GbmParams,
-    IncrementSeries,
-    log_likelihood,
-    mle_fit,
-    simulate_gbm_path,
-    transition_logpdf,
-)
+from gbmjump import GbmParams, IncrementSeries, log_likelihood, mle_fit
+from gbmjump.gbm import IncrementKernel
 
 
 def series_from(d, dt=None):
@@ -41,20 +35,25 @@ class TestGbmParams:
         assert not GbmParams(theta=0.0, sigma2=1e-12).degenerate
 
 
+def one_step_logpdf(d, dt, params):
+    """log_likelihood of the one-increment series (d, dt): the transition log-density."""
+    return log_likelihood(series_from([d], [dt]), params)
+
+
 class TestTransitionLogpdf:
     # frozen from scipy.stats.norm.logpdf, an independent implementation
     def test_standard_point(self):
-        val = transition_logpdf(0.0, 1.0, GbmParams(theta=0.0, sigma2=1.0))
+        val = one_step_logpdf(0.0, 1.0, GbmParams(theta=0.0, sigma2=1.0))
         assert val == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_off_mean_point(self):
-        val = transition_logpdf(1.0, 1.0, GbmParams(theta=0.0, sigma2=4.0))
+        val = one_step_logpdf(1.0, 1.0, GbmParams(theta=0.0, sigma2=4.0))
         assert val == pytest.approx(-1.737085713764618, abs=1e-12)
 
     def test_at_the_mean_only_normalizer_remains(self):
         params = GbmParams(theta=0.2, sigma2=0.09)
         step = 1.0 / 252.0
-        val = transition_logpdf(params.theta * step, step, params)
+        val = one_step_logpdf(params.theta * step, step, params)
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi * params.sigma2 * step))
 
     def test_matches_scipy_on_a_grid(self):
@@ -65,32 +64,32 @@ class TestTransitionLogpdf:
         expected = scipy_stats.norm(
             params.theta * step, np.sqrt(params.sigma2 * step)
         ).logpdf(d)
-        assert np.allclose(transition_logpdf(d, step, params), expected, atol=1e-12)
+        got = [one_step_logpdf(di, ti, params) for di, ti in zip(d, step)]
+        assert np.allclose(got, expected, atol=1e-12)
 
     def test_degenerate_params_rejected(self):
-        with pytest.raises(ValueError):
-            transition_logpdf(0.0, 1.0, GbmParams(theta=0.0, sigma2=0.0))
+        with pytest.raises(ValueError, match="sigma2 == 0"):
+            one_step_logpdf(0.0, 1.0, GbmParams(theta=0.0, sigma2=0.0))
 
     def test_nonpositive_dt_rejected(self):
+        # the series refuses dt <= 0, so log_likelihood never sees one
         with pytest.raises(ValueError):
-            transition_logpdf(0.0, 0.0, GbmParams(theta=0.0, sigma2=1.0))
+            series_from([0.0], [0.0])
 
 
 class TestLogLikelihood:
     def test_single_increment_equals_transition(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
         params = GbmParams(theta=0.1, sigma2=0.2)
         inc = series_from([0.05], [0.7])
-        assert log_likelihood(inc, params) == pytest.approx(
-            float(transition_logpdf(0.05, 0.7, params))
-        )
+        expected = scipy_stats.norm(params.theta * 0.7, math.sqrt(params.sigma2 * 0.7)).logpdf(0.05)
+        assert log_likelihood(inc, params) == pytest.approx(expected, abs=1e-12)
 
     def test_sum_over_terms(self):
         rng = np.random.default_rng(3)
         inc = random_series(rng, 10)
         params = GbmParams(theta=0.05, sigma2=0.1)
-        brute = sum(
-            float(transition_logpdf(di, ti, params)) for di, ti in zip(inc.d, inc.dt)
-        )
+        brute = sum(one_step_logpdf(di, ti, params) for di, ti in zip(inc.d, inc.dt))
         assert log_likelihood(inc, params) == pytest.approx(brute, abs=1e-12)
 
     def test_empty_series_rejected(self):
@@ -189,40 +188,30 @@ class TestMleFit:
         assert fit.sigma == pytest.approx(0.183, abs=0.002)
 
 
-class TestSimulateGbmPath:
+class TestIncrementKernel:
     def test_zero_volatility_is_exponential_drift(self):
         grid = np.linspace(0.0, 2.0, 9)
-        path = simulate_gbm_path(5.0, GbmParams(theta=0.3, sigma2=0.0), grid)
+        d = IncrementKernel(0.3, 0.0, np.random.default_rng(0)).block(np.diff(grid))[:, 0]
+        path = 5.0 * np.exp(np.concatenate(([0.0], np.cumsum(d))))
         assert np.allclose(path, 5.0 * np.exp(0.3 * grid))
 
-    def test_anchored_at_first_grid_point(self):
-        grid = np.array([1.0, 1.5])
-        path = simulate_gbm_path(2.0, GbmParams(theta=0.1, sigma2=0.05), grid, rng=1)
-        assert path[0] == 2.0
-
     def test_same_seed_same_path(self):
-        grid = np.linspace(0.0, 1.0, 21)
-        params = GbmParams(theta=0.1, sigma2=0.2)
-        a = simulate_gbm_path(1.0, params, grid, rng=99)
-        b = simulate_gbm_path(1.0, params, grid, rng=99)
-        assert np.array_equal(a, b)
+        steps = np.full(20, 0.05)
+
+        def draw():
+            return IncrementKernel(0.1, 0.2, np.random.default_rng(99)).block(steps)
+
+        assert np.array_equal(draw(), draw())
 
     def test_terminal_mean_matches_lognormal(self):
         # E[S_t] = x0 * exp(mu * t) for the exact solution
         params = GbmParams(theta=0.1, sigma2=0.09)
-        rng = np.random.default_rng(4)
         t = 1.5
-        finals = np.array(
-            [simulate_gbm_path(1.0, params, [0.0, t], rng)[-1] for _ in range(10000)]
+        draws = 10000
+        kernel = IncrementKernel(
+            np.full(draws, params.theta), params.sigma2, np.random.default_rng(4)
         )
+        finals = np.exp(kernel.block([t])[0])
         expected = math.exp(params.mu * t)
         se = finals.std(ddof=1) / math.sqrt(len(finals))
         assert abs(finals.mean() - expected) < 4 * se
-
-    def test_decreasing_grid_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_gbm_path(1.0, GbmParams(0.0, 1.0), [0.0, 0.5, 0.4])
-
-    def test_nonpositive_start_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_gbm_path(0.0, GbmParams(0.0, 1.0), [0.0, 1.0])

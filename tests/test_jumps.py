@@ -16,12 +16,12 @@ from gbmjump import (
     LatentState,
     increment_moments,
     jump_indicator_prob,
-    jump_mean_conditional,
-    jump_var_conditional,
     lambda_conditional,
     marginal_log_posterior,
     run_jump_gibbs,
     sample_latent,
+    sample_sigma2_given_theta,
+    sample_theta_given_sigma2,
     sigma2_conditional,
     simulate_jump_increments,
     theta_conditional,
@@ -65,14 +65,13 @@ class TestJumpParams:
 
 
 class TestLatentState:
-    def test_counts_and_contribution(self):
+    def test_counts_and_active_sizes(self):
         state = LatentState(
             indicators=np.array([True, False, True]),
             sizes=np.array([0.5, 9.0, -0.25]),
         )
         assert state.n_jumps == 2
         assert np.array_equal(state.active_sizes, [0.5, -0.25])
-        assert np.array_equal(state.contribution, [0.5, 0.0, -0.25])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -183,34 +182,41 @@ class TestLambdaConditional:
         assert (a, b) == (2.0, 5.0)
 
 
+def unit_steps(z):
+    """The jump sizes z as increments of step length 1: the sizes' conditionals
+    are the diffusion conditionals with theta = mu_z under prior.jump."""
+    z = np.asarray(z, dtype=float)
+    return IncrementSeries(d=z, dt=np.ones(z.size))
+
+
 class TestJumpMomentConditionals:
     def test_mean_conditional_no_data_is_prior(self):
-        mean, var = jump_mean_conditional(np.array([]), sigma2_z=0.01)
+        mean, var = theta_conditional(unit_steps([]), 0.01, JumpPrior().jump)
         assert mean == pytest.approx(0.0)
         assert var == pytest.approx(100.0)
 
     def test_var_conditional_worked_example(self):
-        shape, scale = jump_var_conditional(np.array([0.1, -0.1]), mu_z=0.0)
+        shape, scale = sigma2_conditional(unit_steps([0.1, -0.1]), 0.0, JumpPrior().jump)
         assert shape == pytest.approx(3.0)
         assert scale == pytest.approx(0.011)
 
     def test_large_sample_dominates_prior(self):
         rng = np.random.default_rng(12)
         z = rng.normal(-0.003, 0.02, 2000)
-        shape, scale = jump_var_conditional(z, mu_z=-0.003)
+        shape, scale = sigma2_conditional(unit_steps(z), -0.003, JumpPrior().jump)
         posterior_mean = scale / (shape - 1.0)
         assert posterior_mean == pytest.approx(0.0004, rel=0.05)
 
     def test_equal_diffusion_conditionals_on_unit_steps(self):
-        # the sizes are increments of step length 1 with theta = mu_z
+        # update_jump_moments draws mu_z then sigma2_z as the diffusion
+        # conditionals do on the sizes as unit steps, draw for draw
         z = np.random.default_rng(13).normal(-0.003, 0.02, 300)
         prior = JumpPrior(jump=GbmPrior(theta_mean=0.5, theta_var=0.04, ig_shape=3, ig_scale=0.02))
-        unit = IncrementSeries(d=z, dt=np.ones(z.size))
-        for got, want in (
-            (jump_mean_conditional(z, 0.0004, prior), theta_conditional(unit, 0.0004, prior.jump)),
-            (jump_var_conditional(z, -0.003, prior), sigma2_conditional(unit, -0.003, prior.jump)),
-        ):
-            assert got == pytest.approx(want, rel=1e-12)
+        got = update_jump_moments(z, 0.0004, prior, rng=np.random.default_rng(14))
+        gen = np.random.default_rng(14)
+        mu_z = sample_theta_given_sigma2(unit_steps(z), 0.0004, prior.jump, rng=gen)
+        sigma2_z = sample_sigma2_given_theta(unit_steps(z), mu_z, prior.jump, rng=gen)
+        assert got == pytest.approx((mu_z, sigma2_z), rel=1e-12)
 
     def test_update_with_no_active_reduces_to_prior(self):
         rng = np.random.default_rng(40)
@@ -249,7 +255,8 @@ class TestDiffusionBlock:
             train_inc, latent, 0.03, rng=np.random.default_rng(57)
         )
         # manual route on the jump-adjusted increments with an inactive latent
-        adj = IncrementSeries(d=train_inc.d - latent.contribution, dt=train_inc.dt)
+        jump_part = np.where(latent.indicators, latent.sizes, 0.0)
+        adj = IncrementSeries(d=train_inc.d - jump_part, dt=train_inc.dt)
         empty = LatentState(
             indicators=np.zeros(train_inc.n, dtype=bool), sizes=np.zeros(train_inc.n)
         )
