@@ -153,7 +153,7 @@ def main(argv=None) -> int:
             ("gbm-jump", run_jump_gibbs(inc, seed=42)),
         ):
             print(f"--- {name}")
-            for pname, row in summarize(chain).rows.items():
+            for pname, row in summarize(chain).items():
                 print(
                     f"  {pname:<12} mean={row.mean:+.4f} sd={row.sd:.4f} "
                     f"q=[{row.q2_5:+.4f}, {row.q50:+.4f}, {row.q97_5:+.4f}]"

@@ -3,7 +3,7 @@ sampling, posterior summaries, and predictive bands for daily price series."""
 
 from types import ModuleType as _ModuleType
 
-from .diagnostics import ParamSummary, Summary, pacf, summarize
+from .diagnostics import ParamSummary, pacf, summarize
 from .gbm import GbmParams, log_likelihood, mle_fit
 from .gibbs import (
     ChainMeta,

@@ -24,7 +24,6 @@ from .gbm import mle_fit
 from .gibbs import read_chain_csv, run_gibbs, write_chain_csv
 from .jumps import run_jump_gibbs
 from .predict import fitted_band, predictive_band, write_band_csv
-from .rngs import derived_generator
 from .series import load_price_series, to_increments, write_csv, write_json
 
 ENV_PREFIX = "GBMJUMP_"
@@ -59,6 +58,8 @@ class RunConfig:
             raise ValueError("iters must be >= 2")
         if self.burnin < 0:
             raise ValueError("burnin must be >= 0")
+        if self.seed is not None and self.seed < 0:  # numpy seeds are non-negative
+            raise ValueError("seed must be >= 0")
         if self.days_per_year < 1:
             raise ValueError("days-per-year must be >= 1")
         if self.horizon < 1:
@@ -182,7 +183,7 @@ def _report(chain, out: Path, fmt: str):
     increment. Return the summary and the PACF or None."""
     summary = summarize(chain)
     print(f"{'parameter':<12}{'mean':>12}{'sd':>12}{'q2.5':>12}{'q50':>12}{'q97.5':>12}")
-    for name, row in summary.rows.items():
+    for name, row in summary.items():
         print(
             f"{name:<12}{row.mean:>12.4f}{row.sd:>12.4f}"
             f"{row.q2_5:>12.4f}{row.q50:>12.4f}{row.q97_5:>12.4f}"
@@ -229,20 +230,21 @@ def write_bands(chain, series, inc, out: Path, steps, dates, level: float, seed,
     per date of dates) from the last close of series, and, when fitted,
     fitted_band_<tag>.csv over inc from its first close, one row per date of
     series; return (forecast band, fitted band or None). The bands draw from
-    streams 1 and 2 derived from seed, so they leave the chain's stream alone.
+    streams 1 and 2 derived from seed (OS entropy when seed is None), so they
+    leave the chain's stream alone.
     """
     tag = chain.meta.model.replace("-", "_")
+
+    def stream(k: int) -> np.random.Generator:
+        return np.random.default_rng(None if seed is None else np.random.SeedSequence([seed, k]))
+
     forecast = predictive_band(
-        chain, start=float(series.prices[-1]), dt=steps, level=level,
-        rng=derived_generator(seed, stream=1),
+        chain, start=float(series.prices[-1]), dt=steps, level=level, rng=stream(1),
     )
     write_band_csv(forecast, out / f"forecast_band_{tag}.csv", dates=dates)
     if not fitted:
         return forecast, None
-    band = fitted_band(
-        chain, inc, x0=float(series.prices[0]), level=level,
-        rng=derived_generator(seed, stream=2),
-    )
+    band = fitted_band(chain, inc, x0=float(series.prices[0]), level=level, rng=stream(2))
     write_band_csv(band, out / f"fitted_band_{tag}.csv", dates=series.dates)
     return forecast, band
 

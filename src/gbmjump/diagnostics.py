@@ -24,16 +24,6 @@ class ParamSummary:
     q97_5: float
 
 
-@dataclass(frozen=True)
-class Summary:
-    """Per-parameter posterior summary table."""
-
-    rows: dict[str, ParamSummary]
-
-    def __getitem__(self, name: str) -> ParamSummary:
-        return self.rows[name]
-
-
 def summarize_draws(draws) -> ParamSummary:
     """Mean, SD (n-1 divisor) and linear-interpolation quantiles of one chain."""
     x = np.asarray(draws, dtype=float)
@@ -49,11 +39,11 @@ def summarize_draws(draws) -> ParamSummary:
     )
 
 
-def summarize(chain: PosteriorChain) -> Summary:
-    """Summary of the reporting columns of the chain's model: (mu, sigma) for
-    gbm, plus (mu_z, sigma_z, lambda_star) for gbm-jump."""
+def summarize(chain: PosteriorChain) -> dict[str, ParamSummary]:
+    """ParamSummary of each reporting column of the chain's model, in order:
+    (mu, sigma) for gbm, plus (mu_z, sigma_z, lambda_star) for gbm-jump."""
     params = DEFAULT_PARAMS[chain.meta.model]
-    return Summary(rows={p: summarize_draws(chain.column(p)) for p in params})
+    return {p: summarize_draws(chain.column(p)) for p in params}
 
 
 def pacf(series, max_lag: int) -> np.ndarray:
@@ -92,16 +82,16 @@ def pacf(series, max_lag: int) -> np.ndarray:
     return out
 
 
-def summary_to_dict(summary: Summary) -> dict:
-    return {name: asdict(row) for name, row in summary.rows.items()}
+def summary_to_dict(summary: dict[str, ParamSummary]) -> dict:
+    return {name: asdict(row) for name, row in summary.items()}
 
 
-def write_summary_csv(summary: Summary, path) -> None:
-    columns = {"parameter": list(summary.rows)}
+def write_summary_csv(summary: dict[str, ParamSummary], path) -> None:
+    columns = {"parameter": list(summary)}
     for f in fields(ParamSummary):
-        columns[f.name] = [getattr(row, f.name) for row in summary.rows.values()]
+        columns[f.name] = [getattr(row, f.name) for row in summary.values()]
     write_csv(path, columns)
 
 
-def write_summary_json(summary: Summary, path) -> None:
+def write_summary_json(summary: dict[str, ParamSummary], path) -> None:
     write_json(path, summary_to_dict(summary))

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gbm import _SuffStats, mle_fit
-from .rngs import as_generator
 from .series import IncrementSeries, write_csv
 
 
@@ -86,7 +85,7 @@ def sample_theta_given_sigma2(
     inc: IncrementSeries, sigma2: float, prior: GbmPrior = GbmPrior(), rng=None
 ) -> float:
     mean, var = theta_conditional(inc, sigma2, prior)
-    return float(mean + math.sqrt(var) * as_generator(rng).standard_normal())
+    return float(mean + math.sqrt(var) * np.random.default_rng(rng).standard_normal())
 
 
 def sample_sigma2_given_theta(
@@ -95,7 +94,7 @@ def sample_sigma2_given_theta(
     shape, scale = sigma2_conditional(inc, theta, prior)
     if shape <= 0.0 or scale <= 0.0:
         raise ValueError("shape and scale must be positive")
-    return float(scale / as_generator(rng).gamma(shape))
+    return float(scale / np.random.default_rng(rng).gamma(shape))
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def run_gibbs(
         raise ValueError("need n_keep >= 1 and burn_in >= 0")
     theta, sigma2 = _start(inc, prior)
     stats = _SuffStats.of(inc.d, inc.dt)
-    gen = as_generator(seed)
+    gen = np.random.default_rng(seed)
     draws = np.empty((n_keep, 2))
     for sweep in range(burn_in + n_keep):
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior, gen)
@@ -215,14 +214,15 @@ def write_chain_csv(chain: PosteriorChain, path) -> None:
 def read_chain_csv(path) -> PosteriorChain:
     """Inverse of write_chain_csv; reconstructs sigma2_z from sigma_z.
 
-    Raises ValueError naming the file when the model is unknown, the header's
-    n_keep, burn_in or seed is not an integer or its accept_rate not a number
-    in [0, 1] (naming the key), a column the writer exports for the model is
-    missing or a column it does not export is present (so a jump chain whose
-    model line is lost does not read as a GBM chain), a cell is not a number,
-    the rows are none, differ in length or differ in number from the header's
-    n_keep, a draw is one PosteriorChain rejects, or an exported column
-    differs from what the rebuilt chain derives for it.
+    Raises ValueError naming the file when the header lacks a key that
+    write_chain_csv always writes (model, n_keep, burn_in, seed), its n_keep,
+    burn_in or seed is not an integer or its accept_rate not a number in
+    [0, 1] (naming the key), the model is unknown, a column the writer
+    exports for the model is missing or a column it does not export is
+    present, a cell is not a number, the rows are none, differ in length or
+    differ in number from the header's n_keep, a draw is one PosteriorChain
+    rejects, or an exported column differs from what the rebuilt chain
+    derives for it.
     """
     meta_raw: dict[str, str] = {}
     with open(path) as fh:
@@ -240,7 +240,13 @@ def read_chain_csv(path) -> PosteriorChain:
             body = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    model = meta_raw.get("model", "gbm")
+
+    def header(key: str) -> str:
+        if key not in meta_raw:
+            raise ValueError(f"{path}: header has no {key}")
+        return meta_raw[key]
+
+    model = header("model")
     if model not in _EXPORT_COLUMNS:
         raise ValueError(f"{path}: unknown model {model!r}")
     if body.shape[1] != len(cols):
@@ -252,10 +258,8 @@ def read_chain_csv(path) -> PosteriorChain:
     if extra:
         raise ValueError(f"{path}: chain column(s) {', '.join(extra)} not in a {model} chain")
 
-    def header_int(key: str, default: int | None) -> int | None:
-        raw = meta_raw.get(key)
-        if raw is None:
-            return default
+    def header_int(key: str) -> int:
+        raw = header(key)
         try:
             return int(raw)
         except ValueError:
@@ -273,14 +277,14 @@ def read_chain_csv(path) -> PosteriorChain:
             raise ValueError(f"{path}: header {key} must be a number in [0, 1], got {raw!r}")
         return value
 
-    n_keep = header_int("n_keep", body.shape[0])
+    n_keep = header_int("n_keep")
     if body.shape[0] != n_keep:
         raise ValueError(f"{path}: {body.shape[0]} draws, header says n_keep {n_keep}")
     meta = ChainMeta(
         model=model,
         n_keep=n_keep,
-        burn_in=header_int("burn_in", 0),
-        seed=None if meta_raw.get("seed") == "None" else header_int("seed", None),
+        burn_in=header_int("burn_in"),
+        seed=None if header("seed") == "None" else header_int("seed"),
         accept_rate=header_rate("accept_rate"),
     )
     take = {c: body[:, i] for i, c in enumerate(cols)}

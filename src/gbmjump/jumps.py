@@ -38,7 +38,6 @@ from .gibbs import (
     _normal_ig_log_kernel,
     _start,
 )
-from .rngs import as_generator
 from .series import IncrementSeries
 
 
@@ -304,7 +303,7 @@ def jump_indicator_prob(d, dt, params: JumpParams) -> np.ndarray:
 def sample_latent(inc: IncrementSeries, params: JumpParams, rng=None) -> LatentState:
     """Draw (J, Z) given parameters and data: n uniforms for the indicators,
     then one normal per active step, in step order; inactive sizes are 0."""
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     p = params
     e = _jump_odds_e(inc.d, inc.dt, p.theta, p.sigma2, p.mu_z, p.sigma2_z, _logit(p.lambda_star))
     indicators = _draw_indicators(gen.random(inc.n), e)
@@ -329,7 +328,7 @@ def lambda_conditional(indicators, prior: JumpPrior = JumpPrior()):
 
 def update_lambda(indicators, prior: JumpPrior = JumpPrior(), rng=None) -> float:
     a, b = lambda_conditional(indicators, prior)
-    return float(as_generator(rng).beta(a, b))
+    return float(np.random.default_rng(rng).beta(a, b))
 
 
 def _size_stats(z_active) -> _SuffStats:
@@ -347,7 +346,8 @@ def update_jump_moments(
 
     With no active jumps both reduce to prior draws.
     """
-    return _draw_theta_sigma2(_size_stats(z_active), sigma2_z, prior.jump, as_generator(rng))
+    gen = np.random.default_rng(rng)
+    return _draw_theta_sigma2(_size_stats(z_active), sigma2_z, prior.jump, gen)
 
 
 def update_diffusion_block(
@@ -362,7 +362,7 @@ def update_diffusion_block(
     stats = _jump_adjusted_stats(
         _SuffStats.of(inc.d, inc.dt), inc.d[on], inc.dt[on], latent.sizes[on]
     )
-    return _draw_theta_sigma2(stats, sigma2, prior, as_generator(rng))
+    return _draw_theta_sigma2(stats, sigma2, prior, np.random.default_rng(rng))
 
 
 def increment_moments(params: JumpParams, dt: float):
@@ -380,7 +380,7 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
     """Sample n increments: Normal diffusion plus Bernoulli(lambda_star) jumps."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     dt = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
     if np.any(dt <= 0.0):
         raise ValueError("dt must be positive")
@@ -417,7 +417,7 @@ def run_jump_gibbs(
     """
     if n_keep < 1 or burn_in < 0:
         raise ValueError("need n_keep >= 1 and burn_in >= 0")
-    gen = as_generator(seed)
+    gen = np.random.default_rng(seed)
     start = _initial_params(inc, prior)
     theta, sigma2, mu_z, sigma2_z = start.theta, start.sigma2, start.mu_z, start.sigma2_z
     lam = start.lambda_star

@@ -16,7 +16,6 @@ import numpy as np
 
 from .gbm import IncrementKernel
 from .gibbs import PosteriorChain
-from .rngs import as_generator
 from .series import IncrementSeries, write_csv
 
 
@@ -50,6 +49,8 @@ def _subsample_rows(n_rows: int, max_draws: int) -> np.ndarray:
     return (np.arange(max_draws) * n_rows) // max_draws
 
 
+# Chain rows that a band draws one path each from, evenly strided.
+_MAX_DRAWS = 2000
 # Time steps per block that predictive_band holds at once: memory is
 # O(draws x _BLOCK) and the bytes do not depend on it. For the bundled jump
 # fit (2000 draws x 1510 steps, 2-CPU Xeon VM) a band took 0.29-0.34 s at 8 to
@@ -57,7 +58,7 @@ def _subsample_rows(n_rows: int, max_draws: int) -> np.ndarray:
 _BLOCK = 64
 
 
-def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng, max_draws: int):
+def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
     """Prices after each step of dt from start, start * exp(cumsum of model
     increments), as time-major blocks of up to _BLOCK steps with one column
     per subsampled draw.
@@ -65,12 +66,12 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng, max_
     The log-price carried from block to block is added to a block's first row
     before the in-place cumsum, so every block length gives the same bytes.
     """
-    rows = _subsample_rows(len(chain), max_draws)
+    rows = _subsample_rows(len(chain), _MAX_DRAWS)
     names = ["theta", "sigma2"]
     if chain.meta.model == "gbm-jump":
         names += ["lambda_star", "mu_z", "sigma2_z"]
     theta, sigma2, *jump = (chain.column(c)[rows] for c in names)
-    kernel = IncrementKernel(theta, sigma2, as_generator(rng), jump or None)
+    kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump or None)
     carry = np.full(len(rows), np.log(start))
     for lo in range(0, len(dt), _BLOCK):
         y = kernel.block(dt[lo:lo + _BLOCK])
@@ -92,11 +93,10 @@ def predictive_band(
     dt,
     level: float = 0.90,
     rng=None,
-    max_draws: int = 2000,
 ) -> Band:
     """Pointwise band of the prices after each step of dt from start: the
     empirical (1-level)/2 and 1-(1-level)/2 quantiles and the mean over one
-    path per chain row (up to max_draws rows, evenly strided).
+    path per chain row (up to _MAX_DRAWS rows, evenly strided).
 
     Prices are drawn _BLOCK steps at a time, checked positive, reduced to their
     quantile and mean rows and dropped, so memory is O(draws x _BLOCK). The
@@ -109,10 +109,10 @@ def predictive_band(
     if dt.ndim != 1 or len(dt) < 1 or not np.all((dt > 0.0) & (dt < np.inf)):
         raise ValueError("dt must be a non-empty 1-d array of positive finite steps")
     tail = _tail(level)
-    if min(len(chain), max_draws) < 2:
-        raise ValueError("need at least two paths for a band (max_draws and chain rows >= 2)")
+    if len(chain) < 2:
+        raise ValueError("need at least two paths for a band (chain rows >= 2)")
     rows = []
-    for prices in _price_blocks(chain, start, dt, rng, max_draws):
+    for prices in _price_blocks(chain, start, dt, rng):
         if not np.all(prices > 0.0):
             raise ValueError("price paths must stay positive")
         lower, upper = np.quantile(prices, [tail, 1.0 - tail], axis=1)
@@ -127,18 +127,17 @@ def fitted_band(
     x0: float,
     level: float = 0.90,
     rng=None,
-    max_draws: int = 2000,
 ) -> Band:
     """predictive_band over the observation grid from x0, after a first row at
-    t0 that is x0 exactly in lower, mean and upper, so row j aligns with
+    time 0 that is x0 exactly in lower, mean and upper, so row j aligns with
     observation j."""
     if not 0.0 < x0 < np.inf:
         raise ValueError(f"x0 must be positive and finite, got {x0}")
     if inc.n < 1:
         raise ValueError("need at least one increment")
-    band = predictive_band(chain, x0, inc.dt, level, rng, max_draws)
+    band = predictive_band(chain, x0, inc.dt, level, rng)
     lower, mean, upper = (np.concatenate(([x0], row)) for row in (band.lower, band.mean, band.upper))
-    grid = inc.t0 + np.concatenate(([0.0], band.grid))
+    grid = np.concatenate(([0.0], band.grid))
     return Band(grid=grid, lower=lower, mean=mean, upper=upper, level=level)
 
 

@@ -55,7 +55,7 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class IncrementSeries:
-    """Log-increments d with per-step durations dt (years) and the start point.
+    """Log-increments d with per-step durations dt (years).
 
     Empty series (n = 0) are allowed so samplers can be run against the bare
     prior; series derived from price data always have n >= 1.
@@ -63,8 +63,6 @@ class IncrementSeries:
 
     d: np.ndarray
     dt: np.ndarray
-    y0: float = 0.0
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         d = np.asarray(self.d, dtype=float)
@@ -82,17 +80,9 @@ class IncrementSeries:
     def n(self) -> int:
         return len(self.d)
 
-    @property
-    def total_time(self) -> float:
-        return float(np.sum(self.dt))
 
-
-def load_price_series(
-    path,
-    date_column: str = "date",
-    price_column: str = "close",
-) -> PriceSeries:
-    """Read a delimited file with header into a PriceSeries.
+def load_price_series(path) -> PriceSeries:
+    """Read a CSV file with header columns date and close into a PriceSeries.
 
     Errors carry the 1-based line number of the offending row.
     """
@@ -102,13 +92,13 @@ def load_price_series(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
-        for col in (date_column, price_column):
+        for col in ("date", "close"):
             if col not in reader.fieldnames:
                 raise DataError(f"{path}: missing column {col!r}")
         for row in reader:
             line = reader.line_num
-            raw_date = row.get(date_column)
-            raw_price = row.get(price_column)
+            raw_date = row.get("date")
+            raw_price = row.get("close")
             if raw_date is None or raw_price is None:
                 raise DataError(f"{path}:{line}: short row")
             try:
@@ -140,8 +130,7 @@ def to_increments(
     """
     if days_per_year <= 0:
         raise ValueError("days_per_year must be positive")
-    y = np.log(series.prices)
-    d = np.diff(y)
+    d = np.diff(np.log(series.prices))
     if scale_by_calendar_days:
         gaps = np.array(
             [(b - a).days for a, b in zip(series.dates, series.dates[1:])],
@@ -150,7 +139,7 @@ def to_increments(
         step = gaps / days_per_year
     else:
         step = np.full(len(d), 1.0 / days_per_year)
-    return IncrementSeries(d=d, dt=step, y0=float(y[0]), t0=0.0)
+    return IncrementSeries(d=d, dt=step)
 
 
 # Rows taken out of numpy at a time. Cells are formatted one row at a time:

@@ -140,6 +140,9 @@ class TestBuildConfig:
             ("mle", {"format": "yaml"}, "unknown format 'yaml'"),
             ("fit", {"iters": 0}, "iters must be >= 2"),
             ("fit", {"burnin": -1}, "burnin must be >= 0"),
+            ("fit", {"seed": -1}, "seed must be >= 0"),
+            ("forecast", {"seed": -2}, "seed must be >= 0"),
+            ("study", {"seed": -3}, "seed must be >= 0"),
             ("forecast", {"level": 1.0}, "level must lie strictly in"),
             ("forecast", {"horizon": 0}, "horizon must be >= 1"),
             ("mle", {"days_per_year": 0}, "days-per-year must be >= 1"),
@@ -543,3 +546,18 @@ class TestMakeDataset:
         for name in ("sp500_synthetic.csv", "sp500_synthetic_holdout.csv"):
             assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes()
         assert "holdout coverage of 90% band: 1.000" in capsys.readouterr().out
+
+
+class TestCodeLines:
+    def test_counts_neither_docstrings_nor_comments_nor_blank_lines(self):
+        source = (
+            '"""Module docstring\n'
+            'over two lines."""\n'
+            "\n"
+            "# a comment line\n"
+            "def f(x):  # code with a trailing comment counts\n"
+            '    """Docstring."""\n'
+            "    return (x +\n"
+            "            1)\n"
+        )
+        assert load_script("code_lines").code_lines(source) == 3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbmjump import Summary, pacf, summarize
+from gbmjump import pacf, summarize
 from gbmjump.diagnostics import (
     summarize_draws,
     summary_to_dict,
@@ -55,14 +55,14 @@ class TestSummarizeDraws:
 class TestSummarize:
     def test_gbm_default_parameters(self, gbm_chain):
         summary = summarize(gbm_chain)
-        assert tuple(summary.rows) == ("mu", "sigma")
+        assert tuple(summary) == ("mu", "sigma")
         assert summary["sigma"].mean == pytest.approx(
             np.sqrt(gbm_chain.column("sigma2")).mean()
         )
 
     def test_jump_default_parameters(self, jump_chain):
         summary = summarize(jump_chain)
-        assert tuple(summary.rows) == ("mu", "sigma", "mu_z", "sigma_z", "lambda_star")
+        assert tuple(summary) == ("mu", "sigma", "mu_z", "sigma_z", "lambda_star")
 
 
 class TestPacf:
@@ -140,10 +140,3 @@ class TestSummaryExports:
         data = json.loads(path.read_text())
         assert set(data) == {"mu", "sigma", "mu_z", "sigma_z", "lambda_star"}
         assert data["lambda_star"]["sd"] == pytest.approx(summary["lambda_star"].sd)
-
-    def test_summary_getitem(self):
-        s = summarize_draws([1.0, 2.0, 3.0])
-        table = Summary(rows={"x": s})
-        assert table["x"] is s
-        with pytest.raises(KeyError):
-            table["missing"]

@@ -299,6 +299,10 @@ def drop_last_value(lines):
     return lines[:5] + [line.rsplit(",", 1)[0] for line in lines[5:]]
 
 
+def drop_header(key):
+    return lambda lines: [line for line in lines if not line.startswith(f"# {key}:")]
+
+
 class TestChainCsvValidation:
     """read_chain_csv rejects malformed files with a message naming the file."""
 
@@ -314,9 +318,14 @@ class TestChainCsvValidation:
              "could not convert string 'abc'"),
             (lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]],
              "number of columns changed from 4 to 3"),
+            (drop_header("model"), "header has no model$"),
+            (drop_header("n_keep"), "header has no n_keep$"),
+            (drop_header("burn_in"), "header has no burn_in$"),
+            (drop_header("seed"), "header has no seed$"),
         ],
         ids=["missing-column", "short", "no-rows", "unknown-model", "ragged",
-             "non-numeric-cell", "short-last-row"],
+             "non-numeric-cell", "short-last-row", "no-model", "no-n_keep", "no-burn_in",
+             "no-seed"],
     )
     def test_rejected(self, tmp_path, train_inc, edit, message):
         path = tmp_path / "chain.csv"
@@ -329,8 +338,8 @@ class TestChainCsvValidation:
         assert str(err.value).startswith(f"{path}: ")
 
     def test_jump_chain_without_model_line_rejected(self, tmp_path, train_inc):
-        """Without its model line a jump chain would read as a GBM chain of
-        the jump fit's diffusion draws; its jump columns reject it."""
+        """A jump chain without its model line is not read as a GBM chain of
+        the jump fit's diffusion draws."""
         path = tmp_path / "chain.csv"
         write_chain_csv(run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
         lines = path.read_text().splitlines()
@@ -338,9 +347,7 @@ class TestChainCsvValidation:
         path.write_text("\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError) as err:
             read_chain_csv(path)
-        assert str(err.value) == (
-            f"{path}: chain column(s) mu_z, sigma_z, lambda_star, n_jumps not in a gbm chain"
-        )
+        assert str(err.value) == f"{path}: header has no model"
 
     @pytest.mark.parametrize(
         "key, value", [("n_keep", "5e3"), ("burn_in", "x"), ("seed", "1.5")]

@@ -65,20 +65,21 @@ class TestEnsembles:
         for name in ("lower", "mean", "upper"):
             assert np.allclose(getattr(b, name), 2.0 * getattr(a, name), rtol=1e-12)
 
-    def test_max_draws_subsamples_evenly(self, gbm_chain):
+    def test_max_draws_subsamples_evenly(self, monkeypatch, gbm_chain):
         steps = np.full(3, DT)
         rows = (np.arange(10) * len(gbm_chain)) // 10
         strided = PosteriorChain(
             columns=gbm_chain.columns, draws=gbm_chain.draws[rows],
             meta=replace(gbm_chain.meta, n_keep=10),
         )
-        sub = predictive_band(gbm_chain, 100.0, steps, rng=np.random.default_rng(4), max_draws=10)
         expect = predictive_band(strided, 100.0, steps, rng=np.random.default_rng(4))
+        monkeypatch.setattr(predict, "_MAX_DRAWS", 10)
+        sub = predictive_band(gbm_chain, 100.0, steps, rng=np.random.default_rng(4))
         assert band_bytes(sub) == band_bytes(expect)
-        every = predictive_band(
-            gbm_chain, 100.0, steps, rng=np.random.default_rng(4), max_draws=len(gbm_chain)
-        )
-        more = predictive_band(gbm_chain, 100.0, steps, rng=np.random.default_rng(4), max_draws=10**6)
+        monkeypatch.setattr(predict, "_MAX_DRAWS", len(gbm_chain))
+        every = predictive_band(gbm_chain, 100.0, steps, rng=np.random.default_rng(4))
+        monkeypatch.setattr(predict, "_MAX_DRAWS", 10**6)
+        more = predictive_band(gbm_chain, 100.0, steps, rng=np.random.default_rng(4))
         assert band_bytes(more) == band_bytes(every)
 
     def test_paths_stay_positive(self, jump_chain, train_inc):
@@ -116,21 +117,17 @@ class TestCredibleBand:
                 predictive_band(gbm_chain, 100.0, np.full(2, DT), level=bad,
                                 rng=np.random.default_rng(1))
 
-    def test_two_paths_minimum(self, gbm_chain):
-        steps = np.full(1, DT)
+    def test_two_paths_minimum(self):
         with pytest.raises(ValueError, match="two paths"):
-            predictive_band(constant_chain(0.0, 0.04, n=1), 5.0, steps)
-        with pytest.raises(ValueError, match="two paths"):
-            predictive_band(gbm_chain, 5.0, steps, max_draws=1)
+            predictive_band(constant_chain(0.0, 0.04, n=1), 5.0, np.full(1, DT))
 
-    def test_one_step_unit_lognormal_quantiles(self):
+    def test_one_step_unit_lognormal_quantiles(self, monkeypatch):
         # theta = 0, sigma2 = 1 over one unit step: terminal value is standard
         # lognormal with 5% / 95% points 0.19304082 and 5.1802516
         n = 50_000
         chain = constant_chain(theta=0.0, sigma2=1.0, n=n)
-        band = predictive_band(
-            chain, 1.0, np.ones(1), level=0.90, rng=np.random.default_rng(5), max_draws=n
-        )
+        monkeypatch.setattr(predict, "_MAX_DRAWS", n)
+        band = predictive_band(chain, 1.0, np.ones(1), level=0.90, rng=np.random.default_rng(5))
         assert band.lower[0] == pytest.approx(0.19304082, rel=0.02)
         assert band.upper[0] == pytest.approx(5.1802516, rel=0.02)
 
@@ -228,9 +225,7 @@ class TestSimulatorAgreement:
             meta=meta,
         )
         # the paths predictive_band reduces; a band needs two, so read the one directly
-        (prices,) = predict._price_blocks(
-            chain, 80.0, np.full(25, DT), np.random.default_rng(12), max_draws=1
-        )
+        (prices,) = predict._price_blocks(chain, 80.0, np.full(25, DT), np.random.default_rng(12))
         d = simulate_jump_increments(params, DT, 25, rng=np.random.default_rng(12))
         np.testing.assert_allclose(prices[:, 0], 80.0 * np.exp(np.cumsum(d)), rtol=1e-13)
 
@@ -243,7 +238,7 @@ def ensemble_band_rows(monkeypatch, chain, start, dt, rng, level=0.90):
     """Lower, mean and upper of the whole draws x steps path matrix, drawn as
     one block and reduced in one call: the credible band of the ensemble."""
     monkeypatch.setattr(predict, "_BLOCK", len(dt))
-    (prices,) = predict._price_blocks(chain, start, dt, rng, max_draws=2000)
+    (prices,) = predict._price_blocks(chain, start, dt, rng)
     tail = predict._tail(level)
     lower, upper = np.quantile(prices, [tail, 1.0 - tail], axis=1)
     return lower, prices.mean(axis=1), upper
@@ -259,12 +254,11 @@ class TestStreamedBands:
         # the bundled data's calendar steps: weekends and holidays are longer
         dt = to_increments(train_series, scale_by_calendar_days=True).dt
         assert len(np.unique(dt)) > 1
+        monkeypatch.setattr(predict, "_MAX_DRAWS", 300)
         bands = []
         for block in (1, 7, 64, len(dt)):
             monkeypatch.setattr(predict, "_BLOCK", block)
-            band = predictive_band(
-                chain, 931.80, dt, rng=np.random.default_rng(21), max_draws=300
-            )
+            band = predictive_band(chain, 931.80, dt, rng=np.random.default_rng(21))
             bands.append(band_bytes(band))
         assert all(b == bands[0] for b in bands[1:])
 
@@ -277,14 +271,14 @@ class TestStreamedBands:
     def test_fitted_band_is_credible_band_of_the_ensemble(self, monkeypatch, chain, train_inc):
         band = fitted_band(chain, train_inc, 931.80, rng=np.random.default_rng(6))
         rows = ensemble_band_rows(monkeypatch, chain, 931.80, train_inc.dt, np.random.default_rng(6))
-        grid = train_inc.t0 + np.concatenate(([0.0], np.cumsum(train_inc.dt)))
+        grid = np.concatenate(([0.0], np.cumsum(train_inc.dt)))
         assert band.grid.tobytes() == grid.tobytes()
         for name, row in zip(("lower", "mean", "upper"), rows):
             assert getattr(band, name)[1:].tobytes() == row.tobytes()
 
     def test_fitted_band_anchor_row_is_exactly_x0(self, jump_chain, train_inc):
         band = fitted_band(jump_chain, train_inc, 931.80, rng=np.random.default_rng(6))
-        assert band.grid[0] == train_inc.t0
+        assert band.grid[0] == 0.0
         assert band.lower[0] == band.mean[0] == band.upper[0] == 931.80
 
     def test_underflow_in_a_later_block_is_rejected(self):
@@ -313,8 +307,6 @@ class TestStreamedBands:
             {"dt": []},
             {"dt": [DT, -DT]},
             {"dt": np.full((2, 2), DT)},
-            {"max_draws": 0},
-            {"max_draws": 1},
             {"level": 1.0},
         ):
             args = {"start": 100.0, "dt": steps, **kwargs}

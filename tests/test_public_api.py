@@ -4,7 +4,7 @@ import gbmjump
 PUBLIC_NAMES = [
     "Band", "ChainMeta", "DataError", "GbmParams", "GbmPrior", "IncrementSeries",
     "JumpParams", "JumpPrior", "LatentState", "ParamSummary", "PosteriorChain",
-    "PriceSeries", "Summary", "fitted_band", "increment_moments", "jump_indicator_prob",
+    "PriceSeries", "fitted_band", "increment_moments", "jump_indicator_prob",
     "lambda_conditional", "load_price_series", "log_likelihood", "marginal_log_posterior",
     "mle_fit", "pacf", "predictive_band", "read_chain_csv", "run_gibbs", "run_jump_gibbs",
     "sample_latent", "sample_sigma2_given_theta", "sample_theta_given_sigma2",
