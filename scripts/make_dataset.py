@@ -12,7 +12,11 @@ statistics land on the reference values the test suite pins:
 A 39-day holdout (the trading days of Jan-Feb 2015) continues the same process
 and is mean-adjusted to finish at 2104.50. Prices are rounded to cents.
 
-Usage: python3 scripts/make_dataset.py [--seed N] [--outdir data] [--check]
+Usage: python3 scripts/make_dataset.py [--seed N] [--outdir data]
+
+To refit both models to a regenerated series and band its holdout, run
+gbmjump study --input DIR/sp500_synthetic.csv --holdout
+DIR/sp500_synthetic_holdout.csv --seed 42.
 """
 
 from __future__ import annotations
@@ -124,10 +128,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--outdir", default="data")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="refit both models on the generated series and print the summaries",
-    )
     args = parser.parse_args(argv)
 
     (train_dates, prices), (hold_dates, hold_prices) = build(args.seed)
@@ -136,37 +136,6 @@ def main(argv=None) -> int:
     write_csv(outdir / "sp500_synthetic.csv", train_dates, prices)
     write_csv(outdir / "sp500_synthetic_holdout.csv", hold_dates, hold_prices)
     print(f"wrote {len(prices)} training rows and {len(hold_prices)} holdout rows")
-
-    if args.check:
-        from gbmjump import (
-            mle_fit, predictive_band, run_gibbs, run_jump_gibbs, summarize,
-            to_increments,
-        )
-        from gbmjump.series import PriceSeries
-
-        series = PriceSeries(tuple(train_dates), prices)
-        inc = to_increments(series)
-        params = mle_fit(inc)
-        print(f"MLE: mu_hat={params.mu:.4f} sigma_hat={params.sigma:.4f}")
-        for name, chain in (
-            ("gbm", run_gibbs(inc, seed=42)),
-            ("gbm-jump", run_jump_gibbs(inc, seed=42)),
-        ):
-            print(f"--- {name}")
-            for pname, row in summarize(chain).items():
-                print(
-                    f"  {pname:<12} mean={row.mean:+.4f} sd={row.sd:.4f} "
-                    f"q=[{row.q2_5:+.4f}, {row.q50:+.4f}, {row.q97_5:+.4f}]"
-                )
-            if name == "gbm":
-                steps = np.full(40, 1.0 / DAYS_PER_YEAR)
-                band = predictive_band(chain, float(prices[-1]), steps, level=0.90, rng=9)
-                hold = hold_prices[: len(band.grid)]
-                m = len(hold)
-                covered = np.mean(
-                    (band.lower[:m] <= hold) & (hold <= band.upper[:m])
-                )
-                print(f"  holdout coverage of 90% band: {covered:.3f}")
     return 0
 
 

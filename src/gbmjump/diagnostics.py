@@ -6,13 +6,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .gibbs import PosteriorChain
+from .gibbs import CHAIN_COLUMNS, PosteriorChain
 from .series import write_csv, write_json
-
-DEFAULT_PARAMS = {
-    "gbm": ("mu", "sigma"),
-    "gbm-jump": ("mu", "sigma", "mu_z", "sigma_z", "lambda_star"),
-}
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ def summarize_draws(draws) -> ParamSummary:
 def summarize(chain: PosteriorChain) -> dict[str, ParamSummary]:
     """ParamSummary of each reporting column of the chain's model, in order:
     (mu, sigma) for gbm, plus (mu_z, sigma_z, lambda_star) for gbm-jump."""
-    params = DEFAULT_PARAMS[chain.meta.model]
+    params = CHAIN_COLUMNS[chain.meta.model].reported
     return {p: summarize_draws(chain.column(p)) for p in params}
 
 

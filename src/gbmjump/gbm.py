@@ -64,7 +64,7 @@ class _SuffStats(NamedTuple):
             n=len(d),
             sd=float(np.sum(d)),
             st=float(np.sum(dt)),
-            sdd=float(np.sum(d * d / dt)) if len(d) else 0.0,
+            sdd=float(np.sum(d * d / dt)),
         )
 
 

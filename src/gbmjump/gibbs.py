@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .gbm import _SuffStats, mle_fit
@@ -97,13 +99,31 @@ def sample_sigma2_given_theta(
     return float(scale / np.random.default_rng(rng).gamma(shape))
 
 
+class ChainColumns(NamedTuple):
+    """The columns of a model's chain: those its draws hold, those its CSV
+    holds, and the parameters its summary reports."""
+
+    stored: tuple[str, ...]
+    exported: tuple[str, ...]
+    reported: tuple[str, ...]
+
+
+CHAIN_COLUMNS = {
+    "gbm": ChainColumns(("theta", "sigma2"), ("theta", "sigma2", "mu", "sigma"), ("mu", "sigma")),
+    "gbm-jump": ChainColumns(
+        ("theta", "sigma2", "mu_z", "sigma2_z", "lambda_star", "n_jumps"),
+        ("theta", "sigma2", "mu", "sigma", "mu_z", "sigma_z", "lambda_star", "n_jumps"),
+        ("mu", "sigma", "mu_z", "sigma_z", "lambda_star"),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ChainMeta:
     """What produced a chain. accept_rate is the share of the jump sampler's
     Metropolis proposals taken, None when that move did not run."""
 
     model: str
-    n_keep: int
     burn_in: int
     seed: int | None
     accept_rate: float | None = None
@@ -111,23 +131,24 @@ class ChainMeta:
 
 @dataclass
 class PosteriorChain:
-    """Retained Gibbs draws, one row per sweep after burn-in.
+    """Retained Gibbs draws, one row per sweep after burn-in, in the stored
+    columns of meta.model.
 
     column() also serves the derived names mu = theta + sigma2/2,
     sigma = sqrt(sigma2) and sigma_z = sqrt(sigma2_z).
     """
 
-    columns: tuple[str, ...]
     draws: np.ndarray
     meta: ChainMeta
     jump_probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        model = self.meta.model
+        if model not in CHAIN_COLUMNS:
+            raise ValueError(f"unknown model {model!r}")
         self.draws = np.asarray(self.draws, dtype=float)
         if self.draws.ndim != 2 or self.draws.shape[1] != len(self.columns):
-            raise ValueError("draws must be (n_keep, len(columns))")
-        if self.draws.shape[0] != self.meta.n_keep:
-            raise ValueError("row count does not match meta.n_keep")
+            raise ValueError(f"{model} draws must be rows of ({', '.join(self.columns)})")
         finite = np.isfinite(self.draws).all(axis=0)
         if not finite.all():
             raise ValueError(f"non-finite {self.columns[int(np.argmin(finite))]} draw")
@@ -138,6 +159,10 @@ class PosteriorChain:
             lam = self.column("lambda_star")
             if np.any((lam < 0.0) | (lam > 1.0)):
                 raise ValueError("lambda_star draw outside [0, 1]")
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return CHAIN_COLUMNS[self.meta.model].stored
 
     def __len__(self) -> int:
         return self.draws.shape[0]
@@ -188,24 +213,15 @@ def run_gibbs(
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior, gen)
         if sweep >= burn_in:
             draws[sweep - burn_in] = (theta, sigma2)
-    meta = ChainMeta(model="gbm", n_keep=n_keep, burn_in=burn_in, seed=seed)
-    return PosteriorChain(columns=("theta", "sigma2"), draws=draws, meta=meta)
-
-
-_EXPORT_COLUMNS = {
-    "gbm": ("theta", "sigma2", "mu", "sigma"),
-    "gbm-jump": (
-        "theta", "sigma2", "mu", "sigma",
-        "mu_z", "sigma_z", "lambda_star", "n_jumps",
-    ),
-}
+    return PosteriorChain(draws=draws, meta=ChainMeta(model="gbm", burn_in=burn_in, seed=seed))
 
 
 def write_chain_csv(chain: PosteriorChain, path) -> None:
-    """One row per draw with a '# key: value' metadata header block; the
+    """One row per draw with a '# key: value' metadata header block: the
+    model, n_keep (the number of draws), then the rest of meta; the
     accept_rate line only when the chain has one."""
-    columns = {c: chain.column(c) for c in _EXPORT_COLUMNS[chain.meta.model]}
-    meta = asdict(chain.meta)
+    columns = {c: chain.column(c) for c in CHAIN_COLUMNS[chain.meta.model].exported}
+    meta = {"model": chain.meta.model, "n_keep": len(chain), **asdict(chain.meta)}
     if meta["accept_rate"] is None:
         del meta["accept_rate"]
     write_csv(path, columns, meta=meta)
@@ -247,14 +263,15 @@ def read_chain_csv(path) -> PosteriorChain:
         return meta_raw[key]
 
     model = header("model")
-    if model not in _EXPORT_COLUMNS:
+    if model not in CHAIN_COLUMNS:
         raise ValueError(f"{path}: unknown model {model!r}")
+    stored, exported, _ = CHAIN_COLUMNS[model]
     if body.shape[1] != len(cols):
         raise ValueError(f"{path}: {body.shape[1]} values per row, {len(cols)} column names")
-    missing = [c for c in _EXPORT_COLUMNS[model] if c not in cols]
+    missing = [c for c in exported if c not in cols]
     if missing:
         raise ValueError(f"{path}: missing chain column(s) {', '.join(missing)}")
-    extra = [c for c in cols if c not in _EXPORT_COLUMNS[model]]
+    extra = [c for c in cols if c not in exported]
     if extra:
         raise ValueError(f"{path}: chain column(s) {', '.join(extra)} not in a {model} chain")
 
@@ -282,25 +299,22 @@ def read_chain_csv(path) -> PosteriorChain:
         raise ValueError(f"{path}: {body.shape[0]} draws, header says n_keep {n_keep}")
     meta = ChainMeta(
         model=model,
-        n_keep=n_keep,
         burn_in=header_int("burn_in"),
         seed=None if header("seed") == "None" else header_int("seed"),
         accept_rate=header_rate("accept_rate"),
     )
     take = {c: body[:, i] for i, c in enumerate(cols)}
-    stored = ["theta", "sigma2"]
-    if model == "gbm-jump":
+    if "sigma_z" in take:  # the file holds sigma_z, the draws its square
         take["sigma2_z"] = take["sigma_z"] ** 2
-        stored += ["mu_z", "sigma2_z", "lambda_star", "n_jumps"]
     draws = np.column_stack([take[c] for c in stored])
     try:
-        chain = PosteriorChain(columns=tuple(stored), draws=draws, meta=meta)
+        chain = PosteriorChain(draws=draws, meta=meta)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     # rounding slack: relative, plus absolute at theta's and sigma2's scale
     # for mu = theta + sigma2/2, which can cancel to near zero
     atol = 1e-12 * np.abs(draws[:, :2]).max()
-    for name in _EXPORT_COLUMNS[model]:
+    for name in exported:
         if not np.allclose(take[name], chain.column(name), rtol=1e-12, atol=atol):
             raise ValueError(f"{path}: column {name} disagrees with the draws it derives from")
     return chain

@@ -143,25 +143,10 @@ def _neg_log_odds(d, terms):
     return neg
 
 
-def _floored_neg_log_odds(d, terms):
-    """(-max(L, _LOG_ODDS_FLOOR), whether the floor was applied): with scalar
-    terms the pass is skipped when L's minimum over all d, c - b^2/(4a),
-    clears the floor (a can round to 0 when sigma2_z is tiny)."""
-    neg = _neg_log_odds(d, terms)
-    a, b, c = terms
-    floored = isinstance(a, np.ndarray) or not (
-        a > 0.0 and c - b * b / (4.0 * a) >= _LOG_ODDS_FLOOR
-    )
-    if floored:
-        np.minimum(neg, -_LOG_ODDS_FLOOR, out=neg)
-    return neg, floored
-
-
-def _jump_odds_e(d, dt, theta, sigma2, mu_z, sigma2_z, logit_lam):
-    """E = exp(-max(L, _LOG_ODDS_FLOOR)) of the log-odds L at each step."""
-    terms = _log_odds_terms(dt, theta, sigma2, mu_z, sigma2_z, logit_lam)
-    neg, _ = _floored_neg_log_odds(d, terms)
-    return np.exp(neg, out=neg)
+def _capped_neg_log_odds(d, dt, theta, sigma2, mu_z, sigma2_z, logit_lam):
+    """-max(L, _LOG_ODDS_FLOOR) of the log-odds L at each step; E is its exp."""
+    neg = _neg_log_odds(d, _log_odds_terms(dt, theta, sigma2, mu_z, sigma2_z, logit_lam))
+    return np.minimum(neg, -_LOG_ODDS_FLOOR, out=neg)
 
 
 def _draw_indicators(u, e):
@@ -201,30 +186,24 @@ class _Marginal(NamedTuple):
     d: np.ndarray
     dt: float | np.ndarray  # a float when every step is equal
     stats: _SuffStats
-    sum_dd: float
     prior: JumpPrior
 
     @classmethod
     def of(cls, inc: IncrementSeries, prior: JumpPrior) -> "_Marginal":
         d = inc.d
         dt = float(inc.dt[0]) if inc.n and np.all(inc.dt == inc.dt[0]) else inc.dt
-        return cls(d, dt, _SuffStats.of(d, inc.dt), float(d @ d), prior)
+        return cls(d, dt, _SuffStats.of(d, inc.dt), prior)
 
     def log_kernel(self, theta, sigma2, mu_z, sigma2_z, logit_lam):
         """(log density up to a constant, E of the log-odds it summed).
 
         Each step's log mixture density is log N(d; theta*dt, sigma2*dt)
         + log(1 - lambda) + softplus(L) with L its jump log-odds, and
-        softplus(L) = L + log1p(exp(-L)) on the floored L; the no-jump
+        softplus(L) = L + log1p(exp(-L)) on max(L, _LOG_ODDS_FLOOR); the no-jump
         densities enter in closed form through the sufficient statistics.
         """
-        terms = _log_odds_terms(self.dt, theta, sigma2, mu_z, sigma2_z, logit_lam)
-        neg, floored = _floored_neg_log_odds(self.d, terms)
-        if floored:
-            sum_log_odds = -float(neg.sum())
-        else:  # sum of a*d^2 + b*d + c in closed form
-            a, b, c = terms
-            sum_log_odds = a * self.sum_dd + b * self.stats.sd + c * self.stats.n
+        neg = _capped_neg_log_odds(self.d, self.dt, theta, sigma2, mu_z, sigma2_z, logit_lam)
+        sum_log_odds = -float(neg.sum())
         e = np.exp(neg, out=neg)
         prior = self.prior
         log_1m = -_softplus(logit_lam)  # log(1 - lambda_star)
@@ -305,7 +284,9 @@ def sample_latent(inc: IncrementSeries, params: JumpParams, rng=None) -> LatentS
     then one normal per active step, in step order; inactive sizes are 0."""
     gen = np.random.default_rng(rng)
     p = params
-    e = _jump_odds_e(inc.d, inc.dt, p.theta, p.sigma2, p.mu_z, p.sigma2_z, _logit(p.lambda_star))
+    e = np.exp(_capped_neg_log_odds(
+        inc.d, inc.dt, p.theta, p.sigma2, p.mu_z, p.sigma2_z, _logit(p.lambda_star)
+    ))
     indicators = _draw_indicators(gen.random(inc.n), e)
     z = gen.standard_normal(int(np.count_nonzero(indicators)))
     sizes = np.zeros(inc.n)
@@ -391,7 +372,7 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
 def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:
     """Diffusion at the no-jump start (the MLE, or the prior center below two
     increments), lambda_star = 0.1, mu_z = 0 and sigma2_z the excess variance
-    of d over the diffusion share (floored at 1e-6), or the prior center."""
+    of d over the diffusion share (at least 1e-6), or the prior center."""
     theta, sigma2 = _start(inc, prior.diffusion)
     if inc.n >= 2:
         sigma2_z = max(float(np.var(inc.d) - sigma2 * np.mean(inc.dt)), 1e-6)
@@ -441,7 +422,7 @@ def run_jump_gibbs(
                 theta, log_s2, mu_z, log_sz2, _ = x.tolist()
                 sigma2, sigma2_z = math.exp(log_s2), math.exp(log_sz2)
         else:
-            e = _jump_odds_e(d, dt, theta, sigma2, mu_z, sigma2_z, _logit(lam))
+            e = np.exp(_capped_neg_log_odds(d, dt, theta, sigma2, mu_z, sigma2_z, _logit(lam)))
         active = _draw_indicators(gen.random(n), e)
         idx = np.flatnonzero(active)
         d_act, dt_act = d[idx], dt[idx] if isinstance(dt, np.ndarray) else dt
@@ -462,12 +443,7 @@ def run_jump_gibbs(
             draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, idx.size)
             jump_hits += active
     meta = ChainMeta(
-        model="gbm-jump", n_keep=n_keep, burn_in=burn_in, seed=seed,
+        model="gbm-jump", burn_in=burn_in, seed=seed,
         accept_rate=taken / moves if moves else None,
     )
-    return PosteriorChain(
-        columns=("theta", "sigma2", "mu_z", "sigma2_z", "lambda_star", "n_jumps"),
-        draws=draws,
-        meta=meta,
-        jump_probs=jump_hits / n_keep,
-    )
+    return PosteriorChain(draws=draws, meta=meta, jump_probs=jump_hits / n_keep)

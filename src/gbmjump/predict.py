@@ -67,10 +67,8 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
     before the in-place cumsum, so every block length gives the same bytes.
     """
     rows = _subsample_rows(len(chain), _MAX_DRAWS)
-    names = ["theta", "sigma2"]
-    if chain.meta.model == "gbm-jump":
-        names += ["lambda_star", "mu_z", "sigma2_z"]
-    theta, sigma2, *jump = (chain.column(c)[rows] for c in names)
+    names = ("theta", "sigma2", "lambda_star", "mu_z", "sigma2_z")
+    theta, sigma2, *jump = (chain.column(c)[rows] for c in names if c in chain.columns)
     kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump or None)
     carry = np.full(len(rows), np.log(start))
     for lo in range(0, len(dt), _BLOCK):

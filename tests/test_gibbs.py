@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gbmjump import (
+    ChainMeta,
     GbmParams,
     GbmPrior,
     IncrementSeries,
+    PosteriorChain,
     mle_fit,
     read_chain_csv,
     run_gibbs,
@@ -232,6 +234,26 @@ class TestDriftDiffusion:
         chain = run_gibbs(EMPTY, n_keep=1, burn_in=0, seed=0)
         chain.draws[0] = (theta, sigma2)
         assert chain.column("mu")[0] > theta
+
+
+class TestChainModel:
+    """A chain's columns come from its model: draws of another width, or a
+    model without columns, are rejected with a message naming the model."""
+
+    @pytest.mark.parametrize(
+        "model, width, message",
+        [
+            ("gbm-jump", 2, "gbm-jump draws must be rows of "
+                            r"\(theta, sigma2, mu_z, sigma2_z, lambda_star, n_jumps\)"),
+            ("gbm", 6, r"gbm draws must be rows of \(theta, sigma2\)"),
+            ("garch", 2, "unknown model 'garch'"),
+        ],
+        ids=["two-column-jump", "six-column-gbm", "unknown-model"],
+    )
+    def test_rejected(self, model, width, message):
+        row = [0.1, 0.04, -0.01, 1e-4, 0.3, 1.0][:width]
+        with pytest.raises(ValueError, match=message):
+            PosteriorChain(draws=[row, row], meta=ChainMeta(model=model, burn_in=0, seed=None))
 
 
 class TestChainCsv:

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +22,8 @@ DT = 1.0 / 252.0
 
 
 def constant_chain(theta: float, sigma2: float, n: int) -> PosteriorChain:
-    meta = ChainMeta(model="gbm", n_keep=n, burn_in=0, seed=None)
-    return PosteriorChain(
-        columns=("theta", "sigma2"), draws=np.tile([theta, sigma2], (n, 1)), meta=meta
-    )
+    meta = ChainMeta(model="gbm", burn_in=0, seed=None)
+    return PosteriorChain(draws=np.tile([theta, sigma2], (n, 1)), meta=meta)
 
 
 class TestEnsembles:
@@ -68,10 +65,7 @@ class TestEnsembles:
     def test_max_draws_subsamples_evenly(self, monkeypatch, gbm_chain):
         steps = np.full(3, DT)
         rows = (np.arange(10) * len(gbm_chain)) // 10
-        strided = PosteriorChain(
-            columns=gbm_chain.columns, draws=gbm_chain.draws[rows],
-            meta=replace(gbm_chain.meta, n_keep=10),
-        )
+        strided = PosteriorChain(draws=gbm_chain.draws[rows], meta=gbm_chain.meta)
         expect = predictive_band(strided, 100.0, steps, rng=np.random.default_rng(4))
         monkeypatch.setattr(predict, "_MAX_DRAWS", 10)
         sub = predictive_band(gbm_chain, 100.0, steps, rng=np.random.default_rng(4))
@@ -217,9 +211,8 @@ class TestBandCsv:
 class TestSimulatorAgreement:
     def test_one_draw_forecast_is_the_jump_increment_path(self):
         params = JumpParams(theta=0.2, sigma2=0.01, mu_z=-0.01, sigma2_z=4e-4, lambda_star=0.3)
-        meta = ChainMeta(model="gbm-jump", n_keep=1, burn_in=0, seed=None)
+        meta = ChainMeta(model="gbm-jump", burn_in=0, seed=None)
         chain = PosteriorChain(
-            columns=("theta", "sigma2", "mu_z", "sigma2_z", "lambda_star", "n_jumps"),
             draws=[[params.theta, params.sigma2, params.mu_z, params.sigma2_z,
                     params.lambda_star, 0.0]],
             meta=meta,
