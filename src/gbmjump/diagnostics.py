@@ -42,10 +42,11 @@ def summarize(chain: PosteriorChain) -> dict[str, ParamSummary]:
 
 
 def pacf(series, max_lag: int) -> np.ndarray:
-    """Partial autocorrelations at lags 1..max_lag via Durbin-Levinson.
+    """Partial autocorrelations at lags 1..max_lag: at lag k, the last
+    coefficient of the order-k Yule-Walker system on the sample
+    autocorrelations (autocovariances with the 1/n divisor).
 
-    Runs the standard recursion on sample autocorrelations (autocovariances with
-    the 1/n divisor). Requires len(series) > max_lag + 1 and nonzero variance.
+    Requires len(series) > max_lag + 1 and nonzero variance.
     """
     x = np.asarray(series, dtype=float)
     if max_lag < 1:
@@ -60,21 +61,11 @@ def pacf(series, max_lag: int) -> np.ndarray:
     if acov[0] <= 0.0:
         raise ValueError("series has zero variance")
     rho = acov / acov[0]
-    out = np.empty(max_lag)
-    phi_prev = np.empty(max_lag)  # phi_{k-1, 1..k-1}
-    for k in range(1, max_lag + 1):
-        if k == 1:
-            phi_kk = rho[1]
-        else:
-            head = phi_prev[: k - 1]
-            num = rho[k] - np.dot(head, rho[k - 1 : 0 : -1])
-            den = 1.0 - np.dot(head, rho[1:k])
-            phi_kk = num / den
-        out[k - 1] = phi_kk
-        if k > 1:
-            phi_prev[: k - 1] = phi_prev[: k - 1] - phi_kk * phi_prev[k - 2 :: -1]
-        phi_prev[k - 1] = phi_kk
-    return out
+    lag = np.arange(max_lag)
+    toeplitz = rho[np.abs(lag[:, None] - lag)]
+    return np.array(
+        [np.linalg.solve(toeplitz[:k, :k], rho[1 : k + 1])[-1] for k in range(1, max_lag + 1)]
+    )
 
 
 def summary_to_dict(summary: dict[str, ParamSummary]) -> dict:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gbm import _SuffStats, mle_fit
-from .series import IncrementSeries, write_csv
+from .series import DataError, IncrementSeries, write_csv
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,10 @@ class PosteriorChain:
     columns of meta.model.
 
     column() also serves the derived names mu = theta + sigma2/2,
-    sigma = sqrt(sigma2) and sigma_z = sqrt(sigma2_z).
+    sigma = sqrt(sigma2) and sigma_z = sqrt(sigma2_z). A draw that is not
+    finite, a sigma2 or sigma2_z draw that is not positive, a lambda_star
+    draw outside [0, 1] or an n_jumps draw that is not a whole number >= 0 is
+    an error naming the column.
     """
 
     draws: np.ndarray
@@ -156,9 +159,11 @@ class PosteriorChain:
             if name in self.columns and np.any(self.column(name) <= 0.0):
                 raise ValueError(f"non-positive {name} draw")
         if "lambda_star" in self.columns:
-            lam = self.column("lambda_star")
+            lam, n_jumps = self.column("lambda_star"), self.column("n_jumps")
             if np.any((lam < 0.0) | (lam > 1.0)):
                 raise ValueError("lambda_star draw outside [0, 1]")
+            if np.any((n_jumps < 0.0) | (n_jumps % 1.0 != 0.0)):
+                raise ValueError("n_jumps draw not a whole number >= 0")
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -230,32 +235,35 @@ def write_chain_csv(chain: PosteriorChain, path) -> None:
 def read_chain_csv(path) -> PosteriorChain:
     """Inverse of write_chain_csv; reconstructs sigma2_z from sigma_z.
 
-    Raises ValueError naming the file when the header lacks a key that
-    write_chain_csv always writes (model, n_keep, burn_in, seed), its n_keep,
-    burn_in or seed is not an integer or its accept_rate not a number in
-    [0, 1] (naming the key), the model is unknown, a column the writer
-    exports for the model is missing or a column it does not export is
+    Raises ValueError naming the file when the text is not UTF-8, the header
+    repeats a key (naming it) or lacks a key that write_chain_csv always
+    writes (model, n_keep, burn_in, seed), its n_keep, burn_in or seed is not
+    an integer or is negative or its accept_rate not a number in [0, 1]
+    (naming the key), the model is unknown, a column the writer exports for
+    the model is missing or repeated or a column it does not export is
     present, a cell is not a number, the rows are none, differ in length or
     differ in number from the header's n_keep, a draw is one PosteriorChain
     rejects, or an exported column differs from what the rebuilt chain
     derives for it.
     """
     meta_raw: dict[str, str] = {}
-    with open(path) as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            meta_raw[key.strip()] = value.strip()
-            line = fh.readline()
-        cols = tuple(line.strip().split(","))
-        start = fh.tell()
-        if not fh.readline().strip():
-            raise ValueError(f"{path}: chain file holds no draws")
-        fh.seek(start)
+    with open(path, encoding="utf-8") as fh:
         try:
+            line = fh.readline()
+            while line.startswith("#"):
+                key, _, value = line[1:].partition(":")
+                if key.strip() in meta_raw:
+                    raise ValueError(f"repeated header key {key.strip()}")
+                meta_raw[key.strip()] = value.strip()
+                line = fh.readline()
+            cols = tuple(line.strip().split(","))
+            start = fh.tell()
+            if not fh.readline().strip():
+                raise ValueError("chain file holds no draws")
+            fh.seek(start)
             body = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        except ValueError as exc:  # UnicodeDecodeError, for a byte that is not UTF-8, too
+            raise DataError(f"{path}: {exc}") from None
 
     def header(key: str) -> str:
         if key not in meta_raw:
@@ -274,13 +282,18 @@ def read_chain_csv(path) -> PosteriorChain:
     extra = [c for c in cols if c not in exported]
     if extra:
         raise ValueError(f"{path}: chain column(s) {', '.join(extra)} not in a {model} chain")
+    repeated = [c for c in exported if cols.count(c) > 1]
+    if repeated:
+        raise ValueError(f"{path}: repeated chain column(s) {', '.join(repeated)}")
 
     def header_int(key: str) -> int:
         raw = header(key)
         try:
-            return int(raw)
+            if int(raw) >= 0:
+                return int(raw)
         except ValueError:
             raise ValueError(f"{path}: header {key} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{path}: header {key} must be >= 0, got {raw!r}")
 
     def header_rate(key: str) -> float | None:
         raw = meta_raw.get(key)

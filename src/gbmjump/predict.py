@@ -139,11 +139,10 @@ def fitted_band(
     return Band(grid=grid, lower=lower, mean=mean, upper=upper, level=level)
 
 
-def write_band_csv(band: Band, path, dates=None) -> None:
-    """Rows of (time, date, lower, mean, upper); date blank when not supplied."""
-    if dates is None:
-        dates = [None] * len(band.grid)
-    elif len(dates) != len(band.grid):
+def write_band_csv(band: Band, path, dates) -> None:
+    """Rows of (time, date, lower, mean, upper), one date per grid row; a
+    None date is written as a blank cell."""
+    if len(dates) != len(band.grid):
         raise ValueError("dates must match the band grid")
     columns = {
         "time": band.grid, "date": dates,

@@ -1,9 +1,10 @@
 """Price series loading, conversion to log-increments, and table output.
 
 The observation model downstream works on d_i = y_i - y_{i-1} (log closes) with
-per-step durations dt_i expressed in years. By default every consecutive pair
-of rows counts as one trading step of 1/days_per_year years, so weekends and
-holidays carry no extra time.
+per-step durations dt_i expressed in years. to_increments counts every
+consecutive pair of rows as one trading step of 1/days_per_year years, so
+weekends and holidays carry no extra time; a caller that wants unequal steps
+builds IncrementSeries(d, dt) directly.
 
 write_csv and write_json write every file the package produces.
 """
@@ -39,7 +40,7 @@ class PriceSeries:
                 f"{len(self.dates)} dates but {len(prices)} prices"
             )
         if len(prices) < 2:
-            raise DataError("need at least two observations")
+            raise DataError(f"need at least two rows, got {len(prices)}")
         if not np.all(np.isfinite(prices)):
             raise DataError("non-finite price")
         if np.any(prices <= 0.0):
@@ -82,64 +83,60 @@ class IncrementSeries:
 
 
 def load_price_series(path) -> PriceSeries:
-    """Read a CSV file with header columns date and close into a PriceSeries.
+    """Read a UTF-8 CSV file with header columns date and close into a
+    PriceSeries, skipping blank lines.
 
-    Errors carry the 1-based line number of the offending row.
+    Every error names the file, and an error in a row its 1-based line number:
+    a byte that is not UTF-8, a field over csv's size limit, no column or two
+    columns named date or close, a row with more or fewer values than column
+    names, a bad date or price, fewer than two rows, or dates that do not
+    increase.
     """
     dates: list[dt.date] = []
     prices: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        for col in ("date", "close"):
-            if col not in reader.fieldnames:
-                raise DataError(f"{path}: missing column {col!r}")
-        for row in reader:
-            line = reader.line_num
-            raw_date = row.get("date")
-            raw_price = row.get("close")
-            if raw_date is None or raw_price is None:
-                raise DataError(f"{path}:{line}: short row")
-            try:
-                dates.append(dt.date.fromisoformat(raw_date.strip()))
-            except ValueError as exc:
-                raise DataError(f"{path}:{line}: bad date {raw_date!r}") from exc
-            try:
-                price = float(raw_price)
-            except ValueError as exc:
-                raise DataError(f"{path}:{line}: bad price {raw_price!r}") from exc
-            if not math.isfinite(price) or price <= 0.0:
-                raise DataError(f"{path}:{line}: non-positive price {raw_price!r}")
-            prices.append(price)
-    if len(prices) < 2:
-        raise DataError(f"{path}: need at least two rows, got {len(prices)}")
-    return PriceSeries(tuple(dates), np.array(prices))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader, None)
+            if names is None:
+                raise DataError(f"{path}: empty file")
+            for col in ("date", "close"):
+                if names.count(col) != 1:
+                    raise DataError(f"{path}: {names.count(col)} columns named {col!r}, need one")
+            at_date, at_price = names.index("date"), names.index("close")
+            for row in filter(None, reader):
+                line = reader.line_num
+                if len(row) != len(names):
+                    raise DataError(f"{path}:{line}: {len(row)} values, {len(names)} column names")
+                raw_date, raw_price = row[at_date], row[at_price]
+                try:
+                    dates.append(dt.date.fromisoformat(raw_date.strip()))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line}: bad date {raw_date!r}") from exc
+                try:
+                    price = float(raw_price)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line}: bad price {raw_price!r}") from exc
+                if not math.isfinite(price) or price <= 0.0:
+                    raise DataError(f"{path}:{line}: non-positive price {raw_price!r}")
+                prices.append(price)
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x})") from None
+    try:
+        return PriceSeries(tuple(dates), np.array(prices))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-def to_increments(
-    series: PriceSeries,
-    days_per_year: int = 252,
-    scale_by_calendar_days: bool = False,
-) -> IncrementSeries:
-    """Convert closes to log-increments with durations in years.
-
-    Default: each consecutive pair is one trading step, dt_i = 1/days_per_year.
-    With scale_by_calendar_days=True, dt_i = calendar-day gap / days_per_year
-    (so a weekend contributes 3/days_per_year).
-    """
+def to_increments(series: PriceSeries, days_per_year: int = 252) -> IncrementSeries:
+    """Convert closes to log-increments with durations in years: each
+    consecutive pair is one trading step, dt_i = 1/days_per_year."""
     if days_per_year <= 0:
         raise ValueError("days_per_year must be positive")
     d = np.diff(np.log(series.prices))
-    if scale_by_calendar_days:
-        gaps = np.array(
-            [(b - a).days for a, b in zip(series.dates, series.dates[1:])],
-            dtype=float,
-        )
-        step = gaps / days_per_year
-    else:
-        step = np.full(len(d), 1.0 / days_per_year)
-    return IncrementSeries(d=d, dt=step)
+    return IncrementSeries(d=d, dt=np.full(len(d), 1.0 / days_per_year))
 
 
 # Rows taken out of numpy at a time. Cells are formatted one row at a time:

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from gbmjump import load_price_series, run_gibbs, run_jump_gibbs, to_increments
 
@@ -42,3 +44,31 @@ def batch_means_z(draws, mean, batches=50):
     standard error taken from the means of equal consecutive batches."""
     means = np.asarray(draws).reshape(batches, -1).mean(axis=1)
     return (means.mean() - mean) / (means.std(ddof=1) / np.sqrt(batches))
+
+
+# Reader fuzzing: each example rewrites one file under tmp_path, so the
+# function-scoped fixture is safe to share across examples; no deadline, since
+# the speed of the machines the suite runs on drifts.
+FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def edits_of(valid: bytes):
+    """Strategy: valid with a span of up to 8 bytes replaced by up to 8 bytes,
+    arbitrary ones or the characters a CSV file of dates and numbers holds."""
+    insert = st.binary(max_size=8) | st.text("0123456789.,-+e:# \n\r", max_size=8).map(str.encode)
+    return st.builds(
+        lambda at, cut, new: valid[:at] + new + valid[at + cut:],
+        st.integers(0, len(valid)), st.integers(0, 8), insert,
+    )
+
+
+def loads_or_names_file(read, path, data: bytes) -> None:
+    """Write data to path and read it with read: it loads, or it raises a
+    ValueError whose message starts with the path."""
+    path.write_bytes(data)
+    try:
+        read(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:"), exc

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -23,7 +23,7 @@ from gbmjump import (
     write_chain_csv,
 )
 
-from conftest import batch_means_z
+from conftest import FUZZ, batch_means_z, edits_of, loads_or_names_file
 
 EMPTY = IncrementSeries(d=np.array([]), dt=np.array([]))
 ONE = IncrementSeries(d=np.array([1.0]), dt=np.array([1.0]))
@@ -236,22 +236,29 @@ class TestDriftDiffusion:
         assert chain.column("mu")[0] > theta
 
 
+JUMP_ROW = [0.1, 0.04, -0.01, 1e-4, 0.3, 1.0]
+
+
 class TestChainModel:
     """A chain's columns come from its model: draws of another width, or a
-    model without columns, are rejected with a message naming the model."""
+    model without columns, are rejected with a message naming the model. An
+    n_jumps draw must be a whole number >= 0."""
 
     @pytest.mark.parametrize(
-        "model, width, message",
+        "model, row, message",
         [
-            ("gbm-jump", 2, "gbm-jump draws must be rows of "
-                            r"\(theta, sigma2, mu_z, sigma2_z, lambda_star, n_jumps\)"),
-            ("gbm", 6, r"gbm draws must be rows of \(theta, sigma2\)"),
-            ("garch", 2, "unknown model 'garch'"),
+            ("gbm-jump", JUMP_ROW[:2], "gbm-jump draws must be rows of "
+                                       r"\(theta, sigma2, mu_z, sigma2_z, lambda_star, n_jumps\)"),
+            ("gbm", JUMP_ROW, r"gbm draws must be rows of \(theta, sigma2\)"),
+            ("garch", JUMP_ROW[:2], "unknown model 'garch'"),
+            ("gbm-jump", [*JUMP_ROW[:5], -2.5], "n_jumps draw not a whole number >= 0"),
+            ("gbm-jump", [*JUMP_ROW[:5], -1.0], "n_jumps draw not a whole number >= 0"),
+            ("gbm-jump", [*JUMP_ROW[:5], 1.5], "n_jumps draw not a whole number >= 0"),
         ],
-        ids=["two-column-jump", "six-column-gbm", "unknown-model"],
+        ids=["two-column-jump", "six-column-gbm", "unknown-model", "n_jumps-negative-fraction",
+             "n_jumps-negative", "n_jumps-fraction"],
     )
-    def test_rejected(self, model, width, message):
-        row = [0.1, 0.04, -0.01, 1e-4, 0.3, 1.0][:width]
+    def test_rejected(self, model, row, message):
         with pytest.raises(ValueError, match=message):
             PosteriorChain(draws=[row, row], meta=ChainMeta(model=model, burn_in=0, seed=None))
 
@@ -325,6 +332,15 @@ def drop_header(key):
     return lambda lines: [line for line in lines if not line.startswith(f"# {key}:")]
 
 
+def set_header(key, value):
+    return lambda lines: [f"# {key}: {value}" if line.startswith(f"# {key}:") else line
+                          for line in lines]
+
+
+def repeat_first_column(lines):
+    return [*lines[:4], *(line.split(",", 1)[0] + "," + line for line in lines[4:])]
+
+
 class TestChainCsvValidation:
     """read_chain_csv rejects malformed files with a message naming the file."""
 
@@ -344,10 +360,14 @@ class TestChainCsvValidation:
             (drop_header("n_keep"), "header has no n_keep$"),
             (drop_header("burn_in"), "header has no burn_in$"),
             (drop_header("seed"), "header has no seed$"),
+            (repeat_first_column, r"repeated chain column\(s\) theta$"),
+            (lambda lines: [*lines[:4], "# seed: 5", *lines[4:]], "repeated header key seed$"),
+            (set_header("burn_in", -5), "header burn_in must be >= 0, got '-5'$"),
+            (set_header("seed", -3), "header seed must be >= 0, got '-3'$"),
         ],
         ids=["missing-column", "short", "no-rows", "unknown-model", "ragged",
              "non-numeric-cell", "short-last-row", "no-model", "no-n_keep", "no-burn_in",
-             "no-seed"],
+             "no-seed", "repeated-column", "repeated-key", "negative-burn_in", "negative-seed"],
     )
     def test_rejected(self, tmp_path, train_inc, edit, message):
         path = tmp_path / "chain.csv"
@@ -408,9 +428,12 @@ class TestChainCsvValidation:
             ("sigma_z", lambda v: repr(-float(v)), "column sigma_z disagrees"),
             ("sigma", lambda v: repr(2.0 * float(v)), "column sigma disagrees"),
             ("mu", lambda v: repr(float(v) + 1.0), "column mu disagrees"),
+            ("n_jumps", lambda v: "-2.5", "n_jumps draw not a whole number >= 0"),
+            ("n_jumps", lambda v: repr(float(v) + 0.5), "n_jumps draw not a whole number >= 0"),
         ],
         ids=["nan-theta", "zero-sigma_z", "lambda-above-one",
-             "negated-sigma_z", "doubled-sigma", "shifted-mu"],
+             "negated-sigma_z", "doubled-sigma", "shifted-mu", "negative-n_jumps",
+             "fractional-n_jumps"],
     )
     def test_bad_jump_draw_rejected(self, tmp_path, train_inc, column, edit, message):
         """edit rewrites the column's value in the first row only."""
@@ -424,3 +447,31 @@ class TestChainCsvValidation:
         with pytest.raises(ValueError, match=message) as err:
             read_chain_csv(path)
         assert str(path) in str(err.value)
+
+
+VALID_CHAIN = b"""# model: gbm-jump
+# n_keep: 2
+# burn_in: 0
+# seed: 4
+# accept_rate: 0.25
+theta,sigma2,mu,sigma,mu_z,sigma_z,lambda_star,n_jumps
+0.1,0.04,0.12,0.2,-0.01,0.02,0.3,4.0
+0.2,0.09,0.245,0.3,0.01,0.05,0.4,6.0
+"""
+
+
+class TestChainCsvFuzz:
+    """Whatever the bytes, read_chain_csv reads them or raises a ValueError
+    whose message starts with the path."""
+
+    @FUZZ
+    @given(st.binary(max_size=120))
+    @example(VALID_CHAIN.replace(b"0.3,4.0", b"0." + b"3" * 131_073 + b",4.0"))
+    @example(VALID_CHAIN.replace(b"# seed: 4", b"# seed: 4\xff"))
+    def test_arbitrary_bytes(self, tmp_path, data):
+        loads_or_names_file(read_chain_csv, tmp_path / "chain.csv", data)
+
+    @FUZZ
+    @given(edits_of(VALID_CHAIN))
+    def test_edits_of_a_valid_file(self, tmp_path, data):
+        loads_or_names_file(read_chain_csv, tmp_path / "chain.csv", data)

@@ -13,7 +13,6 @@ from gbmjump import (
     predictive_band,
     run_gibbs,
     simulate_jump_increments,
-    to_increments,
     write_band_csv,
 )
 from gbmjump import predict
@@ -188,7 +187,7 @@ class TestBandCsv:
     def test_rows_and_header(self, tmp_path, gbm_chain):
         band = predictive_band(gbm_chain, 100.0, np.full(3, DT), 0.90, rng=np.random.default_rng(8))
         path = tmp_path / "band.csv"
-        write_band_csv(band, path)
+        write_band_csv(band, path, [None] * 3)
         lines = path.read_text().splitlines()
         assert lines[0] == "# level: 0.9"
         assert lines[1] == "time,date,lower,mean,upper"
@@ -243,9 +242,9 @@ def chain(request, gbm_chain, jump_chain):
 
 
 class TestStreamedBands:
-    def test_bytes_do_not_depend_on_block_length(self, monkeypatch, chain, train_series):
-        # the bundled data's calendar steps: weekends and holidays are longer
-        dt = to_increments(train_series, scale_by_calendar_days=True).dt
+    def test_bytes_do_not_depend_on_block_length(self, monkeypatch, chain, train_inc):
+        # unequal steps: every fifth step spans a weekend
+        dt = np.where(np.arange(train_inc.n) % 5 == 4, 3.0, 1.0) / 252
         assert len(np.unique(dt)) > 1
         monkeypatch.setattr(predict, "_MAX_DRAWS", 300)
         bands = []

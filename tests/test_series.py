@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbmjump import DataError, IncrementSeries, PriceSeries, load_price_series, to_increments
 from gbmjump.series import write_csv as write_table
 from gbmjump.series import write_json
+
+from conftest import FUZZ, edits_of, loads_or_names_file
 
 
 def make_series(prices, start=dt.date(2020, 1, 1)):
@@ -66,6 +68,31 @@ class TestLoadPriceSeries:
         with pytest.raises(DataError, match="two rows"):
             load_price_series(p)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"date,close\n2014-12-30,2,050.10\n2014-12-31,2,058.90\n",
+             ":2: 3 values, 2 column names$"),
+            (b"date,close\n2014-12-30\n2014-12-31,2058.90\n", ":2: 1 values, 2 column names$"),
+            (b"date,close,close\n2014-12-30,1.0,2.0\n2014-12-31,1.0,2.0\n",
+             ": 2 columns named 'close', need one$"),
+            (b"date,close\n2014-12-30," + b"1" * 131_073 + b"\n2014-12-31,2058.90\n",
+             r":2: field larger than field limit \(131072\)$"),
+            (b"date,close\n2014-12-30,2050.10\n2014-12-31,2058.90\xff\n",
+             r": not UTF-8 text \(byte 0xff\)$"),
+            (b"date,close\n2014-12-31,2058.90\n2014-12-30,2050.10\n",
+             ": dates not strictly increasing at 2014-12-30$"),
+        ],
+        ids=["thousands-separator", "short-row", "repeated-close", "over-long-field",
+             "not-utf8", "dates-out-of-order"],
+    )
+    def test_malformed_file_names_it(self, tmp_path, data, message):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=message) as err:
+            load_price_series(path)
+        assert str(err.value).startswith(f"{path}:")
+
     def test_vendored_dataset_row_counts(self, train_series, holdout_series):
         assert len(train_series) == 1511
         assert train_series.dates[0] == dt.date(2009, 1, 2)
@@ -73,6 +100,26 @@ class TestLoadPriceSeries:
         assert len(holdout_series) == 39
         assert holdout_series.dates[0] == dt.date(2015, 1, 2)
         assert holdout_series.dates[-1] == dt.date(2015, 2, 27)
+
+
+VALID_PRICES = b"date,close\n2014-12-29,2090.57\n2014-12-30,2080.35\n2014-12-31,2058.90\n"
+
+
+class TestLoadPriceSeriesFuzz:
+    """Whatever the bytes, load_price_series loads them or raises a
+    ValueError whose message starts with the path."""
+
+    @FUZZ
+    @given(st.binary(max_size=120))
+    @example(b"date,close\n2014-12-31," + b"1" * 131_073 + b"\n")
+    @example(b"date,close\n2014-12-31,2058.90\xff\n")
+    def test_arbitrary_bytes(self, tmp_path, data):
+        loads_or_names_file(load_price_series, tmp_path / "prices.csv", data)
+
+    @FUZZ
+    @given(edits_of(VALID_PRICES))
+    def test_edits_of_a_valid_file(self, tmp_path, data):
+        loads_or_names_file(load_price_series, tmp_path / "prices.csv", data)
 
 
 class TestToIncrements:
@@ -98,14 +145,6 @@ class TestToIncrements:
         )
         inc = to_increments(series)
         assert inc.dt.sum() == pytest.approx(2.0 / 252.0)
-
-    def test_calendar_day_scaling_option(self):
-        series = PriceSeries(
-            (dt.date(2020, 1, 3), dt.date(2020, 1, 6)),
-            np.array([100.0, 101.0]),
-        )
-        inc = to_increments(series, scale_by_calendar_days=True)
-        assert inc.dt[0] == pytest.approx(3.0 / 252.0)
 
     def test_days_per_year_validation(self):
         with pytest.raises(ValueError):
