@@ -317,17 +317,19 @@ def read_chain_csv(path) -> PosteriorChain:
         accept_rate=header_rate("accept_rate"),
     )
     take = {c: body[:, i] for i, c in enumerate(cols)}
-    if "sigma_z" in take:  # the file holds sigma_z, the draws its square
-        take["sigma2_z"] = take["sigma_z"] ** 2
-    draws = np.column_stack([take[c] for c in stored])
-    try:
-        chain = PosteriorChain(draws=draws, meta=meta)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    # rounding slack: relative, plus absolute at theta's and sigma2's scale
-    # for mu = theta + sigma2/2, which can cancel to near zero
-    atol = 1e-12 * np.abs(draws[:, :2]).max()
-    for name in exported:
-        if not np.allclose(take[name], chain.column(name), rtol=1e-12, atol=atol):
-            raise ValueError(f"{path}: column {name} disagrees with the draws it derives from")
+    # an extreme finite value can overflow below: the checks then fail on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "sigma_z" in take:  # the file holds sigma_z, the draws its square
+            take["sigma2_z"] = take["sigma_z"] ** 2
+        draws = np.column_stack([take[c] for c in stored])
+        try:
+            chain = PosteriorChain(draws=draws, meta=meta)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        # rounding slack: relative, plus absolute at theta's and sigma2's scale
+        # for mu = theta + sigma2/2, which can cancel to near zero
+        atol = 1e-12 * np.abs(draws[:, :2]).max()
+        for name in exported:
+            if not np.allclose(take[name], chain.column(name), rtol=1e-12, atol=atol):
+                raise ValueError(f"{path}: column {name} disagrees with the draws it derives from")
     return chain

@@ -360,7 +360,7 @@ class TestForecastCommand:
         )
         chain = fit_dir / "chain_gbm_jump.csv"
         lines = chain.read_text().splitlines()
-        lines[5] = "nan" + lines[5][lines[5].index(","):]
+        lines[6] = "nan" + lines[6][lines[6].index(","):]  # the first draw, after 5 header lines
         chain.write_text("\n".join(lines) + "\n")
         out_dir = tmp_path / "fc"
         rc, _, err = run_cli(

@@ -280,8 +280,9 @@ class TestChainCsv:
         path = tmp_path / "chain.csv"
         write_chain_csv(chain, path)
         back = read_chain_csv(path)
-        body = np.loadtxt(path, delimiter=",", skiprows=5)
-        header = path.read_text().splitlines()[4].split(",")
+        assert back.meta == chain.meta  # accept_rate included
+        body = np.loadtxt(path, delimiter=",", skiprows=6)
+        header = path.read_text().splitlines()[5].split(",")
         assert len(header) == 8
         for i, name in enumerate(header):
             assert np.array_equal(body[:, i], back.column(name)), name
@@ -292,14 +293,15 @@ class TestChainCsv:
         path = tmp_path / "chain.csv"
         write_chain_csv(chain, path)
         lines = path.read_text().splitlines()
-        body = [",".join(f"{float(v):.15g}" for v in line.split(",")) for line in lines[5:]]
-        path.write_text("\n".join([*lines[:5], *body]) + "\n")
+        body = [",".join(f"{float(v):.15g}" for v in line.split(",")) for line in lines[6:]]
+        path.write_text("\n".join([*lines[:6], *body]) + "\n")
         back = read_chain_csv(path)
-        for name in lines[4].split(","):
+        for name in lines[5].split(","):
             assert np.allclose(back.column(name), chain.column(name), rtol=1e-14, atol=0), name
 
     def test_accept_rate_written_only_when_set_and_read_back(self, tmp_path, train_inc):
-        chain = run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4)
+        short = IncrementSeries(d=train_inc.d[:50], dt=train_inc.dt[:50])  # too short for the move
+        chain = run_jump_gibbs(short, n_keep=10, burn_in=0, seed=4)
         assert chain.meta.accept_rate is None
         path = tmp_path / "chain.csv"
         write_chain_csv(chain, path)
@@ -413,7 +415,9 @@ class TestChainCsvValidation:
         chain = run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4)
         write_chain_csv(chain, path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join([*lines[:4], f"# accept_rate: {value}", *lines[4:]]) + "\n")
+        assert lines[4].startswith("# accept_rate: ")
+        lines[4] = f"# accept_rate: {value}"
+        path.write_text("\n".join(lines) + "\n")
         message = f"{path}: header accept_rate must be a number in [0, 1], got '{value}'"
         with pytest.raises(ValueError) as err:
             read_chain_csv(path)
@@ -440,13 +444,38 @@ class TestChainCsvValidation:
         path = tmp_path / "chain.csv"
         write_chain_csv(run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
         lines = path.read_text().splitlines()
-        row = lines[5].split(",")
-        at = lines[4].split(",").index(column)
+        row = lines[6].split(",")
+        at = lines[5].split(",").index(column)
         row[at] = edit(row[at])
-        path.write_text("\n".join([*lines[:5], ",".join(row), *lines[6:]]) + "\n")
+        path.write_text("\n".join([*lines[:6], ",".join(row), *lines[7:]]) + "\n")
         with pytest.raises(ValueError, match=message) as err:
             read_chain_csv(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"sigma_z": "1e200"}, "non-finite sigma2_z draw"),
+            ({"theta": "1.5e308", "sigma2": "1.6e308"}, "column mu disagrees"),
+            ({"theta": "1e308", "mu": "-1e308"}, "column mu disagrees"),
+        ],
+        ids=["sigma_z-1e200", "theta-1.5e308", "mu-minus-1e308"],
+    )
+    def test_extreme_finite_draw_rejected_before_any_warning(
+        self, tmp_path, train_inc, values, message
+    ):
+        # squaring sigma_z, deriving mu and comparing mu overflow here; under
+        # the suite's warnings-as-errors a RuntimeWarning would come first
+        path = tmp_path / "chain.csv"
+        write_chain_csv(run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
+        lines = path.read_text().splitlines()
+        columns, row = lines[5].split(","), lines[6].split(",")
+        for column, value in values.items():
+            row[columns.index(column)] = value
+        path.write_text("\n".join([*lines[:6], ",".join(row), *lines[7:]]) + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            read_chain_csv(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 VALID_CHAIN = b"""# model: gbm-jump

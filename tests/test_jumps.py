@@ -16,6 +16,7 @@ from gbmjump import (
     LatentState,
     increment_moments,
     jump_indicator_prob,
+    jumps,
     lambda_conditional,
     marginal_log_posterior,
     run_jump_gibbs,
@@ -29,7 +30,14 @@ from gbmjump import (
     update_jump_moments,
     update_lambda,
 )
-from gbmjump.jumps import _initial_params, _Marginal, _metropolis_step, _proposal_factor
+from gbmjump.jumps import (
+    _MOVE_MIN_N,
+    _T_DF,
+    _independence_step,
+    _initial_params,
+    _laplace,
+    _Marginal,
+)
 
 from conftest import batch_means_z
 
@@ -301,12 +309,18 @@ class TestRunJumpGibbs:
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.jump_probs, b.jump_probs)
 
-    def test_jump_probs_are_frequencies(self, train_inc):
-        chain = run_jump_gibbs(train_inc, n_keep=40, burn_in=5, seed=3)
-        assert chain.jump_probs.shape == (train_inc.n,)
-        assert np.all((chain.jump_probs >= 0.0) & (chain.jump_probs <= 1.0))
-        # each entry is a multiple of 1/n_keep by construction
-        assert np.allclose(chain.jump_probs * 40, np.round(chain.jump_probs * 40))
+    def test_jump_probs_match_indicator_frequencies(self, train_inc):
+        # jump_probs averages each step's jump probability over kept sweeps;
+        # n_jumps counts the indicators drawn from those probabilities, so
+        # its mean differs from their sum by Monte Carlo error alone: a
+        # martingale difference of variance sum p*(1 - p) per sweep
+        inc = IncrementSeries(d=train_inc.d[:60], dt=train_inc.dt[:60])
+        chain = run_jump_gibbs(inc, n_keep=4000, burn_in=100, seed=3)
+        probs = chain.jump_probs
+        assert probs.shape == (inc.n,)
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        se = np.sqrt(np.sum(probs * (1.0 - probs)) / len(chain))
+        assert abs(chain.column("n_jumps").mean() - probs.sum()) < 4.0 * se
 
     def test_pure_diffusion_data_gets_small_lambda(self):
         rng = np.random.default_rng(302)
@@ -447,23 +461,30 @@ def public_sweep(inc, params, prior, gen, move=None):
     JumpParams rebuilt after every block: first move(x) -> (x, accepted) on
     x = to_x(params) when a move is given, then (J, Z), lambda_star,
     (mu_z, sigma2_z) and (theta, sigma2). Returns the new params, the latent
-    draw and whether the move's proposal was taken (None with no move)."""
+    draw, whether the move's proposal was taken (None with no move) and the
+    params the latent draw conditioned on."""
     accepted = None
     if move is not None:
         x, accepted = move(np.array(to_x(params)))
         if accepted:
             params = from_x(x)
+    drawn_at = params
     latent = sample_latent(inc, params, gen)
     params = _with(params, lambda_star=update_lambda(latent.indicators, prior, gen))
     mu_z, sigma2_z = update_jump_moments(latent.active_sizes, params.sigma2_z, prior, gen)
     params = _with(params, mu_z=mu_z, sigma2_z=sigma2_z)
     theta, sigma2 = update_diffusion_block(inc, latent, params.sigma2, prior.diffusion, gen)
-    return _with(params, theta=theta, sigma2=sigma2), latent, accepted
+    return _with(params, theta=theta, sigma2=sigma2), latent, accepted, drawn_at
 
 
 # Proper priors for the Geweke (2004) tests, so every checked moment exists.
 GEWEKE_PRIOR = JumpPrior(GbmPrior(0, 1, 5, 0.16), GbmPrior(0, 1e-4, 5, 4e-4), 2, 5)
-GEWEKE_CHOL = np.diag([0.8, 0.35, 0.008, 0.45, 0.9])
+# A fixed t proposal (mode, factor, inverse) for the move in the Geweke
+# tests: centred at the prior mean of x, scaled by its prior SDs.
+_GEWEKE_SD = np.array([1.0, 0.47, 0.01, 0.47, 0.93])
+GEWEKE_PROPOSAL = (
+    np.array([0.0, -3.34, 0.0, -9.33, -1.08]), np.diag(_GEWEKE_SD), np.diag(1.0 / _GEWEKE_SD)
+)
 
 
 def geweke_start(gen):
@@ -501,12 +522,17 @@ def geweke_z(rows):
     }
 
 
+def weekend_steps(inc):
+    """inc with every fifth step three times as long."""
+    return IncrementSeries(d=inc.d, dt=inc.dt * np.where(np.arange(inc.n) % 5 == 4, 3.0, 1.0))
+
+
 class TestMetropolisMove:
     def test_geweke_move_alone_keeps_the_prior(self):
         # Geweke (2004) successive-conditional simulator on the move by itself:
-        # d ~ p(d | x), then one Metropolis step x | d with a fixed proposal.
-        # Its draws of x keep the prior law; the exact Gibbs blocks would mask
-        # a wrong target if the whole sweep ran here.
+        # d ~ p(d | x), then one independence step x | d with a fixed
+        # proposal. Its draws of x keep the prior law; the exact Gibbs blocks
+        # would mask a wrong target if the whole sweep ran here.
         n, iters = 20, 20_000
         gen = np.random.default_rng(4)
         dt = np.full(n, DT)
@@ -514,38 +540,76 @@ class TestMetropolisMove:
         rows = np.empty((iters, 5))
         for i in range(iters):
             d = geweke_data(from_x(x), dt, gen)
-            target = _Marginal.of(IncrementSeries(d=d, dt=dt), GEWEKE_PRIOR).move_target
-            x, _, _ = _metropolis_step(x, GEWEKE_CHOL, target, gen)
+            target = _Marginal(IncrementSeries(d=d, dt=dt), GEWEKE_PRIOR).move_target
+            x, _, _ = _independence_step(x, GEWEKE_PROPOSAL, target, gen)
             rows[i] = x
         rows[:, [1, 3]] = np.exp(rows[:, [1, 3]])
         rows[:, 4] = expit(rows[:, 4])
         z = geweke_z(rows)
         assert all(abs(v) < 4.0 for v in z.values()), z
 
-    def test_runs_after_a_100_sweep_pilot_with_lambda_free(self, train_inc):
-        inc = IncrementSeries(d=train_inc.d[:50], dt=train_inc.dt[:50])
-        assert run_jump_gibbs(inc, n_keep=10, burn_in=399, seed=3).meta.accept_rate is None
-        rate = run_jump_gibbs(inc, n_keep=10, burn_in=400, seed=3).meta.accept_rate
-        assert 0.0 < rate < 1.0
+    @pytest.mark.parametrize("calendar", [False, True], ids=["trading-dt", "calendar-dt"])
+    def test_gradient_matches_central_differences(self, train_inc, calendar):
+        inc = weekend_steps(train_inc) if calendar else train_inc
+        marginal = _Marginal(inc, SKEWED)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            x = np.array([0.3, -5.0, -0.002, -8.0, -0.5])
+            x += rng.normal(0.0, [0.1, 0.2, 1e-3, 0.3, 0.3])
+            h = np.diag(1e-6 * np.maximum(np.abs(x), 1.0))
+            fd = [(marginal.move_target(x + dx)[0] - marginal.move_target(x - dx)[0])
+                  / (2.0 * dx.sum()) for dx in h]
+            assert marginal.gradient(x) == pytest.approx(fd, rel=1e-5, abs=1e-3)
 
-    def test_proposal_factor_needs_a_positive_definite_covariance(self):
-        pilot = np.random.default_rng(5).standard_normal((100, 5))
-        chol = _proposal_factor(pilot)
-        assert np.allclose(chol @ chol.T, np.cov(pilot, rowvar=False) * 2.38**2 / 5)
-        flat = pilot.copy()
-        flat[:, 4] = 0.0
-        assert _proposal_factor(flat) is None
-        flat[0, 4] = np.inf
-        assert _proposal_factor(flat) is None
+    def test_overflowing_variance_rejects(self, train_inc):
+        # a t tail or a Newton trial step can reach a variance that exp
+        # cannot hold: the target is -inf there, so the step is refused
+        marginal = _Marginal(train_inc, JumpPrior())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in ((0.3, -5.0, 0.0, 800.0, 0.0), (0.3, -800.0, 0.0, -8.0, 0.0)):
+                assert marginal.move_target(np.array(x)) == (-math.inf, None)
+
+    def test_off_below_250_increments(self, train_inc):
+        assert _MOVE_MIN_N == 250
+        for n, on in ((249, False), (250, True)):
+            inc = IncrementSeries(d=train_inc.d[:n], dt=train_inc.dt[:n])
+            rate = run_jump_gibbs(inc, n_keep=100, burn_in=0, seed=3).meta.accept_rate
+            assert (rate is not None) == on
+            assert rate is None or 0.0 < rate < 1.0
+
+    def test_on_from_sweep_0_at_any_burn_in(self, train_inc):
+        # the proposal is fixed before sweep 0, so burn-in only says where
+        # recording starts: the kept rows are a tail of a burn-in 0 chain
+        whole = run_jump_gibbs(train_inc, n_keep=12, burn_in=0, seed=8)
+        assert whole.meta.accept_rate is not None
+        for burn_in in (1, 7):
+            chain = run_jump_gibbs(train_inc, n_keep=12 - burn_in, burn_in=burn_in, seed=8)
+            assert chain.meta.accept_rate == whole.meta.accept_rate
+            assert np.array_equal(chain.draws, whole.draws[burn_in:])
+
+    def test_falls_back_to_plain_gibbs_when_minus_hessian_is_not_positive_definite(
+        self, train_inc, monkeypatch
+    ):
+        # a gradient of x makes -H = -I, negative definite: Newton never
+        # stops, and at its cap the sampler runs the conjugate blocks alone,
+        # as on a short series
+        monkeypatch.setattr(jumps._Marginal, "gradient", lambda self, x: x)
+        x = np.array(to_x(_initial_params(train_inc, JumpPrior())))
+        assert _laplace(_Marginal(train_inc, JumpPrior()), x) is None
+        chain = run_jump_gibbs(train_inc, n_keep=10, burn_in=2, seed=9)
+        draws, _, rate = reference_chain(train_inc, 10, 2, 9, JumpPrior())
+        assert chain.meta.accept_rate is None and rate is None
+        assert np.array_equal(chain.draws, draws)
 
 
 class TestWholeSampler:
     def test_geweke_whole_sweep_keeps_the_prior(self):
         # Geweke (2004) successive-conditional simulator on the whole sweep:
         # d ~ p(d | params), then public_sweep, the loop TestSweepWiring pins
-        # to run_jump_gibbs, with the move on a fixed diagonal proposal. The
-        # draws of params keep the prior law only if every block conditions on
-        # the right state under the right prior.
+        # to run_jump_gibbs, with the move on a fixed proposal. The draws of
+        # params keep the prior law only if every block conditions on the
+        # right state under the right prior.
         n, iters = 20, 10_000
         gen = np.random.default_rng(1)
         dt = np.full(n, DT)
@@ -553,13 +617,13 @@ class TestWholeSampler:
         rows = np.empty((iters, 5))
         for i in range(iters):
             inc = IncrementSeries(d=geweke_data(params, dt, gen), dt=dt)
-            target = _Marginal.of(inc, GEWEKE_PRIOR).move_target
+            target = _Marginal(inc, GEWEKE_PRIOR).move_target
 
             def move(x):
-                x, _, accepted = _metropolis_step(x, GEWEKE_CHOL, target, gen)
+                x, _, accepted = _independence_step(x, GEWEKE_PROPOSAL, target, gen)
                 return x, accepted
 
-            params, _, _ = public_sweep(inc, params, GEWEKE_PRIOR, gen, move)
+            params = public_sweep(inc, params, GEWEKE_PRIOR, gen, move)[0]
             rows[i] = (params.theta, params.sigma2, params.mu_z, params.sigma2_z,
                        params.lambda_star)
         z = geweke_z(rows)
@@ -574,41 +638,52 @@ def move_target(inc, prior, x):
     return marginal_log_posterior(inc, params, prior) + jacobian
 
 
-def reference_chain(inc, n_keep, burn_in, seed, prior):
-    """run_jump_gibbs rebuilt as public_sweep under prior, with the move
-    built from marginal_log_posterior. From sweep burn_in//2 on
-    (burn_in >= 400) each sweep starts with a random-walk Metropolis step
-    whose proposal covariance is 2.38^2/5 times that of x over sweeps
-    [burn_in//4, burn_in//2). Returns the draws, the jump frequencies and the
-    acceptance rate."""
-    gen = np.random.default_rng(seed)
-    params = _initial_params(inc, prior)
-    pilot, chol, moves, taken = [], None, 0, 0
-    draws, hits = [], np.zeros(inc.n)
+def t_move(inc, prior, proposal, gen):
+    """The move(x) -> (x, accepted) of public_sweep that run_jump_gibbs makes,
+    from marginal_log_posterior: one independence step with the t proposal
+    (mode, factor, inverse), y = mode + factor @ (z*sqrt(5/w)), its density
+    from a solve against factor."""
+    mode, factor, _ = proposal
+
+    def log_q(v):
+        w = np.linalg.solve(factor, v - mode)
+        return -0.5 * (_T_DF + 5) * math.log1p(w @ w / _T_DF)
 
     def move(x):
         current = move_target(inc, prior, x)
-        proposal = x + chol @ gen.standard_normal(5)
-        if gen.random() < math.exp(min(move_target(inc, prior, proposal) - current, 0.0)):
-            return proposal, True
+        y = mode + factor @ (gen.standard_normal(5) * math.sqrt(_T_DF / gen.chisquare(_T_DF)))
+        log_ratio = move_target(inc, prior, y) - current + log_q(x) - log_q(y)
+        if gen.random() < math.exp(min(log_ratio, 0.0)):
+            return y, True
         return x, False
 
+    return move
+
+
+def reference_chain(inc, n_keep, burn_in, seed, prior):
+    """run_jump_gibbs rebuilt as public_sweep under prior. On a series of at
+    least _MOVE_MIN_N increments every sweep from the first starts with
+    t_move, fed the proposal that _laplace finds from the chain's start,
+    unless it finds none. Returns the draws, the mean over kept sweeps of
+    each step's jump probability and the acceptance rate."""
+    gen = np.random.default_rng(seed)
+    params = _initial_params(inc, prior)
+    move = None
+    if inc.n >= _MOVE_MIN_N:
+        proposal = _laplace(_Marginal(inc, prior), np.array(to_x(params)))
+        move = None if proposal is None else t_move(inc, prior, proposal, gen)
+    moves, taken = 0, 0
+    draws, probs = [], np.zeros(inc.n)
     for sweep in range(burn_in + n_keep):
-        params, latent, accepted = public_sweep(
-            inc, params, prior, gen, None if chol is None else move
-        )
+        params, latent, accepted, drawn_at = public_sweep(inc, params, prior, gen, move)
         if accepted is not None:
             moves += 1
             taken += accepted
-        if burn_in // 4 >= 100 and burn_in // 4 <= sweep < burn_in // 2:
-            pilot.append(to_x(params))
-            if sweep == burn_in // 2 - 1:
-                chol = np.linalg.cholesky(np.cov(pilot, rowvar=False) * (2.38**2 / 5.0))
         if sweep >= burn_in:
-            p = params
-            draws.append((p.theta, p.sigma2, p.mu_z, p.sigma2_z, p.lambda_star, latent.n_jumps))
-            hits += latent.indicators
-    return np.array(draws), hits / n_keep, taken / moves if moves else None
+            draws.append((params.theta, params.sigma2, params.mu_z, params.sigma2_z,
+                          params.lambda_star, latent.n_jumps))
+            probs += jump_indicator_prob(inc.d, inc.dt, drawn_at)
+    return np.array(draws), probs / n_keep, taken / moves if moves else None
 
 
 class TestSweepWiring:
@@ -622,6 +697,7 @@ class TestSweepWiring:
             ("calendar", dict(seed=42)),
             ("empty", dict(seed=42)),
             ("one", dict(seed=42)),
+            ("short", dict(seed=42)),
             ("train", dict(seed=42, burn_in=400)),
             ("calendar", dict(seed=7, burn_in=400)),
             ("train", dict(seed=42, prior=SKEWED)),
@@ -629,22 +705,23 @@ class TestSweepWiring:
             ("calendar", dict(seed=7, burn_in=400, prior=SKEWED)),
             ("calendar", dict(seed=3, burn_in=400, prior=SKEWED)),
         ],
-        ids=["seed42", "seed7", "calendar-dt", "empty", "one-increment",
+        ids=["seed42", "seed7", "calendar-dt", "empty", "one-increment", "short-series",
              "move-seed42", "move-calendar-dt", "skewed-seed42", "skewed-move-seed42",
              "skewed-move-calendar-dt-seed7", "skewed-move-calendar-dt-seed3"],
     )
     def test_matches_reference_loop(self, train_inc, series, kw):
-        weekend = np.where(np.arange(train_inc.n) % 5 == 4, 3.0, 1.0)
         inc = {
             "train": train_inc,
-            "calendar": IncrementSeries(d=train_inc.d, dt=train_inc.dt * weekend),
+            "calendar": weekend_steps(train_inc),
             "empty": IncrementSeries(d=np.array([]), dt=np.array([])),
             "one": IncrementSeries(d=np.array([0.012]), dt=np.array([DT])),
+            "short": IncrementSeries(d=train_inc.d[:50], dt=train_inc.dt[:50]),
         }[series]
         kw = {"burn_in": 5, "prior": JumpPrior(), **kw}
         chain = run_jump_gibbs(inc, n_keep=20, **kw)
         draws, probs, rate = reference_chain(inc, 20, kw["burn_in"], kw["seed"], kw["prior"])
-        assert (chain.meta.accept_rate is None) == (kw["burn_in"] < 400)
+        assert (chain.meta.accept_rate is None) == (inc.n < _MOVE_MIN_N)
         assert chain.meta.accept_rate == rate
         assert np.array_equal(chain.draws, draws)
-        assert np.array_equal(chain.jump_probs, probs)
+        # the same probabilities, evaluated along another route
+        assert chain.jump_probs == pytest.approx(probs, rel=1e-12, abs=1e-15)
