@@ -108,7 +108,9 @@ class IncrementKernel:
     substreams are split off gen through a SeedSequence: diffusion noise, jump
     hits, and jump sizes, the sizes drawn only at hits. Blocks are time-major,
     (steps, draws), and every substream is consumed in time order, so any split
-    of the same steps into blocks gives the same increments bit for bit.
+    of the same steps into blocks gives the same increments bit for bit. Only
+    block() draws from the substreams: a caller may run it on another thread,
+    as the bands do, provided one thread at a time calls it, in block order.
     """
 
     def __init__(self, theta, sigma2, gen: np.random.Generator, jump=None) -> None:
@@ -139,10 +141,10 @@ class IncrementKernel:
         d += self._theta * dt
         if self._jump is not None:
             lam, mu_z, sigma_z = self._jump
-            hit = self._hits.random(d.shape) < lam
-            draw = np.nonzero(hit)[1]  # row-major: time order, then draw
-            z = self._sizes.standard_normal(len(draw))
+            at = np.flatnonzero(self._hits.random(d.shape) < lam)  # time order, then draw
+            draw = at % self._draws
+            z = self._sizes.standard_normal(len(at))
             z *= sigma_z[draw]
             z += mu_z[draw]
-            d[hit] += z
+            d.reshape(-1)[at] += z  # d is C-contiguous, so the reshape is a view
         return d

@@ -5,11 +5,16 @@ path noise both enter), so bands reflect full predictive uncertainty.
 predictive_band covers the steps of dt past a start price, as a forecast does;
 fitted_band reruns the model over the observation grid from the first observed
 price. Paths are simulated in blocks of time steps, reduced to their band rows
-and dropped, so no band holds the draws x steps path matrix.
+and dropped, so no band holds the draws x steps path matrix. A worker thread
+draws the next block while the caller reduces the current one; numpy releases
+the GIL in both, so a band keeps two CPUs busy, and the bytes are those of a
+serial loop.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +56,15 @@ def _subsample_rows(n_rows: int, max_draws: int) -> np.ndarray:
 
 # Chain rows that a band draws one path each from, evenly strided.
 _MAX_DRAWS = 2000
-# Time steps per block that predictive_band holds at once: memory is
-# O(draws x _BLOCK) and the bytes do not depend on it. For the bundled jump
-# fit (2000 draws x 1510 steps, 2-CPU Xeon VM) a band took 0.29-0.34 s at 8 to
-# 1510 steps per block and 0.44 s at 1, where per-block overhead dominates.
-_BLOCK = 64
+# Time steps per block. Two blocks are in flight, one drawn while the other is
+# reduced, so memory is O(draws x _BLOCK); the bytes do not depend on it. For
+# the bundled jump fit (2000 draws x 1510 steps, 2-CPU Xeon VM, median of 7) a
+# fitted band took 0.19-0.20 s at 16 to 64 steps per block (0.41-0.42 s drawn
+# serially at 64), 0.25 s at 8, 0.34 s at 1510 (one block: nothing overlaps)
+# and 0.9 s at 1, where the hand-off per block dominates. At 16 a band's traced
+# peak is 1.3 MiB (2.4 at 32, 3.8 for the serial band at 64), and a CLI band's
+# peak RSS stays below the serial band's even when the second CPU is busy.
+_BLOCK = 16
 
 
 def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
@@ -65,18 +74,45 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
 
     The log-price carried from block to block is added to a block's first row
     before the in-place cumsum, so every block length gives the same bytes.
+    One worker thread draws block j+1 while the caller reduces block j. It
+    runs kernel.block alone, on request, so each substream is still consumed
+    by one thread in block order. An error it raises is raised here, and
+    closing the generator stops and joins the worker.
     """
     rows = _subsample_rows(len(chain), _MAX_DRAWS)
     names = ("theta", "sigma2", "lambda_star", "mu_z", "sigma2_z")
     theta, sigma2, *jump = (chain.column(c)[rows] for c in names if c in chain.columns)
     kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump or None)
+    import queue  # here, not at module level: a run that draws no band skips it
+
+    requests, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw() -> None:
+        for lo in iter(requests.get, None):
+            try:
+                drawn.put(kernel.block(dt[lo:lo + _BLOCK]))
+            except BaseException as exc:  # raised again by the caller
+                drawn.put(exc)
+
     carry = np.full(len(rows), np.log(start))
-    for lo in range(0, len(dt), _BLOCK):
-        y = kernel.block(dt[lo:lo + _BLOCK])
-        y[0] += carry
-        np.cumsum(y, axis=0, out=y)
-        carry = y[-1].copy()
-        yield np.exp(y, out=y)
+    # a daemon, so that a generator nobody closes cannot keep the process alive
+    worker = threading.Thread(target=draw, daemon=True)
+    worker.start()
+    requests.put(0)
+    try:
+        for lo in range(0, len(dt), _BLOCK):
+            y = drawn.get()
+            if isinstance(y, BaseException):
+                raise y
+            if lo + _BLOCK < len(dt):
+                requests.put(lo + _BLOCK)
+            y[0] += carry
+            np.cumsum(y, axis=0, out=y)
+            carry = y[-1].copy()
+            yield np.exp(y, out=y)
+    finally:
+        requests.put(None)
+        worker.join()
 
 
 def _tail(level: float) -> float:
@@ -110,11 +146,12 @@ def predictive_band(
     if len(chain) < 2:
         raise ValueError("need at least two paths for a band (chain rows >= 2)")
     rows = []
-    for prices in _price_blocks(chain, start, dt, rng):
-        if not np.all(prices > 0.0):
-            raise ValueError("price paths must stay positive")
-        lower, upper = np.quantile(prices, [tail, 1.0 - tail], axis=1)
-        rows.append((lower, prices.mean(axis=1), upper))
+    with closing(_price_blocks(chain, start, dt, rng)) as blocks:
+        for prices in blocks:
+            if not np.all(prices > 0.0):
+                raise ValueError("price paths must stay positive")
+            lower, upper = np.quantile(prices, [tail, 1.0 - tail], axis=1)
+            rows.append((lower, prices.mean(axis=1), upper))
     lower, mean, upper = (np.concatenate(parts) for parts in zip(*rows))
     return Band(grid=np.cumsum(dt), lower=lower, mean=mean, upper=upper, level=level)
 

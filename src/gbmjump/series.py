@@ -154,6 +154,14 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _cells(block):
+    """The cells of one column block: a float64 array by repr in one pass
+    over its Python floats (what _cell gives each), anything else by _cell."""
+    if not isinstance(block, np.ndarray):
+        return map(_cell, block)
+    return map(repr if block.dtype == np.float64 else _cell, block.tolist())
+
+
 def write_csv(path, columns: dict, meta: dict | None = None) -> None:
     """Write equal-length columns as CSV rows under a header of their names.
 
@@ -169,10 +177,10 @@ def write_csv(path, columns: dict, meta: dict | None = None) -> None:
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(columns) + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            block = [v[start : start + _BLOCK_ROWS] for v in values]
-            block = [v.tolist() if isinstance(v, np.ndarray) else v for v in block]
-            fh.writelines(",".join(map(_cell, row)) + "\n" for row in zip(*block))
+        # each block's zip, and with it the block's floats, is dropped once
+        # exhausted, before the next block is taken out of numpy
+        fh.writelines(",".join(row) + "\n" for start in range(0, n, _BLOCK_ROWS)
+                      for row in zip(*[_cells(v[start : start + _BLOCK_ROWS]) for v in values]))
 
 
 def write_json(path, data) -> None:

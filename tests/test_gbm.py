@@ -189,6 +189,25 @@ class TestMleFit:
 
 
 class TestIncrementKernel:
+    @pytest.mark.parametrize("lam,every_row", [
+        ((1.0, 0.5, 0.0, 0.25), True),  # draw 0 hits at every step, draw 2 never
+        ((0.1, 0.05, 0.0, 0.1), False),
+    ])
+    def test_flat_scatter_matches_the_mask_scatter(self, lam, every_row):
+        theta, steps = [0.1, -0.2, 0.3, 0.0], np.linspace(1.0, 3.0, 12) / 252
+        mu_z, sigma2_z = np.array([-0.1, 0.2, 0.05, 0.3]), np.array([1e-4, 4e-4, 9e-4, 1e-2])
+        jump = (np.array(lam), mu_z, sigma2_z)
+        d = IncrementKernel(theta, 0.04, np.random.default_rng(5), jump).block(steps)
+        # the boolean-mask scatter onto the same diffusion, from a twin kernel's
+        # hit and size substreams; a jump-free kernel shares the noise substream
+        twin = IncrementKernel(theta, 0.04, np.random.default_rng(5), jump)
+        want = IncrementKernel(theta, 0.04, np.random.default_rng(5)).block(steps)
+        hit = twin._hits.random(want.shape) < np.array(lam)
+        assert hit.any(axis=1).all() == every_row and hit.any()
+        draw = np.nonzero(hit)[1]
+        want[hit] += twin._sizes.standard_normal(len(draw)) * np.sqrt(sigma2_z)[draw] + mu_z[draw]
+        assert d.tobytes() == want.tobytes()
+
     def test_zero_volatility_is_exponential_drift(self):
         grid = np.linspace(0.0, 2.0, 9)
         d = IncrementKernel(0.3, 0.0, np.random.default_rng(0)).block(np.diff(grid))[:, 0]
