@@ -20,15 +20,11 @@ from .gibbs import (
 from .jumps import (
     JumpParams,
     JumpPrior,
-    LatentState,
     increment_moments,
-    jump_indicator_prob,
     lambda_conditional,
     marginal_log_posterior,
     run_jump_gibbs,
-    sample_latent,
     simulate_jump_increments,
-    update_diffusion_block,
     update_jump_moments,
     update_lambda,
 )

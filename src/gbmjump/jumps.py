@@ -87,29 +87,6 @@ class JumpPrior:
             raise ValueError("Beta prior parameters must be positive")
 
 
-@dataclass(frozen=True)
-class LatentState:
-    """Per-step jump indicators and sizes from one augmentation draw; sample_latent
-    leaves the sizes of inactive steps at 0."""
-
-    indicators: np.ndarray
-    sizes: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indicators", np.asarray(self.indicators, dtype=bool))
-        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=float))
-        if self.indicators.shape != self.sizes.shape:
-            raise ValueError("indicators and sizes must have equal shape")
-
-    @property
-    def n_jumps(self) -> int:
-        return int(np.count_nonzero(self.indicators))
-
-    @property
-    def active_sizes(self) -> np.ndarray:
-        return self.sizes[self.indicators]
-
-
 # Floor on the log-odds L: exp(-L) stays finite (exp(700) < 1.8e308), and
 # log1p(exp(-L)) + L still gives softplus(L) to within 1e-13 below it.
 _LOG_ODDS_FLOOR = -700.0
@@ -142,17 +119,6 @@ def _log_odds_terms(dt, theta, sigma2, mu_z, sigma2_z, logit_lam):
     b = m1 / v1 - m0 / v0
     c = logit_lam - 0.5 * np.log(v1 / v0) + 0.5 * (m0 * m0 / v0 - m1 * m1 / v1)
     return a, b, c
-
-
-def _neg_log_odds(d, terms, out=None):
-    """-L = -((a*d + b)*d + c) for the log-odds L with terms (a, b, c), into
-    out when given."""
-    a, b, c = terms
-    neg = np.multiply(d, -a, out=out)
-    neg -= b
-    neg *= d
-    neg -= c
-    return neg
 
 
 def _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z):
@@ -194,11 +160,17 @@ class _Marginal:
         self.scratch = np.empty((2, inc.n))  # log_kernel's work rows, free between calls
 
     def neg_log_odds(self, theta, sigma2, mu_z, sigma2_z, logit_lam, out=None):
-        """-max(L, _LOG_ODDS_FLOOR) of the log-odds L at each step, into out
-        when given: one product with the powers for equal steps."""
+        """-max(L, _LOG_ODDS_FLOOR) of the log-odds L = (a*d + b)*d + c at
+        each step, into out when given: one product with the powers for equal
+        steps, -(a*d + b)*d - c in place for unequal ones."""
         a, b, c = _log_odds_terms(self.dt, theta, sigma2, mu_z, sigma2_z, logit_lam)
-        neg = (np.dot((-a, -b, -c), self.powers, out=out) if isinstance(self.dt, float)
-               else _neg_log_odds(self.d, (a, b, c), out))
+        if isinstance(self.dt, float):
+            neg = np.dot((-a, -b, -c), self.powers, out=out)
+        else:
+            neg = np.multiply(self.d, -a, out=out)
+            neg -= b
+            neg *= self.d
+            neg -= c
         return np.minimum(neg, -_LOG_ODDS_FLOOR, out=neg)
 
     def log_kernel(self, theta, sigma2, mu_z, sigma2_z, logit_lam, out=None):
@@ -330,30 +302,6 @@ def _laplace(marginal: _Marginal, x):
     return None
 
 
-def jump_indicator_prob(d, dt, params: JumpParams) -> np.ndarray:
-    """Posterior probability that each increment contains a jump, the logistic
-    of its log-odds; exactly 0 or 1 far out in the tails."""
-    d, dt = np.asarray(d, dtype=float), np.asarray(dt, dtype=float)
-    if np.any(dt <= 0.0):
-        raise ValueError("dt must be positive")
-    terms = _log_odds_terms(dt, *astuple(params)[:4], _logit(params.lambda_star))
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(_neg_log_odds(d, terms)))
-
-
-def sample_latent(inc: IncrementSeries, params: JumpParams, rng=None) -> LatentState:
-    """Draw (J, Z) given parameters and data: n uniforms for the indicators,
-    then one normal per active step, in step order; inactive sizes are 0."""
-    gen = np.random.default_rng(rng)
-    *diffusion_and_jump, lam = astuple(params)
-    e = np.exp(_Marginal(inc, JumpPrior()).neg_log_odds(*diffusion_and_jump, _logit(lam)))
-    indicators = gen.random(inc.n) * (1.0 + e) < 1.0
-    z = gen.standard_normal(int(np.count_nonzero(indicators)))
-    sizes = np.zeros(inc.n)
-    sizes[indicators] = _jump_sizes(inc.d[indicators], inc.dt[indicators], z, *diffusion_and_jump)
-    return LatentState(indicators=indicators, sizes=sizes)
-
-
 def _lambda_beta(k: int, n: int, prior: JumpPrior):
     """(a, b) of the Beta conditional for lambda_star given k jumps in n steps."""
     return prior.lambda_a + k, prior.lambda_b + n - k
@@ -382,19 +330,12 @@ def update_jump_moments(z_active, sigma2_z: float, prior: JumpPrior = JumpPrior(
     return _draw_theta_sigma2(stats, sigma2_z, prior.jump, np.random.default_rng(rng))
 
 
-def update_diffusion_block(
-    inc: IncrementSeries,
-    latent: LatentState,
-    sigma2: float,
-    prior: GbmPrior = GbmPrior(),
-    rng=None,
-):
-    """Draw (theta, sigma2) from the no-jump conditionals on d_i - J_i*Z_i."""
-    on = latent.indicators
-    stats = _jump_adjusted_stats(
-        _SuffStats.of(inc.d, inc.dt), inc.d[on], inc.dt[on], latent.sizes[on]
-    )
-    return _draw_theta_sigma2(stats, sigma2, prior, np.random.default_rng(rng))
+def _check_steps(dt) -> np.ndarray:
+    """dt as a float array; ValueError unless every step is positive and finite."""
+    dt = np.asarray(dt, dtype=float)
+    if not np.all((dt > 0.0) & (dt < np.inf)):
+        raise ValueError("dt must be positive and finite")
+    return dt
 
 
 def increment_moments(params: JumpParams, dt: float):
@@ -402,6 +343,7 @@ def increment_moments(params: JumpParams, dt: float):
     mean = theta*dt + lambda_star*mu_z,
     var  = sigma2*dt + lambda_star*sigma2_z + lambda_star*(1-lambda_star)*mu_z^2.
     """
+    _check_steps(dt)
     lam = params.lambda_star
     mean = params.theta * dt + lam * params.mu_z
     var = params.sigma2 * dt + lam * params.sigma2_z + lam * (1.0 - lam) * params.mu_z**2
@@ -413,9 +355,7 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = np.random.default_rng(rng)
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
-    if np.any(dt <= 0.0):
-        raise ValueError("dt must be positive")
+    dt = np.broadcast_to(_check_steps(dt), (n,))
     jump = (params.lambda_star, params.mu_z, params.sigma2_z)
     return IncrementKernel(params.theta, params.sigma2, gen, jump).block(dt)[:, 0]
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,29 +14,30 @@ from gbmjump import (
     IncrementSeries,
     JumpParams,
     JumpPrior,
-    LatentState,
     increment_moments,
-    jump_indicator_prob,
     jumps,
     lambda_conditional,
     marginal_log_posterior,
     run_jump_gibbs,
-    sample_latent,
     sample_sigma2_given_theta,
     sample_theta_given_sigma2,
     sigma2_conditional,
     simulate_jump_increments,
     theta_conditional,
-    update_diffusion_block,
     update_jump_moments,
     update_lambda,
 )
+from gbmjump.gbm import _SuffStats
+from gbmjump.gibbs import _draw_theta_sigma2
 from gbmjump.jumps import (
     _MOVE_MIN_N,
     _T_DF,
     _independence_step,
     _initial_params,
+    _jump_adjusted_stats,
+    _jump_sizes,
     _laplace,
+    _logit,
     _Marginal,
 )
 
@@ -72,56 +74,96 @@ class TestJumpParams:
             JumpPrior(jump=GbmPrior(ig_scale=-0.1))
 
 
-class TestLatentState:
-    def test_counts_and_active_sizes(self):
-        state = LatentState(
-            indicators=np.array([True, False, True]),
-            sizes=np.array([0.5, 9.0, -0.25]),
-        )
-        assert state.n_jumps == 2
-        assert np.array_equal(state.active_sizes, [0.5, -0.25])
+def scipy_log_densities(inc, p):
+    """Each step's log (1 - lambda)*N(d; theta*dt, sigma2*dt) and
+    log lambda*N(d; theta*dt + mu_z, sigma2*dt + sigma2_z), from scipy."""
+    sd0 = np.sqrt(p.sigma2 * inc.dt)
+    no_jump = np.log1p(-p.lambda_star) + stats.norm.logpdf(inc.d, p.theta * inc.dt, sd0)
+    jump = np.log(p.lambda_star) + stats.norm.logpdf(
+        inc.d, p.theta * inc.dt + p.mu_z, np.sqrt(sd0**2 + p.sigma2_z)
+    )
+    return no_jump, jump
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LatentState(indicators=np.array([True]), sizes=np.array([0.1, 0.2]))
+
+def jump_indicator_prob(inc, params):
+    """Each step's posterior jump probability, from scipy's log densities."""
+    no_jump, jump = scipy_log_densities(inc, params)
+    return expit(jump - no_jump)
+
+
+def odds_e(inc, params):
+    """E = exp(-max(L, -700)) of each step's jump log-odds L, the input of
+    run_jump_gibbs's indicator draw, from _Marginal.neg_log_odds."""
+    *diffusion_and_jump, lam = astuple(params)
+    return np.exp(_Marginal(inc, JumpPrior()).neg_log_odds(*diffusion_and_jump, _logit(lam)))
+
+
+def sweep_jump_prob(inc, params):
+    """Each step's jump probability 1/(1 + E) as run_jump_gibbs draws with it."""
+    return 1.0 / (1.0 + odds_e(inc, params))
+
+
+# The oracle's latent and diffusion blocks. They call the private arithmetic
+# that run_jump_gibbs's fused sweep calls, so TestSweepWiring can pin the
+# sweep to them draw for draw and so check the order of the blocks, the state
+# each conditions on, their priors and the random stream; the tests below
+# check that arithmetic against the laws it draws from.
+def latent_block(inc, params, gen):
+    """(J, Z) given params and data: J_i = [u_i*(1 + E_i) < 1] from n
+    uniforms, then one normal per active step, in step order, for its size.
+    Returns the indicators and the active steps' sizes."""
+    indicators = gen.random(inc.n) * (1.0 + odds_e(inc, params)) < 1.0
+    z = gen.standard_normal(int(np.count_nonzero(indicators)))
+    d, dt = inc.d[indicators], inc.dt[indicators]
+    return indicators, _jump_sizes(d, dt, z, *astuple(params)[:4])
+
+
+def diffusion_block(inc, indicators, sizes, sigma2, prior, gen):
+    """(theta, sigma2) from the no-jump conditionals on d_i - J_i*Z_i."""
+    d, dt = inc.d[indicators], inc.dt[indicators]
+    suff = _jump_adjusted_stats(_SuffStats.of(inc.d, inc.dt), d, dt, sizes)
+    return _draw_theta_sigma2(suff, sigma2, prior, gen)
 
 
 class TestIndicatorProb:
+    """The sweep's jump probabilities 1/(1 + E) against scipy's densities."""
+
     def test_lambda_zero_and_one_shortcut(self):
-        d = np.array([-0.05, 0.01])
-        dt = np.full(2, DT)
-        assert np.array_equal(jump_indicator_prob(d, dt, _with(REF, lambda_star=0.0)), [0.0, 0.0])
-        assert np.array_equal(jump_indicator_prob(d, dt, _with(REF, lambda_star=1.0)), [1.0, 1.0])
+        inc = IncrementSeries(d=np.array([-0.05, 0.01]), dt=np.full(2, DT))
+        p0 = sweep_jump_prob(inc, _with(REF, lambda_star=0.0))
+        p1 = sweep_jump_prob(inc, _with(REF, lambda_star=1.0))
+        # the floor holds the log-odds at lambda_star 0 to -700
+        assert np.all(p0 < 1e-300)
+        assert np.array_equal(p1, [1.0, 1.0])
 
     def test_matches_direct_two_density_formula(self):
-        # independent route: scipy normal pdfs combined in probability space
-        d = np.array([-0.05])
-        got = jump_indicator_prob(d, np.array([DT]), REF)[0]
-        num = REF.lambda_star * stats.norm.pdf(
-            d[0], REF.theta * DT + REF.mu_z, np.sqrt(REF.sigma2 * DT + REF.sigma2_z)
-        )
-        den = num + (1.0 - REF.lambda_star) * stats.norm.pdf(
-            d[0], REF.theta * DT, np.sqrt(REF.sigma2 * DT)
-        )
-        assert got == pytest.approx(num / den, abs=1e-10)
+        # independent route: scipy normal pdfs combined in probability space,
+        # for equal steps and for unequal ones
+        d = np.array([-0.05, 0.01, 0.03])
+        for dt in (np.full(3, DT), DT * np.array([1.0, 3.0, 1.0])):
+            got = sweep_jump_prob(IncrementSeries(d=d, dt=dt), REF)
+            num = REF.lambda_star * stats.norm.pdf(
+                d, REF.theta * dt + REF.mu_z, np.sqrt(REF.sigma2 * dt + REF.sigma2_z)
+            )
+            den = num + (1.0 - REF.lambda_star) * stats.norm.pdf(
+                d, REF.theta * dt, np.sqrt(REF.sigma2 * dt)
+            )
+            assert got == pytest.approx(num / den, abs=1e-10)
 
     def test_far_tail_saturates_not_nan(self):
-        p = jump_indicator_prob(np.array([-5.0, 5.0]), np.full(2, DT), REF)
+        p = sweep_jump_prob(IncrementSeries(d=np.array([-5.0, 5.0]), dt=np.full(2, DT)), REF)
         assert np.all(np.isfinite(p))
         assert p[0] == pytest.approx(1.0)
 
     def test_tails_saturate_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = jump_indicator_prob(np.array([-5.0, 5.0]), np.full(2, DT), REF)
-            # exp(-log_odds) overflows here: lambda_star's logit alone is -737
-            tiny = jump_indicator_prob([0.0], [DT], _with(REF, lambda_star=1e-320))
+            p = sweep_jump_prob(IncrementSeries(d=np.array([-5.0, 5.0]), dt=np.full(2, DT)), REF)
+            # exp(-log_odds) would overflow here: lambda_star's logit alone is -737
+            tiny = sweep_jump_prob(IncrementSeries(d=np.zeros(1), dt=np.full(1, DT)),
+                                   _with(REF, lambda_star=1e-320))
         assert np.array_equal(p, [1.0, 1.0])
         assert 0.0 <= tiny[0] < 1e-300
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError):
-            jump_indicator_prob(np.array([0.0]), np.array([0.0]), REF)
 
     @settings(max_examples=200)
     @given(
@@ -130,15 +172,16 @@ class TestIndicatorProb:
         lam_hi=st.floats(min_value=0.55, max_value=0.95),
     )
     def test_bounded_and_monotone_in_lambda(self, d, lam_lo, lam_hi):
-        arr = np.array([d])
-        dt = np.array([DT])
-        p_lo = jump_indicator_prob(arr, dt, _with(REF, lambda_star=lam_lo))[0]
-        p_hi = jump_indicator_prob(arr, dt, _with(REF, lambda_star=lam_hi))[0]
+        inc = IncrementSeries(d=np.array([d]), dt=np.array([DT]))
+        p_lo = sweep_jump_prob(inc, _with(REF, lambda_star=lam_lo))[0]
+        p_hi = sweep_jump_prob(inc, _with(REF, lambda_star=lam_hi))[0]
         assert 0.0 <= p_lo <= 1.0 and 0.0 <= p_hi <= 1.0
         assert p_hi >= p_lo
 
 
 class TestSampleLatent:
+    """The oracle's (J, Z) draw, whose sizes come from the sweep's _jump_sizes."""
+
     def test_active_sizes_match_precision_weighted_normal(self):
         # identical increments with lambda_star = 1: every Z_i | J_i = 1 shares
         # the same conditional Normal(m, v)
@@ -146,31 +189,62 @@ class TestSampleLatent:
         d0 = -0.04
         inc = IncrementSeries(d=np.full(n, d0), dt=np.full(n, DT))
         params = _with(REF, lambda_star=1.0)
-        state = sample_latent(inc, params, rng=np.random.default_rng(31))
-        assert state.n_jumps == n
+        indicators, sizes = latent_block(inc, params, np.random.default_rng(31))
+        assert np.all(indicators)
         base_var = params.sigma2 * DT
         v = 1.0 / (1.0 / params.sigma2_z + 1.0 / base_var)
         m = v * (params.mu_z / params.sigma2_z + (d0 - params.theta * DT) / base_var)
-        ks = stats.kstest(state.sizes, stats.norm(m, np.sqrt(v)).cdf)
+        ks = stats.kstest(sizes, stats.norm(m, np.sqrt(v)).cdf)
         assert ks.statistic < 0.006
 
     def test_inactive_sizes_zero_after_n_uniforms_then_k_normals(self, train_inc):
+        # no size is drawn or held for an inactive step
         gen = np.random.default_rng(32)
-        state = sample_latent(train_inc, REF, rng=gen)
-        assert 0 < state.n_jumps < train_inc.n
-        assert np.all(state.sizes[~state.indicators] == 0.0)
+        indicators, sizes = latent_block(train_inc, REF, gen)
+        k = int(np.count_nonzero(indicators))
+        assert 0 < k < train_inc.n
+        assert sizes.shape == (k,)
         twin = np.random.default_rng(32)
         twin.random(train_inc.n)
-        twin.standard_normal(state.n_jumps)
+        twin.standard_normal(k)
         assert gen.bit_generator.state == twin.bit_generator.state
 
     def test_indicator_frequency_tracks_probability(self):
         n = 100_000
         inc = IncrementSeries(d=np.full(n, -0.02), dt=np.full(n, DT))
-        state = sample_latent(inc, REF, rng=np.random.default_rng(33))
-        p = jump_indicator_prob(inc.d, inc.dt, REF)[0]
+        indicators, _ = latent_block(inc, REF, np.random.default_rng(33))
+        p = jump_indicator_prob(inc, REF)[0]
         se = np.sqrt(p * (1.0 - p) / n)
-        assert abs(state.n_jumps / n - p) < 4 * se
+        assert abs(indicators.mean() - p) < 4 * se
+
+
+class TestDiffusionBlock:
+    """The oracle's (theta, sigma2) draw on the sweep's _jump_adjusted_stats."""
+
+    def test_no_jumps_reduces_to_plain_conditionals(self, train_inc):
+        none = np.zeros(train_inc.n, dtype=bool)
+        theta, sigma2 = diffusion_block(
+            train_inc, none, np.array([]), 0.03, GbmPrior(), np.random.default_rng(55)
+        )
+        gen = np.random.default_rng(55)
+        mean, var = theta_conditional(train_inc, 0.03)
+        theta_ref = mean + np.sqrt(var) * gen.standard_normal()
+        shape, scale = sigma2_conditional(train_inc, theta_ref)
+        sigma2_ref = scale / gen.gamma(shape)
+        assert theta == pytest.approx(theta_ref, rel=1e-12)
+        assert sigma2 == pytest.approx(sigma2_ref, rel=1e-12)
+
+    def test_active_jumps_shift_residuals(self, train_inc):
+        # the statistics corrected at the active steps are those of d - J*Z,
+        # for equal steps and for unequal ones
+        rng = np.random.default_rng(56)
+        for inc in (train_inc, weekend_steps(train_inc)):
+            on = rng.random(inc.n) < 0.3
+            sizes = rng.normal(-0.002, 0.017, int(on.sum()))
+            got = _jump_adjusted_stats(_SuffStats.of(inc.d, inc.dt), inc.d[on], inc.dt[on], sizes)
+            shifted = inc.d.copy()
+            shifted[on] -= sizes
+            assert got == pytest.approx(_SuffStats.of(shifted, inc.dt), rel=1e-12)
 
 
 class TestLambdaConditional:
@@ -238,43 +312,6 @@ class TestJumpMomentConditionals:
         assert ks.statistic < 0.012
 
 
-class TestDiffusionBlock:
-    def test_no_jumps_reduces_to_plain_conditionals(self, train_inc):
-        latent = LatentState(
-            indicators=np.zeros(train_inc.n, dtype=bool), sizes=np.zeros(train_inc.n)
-        )
-        theta, sigma2 = update_diffusion_block(
-            train_inc, latent, 0.03, rng=np.random.default_rng(55)
-        )
-        gen = np.random.default_rng(55)
-        mean, var = theta_conditional(train_inc, 0.03)
-        theta_ref = mean + np.sqrt(var) * gen.standard_normal()
-        shape, scale = sigma2_conditional(train_inc, theta_ref)
-        sigma2_ref = scale / gen.gamma(shape)
-        assert theta == pytest.approx(theta_ref, rel=1e-12)
-        assert sigma2 == pytest.approx(sigma2_ref, rel=1e-12)
-
-    def test_active_jumps_shift_residuals(self, train_inc):
-        rng = np.random.default_rng(56)
-        indicators = rng.random(train_inc.n) < 0.3
-        sizes = rng.normal(-0.002, 0.017, train_inc.n)
-        latent = LatentState(indicators=indicators, sizes=sizes)
-        theta, sigma2 = update_diffusion_block(
-            train_inc, latent, 0.03, rng=np.random.default_rng(57)
-        )
-        # manual route on the jump-adjusted increments with an inactive latent
-        jump_part = np.where(latent.indicators, latent.sizes, 0.0)
-        adj = IncrementSeries(d=train_inc.d - jump_part, dt=train_inc.dt)
-        empty = LatentState(
-            indicators=np.zeros(train_inc.n, dtype=bool), sizes=np.zeros(train_inc.n)
-        )
-        theta_ref, sigma2_ref = update_diffusion_block(
-            adj, empty, 0.03, rng=np.random.default_rng(57)
-        )
-        assert theta == pytest.approx(theta_ref, rel=1e-12)
-        assert sigma2 == pytest.approx(sigma2_ref, rel=1e-12)
-
-
 class TestIncrementMoments:
     def test_worked_example(self):
         p = JumpParams(theta=0.25, sigma2=0.04, mu_z=-0.01, sigma2_z=0.0004, lambda_star=0.3)
@@ -295,8 +332,11 @@ class TestIncrementMoments:
     def test_simulator_input_validation(self):
         with pytest.raises(ValueError):
             simulate_jump_increments(REF, DT, 0)
-        with pytest.raises(ValueError):
-            simulate_jump_increments(REF, -DT, 5)
+        for dt in (-DT, -1.0, 0.0, math.nan, math.inf, [DT, math.nan, DT]):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                simulate_jump_increments(REF, dt, 3)
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                increment_moments(REF, dt)
 
 
 class TestRunJumpGibbs:
@@ -392,11 +432,7 @@ SKEWED = JumpPrior(
 
 def scipy_log_posterior(inc, p, prior):
     """log p(d | params) + log p(params) from scipy densities, J summed out."""
-    sd0 = np.sqrt(p.sigma2 * inc.dt)
-    no_jump = np.log1p(-p.lambda_star) + stats.norm.logpdf(inc.d, p.theta * inc.dt, sd0)
-    jump = np.log(p.lambda_star) + stats.norm.logpdf(
-        inc.d, p.theta * inc.dt + p.mu_z, np.sqrt(sd0**2 + p.sigma2_z)
-    )
+    no_jump, jump = scipy_log_densities(inc, p)
     dif, jmp = prior.diffusion, prior.jump
     return (
         logsumexp([no_jump, jump], axis=0).sum()
@@ -431,7 +467,8 @@ class TestMarginalLogPosterior:
         ]
         # a tight jump law far from every increment: log-odds below -700
         far = JumpParams(theta=0.1, sigma2=0.02, mu_z=1.0, sigma2_z=1e-4, lambda_star=0.3)
-        assert np.max(jump_indicator_prob(d, dt, far)) < math.exp(-700.0)
+        no_jump, jump = scipy_log_densities(inc, far)
+        assert np.max(jump - no_jump) < -700.0
         got = np.array([marginal_log_posterior(inc, p, SKEWED) for p in [*points, far]])
         want = np.array([scipy_log_posterior(inc, p, SKEWED) for p in [*points, far]])
         assert np.all(np.isfinite(got))
@@ -456,25 +493,25 @@ def from_x(x):
     return JumpParams(theta, math.exp(log_s2), mu_z, math.exp(log_sz2), float(expit(logit_lam)))
 
 
-def public_sweep(inc, params, prior, gen, move=None):
-    """One sweep of run_jump_gibbs from the public conditionals, with
-    JumpParams rebuilt after every block: first move(x) -> (x, accepted) on
-    x = to_x(params) when a move is given, then (J, Z), lambda_star,
-    (mu_z, sigma2_z) and (theta, sigma2). Returns the new params, the latent
-    draw, whether the move's proposal was taken (None with no move) and the
-    params the latent draw conditioned on."""
+def reference_sweep(inc, params, prior, gen, move=None):
+    """One sweep of run_jump_gibbs from the oracle's blocks and the public
+    lambda_star and jump-moment updates, with JumpParams rebuilt after every
+    block: first move(x) -> (x, accepted) on x = to_x(params) when a move is
+    given, then (J, Z), lambda_star, (mu_z, sigma2_z) and (theta, sigma2).
+    Returns the new params, the indicators, whether the move's proposal was
+    taken (None with no move) and the params the latent draw conditioned on."""
     accepted = None
     if move is not None:
         x, accepted = move(np.array(to_x(params)))
         if accepted:
             params = from_x(x)
     drawn_at = params
-    latent = sample_latent(inc, params, gen)
-    params = _with(params, lambda_star=update_lambda(latent.indicators, prior, gen))
-    mu_z, sigma2_z = update_jump_moments(latent.active_sizes, params.sigma2_z, prior, gen)
+    indicators, sizes = latent_block(inc, params, gen)
+    params = _with(params, lambda_star=update_lambda(indicators, prior, gen))
+    mu_z, sigma2_z = update_jump_moments(sizes, params.sigma2_z, prior, gen)
     params = _with(params, mu_z=mu_z, sigma2_z=sigma2_z)
-    theta, sigma2 = update_diffusion_block(inc, latent, params.sigma2, prior.diffusion, gen)
-    return _with(params, theta=theta, sigma2=sigma2), latent, accepted, drawn_at
+    theta, sigma2 = diffusion_block(inc, indicators, sizes, params.sigma2, prior.diffusion, gen)
+    return _with(params, theta=theta, sigma2=sigma2), indicators, accepted, drawn_at
 
 
 # Proper priors for the Geweke (2004) tests, so every checked moment exists.
@@ -606,7 +643,7 @@ class TestMetropolisMove:
 class TestWholeSampler:
     def test_geweke_whole_sweep_keeps_the_prior(self):
         # Geweke (2004) successive-conditional simulator on the whole sweep:
-        # d ~ p(d | params), then public_sweep, the loop TestSweepWiring pins
+        # d ~ p(d | params), then reference_sweep, the loop TestSweepWiring pins
         # to run_jump_gibbs, with the move on a fixed proposal. The draws of
         # params keep the prior law only if every block conditions on the
         # right state under the right prior.
@@ -623,7 +660,7 @@ class TestWholeSampler:
                 x, _, accepted = _independence_step(x, GEWEKE_PROPOSAL, target, gen)
                 return x, accepted
 
-            params = public_sweep(inc, params, GEWEKE_PRIOR, gen, move)[0]
+            params = reference_sweep(inc, params, GEWEKE_PRIOR, gen, move)[0]
             rows[i] = (params.theta, params.sigma2, params.mu_z, params.sigma2_z,
                        params.lambda_star)
         z = geweke_z(rows)
@@ -639,7 +676,7 @@ def move_target(inc, prior, x):
 
 
 def t_move(inc, prior, proposal, gen):
-    """The move(x) -> (x, accepted) of public_sweep that run_jump_gibbs makes,
+    """The move(x) -> (x, accepted) of reference_sweep that run_jump_gibbs makes,
     from marginal_log_posterior: one independence step with the t proposal
     (mode, factor, inverse), y = mode + factor @ (z*sqrt(5/w)), its density
     from a solve against factor."""
@@ -661,7 +698,7 @@ def t_move(inc, prior, proposal, gen):
 
 
 def reference_chain(inc, n_keep, burn_in, seed, prior):
-    """run_jump_gibbs rebuilt as public_sweep under prior. On a series of at
+    """run_jump_gibbs rebuilt as reference_sweep under prior. On a series of at
     least _MOVE_MIN_N increments every sweep from the first starts with
     t_move, fed the proposal that _laplace finds from the chain's start,
     unless it finds none. Returns the draws, the mean over kept sweeps of
@@ -675,19 +712,19 @@ def reference_chain(inc, n_keep, burn_in, seed, prior):
     moves, taken = 0, 0
     draws, probs = [], np.zeros(inc.n)
     for sweep in range(burn_in + n_keep):
-        params, latent, accepted, drawn_at = public_sweep(inc, params, prior, gen, move)
+        params, indicators, accepted, drawn_at = reference_sweep(inc, params, prior, gen, move)
         if accepted is not None:
             moves += 1
             taken += accepted
         if sweep >= burn_in:
             draws.append((params.theta, params.sigma2, params.mu_z, params.sigma2_z,
-                          params.lambda_star, latent.n_jumps))
-            probs += jump_indicator_prob(inc.d, inc.dt, drawn_at)
+                          params.lambda_star, np.count_nonzero(indicators)))
+            probs += jump_indicator_prob(inc, drawn_at)
     return np.array(draws), probs / n_keep, taken / moves if moves else None
 
 
 class TestSweepWiring:
-    """The sampler's fused sweep draws exactly what the public conditionals do."""
+    """The sampler's fused sweep draws exactly what the test-local oracle does."""
 
     @pytest.mark.parametrize(
         "series, kw",

@@ -3,14 +3,13 @@ import gbmjump
 # A new export is a deliberate change to this list.
 PUBLIC_NAMES = [
     "Band", "ChainMeta", "DataError", "GbmParams", "GbmPrior", "IncrementSeries",
-    "JumpParams", "JumpPrior", "LatentState", "ParamSummary", "PosteriorChain",
-    "PriceSeries", "fitted_band", "increment_moments", "jump_indicator_prob",
-    "lambda_conditional", "load_price_series", "log_likelihood", "marginal_log_posterior",
-    "mle_fit", "pacf", "predictive_band", "read_chain_csv", "run_gibbs", "run_jump_gibbs",
-    "sample_latent", "sample_sigma2_given_theta", "sample_theta_given_sigma2",
-    "sigma2_conditional", "simulate_jump_increments", "summarize", "theta_conditional",
-    "to_increments", "update_diffusion_block", "update_jump_moments", "update_lambda",
-    "write_band_csv", "write_chain_csv",
+    "JumpParams", "JumpPrior", "ParamSummary", "PosteriorChain", "PriceSeries",
+    "fitted_band", "increment_moments", "lambda_conditional", "load_price_series",
+    "log_likelihood", "marginal_log_posterior", "mle_fit", "pacf", "predictive_band",
+    "read_chain_csv", "run_gibbs", "run_jump_gibbs", "sample_sigma2_given_theta",
+    "sample_theta_given_sigma2", "sigma2_conditional", "simulate_jump_increments",
+    "summarize", "theta_conditional", "to_increments", "update_jump_moments",
+    "update_lambda", "write_band_csv", "write_chain_csv",
 ]
 
 
