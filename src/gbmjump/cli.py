@@ -250,15 +250,21 @@ def write_bands(chain, series, inc, out: Path, steps, dates, level: float, seed,
 
 
 def cmd_forecast(cfg: RunConfig) -> int:
+    """Band the chain of --chain over --input's dates: a chain of another
+    model than --model, or fitted to other increments, is an error."""
+    if cfg.chain is None:
+        raise ValueError("--chain is required")
     series, inc = _load_increments(cfg)
-    if cfg.chain is not None:
-        chain = read_chain_csv(cfg.chain)
-        if chain.meta.model != cfg.model:
-            raise ValueError(
-                f"chain file holds model {chain.meta.model!r}, requested {cfg.model!r}"
-            )
-    else:
-        chain = _run_fit(inc, cfg, cfg.model)
+    chain = read_chain_csv(cfg.chain)
+    if chain.meta.model != cfg.model:
+        raise ValueError(
+            f"{cfg.chain}: chain file holds model {chain.meta.model!r}, requested {cfg.model!r}"
+        )
+    if chain.meta.data != inc.digest():
+        raise ValueError(
+            f"{cfg.chain}: chain fitted to data {chain.meta.data}, --input gives "
+            f"{inc.digest()}; refit with gbmjump fit"
+        )
     band, _ = write_bands(
         chain, series, inc, _out_dir(cfg),
         steps=[1.0 / cfg.days_per_year] * cfg.horizon,
@@ -351,8 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=FORMATS)
         if command == "mle":
             continue
-        p.add_argument("--iters", type=int, help="retained draws (at least 2)")
-        p.add_argument("--burnin", type=int, help="discarded initial sweeps")
+        if command != "forecast":
+            p.add_argument("--iters", type=int, help="retained draws (at least 2)")
+            p.add_argument("--burnin", type=int, help="discarded initial sweeps")
         p.add_argument("--seed", type=int)
         if command == "study":
             p.add_argument("--holdout", help="price CSV of the closes after --input's")
@@ -362,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", type=float, help="credible level in (0, 1)")
         if command == "forecast":
             p.add_argument("--horizon", type=int, help="forecast steps")
-            p.add_argument("--chain", help="reuse a previously written chain CSV")
+            p.add_argument("--chain", help="chain CSV written by fit or study")
             p.add_argument(
                 "--fitted-band", dest="fitted_band", action="store_const", const=True,
                 help="also write the fitted-window band",

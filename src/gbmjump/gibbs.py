@@ -120,12 +120,14 @@ CHAIN_COLUMNS = {
 
 @dataclass(frozen=True)
 class ChainMeta:
-    """What produced a chain. accept_rate is the share of the jump sampler's
-    Metropolis proposals taken, None when that move did not run."""
+    """What produced a chain. data is the digest of the increments it was
+    fitted to (IncrementSeries.digest); accept_rate is the share of the jump
+    sampler's Metropolis proposals taken, None when that move did not run."""
 
     model: str
     burn_in: int
     seed: int | None
+    data: str
     accept_rate: float | None = None
 
 
@@ -218,7 +220,7 @@ def run_gibbs(
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior, gen)
         if sweep >= burn_in:
             draws[sweep - burn_in] = (theta, sigma2)
-    return PosteriorChain(draws=draws, meta=ChainMeta(model="gbm", burn_in=burn_in, seed=seed))
+    return PosteriorChain(draws=draws, meta=ChainMeta("gbm", burn_in, seed, inc.digest()))
 
 
 def write_chain_csv(chain: PosteriorChain, path) -> None:
@@ -237,14 +239,14 @@ def read_chain_csv(path) -> PosteriorChain:
 
     Raises ValueError naming the file when the text is not UTF-8, the header
     repeats a key (naming it) or lacks a key that write_chain_csv always
-    writes (model, n_keep, burn_in, seed), its n_keep, burn_in or seed is not
-    an integer or is negative or its accept_rate not a number in [0, 1]
-    (naming the key), the model is unknown, a column the writer exports for
-    the model is missing or repeated or a column it does not export is
-    present, a cell is not a number, the rows are none, differ in length or
-    differ in number from the header's n_keep, a draw is one PosteriorChain
-    rejects, or an exported column differs from what the rebuilt chain
-    derives for it.
+    writes (model, n_keep, burn_in, seed, data), its n_keep, burn_in or seed
+    is not an integer or is negative, its data not 8 lowercase hex digits or
+    its accept_rate not a number in [0, 1] (naming the key), the model is
+    unknown, a column the writer exports for the model is missing or
+    repeated or a column it does not export is present, a cell is not a
+    number, the rows are none, differ in length or differ in number from the
+    header's n_keep, a draw is one PosteriorChain rejects, or an exported
+    column differs from what the rebuilt chain derives for it.
     """
     meta_raw: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -307,6 +309,9 @@ def read_chain_csv(path) -> PosteriorChain:
             raise ValueError(f"{path}: header {key} must be a number in [0, 1], got {raw!r}")
         return value
 
+    data = header("data")
+    if len(data) != 8 or data.strip("0123456789abcdef"):
+        raise ValueError(f"{path}: header data must be 8 lowercase hex digits, got {data!r}")
     n_keep = header_int("n_keep")
     if body.shape[0] != n_keep:
         raise ValueError(f"{path}: {body.shape[0]} draws, header says n_keep {n_keep}")
@@ -314,6 +319,7 @@ def read_chain_csv(path) -> PosteriorChain:
         model=model,
         burn_in=header_int("burn_in"),
         seed=None if header("seed") == "None" else header_int("seed"),
+        data=data,
         accept_rate=header_rate("accept_rate"),
     )
     take = {c: body[:, i] for i, c in enumerate(cols)}

@@ -427,5 +427,5 @@ def run_jump_gibbs(
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
         if sweep >= burn_in:
             draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, idx.size)
-    meta = ChainMeta("gbm-jump", burn_in, seed, accept_rate=taken / moves if moves else None)
+    meta = ChainMeta("gbm-jump", burn_in, seed, inc.digest(), taken / moves if moves else None)
     return PosteriorChain(draws=draws, meta=meta, jump_probs=jump_probs / n_keep)

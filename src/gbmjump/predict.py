@@ -132,10 +132,10 @@ def predictive_band(
     empirical (1-level)/2 and 1-(1-level)/2 quantiles and the mean over one
     path per chain row (up to _MAX_DRAWS rows, evenly strided).
 
-    Prices are drawn _BLOCK steps at a time, checked positive, reduced to their
-    quantile and mean rows and dropped, so memory is O(draws x _BLOCK). The
-    grid holds the offsets cumsum(dt) from the start; the start itself is not
-    a row.
+    Prices are drawn _BLOCK steps at a time, checked positive and finite,
+    reduced to their quantile and mean rows and dropped, so memory is
+    O(draws x _BLOCK). The grid holds the offsets cumsum(dt) from the start;
+    the start itself is not a row.
     """
     dt = np.asarray(dt, dtype=float)
     if not 0.0 < start < np.inf:
@@ -146,13 +146,15 @@ def predictive_band(
     if len(chain) < 2:
         raise ValueError("need at least two paths for a band (chain rows >= 2)")
     rows = []
-    with closing(_price_blocks(chain, start, dt, rng)) as blocks:
+    # the generator's exp runs on this thread, so an overflow to inf is
+    # silenced here and rejected below, before a quantile subtracts infs
+    with closing(_price_blocks(chain, start, dt, rng)) as blocks, np.errstate(over="ignore"):
         for prices in blocks:
-            if not np.all(prices > 0.0):
-                raise ValueError("price paths must stay positive")
-            lower, upper = np.quantile(prices, [tail, 1.0 - tail], axis=1)
-            rows.append((lower, prices.mean(axis=1), upper))
-    lower, mean, upper = (np.concatenate(parts) for parts in zip(*rows))
+            mean = prices.mean(axis=1)  # prices are >= 0: finite means, finite prices
+            if not (np.all(prices > 0.0) and np.all(np.isfinite(mean))):
+                raise ValueError("price paths must stay positive and finite")
+            rows.append((*np.quantile(prices, [tail, 1.0 - tail], axis=1), mean))
+    lower, upper, mean = (np.concatenate(parts) for parts in zip(*rows))
     return Band(grid=np.cumsum(dt), lower=lower, mean=mean, upper=upper, level=level)
 
 

@@ -15,6 +15,7 @@ import csv
 import datetime as dt
 import json
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +82,17 @@ class IncrementSeries:
     def n(self) -> int:
         return len(self.d)
 
+    def digest(self) -> str:
+        """CRC-32 of the bytes of d followed by those of dt, as 8 lowercase
+        hex digits: a chain records it to name the data it was fitted to.
+        dt carries the step length, so the days per year count too. zlib,
+        not hashlib, which would load OpenSSL on import."""
+        return f"{zlib.crc32(self.dt.tobytes(), zlib.crc32(self.d.tobytes())):08x}"
+
 
 def load_price_series(path) -> PriceSeries:
     """Read a UTF-8 CSV file with header columns date and close into a
-    PriceSeries, skipping blank lines.
+    PriceSeries, skipping blank lines and a leading byte-order mark.
 
     Every error names the file, and an error in a row its 1-based line number:
     a byte that is not UTF-8, a field over csv's size limit, no column or two
@@ -94,7 +102,7 @@ def load_price_series(path) -> PriceSeries:
     """
     dates: list[dt.date] = []
     prices: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             names = next(reader, None)

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from gbmjump import read_chain_csv
+from gbmjump import (
+    load_price_series, read_chain_csv, run_gibbs, to_increments, write_chain_csv,
+)
 from gbmjump.cli import RunConfig, _build_parser, build_config, main
 
 from conftest import DATA_DIR, HOLDOUT_CSV, TRAIN_CSV
@@ -50,12 +52,12 @@ class TestBuildConfig:
     def test_config_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(
-            {"iters": 123, "model": "gbm-jump", "seed": None, "level": 0.5, "fitted_band": True}
+            {"horizon": 12, "model": "gbm-jump", "seed": None, "level": 0.5, "fitted_band": True}
         ))
         cfg = build_config(read_by("forecast"), str(path), env={})
-        assert cfg.iters == 123
+        assert cfg.horizon == 12
         assert cfg.model == "gbm-jump"
-        assert cfg.burnin == 1000
+        assert cfg.days_per_year == 252
         assert (cfg.seed, cfg.level, cfg.fitted_band) == (None, 0.5, True)
 
     def test_env_overrides_config_file(self, tmp_path):
@@ -168,9 +170,8 @@ class TestScopedOptions:
             ("mle", {"--input", "--config", "--days-per-year", "--out", "--format"}),
             ("fit", {"--input", "--config", "--days-per-year", "--out", "--format",
                      "--iters", "--burnin", "--seed", "--model"}),
-            ("forecast", {"--input", "--config", "--days-per-year", "--out", "--iters",
-                          "--burnin", "--seed", "--model", "--level", "--horizon",
-                          "--chain", "--fitted-band"}),
+            ("forecast", {"--input", "--config", "--days-per-year", "--out", "--seed",
+                          "--model", "--level", "--horizon", "--chain", "--fitted-band"}),
             ("study", {"--input", "--config", "--days-per-year", "--out", "--format",
                        "--iters", "--burnin", "--seed", "--holdout", "--level"}),
         ],
@@ -184,7 +185,8 @@ class TestScopedOptions:
 
     @pytest.mark.parametrize(
         "args, flag",
-        [(["mle", "--seed", "3"], "--seed 3"), (["forecast", "--format", "json"], "--format json")],
+        [(["mle", "--seed", "3"], "--seed 3"), (["forecast", "--format", "json"], "--format json"),
+         (["forecast", "--iters", "5"], "--iters 5")],
     )
     def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, args, flag):
         with pytest.raises(SystemExit) as stop:
@@ -218,13 +220,20 @@ class TestScopedOptions:
         assert "mu_hat=0.149" in out
 
     @pytest.mark.parametrize("command", ["fit", "forecast", "study"])
-    def test_one_draw_is_refused_before_sampling(self, capsys, tmp_path, command):
-        holdout = ("--holdout", HOLDOUT_CSV) if command == "study" else ()
+    def test_one_draw_is_refused_before_sampling(self, capsys, tmp_path, train_inc, command):
+        args, message = ("--iters", 1), "iters must be >= 2"
+        if command == "study":
+            args += ("--holdout", HOLDOUT_CSV)
+        if command == "forecast":  # fit writes no one-draw chain; the library does
+            chain = tmp_path / "chain_gbm.csv"
+            write_chain_csv(run_gibbs(train_inc, n_keep=1, burn_in=0, seed=1), chain)
+            args = ("--chain", chain)
+            message = "need at least two paths for a band (chain rows >= 2)"
         rc, _, err = run_cli(
-            capsys, command, "--input", TRAIN_CSV, *holdout, "--iters", 1, "--out", tmp_path / "out"
+            capsys, command, "--input", TRAIN_CSV, *args, "--out", tmp_path / "out"
         )
-        assert (rc, err) == (1, "error: iters must be >= 2\n")
-        assert not (tmp_path / "out").exists()
+        assert (rc, err) == (1, f"error: {message}\n")
+        assert not list((tmp_path / "out").glob("*"))
 
 
 class TestMleCommand:
@@ -272,7 +281,7 @@ class TestFitCommand:
         assert "parameter" in out and "mu" in out
         chain_lines = (out_dir / "chain_gbm.csv").read_text().splitlines()
         assert chain_lines[0] == "# model: gbm"
-        assert len(chain_lines) == 5 + 40
+        assert len(chain_lines) == 6 + 40  # 5 header lines and the column names
         assert (out_dir / "summary_gbm.csv").exists()
         pacf_lines = (out_dir / "pacf_gbm.csv").read_text().splitlines()
         assert len(pacf_lines) == 1 + 30
@@ -327,31 +336,14 @@ class TestFitCommand:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
-class TestForecastCommand:
-    def test_reused_chain_matches_internal_fit(self, capsys, tmp_path):
-        fit_dir = tmp_path / "fit"
-        rc, _, _ = run_cli(
-            capsys, "fit", "--input", TRAIN_CSV, "--out", fit_dir,
-            "--iters", 60, "--burnin", 10, "--seed", 21,
-        )
-        assert rc == 0
-        reuse_dir = tmp_path / "reuse"
-        rc, _, _ = run_cli(
-            capsys, "forecast", "--input", TRAIN_CSV, "--out", reuse_dir,
-            "--chain", fit_dir / "chain_gbm.csv", "--seed", 21, "--horizon", 10,
-        )
-        assert rc == 0
-        fresh_dir = tmp_path / "fresh"
-        rc, _, _ = run_cli(
-            capsys, "forecast", "--input", TRAIN_CSV, "--out", fresh_dir,
-            "--iters", 60, "--burnin", 10, "--seed", 21, "--horizon", 10,
-        )
-        assert rc == 0
-        assert (
-            (reuse_dir / "forecast_band_gbm.csv").read_bytes()
-            == (fresh_dir / "forecast_band_gbm.csv").read_bytes()
-        )
+def fit_chain(capsys, out_dir, *args, model="gbm", data=TRAIN_CSV):
+    """Run fit on data with args after the model's flag; return the chain file."""
+    rc, _, err = run_cli(capsys, "fit", "--input", data, "--model", model, "--out", out_dir, *args)
+    assert (rc, err) == (0, "")
+    return out_dir / f"chain_{model.replace('-', '_')}.csv"
 
+
+class TestForecastCommand:
     def test_non_finite_chain_fails(self, capsys, tmp_path):
         fit_dir = tmp_path / "fit"
         run_cli(
@@ -360,7 +352,7 @@ class TestForecastCommand:
         )
         chain = fit_dir / "chain_gbm_jump.csv"
         lines = chain.read_text().splitlines()
-        lines[6] = "nan" + lines[6][lines[6].index(","):]  # the first draw, after 5 header lines
+        lines[7] = "nan" + lines[7][lines[7].index(","):]  # the first draw, after 6 header lines
         chain.write_text("\n".join(lines) + "\n")
         out_dir = tmp_path / "fc"
         rc, _, err = run_cli(
@@ -396,10 +388,11 @@ class TestForecastCommand:
         assert not (out_dir / "forecast_band_gbm.csv").exists()
 
     def test_band_file_shape_and_dates(self, capsys, tmp_path):
+        chain = fit_chain(capsys, tmp_path / "fit", "--iters", 30, "--burnin", 5, "--seed", 2)
         out_dir = tmp_path / "fc"
         rc, out, _ = run_cli(
             capsys, "forecast", "--input", TRAIN_CSV, "--out", out_dir,
-            "--iters", 30, "--burnin", 5, "--seed", 2, "--horizon", 7,
+            "--chain", chain, "--seed", 2, "--horizon", 7,
         )
         assert rc == 0
         assert "forecast written" in out
@@ -410,10 +403,11 @@ class TestForecastCommand:
         assert lines[2].split(",")[1] == "2015-01-01"
 
     def test_fitted_band_flag(self, capsys, tmp_path):
+        chain = fit_chain(capsys, tmp_path / "fit", "--iters", 30, "--burnin", 5, "--seed", 2)
         out_dir = tmp_path / "fb"
         rc, _, _ = run_cli(
             capsys, "forecast", "--input", TRAIN_CSV, "--out", out_dir,
-            "--iters", 30, "--burnin", 5, "--seed", 2, "--fitted-band",
+            "--chain", chain, "--seed", 2, "--fitted-band",
         )
         assert rc == 0
         lines = (out_dir / "fitted_band_gbm.csv").read_text().splitlines()
@@ -421,10 +415,13 @@ class TestForecastCommand:
         assert lines[2].split(",")[1] == "2009-01-02"
 
     def test_fitted_band_starts_exactly_at_first_close(self, capsys, tmp_path):
+        chain = fit_chain(
+            capsys, tmp_path / "fit", "--iters", 30, "--burnin", 5, "--seed", 2, model="gbm-jump"
+        )
         out_dir = tmp_path / "fb"
         rc, _, _ = run_cli(
             capsys, "forecast", "--input", TRAIN_CSV, "--out", out_dir, "--model", "gbm-jump",
-            "--iters", 30, "--burnin", 5, "--seed", 2, "--fitted-band",
+            "--chain", chain, "--seed", 2, "--fitted-band",
         )
         assert rc == 0
         first_close = TRAIN_CSV.read_text().splitlines()[1].split(",")[1]
@@ -432,18 +429,49 @@ class TestForecastCommand:
         assert [float(v) for v in row[2:]] == [float(first_close)] * 3
 
     def test_chain_model_mismatch_fails(self, capsys, tmp_path):
-        fit_dir = tmp_path / "fit"
-        run_cli(
-            capsys, "fit", "--input", TRAIN_CSV, "--out", fit_dir,
-            "--iters", 5, "--burnin", 0, "--seed", 1,
-        )
+        chain = fit_chain(capsys, tmp_path / "fit", "--iters", 5, "--burnin", 0, "--seed", 1)
         rc, _, err = run_cli(
             capsys, "forecast", "--input", TRAIN_CSV, "--model", "gbm-jump",
-            "--chain", fit_dir / "chain_gbm.csv", "--iters", 5, "--seed", 1,
+            "--chain", chain, "--seed", 1, "--out", tmp_path / "fc",
         )
         assert rc == 1
-        assert err.startswith("error:")
-        assert "gbm-jump" in err
+        assert err == f"error: {chain}: chain file holds model 'gbm', requested 'gbm-jump'\n"
+        assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize(
+        "model, fitted_to, days_per_year",
+        [
+            ("gbm", HOLDOUT_CSV, 252),
+            ("gbm-jump", HOLDOUT_CSV, 252),
+            ("gbm", TRAIN_CSV, 12),
+            ("gbm-jump", TRAIN_CSV, 12),
+        ],
+        ids=["gbm-holdout", "jump-holdout", "gbm-days-per-year", "jump-days-per-year"],
+    )
+    def test_chain_of_other_data_fails(self, capsys, tmp_path, model, fitted_to, days_per_year):
+        chain = fit_chain(
+            capsys, tmp_path / "fit", "--iters", 5, "--burnin", 0, "--seed", 1,
+            model=model, data=fitted_to,
+        )
+        fitted = read_chain_csv(chain).meta.data
+        given = to_increments(load_price_series(TRAIN_CSV), days_per_year=days_per_year).digest()
+        assert fitted != given
+        rc, _, err = run_cli(
+            capsys, "forecast", "--input", TRAIN_CSV, "--days-per-year", days_per_year,
+            "--model", model, "--chain", chain, "--seed", 1, "--fitted-band",
+            "--out", tmp_path / "fc",
+        )
+        assert rc == 1
+        assert err == (
+            f"error: {chain}: chain fitted to data {fitted}, --input gives {given}; "
+            "refit with gbmjump fit\n"
+        )
+        assert not (tmp_path / "fc").exists()
+
+    def test_chain_is_required(self, capsys, tmp_path):
+        rc, _, err = run_cli(capsys, "forecast", "--input", TRAIN_CSV, "--out", tmp_path / "fc")
+        assert (rc, err) == (1, "error: --chain is required\n")
+        assert not (tmp_path / "fc").exists()
 
 
 class TestErrorPaths:
@@ -459,16 +487,12 @@ class TestErrorPaths:
         assert err.startswith("error:")
 
     def test_bad_level(self, capsys):
-        rc, _, err = run_cli(
-            capsys, "forecast", "--input", TRAIN_CSV, "--level", "1.5", "--iters", 5
-        )
+        rc, _, err = run_cli(capsys, "forecast", "--input", TRAIN_CSV, "--level", "1.5")
         assert rc == 1
         assert "level" in err
 
     def test_bad_horizon(self, capsys):
-        rc, _, err = run_cli(
-            capsys, "forecast", "--input", TRAIN_CSV, "--horizon", "0", "--iters", 5
-        )
+        rc, _, err = run_cli(capsys, "forecast", "--input", TRAIN_CSV, "--horizon", "0")
         assert rc == 1
         assert "horizon" in err
 
@@ -496,15 +520,16 @@ class TestStudyCommand:
         assert not (out_dir / "pacf_gbm.csv").exists()
         for name in ("chain_gbm_jump.csv", "jump_probs_gbm_jump.csv", "forecast_band_gbm.csv"):
             assert (out_dir / name).exists()
-        # the study's bands are the ones forecast writes at the same settings
+        # the study's bands are the ones forecast writes from its chains
         for model in ("gbm", "gbm-jump"):
-            cli_dir = tmp_path / model
+            cli_dir, tag = tmp_path / model, model.replace("-", "_")
             rc, _, _ = run_cli(
-                capsys, "forecast", "--input", TRAIN_CSV, "--model", model, "--iters", "2",
-                "--burnin", "1", "--seed", "42", "--fitted-band", "--out", cli_dir,
+                capsys, "forecast", "--input", TRAIN_CSV, "--model", model,
+                "--chain", out_dir / f"chain_{tag}.csv", "--seed", "42", "--fitted-band",
+                "--out", cli_dir,
             )
             assert rc == 0
-            name = f"fitted_band_{model.replace('-', '_')}.csv"
+            name = f"fitted_band_{tag}.csv"
             assert (cli_dir / name).read_bytes() == (out_dir / name).read_bytes()
 
     def test_jump_probs_match_fit(self, tmp_path, capsys):

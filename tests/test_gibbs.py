@@ -260,7 +260,9 @@ class TestChainModel:
     )
     def test_rejected(self, model, row, message):
         with pytest.raises(ValueError, match=message):
-            PosteriorChain(draws=[row, row], meta=ChainMeta(model=model, burn_in=0, seed=None))
+            PosteriorChain(
+                draws=[row, row], meta=ChainMeta(model=model, burn_in=0, seed=None, data="0" * 8)
+            )
 
 
 class TestChainCsv:
@@ -281,8 +283,8 @@ class TestChainCsv:
         write_chain_csv(chain, path)
         back = read_chain_csv(path)
         assert back.meta == chain.meta  # accept_rate included
-        body = np.loadtxt(path, delimiter=",", skiprows=6)
-        header = path.read_text().splitlines()[5].split(",")
+        body = np.loadtxt(path, delimiter=",", skiprows=7)
+        header = path.read_text().splitlines()[6].split(",")
         assert len(header) == 8
         for i, name in enumerate(header):
             assert np.array_equal(body[:, i], back.column(name)), name
@@ -293,10 +295,10 @@ class TestChainCsv:
         path = tmp_path / "chain.csv"
         write_chain_csv(chain, path)
         lines = path.read_text().splitlines()
-        body = [",".join(f"{float(v):.15g}" for v in line.split(",")) for line in lines[6:]]
-        path.write_text("\n".join([*lines[:6], *body]) + "\n")
+        body = [",".join(f"{float(v):.15g}" for v in line.split(",")) for line in lines[7:]]
+        path.write_text("\n".join([*lines[:7], *body]) + "\n")
         back = read_chain_csv(path)
-        for name in lines[5].split(","):
+        for name in lines[6].split(","):
             assert np.allclose(back.column(name), chain.column(name), rtol=1e-14, atol=0), name
 
     def test_accept_rate_written_only_when_set_and_read_back(self, tmp_path, train_inc):
@@ -309,7 +311,7 @@ class TestChainCsv:
         assert read_chain_csv(path).meta.accept_rate is None
         chain.meta = replace(chain.meta, accept_rate=0.2875)
         write_chain_csv(chain, path)
-        assert path.read_text().splitlines()[4] == "# accept_rate: 0.2875"
+        assert path.read_text().splitlines()[5] == "# accept_rate: 0.2875"
         assert read_chain_csv(path).meta == chain.meta
 
     def test_header_block_present(self, tmp_path, train_inc):
@@ -318,8 +320,9 @@ class TestChainCsv:
         write_chain_csv(chain, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# model: gbm"
-        assert lines[4] == "theta,sigma2,mu,sigma"
-        assert len(lines) == 5 + 3
+        assert lines[4] == f"# data: {train_inc.digest()}"
+        assert lines[5] == "theta,sigma2,mu,sigma"
+        assert len(lines) == 6 + 3
 
 
 def drop_last_column(lines):
@@ -327,7 +330,7 @@ def drop_last_column(lines):
 
 
 def drop_last_value(lines):
-    return lines[:5] + [line.rsplit(",", 1)[0] for line in lines[5:]]
+    return lines[:6] + [line.rsplit(",", 1)[0] for line in lines[6:]]
 
 
 def drop_header(key):
@@ -340,7 +343,7 @@ def set_header(key, value):
 
 
 def repeat_first_column(lines):
-    return [*lines[:4], *(line.split(",", 1)[0] + "," + line for line in lines[4:])]
+    return [*lines[:5], *(line.split(",", 1)[0] + "," + line for line in lines[5:])]
 
 
 class TestChainCsvValidation:
@@ -351,10 +354,10 @@ class TestChainCsvValidation:
         [
             (drop_last_column, "missing chain column.*sigma"),
             (lambda lines: lines[:-3], "7 draws, header says n_keep 10"),
-            (lambda lines: lines[:5], "no draws"),
+            (lambda lines: lines[:6], "no draws"),
             (lambda lines: ["# model: garch", *lines[1:]], "unknown model 'garch'"),
             (drop_last_value, "3 values per row, 4 column names"),
-            (lambda lines: [*lines[:5], "abc" + lines[5][lines[5].index(","):], *lines[6:]],
+            (lambda lines: [*lines[:6], "abc" + lines[6][lines[6].index(","):], *lines[7:]],
              "could not convert string 'abc'"),
             (lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]],
              "number of columns changed from 4 to 3"),
@@ -362,20 +365,25 @@ class TestChainCsvValidation:
             (drop_header("n_keep"), "header has no n_keep$"),
             (drop_header("burn_in"), "header has no burn_in$"),
             (drop_header("seed"), "header has no seed$"),
+            (drop_header("data"), "header has no data$"),
             (repeat_first_column, r"repeated chain column\(s\) theta$"),
             (lambda lines: [*lines[:4], "# seed: 5", *lines[4:]], "repeated header key seed$"),
             (set_header("burn_in", -5), "header burn_in must be >= 0, got '-5'$"),
             (set_header("seed", -3), "header seed must be >= 0, got '-3'$"),
+            (set_header("data", "40bb005"), "header data must be 8 lowercase hex .* '40bb005'$"),
+            (set_header("data", "40BB0051"), "header data must be 8 lowercase hex .* '40BB0051'$"),
+            (set_header("data", "0x40bb00"), "header data must be 8 lowercase hex .* '0x40bb00'$"),
         ],
         ids=["missing-column", "short", "no-rows", "unknown-model", "ragged",
              "non-numeric-cell", "short-last-row", "no-model", "no-n_keep", "no-burn_in",
-             "no-seed", "repeated-column", "repeated-key", "negative-burn_in", "negative-seed"],
+             "no-seed", "no-data", "repeated-column", "repeated-key", "negative-burn_in",
+             "negative-seed", "short-data", "upper-case-data", "prefixed-data"],
     )
     def test_rejected(self, tmp_path, train_inc, edit, message):
         path = tmp_path / "chain.csv"
         write_chain_csv(run_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
         lines = path.read_text().splitlines()
-        assert lines[1] == "# n_keep: 10" and lines[4] == "theta,sigma2,mu,sigma"
+        assert lines[1] == "# n_keep: 10" and lines[5] == "theta,sigma2,mu,sigma"
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ValueError, match=message) as err:
             read_chain_csv(path)
@@ -415,8 +423,8 @@ class TestChainCsvValidation:
         chain = run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4)
         write_chain_csv(chain, path)
         lines = path.read_text().splitlines()
-        assert lines[4].startswith("# accept_rate: ")
-        lines[4] = f"# accept_rate: {value}"
+        assert lines[5].startswith("# accept_rate: ")
+        lines[5] = f"# accept_rate: {value}"
         path.write_text("\n".join(lines) + "\n")
         message = f"{path}: header accept_rate must be a number in [0, 1], got '{value}'"
         with pytest.raises(ValueError) as err:
@@ -444,10 +452,10 @@ class TestChainCsvValidation:
         path = tmp_path / "chain.csv"
         write_chain_csv(run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
         lines = path.read_text().splitlines()
-        row = lines[6].split(",")
-        at = lines[5].split(",").index(column)
+        row = lines[7].split(",")
+        at = lines[6].split(",").index(column)
         row[at] = edit(row[at])
-        path.write_text("\n".join([*lines[:6], ",".join(row), *lines[7:]]) + "\n")
+        path.write_text("\n".join([*lines[:7], ",".join(row), *lines[8:]]) + "\n")
         with pytest.raises(ValueError, match=message) as err:
             read_chain_csv(path)
         assert str(path) in str(err.value)
@@ -469,10 +477,10 @@ class TestChainCsvValidation:
         path = tmp_path / "chain.csv"
         write_chain_csv(run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4), path)
         lines = path.read_text().splitlines()
-        columns, row = lines[5].split(","), lines[6].split(",")
+        columns, row = lines[6].split(","), lines[7].split(",")
         for column, value in values.items():
             row[columns.index(column)] = value
-        path.write_text("\n".join([*lines[:6], ",".join(row), *lines[7:]]) + "\n")
+        path.write_text("\n".join([*lines[:7], ",".join(row), *lines[8:]]) + "\n")
         with pytest.raises(ValueError, match=message) as err:
             read_chain_csv(path)
         assert str(err.value).startswith(f"{path}: ")
@@ -482,6 +490,7 @@ VALID_CHAIN = b"""# model: gbm-jump
 # n_keep: 2
 # burn_in: 0
 # seed: 4
+# data: 0123abcd
 # accept_rate: 0.25
 theta,sigma2,mu,sigma,mu_z,sigma_z,lambda_star,n_jumps
 0.1,0.04,0.12,0.2,-0.01,0.02,0.3,4.0

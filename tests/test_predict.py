@@ -25,7 +25,7 @@ DT = 1.0 / 252.0
 
 
 def constant_chain(theta: float, sigma2: float, n: int) -> PosteriorChain:
-    meta = ChainMeta(model="gbm", burn_in=0, seed=None)
+    meta = ChainMeta(model="gbm", burn_in=0, seed=None, data="0" * 8)
     return PosteriorChain(draws=np.tile([theta, sigma2], (n, 1)), meta=meta)
 
 
@@ -214,7 +214,7 @@ class TestBandCsv:
 class TestSimulatorAgreement:
     def test_one_draw_forecast_is_the_jump_increment_path(self):
         params = JumpParams(theta=0.2, sigma2=0.01, mu_z=-0.01, sigma2_z=4e-4, lambda_star=0.3)
-        meta = ChainMeta(model="gbm-jump", burn_in=0, seed=None)
+        meta = ChainMeta(model="gbm-jump", burn_in=0, seed=None, data="0" * 8)
         chain = PosteriorChain(
             draws=[[params.theta, params.sigma2, params.mu_z, params.sigma2_z,
                     params.lambda_star, 0.0]],
@@ -326,6 +326,23 @@ class TestStreamedBands:
         with pytest.raises(ValueError, match="price paths must stay positive"):
             predictive_band(chain, 1.0, steps, rng=np.random.default_rng(1))
         # the caller stopped with a block still being drawn: that worker was joined
+        assert threading.active_count() == threads
+
+    def test_overflow_in_a_later_block_is_rejected(self, monkeypatch):
+        # log-price rises by 1000/252 per step and overflows exp near step 179
+        chain = constant_chain(theta=1000.0, sigma2=1e-6, n=4)
+        block = IncrementKernel.block
+
+        def slow_block(kernel, dt):  # still drawing when the caller stops
+            time.sleep(0.02)
+            return block(kernel, dt)
+
+        monkeypatch.setattr(IncrementKernel, "block", slow_block)
+        assert 179 > predict._BLOCK
+        threads = threading.active_count()
+        # no RuntimeWarning either: the suite turns warnings into errors
+        with pytest.raises(ValueError, match="price paths must stay positive and finite"):
+            predictive_band(chain, 1.0, np.full(300, DT), rng=np.random.default_rng(1))
         assert threading.active_count() == threads
 
     def test_worker_error_reaches_the_caller(self, monkeypatch, gbm_chain):

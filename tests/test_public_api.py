@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import gbmjump
 
 # A new export is a deliberate change to this list.
@@ -12,7 +17,24 @@ PUBLIC_NAMES = [
     "update_lambda", "write_band_csv", "write_chain_csv",
 ]
 
+# Modules that importing the package must not load: hashlib loads OpenSSL
+# (about 3.5 MB of resident memory), and queue, logging and concurrent each
+# add import time to every CLI run; predict imports queue when it draws a band.
+HEAVY_MODULES = ["hashlib", "_hashlib", "queue", "logging", "concurrent"]
+
 
 def test_all_pins_the_public_names():
     # built from the imports, so a submodule bound by importing from it is no export
     assert gbmjump.__all__ == PUBLIC_NAMES
+
+
+def test_import_loads_no_heavy_module():
+    # a fresh interpreter: this one has loaded pytest's modules
+    src = str(Path(gbmjump.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import sys, gbmjump, gbmjump.cli; print(sorted(set({HEAVY_MODULES}) & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.stdout == "[]\n"

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -93,6 +94,15 @@ class TestLoadPriceSeries:
             load_price_series(path)
         assert str(err.value).startswith(f"{path}:")
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # as Excel's "CSV UTF-8" writes it
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(VALID_PRICES)
+        marked.write_bytes(b"\xef\xbb\xbf" + VALID_PRICES)
+        want, got = load_price_series(plain), load_price_series(marked)
+        assert got.dates == want.dates
+        assert got.prices.tobytes() == want.prices.tobytes()
+
     def test_vendored_dataset_row_counts(self, train_series, holdout_series):
         assert len(train_series) == 1511
         assert train_series.dates[0] == dt.date(2009, 1, 2)
@@ -172,6 +182,18 @@ class TestToIncrements:
 
 
 class TestIncrementSeries:
+    def test_digest_is_crc32_of_d_then_dt(self, train_inc):
+        want = zlib.crc32(train_inc.d.tobytes() + train_inc.dt.tobytes())
+        assert train_inc.digest() == f"{want:08x}" == "40bb0051"  # chain files record it
+
+    def test_digest_names_values_count_and_step(self, train_series, train_inc):
+        others = [
+            IncrementSeries(d=train_inc.d[:-1], dt=train_inc.dt[:-1]),
+            IncrementSeries(d=train_inc.d + 1e-15, dt=train_inc.dt),
+            to_increments(train_series, days_per_year=12),
+        ]
+        assert len({train_inc.digest(), *(inc.digest() for inc in others)}) == 4
+
     def test_empty_series_allowed(self):
         inc = IncrementSeries(d=np.array([]), dt=np.array([]))
         assert inc.n == 0
