@@ -229,9 +229,10 @@ def write_bands(chain, series, inc, out: Path, steps, dates, level: float, seed,
     """Write forecast_band_<tag>.csv, the band over steps (in years, one row
     per date of dates) from the last close of series, and, when fitted,
     fitted_band_<tag>.csv over inc from its first close, one row per date of
-    series; return (forecast band, fitted band or None). The bands draw from
-    streams 1 and 2 derived from seed (OS entropy when seed is None), so they
-    leave the chain's stream alone.
+    series; return (forecast band, fitted band or None). Both bands are drawn
+    before out is made and either is written, so a band that fails leaves no
+    file. They draw from streams 1 and 2 derived from seed (OS entropy when
+    seed is None), so they leave the chain's stream alone.
     """
     tag = chain.meta.model.replace("-", "_")
 
@@ -241,11 +242,13 @@ def write_bands(chain, series, inc, out: Path, steps, dates, level: float, seed,
     forecast = predictive_band(
         chain, start=float(series.prices[-1]), dt=steps, level=level, rng=stream(1),
     )
+    band = None
+    if fitted:
+        band = fitted_band(chain, inc, x0=float(series.prices[0]), level=level, rng=stream(2))
+    out.mkdir(parents=True, exist_ok=True)
     write_band_csv(forecast, out / f"forecast_band_{tag}.csv", dates=dates)
-    if not fitted:
-        return forecast, None
-    band = fitted_band(chain, inc, x0=float(series.prices[0]), level=level, rng=stream(2))
-    write_band_csv(band, out / f"fitted_band_{tag}.csv", dates=series.dates)
+    if band is not None:
+        write_band_csv(band, out / f"fitted_band_{tag}.csv", dates=series.dates)
     return forecast, band
 
 
@@ -266,7 +269,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
             f"{inc.digest()}; refit with gbmjump fit"
         )
     band, _ = write_bands(
-        chain, series, inc, _out_dir(cfg),
+        chain, series, inc, Path(cfg.out or "."),
         steps=[1.0 / cfg.days_per_year] * cfg.horizon,
         dates=_next_weekdays(series.dates[-1], cfg.horizon),
         level=cfg.level, seed=cfg.seed, fitted=cfg.fitted_band,

@@ -83,11 +83,12 @@ class IncrementSeries:
         return len(self.d)
 
     def digest(self) -> str:
-        """CRC-32 of the bytes of d followed by those of dt, as 8 lowercase
-        hex digits: a chain records it to name the data it was fitted to.
-        dt carries the step length, so the days per year count too. zlib,
-        not hashlib, which would load OpenSSL on import."""
-        return f"{zlib.crc32(self.dt.tobytes(), zlib.crc32(self.d.tobytes())):08x}"
+        """CRC-32 of the little-endian float64 bytes of d followed by those of
+        dt, as 8 lowercase hex digits: a chain records it to name the data it
+        was fitted to. dt carries the step length, so the days per year count
+        too. zlib, not hashlib, which would load OpenSSL on import."""
+        d, step = (a.astype("<f8").tobytes() for a in (self.d, self.dt))
+        return f"{zlib.crc32(step, zlib.crc32(d)):08x}"
 
 
 def load_price_series(path) -> PriceSeries:

@@ -3,10 +3,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gbmjump import (
-    load_price_series, read_chain_csv, run_gibbs, to_increments, write_chain_csv,
+    ChainMeta, PosteriorChain, load_price_series, read_chain_csv, run_gibbs, to_increments,
+    write_chain_csv,
 )
 from gbmjump.cli import RunConfig, _build_parser, build_config, main
 
@@ -233,7 +235,7 @@ class TestScopedOptions:
             capsys, command, "--input", TRAIN_CSV, *args, "--out", tmp_path / "out"
         )
         assert (rc, err) == (1, f"error: {message}\n")
-        assert not list((tmp_path / "out").glob("*"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestMleCommand:
@@ -362,6 +364,19 @@ class TestForecastCommand:
         assert rc == 1
         assert err.startswith("error:") and "non-finite theta" in err
         assert not (out_dir / "forecast_band_gbm_jump.csv").exists()
+
+    def test_failed_fitted_band_writes_nothing(self, capsys, tmp_path, train_inc):
+        # theta = 150 a year stays finite over the 40-day forecast and
+        # overflows over the six years of the fitted band
+        meta = ChainMeta(model="gbm", burn_in=0, seed=None, data=train_inc.digest())
+        chain = tmp_path / "chain_gbm.csv"
+        write_chain_csv(PosteriorChain(draws=np.tile([150.0, 1e-6], (4, 1)), meta=meta), chain)
+        rc, _, err = run_cli(
+            capsys, "forecast", "--input", TRAIN_CSV, "--chain", chain, "--fitted-band",
+            "--out", tmp_path / "fc", "--seed", 1,
+        )
+        assert (rc, err) == (1, "error: price paths must stay positive and finite\n")
+        assert not (tmp_path / "fc").exists()
 
     @pytest.mark.parametrize(
         "key, value", [("n_keep", "5e3"), ("burn_in", "x"), ("seed", "1.5")]

@@ -183,7 +183,8 @@ class TestToIncrements:
 
 class TestIncrementSeries:
     def test_digest_is_crc32_of_d_then_dt(self, train_inc):
-        want = zlib.crc32(train_inc.d.tobytes() + train_inc.dt.tobytes())
+        little_endian = [a.astype("<f8").tobytes() for a in (train_inc.d, train_inc.dt)]
+        want = zlib.crc32(b"".join(little_endian))
         assert train_inc.digest() == f"{want:08x}" == "40bb0051"  # chain files record it
 
     def test_digest_names_values_count_and_step(self, train_series, train_inc):
