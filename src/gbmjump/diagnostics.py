@@ -20,18 +20,31 @@ class ParamSummary:
 
 
 def summarize_draws(draws) -> ParamSummary:
-    """Mean, SD (n-1 divisor) and linear-interpolation quantiles of one chain."""
-    x = np.asarray(draws, dtype=float)
+    """Mean, SD (n-1 divisor) and type-7 quantiles of one chain."""
+    x = np.array(draws, dtype=float)  # a copy, which quantiles sorts
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a 1-d sample of at least two draws")
-    q = np.quantile(x, [0.025, 0.5, 0.975])
-    return ParamSummary(
-        mean=float(x.mean()),
-        sd=float(x.std(ddof=1)),
-        q2_5=float(q[0]),
-        q50=float(q[1]),
-        q97_5=float(q[2]),
-    )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("draws must be finite")
+    mean, sd = float(x.mean()), float(x.std(ddof=1))  # before the sort reorders x
+    q = quantiles(x, (0.025, 0.5, 0.975))
+    return ParamSummary(mean=mean, sd=sd, q2_5=float(q[0]), q50=float(q[1]), q97_5=float(q[2]))
+
+
+def quantiles(x: np.ndarray, levels) -> np.ndarray:
+    """Type-7 sample quantiles (Hyndman & Fan 1996, numpy's 'linear') of each
+    row of x, the last axis, bit for bit those of np.quantile(x, levels,
+    axis=-1), with one leading row per level. Sorts x in place; x must be
+    finite, as numpy's NaN placement is not copied.
+    """
+    x.sort(axis=-1)
+    v = (x.shape[-1] - 1) * np.asarray(levels, dtype=float)
+    lo = np.floor(v)
+    g = (v - lo).reshape(-1, *(1,) * (x.ndim - 1))
+    lo = lo.astype(np.intp)
+    a, b = (np.moveaxis(x[..., i], -1, 0) for i in (lo, np.minimum(lo + 1, x.shape[-1] - 1)))
+    step = b - a
+    return np.where(g >= 0.5, b - step * (1 - g), a + step * g)
 
 
 def summarize(chain: PosteriorChain) -> dict[str, ParamSummary]:
@@ -46,9 +59,11 @@ def pacf(series, max_lag: int) -> np.ndarray:
     coefficient of the order-k Yule-Walker system on the sample
     autocorrelations (autocovariances with the 1/n divisor).
 
-    Requires len(series) > max_lag + 1 and nonzero variance.
+    Requires a finite series, len(series) > max_lag + 1 and nonzero variance.
     """
     x = np.asarray(series, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series must be finite")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     n = x.size

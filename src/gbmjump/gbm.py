@@ -108,9 +108,11 @@ class IncrementKernel:
     substreams are split off gen through a SeedSequence: diffusion noise, jump
     hits, and jump sizes, the sizes drawn only at hits. Blocks are time-major,
     (steps, draws), and every substream is consumed in time order, so any split
-    of the same steps into blocks gives the same increments bit for bit. Only
-    block() draws from the substreams: a caller may run it on another thread,
-    as the bands do, provided one thread at a time calls it, in block order.
+    of the same steps into blocks gives the same increments bit for bit. block()
+    is diffusion() (noise and hits substreams) then add_jumps() (sizes
+    substream), and only these draw. A caller may run either step on another
+    thread, as the bands run diffusion() on a worker and add_jumps() on the
+    caller, provided one thread at a time runs each step, in block order.
     """
 
     def __init__(self, theta, sigma2, gen: np.random.Generator, jump=None) -> None:
@@ -134,14 +136,26 @@ class IncrementKernel:
 
     def block(self, dt) -> np.ndarray:
         """The next len(dt) increments of every draw, one row per step of dt."""
+        return self.add_jumps(*self.diffusion(dt))
+
+    def diffusion(self, dt) -> tuple[np.ndarray, np.ndarray]:
+        """block()'s first step: the next len(dt) jump-free increments, and the
+        flat indices of their jump hits (empty without jumps), in time order,
+        then draw. Draws the noise and hits substreams only."""
         dt = np.asarray(dt, dtype=float)[:, None]
         d = self._noise.standard_normal((len(dt), self._draws))
         d *= np.sqrt(dt)  # scaled by a row and a column: no full-size temporary
         d *= self._sigma
         d += self._theta * dt
+        if self._jump is None:
+            return d, np.empty(0, dtype=np.intp)
+        return d, np.flatnonzero(self._hits.random(d.shape) < self._jump[0])
+
+    def add_jumps(self, d: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """block()'s second step: adds a jump size at each flat index of d in
+        at, in place, and returns d. Draws the sizes substream only."""
         if self._jump is not None:
-            lam, mu_z, sigma_z = self._jump
-            at = np.flatnonzero(self._hits.random(d.shape) < lam)  # time order, then draw
+            _, mu_z, sigma_z = self._jump
             draw = at % self._draws
             z = self._sizes.standard_normal(len(at))
             z *= sigma_z[draw]

@@ -6,9 +6,10 @@ predictive_band covers the steps of dt past a start price, as a forecast does;
 fitted_band reruns the model over the observation grid from the first observed
 price. Paths are simulated in blocks of time steps, reduced to their band rows
 and dropped, so no band holds the draws x steps path matrix. A worker thread
-draws the next block while the caller reduces the current one; numpy releases
-the GIL in both, so a band keeps two CPUs busy, and the bytes are those of a
-serial loop.
+draws the next block's diffusion and jump hits while the caller adds the
+current block's jump sizes, sums, exponentiates, and sorts each step's prices
+in place for its quantiles; numpy releases the GIL in both, so a band keeps two
+CPUs busy, and the bytes are those of a serial loop.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import quantiles
 from .gbm import IncrementKernel
 from .gibbs import PosteriorChain
 from .series import IncrementSeries, write_csv
@@ -58,12 +60,11 @@ def _subsample_rows(n_rows: int, max_draws: int) -> np.ndarray:
 _MAX_DRAWS = 2000
 # Time steps per block. Two blocks are in flight, one drawn while the other is
 # reduced, so memory is O(draws x _BLOCK); the bytes do not depend on it. For
-# the bundled jump fit (2000 draws x 1510 steps, 2-CPU Xeon VM, median of 7) a
-# fitted band took 0.19-0.20 s at 16 to 64 steps per block (0.41-0.42 s drawn
-# serially at 64), 0.25 s at 8, 0.34 s at 1510 (one block: nothing overlaps)
-# and 0.9 s at 1, where the hand-off per block dominates. At 16 a band's traced
-# peak is 1.3 MiB (2.4 at 32, 3.8 for the serial band at 64), and a CLI band's
-# peak RSS stays below the serial band's even when the second CPU is busy.
+# the bundled jump fit (2000 draws x 1510 steps, 2-CPU Xeon VM, medians of 14
+# bands over 3 runs) a fitted band took 0.09-0.12 s at 8 to 64 steps per block
+# (0.08-0.10 s at 32 and 64, within the VM's drift), 0.17-0.20 s at 1510 (one
+# block: nothing overlaps) and 0.37-0.43 s at 1, where the hand-off per block
+# dominates. At 16 a band's traced peak is 1.4 MiB (2.5 at 32).
 _BLOCK = 16
 
 
@@ -74,10 +75,10 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
 
     The log-price carried from block to block is added to a block's first row
     before the in-place cumsum, so every block length gives the same bytes.
-    One worker thread draws block j+1 while the caller reduces block j. It
-    runs kernel.block alone, on request, so each substream is still consumed
-    by one thread in block order. An error it raises is raised here, and
-    closing the generator stops and joins the worker.
+    One worker thread runs kernel.diffusion for block j+1, on request, while
+    the caller runs kernel.add_jumps on block j and reduces it, so each
+    substream is still consumed by one thread in block order. An error the
+    worker raises is raised here, and closing the generator stops and joins it.
     """
     rows = _subsample_rows(len(chain), _MAX_DRAWS)
     names = ("theta", "sigma2", "lambda_star", "mu_z", "sigma2_z")
@@ -90,7 +91,7 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
     def draw() -> None:
         for lo in iter(requests.get, None):
             try:
-                drawn.put(kernel.block(dt[lo:lo + _BLOCK]))
+                drawn.put(kernel.diffusion(dt[lo:lo + _BLOCK]))
             except BaseException as exc:  # raised again by the caller
                 drawn.put(exc)
 
@@ -101,11 +102,12 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
     requests.put(0)
     try:
         for lo in range(0, len(dt), _BLOCK):
-            y = drawn.get()
-            if isinstance(y, BaseException):
-                raise y
+            item = drawn.get()
+            if isinstance(item, BaseException):
+                raise item
             if lo + _BLOCK < len(dt):
                 requests.put(lo + _BLOCK)
+            y = kernel.add_jumps(*item)
             y[0] += carry
             np.cumsum(y, axis=0, out=y)
             carry = y[-1].copy()
@@ -153,7 +155,8 @@ def predictive_band(
             mean = prices.mean(axis=1)  # prices are >= 0: finite means, finite prices
             if not (np.all(prices > 0.0) and np.all(np.isfinite(mean))):
                 raise ValueError("price paths must stay positive and finite")
-            rows.append((*np.quantile(prices, [tail, 1.0 - tail], axis=1), mean))
+            # the mean's bits depend on element order, so it comes before the sort
+            rows.append((*quantiles(prices, (tail, 1.0 - tail)), mean))
     lower, upper, mean = (np.concatenate(parts) for parts in zip(*rows))
     return Band(grid=np.cumsum(dt), lower=lower, mean=mean, upper=upper, level=level)
 

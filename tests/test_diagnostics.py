@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbmjump import pacf, summarize
 from gbmjump.diagnostics import (
+    quantiles,
     summarize_draws,
     summary_to_dict,
     write_summary_csv,
@@ -50,6 +51,54 @@ class TestSummarizeDraws:
         rng = np.random.default_rng(4)
         s = summarize_draws(rng.standard_normal(500))
         assert s.q2_5 <= s.q50 <= s.q97_5
+
+    def test_matches_numpy_bit_for_bit_and_leaves_draws_unsorted(self):
+        draws = np.random.default_rng(5).standard_normal(5001)
+        before = draws.copy()
+        s = summarize_draws(draws)
+        q = np.quantile(draws, [0.025, 0.5, 0.975])
+        assert (s.mean, s.sd, s.q2_5, s.q50, s.q97_5) == (
+            draws.mean(), draws.std(ddof=1), q[0], q[1], q[2]
+        )
+        assert draws.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_rejected(self, bad):
+        with pytest.raises(ValueError, match="draws must be finite"):
+            summarize_draws([1.0, bad, 3.0])
+
+
+def tie_rows(seed: int, shape: tuple, kind: str) -> np.ndarray:
+    """Finite rows: distinct values, values from a pool of 3 (ties), or one value."""
+    rng = np.random.default_rng(seed)
+    if kind == "distinct":
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+    if kind == "ties":
+        return rng.choice([-1.5, 0.0, 2.25], size=shape)
+    return np.full(shape, rng.standard_normal())
+
+
+class TestQuantiles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 3000),
+        rows=st.sampled_from([None, 1, 3]),
+        levels=st.just((0.025, 0.5, 0.975))
+        | st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=4),
+        kind=st.sampled_from(["distinct", "ties", "equal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, rows=None, levels=(0.025, 0.5, 0.975), kind="distinct", seed=0)
+    @example(n=3, rows=3, levels=[0.5], kind="ties", seed=1)
+    @example(n=3000, rows=None, levels=[0.05, 0.95], kind="distinct", seed=2)
+    @example(n=2999, rows=3, levels=[0.05, 0.95], kind="equal", seed=3)
+    def test_equals_numpy_quantile_bit_for_bit(self, n, rows, levels, kind, seed):
+        x = tie_rows(seed, (n,) if rows is None else (rows, n), kind)
+        want = np.quantile(x, levels, axis=-1)
+        got = quantiles(x, levels)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.all(np.diff(x, axis=-1) >= 0.0)  # sorted in place
 
 
 class TestSummarize:
@@ -105,6 +154,11 @@ class TestPacf:
             toeplitz = np.array([[rho[abs(i - j)] for j in range(k)] for i in range(k)])
             phi = np.linalg.solve(toeplitz, rho[1 : k + 1])
             assert got[k - 1] == pytest.approx(phi[-1], abs=1e-8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        with pytest.raises(ValueError, match="series must be finite"):
+            pacf([1.0, bad, 3.0, 4.0, 5.0], max_lag=1)
 
     def test_length_and_variance_validation(self):
         with pytest.raises(ValueError):

@@ -208,6 +208,22 @@ class TestIncrementKernel:
         want[hit] += twin._sizes.standard_normal(len(draw)) * np.sqrt(sigma2_z)[draw] + mu_z[draw]
         assert d.tobytes() == want.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.integers(1, 60), jumps=st.booleans())
+    def test_two_steps_match_block_at_any_block_length(self, length, jumps):
+        # every diffusion step before any jump step: each substream is drawn by
+        # one step, so the order between the steps does not matter
+        steps = np.linspace(1.0, 3.0, 60) / 252
+        jump = (np.array([0.3, 0.0, 1.0]), np.array([-0.1, 0.2, 0.05]), np.array([1e-4, 4e-4, 9e-4]))
+
+        def kernel():
+            return IncrementKernel([0.1, -0.2, 0.3], 0.04, np.random.default_rng(8), jump if jumps else None)
+
+        want, split = kernel().block(steps), kernel()
+        drawn = [split.diffusion(steps[lo:lo + length]) for lo in range(0, len(steps), length)]
+        got = np.concatenate([split.add_jumps(d, at) for d, at in drawn])
+        assert got.tobytes() == want.tobytes()
+
     def test_zero_volatility_is_exponential_drift(self):
         grid = np.linspace(0.0, 2.0, 9)
         d = IncrementKernel(0.3, 0.0, np.random.default_rng(0)).block(np.diff(grid))[:, 0]

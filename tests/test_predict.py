@@ -311,13 +311,13 @@ class TestStreamedBands:
     def test_underflow_in_a_later_block_is_rejected(self, monkeypatch):
         # log-price falls by 1000/252 per step and underflows exp near step 188
         chain = constant_chain(theta=-1000.0, sigma2=1e-6, n=4)
-        block = IncrementKernel.block
+        diffusion = IncrementKernel.diffusion
 
-        def slow_block(kernel, dt):  # still drawing when the caller stops
+        def slow_diffusion(kernel, dt):  # still drawing when the caller stops
             time.sleep(0.02)
-            return block(kernel, dt)
+            return diffusion(kernel, dt)
 
-        monkeypatch.setattr(IncrementKernel, "block", slow_block)
+        monkeypatch.setattr(IncrementKernel, "diffusion", slow_diffusion)
         steps = np.full(300, DT)
         assert 188 > predict._BLOCK
         threads = threading.active_count()
@@ -331,13 +331,13 @@ class TestStreamedBands:
     def test_overflow_in_a_later_block_is_rejected(self, monkeypatch):
         # log-price rises by 1000/252 per step and overflows exp near step 179
         chain = constant_chain(theta=1000.0, sigma2=1e-6, n=4)
-        block = IncrementKernel.block
+        diffusion = IncrementKernel.diffusion
 
-        def slow_block(kernel, dt):  # still drawing when the caller stops
+        def slow_diffusion(kernel, dt):  # still drawing when the caller stops
             time.sleep(0.02)
-            return block(kernel, dt)
+            return diffusion(kernel, dt)
 
-        monkeypatch.setattr(IncrementKernel, "block", slow_block)
+        monkeypatch.setattr(IncrementKernel, "diffusion", slow_diffusion)
         assert 179 > predict._BLOCK
         threads = threading.active_count()
         # no RuntimeWarning either: the suite turns warnings into errors
@@ -347,15 +347,15 @@ class TestStreamedBands:
 
     def test_worker_error_reaches_the_caller(self, monkeypatch, gbm_chain):
         failure = RuntimeError("third block")
-        block, calls = IncrementKernel.block, []
+        diffusion, calls = IncrementKernel.diffusion, []
 
-        def failing_block(kernel, dt):
+        def failing_diffusion(kernel, dt):  # the worker's step
             calls.append(len(dt))
             if len(calls) == 3:
                 raise failure
-            return block(kernel, dt)
+            return diffusion(kernel, dt)
 
-        monkeypatch.setattr(IncrementKernel, "block", failing_block)
+        monkeypatch.setattr(IncrementKernel, "diffusion", failing_diffusion)
         threads = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             predictive_band(gbm_chain, 100.0, np.full(5 * predict._BLOCK, DT), rng=np.random.default_rng(3))
@@ -388,7 +388,7 @@ class TestStreamedBands:
 
     def test_memory_stays_below_the_path_matrix(self, jump_chain, train_inc):
         # 2000 x 1510 prices would take 23 MiB; two blocks of 16 steps, one
-        # drawn while the other is reduced, take 0.5 MiB (1.3 MiB peak measured)
+        # drawn while the other is reduced, take 0.5 MiB (1.4 MiB peak measured)
         tracemalloc.start()
         try:
             predictive_band(jump_chain, 931.80, train_inc.dt, rng=np.random.default_rng(2))
