@@ -135,12 +135,19 @@ def _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z):
     return sizes
 
 
-def _jump_adjusted_stats(stats: _SuffStats, d_act, dt_act, sizes) -> _SuffStats:
+def _jump_adjusted_stats(stats: _SuffStats, d_act, dt_act, sizes, total: float) -> _SuffStats:
     """_SuffStats of d_i - J_i*Z_i from those of d, corrected at the active
-    steps only: (d - Z)^2/dt = d^2/dt - (2d - Z)*Z/dt."""
+    steps only, given the sizes' sum total: (d - Z)^2/dt = d^2/dt - (2d - Z)*Z/dt."""
     w = sizes / dt_act
     sdd = stats.sdd - (2.0 * float(d_act @ w) - float(sizes @ w))
-    return _SuffStats(stats.n, stats.sd - float(sizes.sum()), stats.st, sdd)
+    return _SuffStats(stats.n, stats.sd - total, stats.st, sdd)
+
+
+def _size_stats(sizes, total: float) -> _SuffStats:
+    """_SuffStats of the active sizes, given their sum total, as steps of
+    length 1: Z_i ~ Normal(mu_z, sigma2_z) is the diffusion model with
+    theta = mu_z and every dt = 1."""
+    return _SuffStats(sizes.size, total, sizes.size, float(sizes @ sizes))
 
 
 class _Marginal:
@@ -320,13 +327,12 @@ def update_lambda(indicators, prior: JumpPrior = JumpPrior(), rng=None) -> float
 
 def update_jump_moments(z_active, sigma2_z: float, prior: JumpPrior = JumpPrior(), rng=None):
     """Draw mu_z | sigma2_z then sigma2_z | mu_z from the active sizes, the
-    diffusion block's draw on sizes of unit step length: Z_i ~ Normal(mu_z,
-    sigma2_z) is the diffusion model with theta = mu_z and every dt = 1.
+    diffusion block's draw on sizes of unit step length (_size_stats).
 
     With no active jumps both reduce to prior draws.
     """
     z = np.asarray(z_active, dtype=float)
-    stats = _SuffStats(z.size, float(z.sum()), z.size, float(z @ z))
+    stats = _size_stats(z, float(z.sum()))
     return _draw_theta_sigma2(stats, sigma2_z, prior.jump, np.random.default_rng(rng))
 
 
@@ -421,9 +427,10 @@ def run_jump_gibbs(
         d_act, dt_act = d[idx], dt[idx] if isinstance(dt, np.ndarray) else dt
         z = gen.standard_normal(idx.size)
         sizes = _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z)
+        total = float(sizes.sum())
         lam = float(gen.beta(*_lambda_beta(idx.size, n, prior)))
-        mu_z, sigma2_z = update_jump_moments(sizes, sigma2_z, prior, gen)
-        stats = _jump_adjusted_stats(marginal.stats, d_act, dt_act, sizes)
+        mu_z, sigma2_z = _draw_theta_sigma2(_size_stats(sizes, total), sigma2_z, prior.jump, gen)
+        stats = _jump_adjusted_stats(marginal.stats, d_act, dt_act, sizes, total)
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
         if sweep >= burn_in:
             draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, idx.size)

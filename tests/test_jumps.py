@@ -121,7 +121,7 @@ def latent_block(inc, params, gen):
 def diffusion_block(inc, indicators, sizes, sigma2, prior, gen):
     """(theta, sigma2) from the no-jump conditionals on d_i - J_i*Z_i."""
     d, dt = inc.d[indicators], inc.dt[indicators]
-    suff = _jump_adjusted_stats(_SuffStats.of(inc.d, inc.dt), d, dt, sizes)
+    suff = _jump_adjusted_stats(_SuffStats.of(inc.d, inc.dt), d, dt, sizes, float(sizes.sum()))
     return _draw_theta_sigma2(suff, sigma2, prior, gen)
 
 
@@ -241,7 +241,9 @@ class TestDiffusionBlock:
         for inc in (train_inc, weekend_steps(train_inc)):
             on = rng.random(inc.n) < 0.3
             sizes = rng.normal(-0.002, 0.017, int(on.sum()))
-            got = _jump_adjusted_stats(_SuffStats.of(inc.d, inc.dt), inc.d[on], inc.dt[on], sizes)
+            got = _jump_adjusted_stats(
+                _SuffStats.of(inc.d, inc.dt), inc.d[on], inc.dt[on], sizes, float(sizes.sum())
+            )
             shifted = inc.d.copy()
             shifted[on] -= sizes
             assert got == pytest.approx(_SuffStats.of(shifted, inc.dt), rel=1e-12)
