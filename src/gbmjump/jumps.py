@@ -11,10 +11,15 @@ independence Metropolis step on x = (theta, log sigma2, mu_z, log sigma2_z,
 logit lambda_star) targeting the posterior with J and Z summed out, which
 leaves that posterior invariant and jumps the ridge through sigma2,
 lambda_star and sigma2_z that the blocks cross slowly. Its proposal is a
-multivariate t with 5 degrees of freedom centred at the posterior mode, with
+multivariate t with 30 degrees of freedom centred at the posterior mode, with
 1.2 times the Laplace covariance (the inverse of minus the Hessian there) as
 its scale. Damped Newton ascent from the chain's start finds both before
 sweep 0, and they stay fixed, so the move runs from sweep 0 at any burn-in.
+Run alone, an independence sampler whose proposal has lighter tails than
+its target is not geometrically ergodic (Mengersen & Tweedie 1996, Ann.
+Statist. 24); here the conjugate blocks run every sweep and are ergodic on
+their own, so the move only has to fit the bulk, which on series of a few
+hundred increments or more is close to the Laplace approximation.
 The move is off on series of fewer than 250 increments, when Newton does not
 converge within 50 steps or minus the Hessian at its end is not positive
 definite (the conjugate blocks then run alone), and after a lambda_star draw
@@ -95,8 +100,11 @@ _NO_DATA = _SuffStats(0, 0.0, 0.0, 0.0)
 # its proposal fits the posterior too loosely to be taken often, and its two
 # target evaluations cost more than the conjugate blocks. The proposal is a t
 # with _T_DF degrees of freedom and _T_SCALE times the Laplace covariance as
-# its scale; the mode search takes at most _NEWTON_CAP Newton steps.
-_MOVE_MIN_N, _T_DF, _T_SCALE, _NEWTON_CAP = 250, 5.0, 1.2, 50
+# its scale: of df in {5, 10, 20, 30, 50} and scale in {1.0, 1.1, 1.2}, the
+# pair with the highest geometric mean of the smallest per-parameter ESS over
+# synthetic jump-diffusion series (scripts/move_scan.py reruns the scan). The
+# mode search takes at most _NEWTON_CAP Newton steps.
+_MOVE_MIN_N, _T_DF, _T_SCALE, _NEWTON_CAP = 250, 30.0, 1.2, 50
 
 
 def _logit(p: float) -> float:
@@ -368,11 +376,13 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
 
 def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:
     """Diffusion at the no-jump start (the MLE, or the prior center below two
-    increments), lambda_star = 0.1, mu_z = 0 and sigma2_z the excess variance
-    of d over the diffusion share (at least 1e-6), or the prior center."""
+    increments), lambda_star = 0.1, mu_z = 0 and sigma2_z the variance of d
+    (at least 1e-6), or the prior center. The variance of d less the MLE's
+    diffusion share would be about 0 on equal steps, far below any
+    posterior of sigma2_z."""
     theta, sigma2 = _start(inc, prior.diffusion)
     if inc.n >= 2:
-        sigma2_z = max(float(np.var(inc.d) - sigma2 * np.mean(inc.dt)), 1e-6)
+        sigma2_z = max(float(np.var(inc.d)), 1e-6)
     else:
         sigma2_z = prior.jump.sigma2_center()
     return JumpParams(

@@ -13,9 +13,9 @@ them) and then asserts, so the suite both reports and enforces the contract:
 6. both samplers recover generating parameters across 20 synthetic replicates
 7. the jump-model increment moment identities match simulation
 8. the 90% forecast band covers the held-out continuation on >= 90% of days
-9. retained chains decorrelate: PACF lag 1 < 0.3, later lags at noise level
-   (checked on the GBM chain; the jump chain's lag-1 PACF of lambda_star and
-   sigma is printed as an observation, not checked)
+9. retained chains decorrelate: on the GBM chain PACF lag 1 < 0.3 and later
+   lags at noise level; on the jump chain the lag-1 PACF of lambda_star and
+   sigma stays below its ceiling
 """
 
 import time
@@ -309,21 +309,30 @@ def test_criterion_8_forecast_band_covers_holdout(timed_gbm, train_series, holdo
     assert ok, covered
 
 
+# Ceilings on the seed-42 jump chain's lag-1 PACF, halfway between its
+# readings under the move's t with 5 degrees of freedom (+0.234, +0.247) and
+# with 30 (+0.133, +0.147): the slowest parameters must keep that gain.
+JUMP_LAG1_CEILING = {"lambda_star": 0.183, "sigma": 0.197}
+
+
 def test_criterion_9_chain_decorrelation(timed_gbm, timed_jump):
     jump_chain, _ = timed_jump
-    jump_lag1 = " ".join(
-        f"{name} {pacf(jump_chain.column(name), max_lag=1)[0]:+.4f}"
-        for name in ("lambda_star", "sigma")
-    )
-    print(f"\nOBSERVATION 9: jump chain lag-1 pacf {jump_lag1}")
+    jump_lag1 = {
+        name: pacf(jump_chain.column(name), max_lag=1)[0] for name in JUMP_LAG1_CEILING
+    }
     chain, _ = timed_gbm
     mu = chain.column("mu")
     lags = pacf(mu, max_lag=10)
     threshold = 3.0 / np.sqrt(mu.size)
-    ok = abs(lags[0]) < 0.3 and np.all(np.abs(lags[1:]) < threshold)
+    ok = (
+        abs(lags[0]) < 0.3
+        and np.all(np.abs(lags[1:]) < threshold)
+        and all(jump_lag1[name] < JUMP_LAG1_CEILING[name] for name in jump_lag1)
+    )
     detail = (
         f"lag1 {lags[0]:+.4f} (< 0.3), max later |pacf| {np.max(np.abs(lags[1:])):.4f} "
-        f"(< {threshold:.4f})"
+        f"(< {threshold:.4f}); jump lag1 "
+        + " ".join(f"{n} {v:+.4f} (< {JUMP_LAG1_CEILING[n]})" for n, v in jump_lag1.items())
     )
     report(9, ok, detail)
     assert ok, detail

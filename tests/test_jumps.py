@@ -389,6 +389,12 @@ class TestRunJumpGibbs:
             lo, hi = np.quantile(chain.column(name), [0.025, 0.975])
             assert lo <= target <= hi, f"{name}: [{lo:.5g}, {hi:.5g}] misses {target}"
 
+    def test_jump_variance_starts_at_the_variance_of_d_on_equal_steps(self, train_inc):
+        # on equal steps the MLE's diffusion share is the whole variance of
+        # d, so the excess over it would leave sigma2_z at its 1e-6 floor
+        start = _initial_params(train_inc, JumpPrior())
+        assert start.sigma2_z == float(np.var(train_inc.d)) > 1e-6
+
     def test_degenerate_data_rejected(self):
         dt = np.array([0.1, 0.2])
         with pytest.raises(ValueError, match="degenerate"):
@@ -680,7 +686,7 @@ def move_target(inc, prior, x):
 def t_move(inc, prior, proposal, gen):
     """The move(x) -> (x, accepted) of reference_sweep that run_jump_gibbs makes,
     from marginal_log_posterior: one independence step with the t proposal
-    (mode, factor, inverse), y = mode + factor @ (z*sqrt(5/w)), its density
+    (mode, factor, inverse), y = mode + factor @ (z*sqrt(_T_DF/w)), its density
     from a solve against factor."""
     mode, factor, _ = proposal
 
