@@ -377,9 +377,8 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
 def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:
     """Diffusion at the no-jump start (the MLE, or the prior center below two
     increments), lambda_star = 0.1, mu_z = 0 and sigma2_z the variance of d
-    (at least 1e-6), or the prior center. The variance of d less the MLE's
-    diffusion share would be about 0 on equal steps, far below any
-    posterior of sigma2_z."""
+    (at least 1e-6), or the prior center. Not the excess over the MLE's
+    diffusion share: on equal steps that share is the whole variance."""
     theta, sigma2 = _start(inc, prior.diffusion)
     if inc.n >= 2:
         sigma2_z = max(float(np.var(inc.d)), 1e-6)
