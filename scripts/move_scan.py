@@ -13,7 +13,7 @@ mean, over every (series, seed) fit, of the smallest of the five
 per-parameter ESS. The bundled data are fitted only as a check; they choose
 nothing.
 
-Usage: python3 scripts/move_scan.py [--seeds N] [--keep N] [--burn-in N]
+Usage: python3 scripts/move_scan.py
 
 It prints one row per grid point for the synthetic series (mean acceptance,
 geometric-mean ESS per parameter, and the rule's score, the chosen row
@@ -23,7 +23,6 @@ and mean ESS per parameter over the same seeds).
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -52,6 +51,8 @@ SHAPES = (
     (1500, 0.15, 0.20, 0.005, 0.025),
 )
 BUNDLED = ROOT / "data" / "sp500_synthetic.csv"
+# seeds 1..SEEDS per series; KEEP kept draws after BURN_IN sweeps per fit
+SEEDS, KEEP, BURN_IN = 10, 3000, 500
 
 
 def synthetic(shape_index: int, seed: int) -> IncrementSeries:
@@ -61,27 +62,22 @@ def synthetic(shape_index: int, seed: int) -> IncrementSeries:
     return IncrementSeries(d=simulate_jump_increments(params, DT, n, gen), dt=np.full(n, DT))
 
 
-def fit(inc: IncrementSeries, df: float, scale: float, seed: int, keep: int, burn_in: int):
+def fit(inc: IncrementSeries, df: float, scale: float, seed: int):
     """(acceptance, ESS per parameter) of one chain with the move's proposal
     set to a t with df degrees of freedom and scale times the Laplace
     covariance."""
     saved = jumps._T_DF, jumps._T_SCALE
     jumps._T_DF, jumps._T_SCALE = df, scale
     try:
-        chain = run_jump_gibbs(inc, n_keep=keep, burn_in=burn_in, seed=seed)
+        chain = run_jump_gibbs(inc, n_keep=KEEP, burn_in=BURN_IN, seed=seed)
     finally:
         jumps._T_DF, jumps._T_SCALE = saved
     rate = chain.meta.accept_rate
     return (math.nan if rate is None else rate), [ess(chain.column(p)) for p in PARAMS]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=5, help="seeds per series (default 5)")
-    parser.add_argument("--keep", type=int, default=3000, help="kept draws per fit (default 3000)")
-    parser.add_argument("--burn-in", type=int, default=500, help="burn-in sweeps (default 500)")
-    args = parser.parse_args(argv)
-    seeds = range(1, args.seeds + 1)
+def main() -> int:
+    seeds = range(1, SEEDS + 1)
     series = [(synthetic(i, s), s) for i in range(len(SHAPES)) for s in seeds]
     bundled = to_increments(load_price_series(BUNDLED))
     grid = [(df, scale) for df in DFS for scale in SCALES]
@@ -89,24 +85,24 @@ def main(argv=None) -> int:
 
     rows = []
     for df, scale in grid:
-        fits = [fit(inc, df, scale, s, args.keep, args.burn_in) for inc, s in series]
+        fits = [fit(inc, df, scale, s) for inc, s in series]
         ess_table = np.array([e for _, e in fits])
         score = math.exp(np.mean(np.log(ess_table.min(axis=1))))
         rows.append((df, scale, np.nanmean([r for r, _ in fits]),
                      np.exp(np.log(ess_table).mean(axis=0)), score))
     best = max(range(len(rows)), key=lambda i: rows[i][-1])
-    print(f"synthetic: {len(SHAPES)} shapes x {args.seeds} seeds, {args.keep} kept draws, "
-          f"burn-in {args.burn_in}; ESS are geometric means over fits")
+    print(f"synthetic: {len(SHAPES)} shapes x {SEEDS} seeds, {KEEP} kept draws, "
+          f"burn-in {BURN_IN}; ESS are geometric means over fits")
     print(f"  {'df':>4} {'scale':>5} {'accept':>6}  {header}  {'min-ESS gm':>10}")
     for i, (df, scale, rate, ess_gm, score) in enumerate(rows):
         cells = "  ".join(f"{v:11.0f}" for v in ess_gm)
         print(f"{'*' if i == best else ' '} {df:4.0f} {scale:5.1f} {rate:6.3f}  {cells}  {score:10.0f}")
 
-    print(f"\nbundled data (check only): {bundled.n} increments x {args.seeds} seeds, "
-          f"{args.keep} kept draws; mean ESS over seeds")
+    print(f"\nbundled data (check only): {bundled.n} increments x {SEEDS} seeds, "
+          f"{KEEP} kept draws; mean ESS over seeds")
     print(f"  {'df':>4} {'scale':>5} {'accept':>6}  {header}")
     for df, scale in grid:
-        fits = [fit(bundled, df, scale, s, args.keep, args.burn_in) for s in seeds]
+        fits = [fit(bundled, df, scale, s) for s in seeds]
         cells = "  ".join(f"{v:11.0f}" for v in np.mean([e for _, e in fits], axis=0))
         print(f"  {df:4.0f} {scale:5.1f} {np.mean([r for r, _ in fits]):6.3f}  {cells}")
     return 0
