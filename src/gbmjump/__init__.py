@@ -21,12 +21,9 @@ from .jumps import (
     JumpParams,
     JumpPrior,
     increment_moments,
-    lambda_conditional,
     marginal_log_posterior,
     run_jump_gibbs,
     simulate_jump_increments,
-    update_jump_moments,
-    update_lambda,
 )
 from .predict import (
     Band,

@@ -122,13 +122,33 @@ CHAIN_COLUMNS = {
 class ChainMeta:
     """What produced a chain. data is the digest of the increments it was
     fitted to (IncrementSeries.digest); accept_rate is the share of the jump
-    sampler's Metropolis proposals taken, None when that move did not run."""
+    sampler's Metropolis proposals taken, None when that move did not run.
+
+    A model without CHAIN_COLUMNS, a burn_in or seed that is not an int >= 0
+    (seed may be None), a data that is not 8 lowercase hex digits or an
+    accept_rate that is neither None nor a number in [0, 1] is a ValueError
+    naming the field and its value, so every ChainMeta that exists can be
+    written to a chain file and read back.
+    """
 
     model: str
     burn_in: int
     seed: int | None
     data: str
     accept_rate: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.model not in CHAIN_COLUMNS:
+            raise ValueError(f"model must be one of {', '.join(CHAIN_COLUMNS)}, got {self.model!r}")
+        for key, value in (("burn_in", self.burn_in), ("seed", 0 if self.seed is None else self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+        data = self.data
+        if not isinstance(data, str) or len(data) != 8 or data.strip("0123456789abcdef"):
+            raise ValueError(f"data must be 8 lowercase hex digits, got {data!r}")
+        rate = 0.0 if self.accept_rate is None else self.accept_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate <= 1.0:
+            raise ValueError(f"accept_rate must be a number in [0, 1], got {rate!r}")
 
 
 @dataclass
@@ -140,7 +160,9 @@ class PosteriorChain:
     sigma = sqrt(sigma2) and sigma_z = sqrt(sigma2_z). A draw that is not
     finite, a sigma2 or sigma2_z draw that is not positive, a lambda_star
     draw outside [0, 1] or an n_jumps draw that is not a whole number >= 0 is
-    an error naming the column.
+    an error naming the column. jump_probs, each increment's posterior jump
+    probability, is for a gbm-jump chain only, and must be 1-D with every
+    value in [0, 1].
     """
 
     draws: np.ndarray
@@ -149,8 +171,6 @@ class PosteriorChain:
 
     def __post_init__(self) -> None:
         model = self.meta.model
-        if model not in CHAIN_COLUMNS:
-            raise ValueError(f"unknown model {model!r}")
         self.draws = np.asarray(self.draws, dtype=float)
         if self.draws.ndim != 2 or self.draws.shape[1] != len(self.columns):
             raise ValueError(f"{model} draws must be rows of ({', '.join(self.columns)})")
@@ -166,6 +186,12 @@ class PosteriorChain:
                 raise ValueError("lambda_star draw outside [0, 1]")
             if np.any((n_jumps < 0.0) | (n_jumps % 1.0 != 0.0)):
                 raise ValueError("n_jumps draw not a whole number >= 0")
+        if self.jump_probs is not None:
+            if model != "gbm-jump":
+                raise ValueError(f"a {model} chain has no jump_probs")
+            self.jump_probs = probs = np.asarray(self.jump_probs, dtype=float)
+            if probs.ndim != 1 or not np.all((probs >= 0.0) & (probs <= 1.0)):
+                raise ValueError("jump_probs must be 1-D with every value in [0, 1]")
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -209,9 +235,12 @@ def run_gibbs(
     Draws theta | sigma2 then sigma2 | theta each sweep; records n_keep sweeps
     after burn_in. Empty or single-increment data fall back to a prior-centered
     start (the conditionals then reproduce the prior exactly when n == 0).
+    The chain's ChainMeta is built, and so burn_in and seed checked, before
+    the first sweep.
     """
-    if n_keep < 1 or burn_in < 0:
-        raise ValueError("need n_keep >= 1 and burn_in >= 0")
+    if n_keep < 1:
+        raise ValueError("need n_keep >= 1")
+    meta = ChainMeta("gbm", burn_in, seed, inc.digest())
     theta, sigma2 = _start(inc, prior)
     stats = _SuffStats.of(inc.d, inc.dt)
     gen = np.random.default_rng(seed)
@@ -220,7 +249,7 @@ def run_gibbs(
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior, gen)
         if sweep >= burn_in:
             draws[sweep - burn_in] = (theta, sigma2)
-    return PosteriorChain(draws=draws, meta=ChainMeta("gbm", burn_in, seed, inc.digest()))
+    return PosteriorChain(draws=draws, meta=meta)
 
 
 def write_chain_csv(chain: PosteriorChain, path) -> None:
@@ -240,13 +269,13 @@ def read_chain_csv(path) -> PosteriorChain:
     Raises ValueError naming the file when the text is not UTF-8, the header
     repeats a key (naming it) or lacks a key that write_chain_csv always
     writes (model, n_keep, burn_in, seed, data), its n_keep, burn_in or seed
-    is not an integer or is negative, its data not 8 lowercase hex digits or
-    its accept_rate not a number in [0, 1] (naming the key), the model is
-    unknown, a column the writer exports for the model is missing or
-    repeated or a column it does not export is present, a cell is not a
-    number, the rows are none, differ in length or differ in number from the
-    header's n_keep, a draw is one PosteriorChain rejects, or an exported
-    column differs from what the rebuilt chain derives for it.
+    is not an integer or its accept_rate not a number (naming the key), its
+    values are ones ChainMeta rejects (naming the key), a column the writer
+    exports for the model is missing or repeated or a column it does not
+    export is present, a cell is not a number, the rows are none, differ in
+    length or differ in number from the header's n_keep, a draw is one
+    PosteriorChain rejects, or an exported column differs from what the
+    rebuilt chain derives for it.
     """
     meta_raw: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -267,15 +296,28 @@ def read_chain_csv(path) -> PosteriorChain:
         except ValueError as exc:  # UnicodeDecodeError, for a byte that is not UTF-8, too
             raise DataError(f"{path}: {exc}") from None
 
-    def header(key: str) -> str:
+    def header(key: str, parse=str, kind: str = ""):
         if key not in meta_raw:
             raise ValueError(f"{path}: header has no {key}")
-        return meta_raw[key]
+        try:
+            return parse(meta_raw[key])
+        except ValueError:
+            raise ValueError(f"{path}: header {key} must be {kind}, got {meta_raw[key]!r}") from None
 
-    model = header("model")
-    if model not in CHAIN_COLUMNS:
-        raise ValueError(f"{path}: unknown model {model!r}")
-    stored, exported, _ = CHAIN_COLUMNS[model]
+    fields = dict(
+        model=header("model"),
+        burn_in=header("burn_in", int, "an integer"),
+        seed=header("seed", lambda raw: None if raw == "None" else int(raw), "an integer"),
+        data=header("data"),
+        accept_rate=header("accept_rate", float, "a number in [0, 1]")
+        if "accept_rate" in meta_raw else None,
+    )
+    n_keep = header("n_keep", int, "an integer")
+    try:
+        meta = ChainMeta(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header {exc}") from None
+    stored, exported, _ = CHAIN_COLUMNS[meta.model]
     if body.shape[1] != len(cols):
         raise ValueError(f"{path}: {body.shape[1]} values per row, {len(cols)} column names")
     missing = [c for c in exported if c not in cols]
@@ -283,45 +325,12 @@ def read_chain_csv(path) -> PosteriorChain:
         raise ValueError(f"{path}: missing chain column(s) {', '.join(missing)}")
     extra = [c for c in cols if c not in exported]
     if extra:
-        raise ValueError(f"{path}: chain column(s) {', '.join(extra)} not in a {model} chain")
+        raise ValueError(f"{path}: chain column(s) {', '.join(extra)} not in a {meta.model} chain")
     repeated = [c for c in exported if cols.count(c) > 1]
     if repeated:
         raise ValueError(f"{path}: repeated chain column(s) {', '.join(repeated)}")
-
-    def header_int(key: str) -> int:
-        raw = header(key)
-        try:
-            if int(raw) >= 0:
-                return int(raw)
-        except ValueError:
-            raise ValueError(f"{path}: header {key} must be an integer, got {raw!r}") from None
-        raise ValueError(f"{path}: header {key} must be >= 0, got {raw!r}")
-
-    def header_rate(key: str) -> float | None:
-        raw = meta_raw.get(key)
-        if raw is None:
-            return None
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{path}: header {key} must be a number in [0, 1], got {raw!r}")
-        return value
-
-    data = header("data")
-    if len(data) != 8 or data.strip("0123456789abcdef"):
-        raise ValueError(f"{path}: header data must be 8 lowercase hex digits, got {data!r}")
-    n_keep = header_int("n_keep")
     if body.shape[0] != n_keep:
         raise ValueError(f"{path}: {body.shape[0]} draws, header says n_keep {n_keep}")
-    meta = ChainMeta(
-        model=model,
-        burn_in=header_int("burn_in"),
-        seed=None if header("seed") == "None" else header_int("seed"),
-        data=data,
-        accept_rate=header_rate("accept_rate"),
-    )
     take = {c: body[:, i] for i, c in enumerate(cols)}
     # an extreme finite value can overflow below: the checks then fail on it
     with np.errstate(over="ignore", invalid="ignore"):

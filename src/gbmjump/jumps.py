@@ -34,7 +34,7 @@ the same (inc, prior, n_keep, burn_in, seed) as gibbs.run_gibbs.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -325,28 +325,6 @@ def _lambda_beta(k: int, n: int, prior: JumpPrior):
     return prior.lambda_a + k, prior.lambda_b + n - k
 
 
-def lambda_conditional(indicators, prior: JumpPrior = JumpPrior()):
-    """(a, b) of the Beta conditional for lambda_star given indicators."""
-    indicators = np.asarray(indicators, dtype=bool)
-    return _lambda_beta(int(np.count_nonzero(indicators)), indicators.size, prior)
-
-
-def update_lambda(indicators, prior: JumpPrior = JumpPrior(), rng=None) -> float:
-    a, b = lambda_conditional(indicators, prior)
-    return float(np.random.default_rng(rng).beta(a, b))
-
-
-def update_jump_moments(z_active, sigma2_z: float, prior: JumpPrior = JumpPrior(), rng=None):
-    """Draw mu_z | sigma2_z then sigma2_z | mu_z from the active sizes, the
-    diffusion block's draw on sizes of unit step length (_size_stats).
-
-    With no active jumps both reduce to prior draws.
-    """
-    z = np.asarray(z_active, dtype=float)
-    stats = _size_stats(z, float(z.sum()))
-    return _draw_theta_sigma2(stats, sigma2_z, prior.jump, np.random.default_rng(rng))
-
-
 def _check_steps(dt) -> np.ndarray:
     """dt as a float array; ValueError unless every step is positive and finite."""
     dt = np.asarray(dt, dtype=float)
@@ -404,10 +382,12 @@ def run_jump_gibbs(
     whose meta.accept_rate is the share of the move's proposals taken over
     all sweeps, or None when the move is off, and whose jump_probs holds the
     posterior mean of each J_i: the mean over kept sweeps of the probability
-    1/(1 + E_i) that the indicator draw used.
+    1/(1 + E_i) that the indicator draw used. As in run_gibbs, burn_in and
+    seed are checked by ChainMeta before the first sweep.
     """
-    if n_keep < 1 or burn_in < 0:
-        raise ValueError("need n_keep >= 1 and burn_in >= 0")
+    if n_keep < 1:
+        raise ValueError("need n_keep >= 1")
+    meta = ChainMeta("gbm-jump", burn_in, seed, inc.digest())
     gen = np.random.default_rng(seed)
     theta, sigma2, mu_z, sigma2_z, lam = astuple(_initial_params(inc, prior))
     marginal = _Marginal(inc, prior)
@@ -446,5 +426,5 @@ def run_jump_gibbs(
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
         if sweep >= burn_in:
             draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, idx.size)
-    meta = ChainMeta("gbm-jump", burn_in, seed, inc.digest(), taken / moves if moves else None)
+    meta = replace(meta, accept_rate=taken / moves if moves else None)
     return PosteriorChain(draws=draws, meta=meta, jump_probs=jump_probs / n_keep)

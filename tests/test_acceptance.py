@@ -28,8 +28,8 @@ from gbmjump import (
     GbmParams,
     IncrementSeries,
     JumpParams,
+    JumpPrior,
     increment_moments,
-    lambda_conditional,
     log_likelihood,
     mle_fit,
     pacf,
@@ -42,8 +42,8 @@ from gbmjump import (
     simulate_jump_increments,
     summarize,
     theta_conditional,
-    update_lambda,
 )
+from gbmjump.jumps import _lambda_beta
 
 DT = 1.0 / 252.0
 EMPTY = IncrementSeries(d=np.array([]), dt=np.array([]))
@@ -202,11 +202,10 @@ def test_criterion_5_conditionals_match_reference_laws(train_inc):
         draws, stats.invgamma(shape, scale=scale).cdf
     ).statistic
 
+    # the lambda_star draw of the sweep, given 544 jumps in train_inc.n steps
     rng = np.random.default_rng(63)
-    indicators = np.zeros(train_inc.n, dtype=bool)
-    indicators[:544] = True
-    draws = np.array([update_lambda(indicators, rng=rng) for _ in range(n_draws)])
-    a, b = lambda_conditional(indicators)
+    a, b = _lambda_beta(544, train_inc.n, JumpPrior())
+    draws = np.array([rng.beta(a, b) for _ in range(n_draws)])
     results["lambda"] = stats.kstest(draws, stats.beta(a, b).cdf).statistic
 
     ks_ok = all(v < 0.01 for v in results.values())

@@ -326,15 +326,25 @@ class TestFitCommand:
             f"metropolis acceptance rate {chain.meta.accept_rate:.3f}"
         )
 
-    def test_same_seed_gives_byte_identical_outputs(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "model, names",
+        [
+            ("gbm", ["chain_gbm.csv", "summary_gbm.csv", "pacf_gbm.csv"]),
+            ("gbm-jump", ["chain_gbm_jump.csv", "summary_gbm_jump.csv", "pacf_gbm_jump.csv",
+                          "jump_probs_gbm_jump.csv"]),
+        ],
+        ids=["gbm", "gbm-jump"],
+    )
+    def test_same_seed_gives_byte_identical_outputs(self, capsys, tmp_path, model, names):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
             rc, _, _ = run_cli(
-                capsys, "fit", "--input", TRAIN_CSV, "--out", d,
+                capsys, "fit", "--input", TRAIN_CSV, "--model", model, "--out", d,
                 "--iters", 50, "--burnin", 5, "--seed", 11,
             )
             assert rc == 0
-        for name in ("chain_gbm.csv", "summary_gbm.csv", "pacf_gbm.csv"):
+        assert sorted(p.name for p in dirs[0].iterdir()) == sorted(names)
+        for name in names:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,8 @@ from gbmjump import (
     GbmPrior,
     IncrementSeries,
     PosteriorChain,
+    gibbs,
+    jumps,
     mle_fit,
     read_chain_csv,
     run_gibbs,
@@ -22,6 +25,7 @@ from gbmjump import (
     theta_conditional,
     write_chain_csv,
 )
+from gbmjump.gibbs import CHAIN_COLUMNS
 
 from conftest import FUZZ, batch_means_z, edits_of, loads_or_names_file
 
@@ -250,7 +254,7 @@ class TestChainModel:
             ("gbm-jump", JUMP_ROW[:2], "gbm-jump draws must be rows of "
                                        r"\(theta, sigma2, mu_z, sigma2_z, lambda_star, n_jumps\)"),
             ("gbm", JUMP_ROW, r"gbm draws must be rows of \(theta, sigma2\)"),
-            ("garch", JUMP_ROW[:2], "unknown model 'garch'"),
+            ("garch", JUMP_ROW[:2], "model must be one of gbm, gbm-jump, got 'garch'"),
             ("gbm-jump", [*JUMP_ROW[:5], -2.5], "n_jumps draw not a whole number >= 0"),
             ("gbm-jump", [*JUMP_ROW[:5], -1.0], "n_jumps draw not a whole number >= 0"),
             ("gbm-jump", [*JUMP_ROW[:5], 1.5], "n_jumps draw not a whole number >= 0"),
@@ -264,8 +268,110 @@ class TestChainModel:
                 draws=[row, row], meta=ChainMeta(model=model, burn_in=0, seed=None, data="0" * 8)
             )
 
+    @pytest.mark.parametrize(
+        "model, probs, message",
+        [
+            ("gbm", [0.5, 0.5], "a gbm chain has no jump_probs"),
+            ("gbm", [5.0, -1.0, math.nan], "a gbm chain has no jump_probs"),
+            ("gbm-jump", [5.0, -1.0, math.nan], r"jump_probs must be 1-D with every value in \[0, 1\]"),
+            ("gbm-jump", [0.5, math.nan], r"jump_probs must be 1-D with every value in \[0, 1\]"),
+            ("gbm-jump", [[0.5, 0.5]], r"jump_probs must be 1-D with every value in \[0, 1\]"),
+        ],
+        ids=["gbm-chain", "gbm-chain-bad-values", "outside-unit-interval", "nan", "two-d"],
+    )
+    def test_jump_probs_rejected(self, model, probs, message):
+        row = JUMP_ROW if model == "gbm-jump" else JUMP_ROW[:2]
+        meta = ChainMeta(model=model, burn_in=0, seed=None, data="0" * 8)
+        with pytest.raises(ValueError, match=message):
+            PosteriorChain(draws=[row, row], meta=meta, jump_probs=probs)
+
+
+VALID_META = dict(model="gbm", burn_in=0, seed=None, data="0123abcd")
+
+
+class TestChainMeta:
+    """ChainMeta holds every rule a chain file's header must meet, so a meta
+    that exists can be written and read back; a field that breaks one is an
+    error at construction naming the field and its value."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("burn_in", -5, "burn_in must be an integer >= 0, got -5$"),
+            ("burn_in", 2.0, "burn_in must be an integer >= 0, got 2.0$"),
+            ("seed", -3, "seed must be an integer >= 0, got -3$"),
+            ("seed", np.random.SeedSequence(3), r"seed must be an integer >= 0, got SeedSequence\("),
+            ("seed", True, "seed must be an integer >= 0, got True$"),
+            ("data", "XYZ", "data must be 8 lowercase hex digits, got 'XYZ'$"),
+            ("data", "0123ABCD", "data must be 8 lowercase hex digits, got '0123ABCD'$"),
+            ("accept_rate", 1.5, r"accept_rate must be a number in \[0, 1\], got 1.5$"),
+            ("accept_rate", math.nan, r"accept_rate must be a number in \[0, 1\], got nan$"),
+            ("accept_rate", "0.5", r"accept_rate must be a number in \[0, 1\], got '0.5'$"),
+        ],
+        ids=["negative-burn_in", "float-burn_in", "negative-seed", "seed-sequence", "bool-seed",
+             "short-data", "upper-case-data", "accept_rate-above-one", "nan-accept_rate",
+             "text-accept_rate"],
+    )
+    def test_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ChainMeta(**{**VALID_META, field: value})
+
+    @pytest.mark.parametrize("sampler", [run_gibbs, run_jump_gibbs], ids=["gbm", "gbm-jump"])
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(seed=-1), "seed must be an integer >= 0, got -1$"),
+            (dict(seed=np.random.SeedSequence(3)), r"seed must be an integer >= 0, got SeedSequence"),
+            (dict(burn_in=-1), "burn_in must be an integer >= 0, got -1$"),
+        ],
+        ids=["negative-seed", "seed-sequence", "negative-burn_in"],
+    )
+    def test_samplers_refuse_before_any_sweep(self, monkeypatch, train_inc, sampler, kw, message):
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(gibbs, "_draw_theta_sigma2", no_sweep)
+        monkeypatch.setattr(jumps, "_draw_theta_sigma2", no_sweep)
+        with pytest.raises(ValueError, match=message):
+            sampler(train_inc, n_keep=10, **{"burn_in": 0, "seed": 1, **kw})
+
+
+@st.composite
+def chains(draw):
+    """A PosteriorChain of one to four draws whose meta and draws the types
+    accept: every variance within 1e-300..1e300, so that squaring sigma_z
+    neither underflows nor overflows."""
+    model = draw(st.sampled_from(sorted(CHAIN_COLUMNS)))
+    meta = ChainMeta(
+        model=model,
+        burn_in=draw(st.integers(min_value=0)),
+        seed=draw(st.none() | st.integers(min_value=0) | st.integers(0, 2**63 - 1).map(np.int64)),
+        data=draw(st.text("0123456789abcdef", min_size=8, max_size=8)),
+        accept_rate=draw(st.none() | st.floats(0.0, 1.0) | st.sampled_from([0, 1])),
+    )
+    real, positive = st.floats(-1e300, 1e300), st.floats(1e-300, 1e300)
+    column = {
+        "theta": real, "sigma2": positive, "mu_z": real, "sigma2_z": positive,
+        "lambda_star": st.floats(0.0, 1.0), "n_jumps": st.integers(0, 2**53).map(float),
+    }
+    row = st.tuples(*[column[c] for c in CHAIN_COLUMNS[model].stored])
+    return PosteriorChain(draws=draw(st.lists(row, min_size=1, max_size=4)), meta=meta)
+
 
 class TestChainCsv:
+    @FUZZ
+    @given(chains())
+    def test_every_chain_the_types_accept_round_trips(self, tmp_path, chain):
+        # the file holds sigma_z, so sigma2_z comes back as its square: the
+        # exported columns read back exactly, the stored ones to rounding
+        path = tmp_path / "chain.csv"
+        write_chain_csv(chain, path)
+        back = read_chain_csv(path)
+        assert back.meta == chain.meta
+        for name in CHAIN_COLUMNS[chain.meta.model].exported:
+            assert np.array_equal(back.column(name), chain.column(name)), name
+        assert np.allclose(back.draws, chain.draws, rtol=1e-15, atol=0.0)
+
     def test_round_trip(self, tmp_path, train_inc):
         chain = run_gibbs(train_inc, n_keep=25, burn_in=5, seed=77)
         path = tmp_path / "chain.csv"
@@ -355,7 +461,8 @@ class TestChainCsvValidation:
             (drop_last_column, "missing chain column.*sigma"),
             (lambda lines: lines[:-3], "7 draws, header says n_keep 10"),
             (lambda lines: lines[:6], "no draws"),
-            (lambda lines: ["# model: garch", *lines[1:]], "unknown model 'garch'"),
+            (lambda lines: ["# model: garch", *lines[1:]],
+             "header model must be one of gbm, gbm-jump, got 'garch'$"),
             (drop_last_value, "3 values per row, 4 column names"),
             (lambda lines: [*lines[:6], "abc" + lines[6][lines[6].index(","):], *lines[7:]],
              "could not convert string 'abc'"),
@@ -368,8 +475,8 @@ class TestChainCsvValidation:
             (drop_header("data"), "header has no data$"),
             (repeat_first_column, r"repeated chain column\(s\) theta$"),
             (lambda lines: [*lines[:4], "# seed: 5", *lines[4:]], "repeated header key seed$"),
-            (set_header("burn_in", -5), "header burn_in must be >= 0, got '-5'$"),
-            (set_header("seed", -3), "header seed must be >= 0, got '-3'$"),
+            (set_header("burn_in", -5), "header burn_in must be an integer >= 0, got -5$"),
+            (set_header("seed", -3), "header seed must be an integer >= 0, got -3$"),
             (set_header("data", "40bb005"), "header data must be 8 lowercase hex .* '40bb005'$"),
             (set_header("data", "40BB0051"), "header data must be 8 lowercase hex .* '40BB0051'$"),
             (set_header("data", "0x40bb00"), "header data must be 8 lowercase hex .* '0x40bb00'$"),
@@ -417,8 +524,13 @@ class TestChainCsvValidation:
             read_chain_csv(path)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("value", ["x", "1.5", "nan", ""])
-    def test_malformed_accept_rate_names_file_and_key(self, tmp_path, train_inc, value):
+    @pytest.mark.parametrize(
+        "value, shown", [("x", "'x'"), ("1.5", "1.5"), ("nan", "nan"), ("", "''")],
+        ids=["x", "1.5", "nan", ""],
+    )
+    def test_malformed_accept_rate_names_file_and_key(self, tmp_path, train_inc, value, shown):
+        """A value that is not a number is quoted as read; a number outside
+        [0, 1] as parsed."""
         path = tmp_path / "chain.csv"
         chain = run_jump_gibbs(train_inc, n_keep=10, burn_in=0, seed=4)
         write_chain_csv(chain, path)
@@ -426,7 +538,7 @@ class TestChainCsvValidation:
         assert lines[5].startswith("# accept_rate: ")
         lines[5] = f"# accept_rate: {value}"
         path.write_text("\n".join(lines) + "\n")
-        message = f"{path}: header accept_rate must be a number in [0, 1], got '{value}'"
+        message = f"{path}: header accept_rate must be a number in [0, 1], got {shown}"
         with pytest.raises(ValueError) as err:
             read_chain_csv(path)
         assert str(err.value) == message

@@ -16,7 +16,6 @@ from gbmjump import (
     JumpPrior,
     increment_moments,
     jumps,
-    lambda_conditional,
     marginal_log_posterior,
     run_jump_gibbs,
     sample_sigma2_given_theta,
@@ -24,8 +23,6 @@ from gbmjump import (
     sigma2_conditional,
     simulate_jump_increments,
     theta_conditional,
-    update_jump_moments,
-    update_lambda,
 )
 from gbmjump.gbm import _SuffStats
 from gbmjump.gibbs import _draw_theta_sigma2
@@ -36,9 +33,11 @@ from gbmjump.jumps import (
     _initial_params,
     _jump_adjusted_stats,
     _jump_sizes,
+    _lambda_beta,
     _laplace,
     _logit,
     _Marginal,
+    _size_stats,
 )
 
 from conftest import batch_means_z
@@ -123,6 +122,13 @@ def diffusion_block(inc, indicators, sizes, sigma2, prior, gen):
     d, dt = inc.d[indicators], inc.dt[indicators]
     suff = _jump_adjusted_stats(_SuffStats.of(inc.d, inc.dt), d, dt, sizes, float(sizes.sum()))
     return _draw_theta_sigma2(suff, sigma2, prior, gen)
+
+
+def draw_jump_moments(sizes, sigma2_z, prior, gen):
+    """(mu_z, sigma2_z) drawn from the active sizes as the sweep draws them:
+    mu_z | sigma2_z, then sigma2_z | mu_z."""
+    sizes = np.asarray(sizes, dtype=float)
+    return _draw_theta_sigma2(_size_stats(sizes, float(sizes.sum())), sigma2_z, prior.jump, gen)
 
 
 class TestIndicatorProb:
@@ -250,20 +256,19 @@ class TestDiffusionBlock:
 
 
 class TestLambdaConditional:
+    """(a, b) of the Beta conditional of lambda_star given k jumps in n steps,
+    as the sweep draws it."""
+
     def test_worked_example(self):
-        indicators = np.zeros(1511, dtype=bool)
-        indicators[:544] = True
-        a, b = lambda_conditional(indicators)
+        a, b = _lambda_beta(544, 1511, JumpPrior())
         assert (a, b) == (545.0, 968.0)
         assert a / (a + b) == pytest.approx(0.3602115003304693, abs=1e-15)
 
     def test_no_jumps_returns_prior_plus_n(self):
-        a, b = lambda_conditional(np.zeros(10, dtype=bool))
-        assert (a, b) == (1.0, 11.0)
+        assert _lambda_beta(0, 10, JumpPrior()) == (1.0, 11.0)
 
     def test_empty_returns_prior(self):
-        a, b = lambda_conditional(np.array([], dtype=bool), JumpPrior(lambda_a=2.0, lambda_b=5.0))
-        assert (a, b) == (2.0, 5.0)
+        assert _lambda_beta(0, 0, JumpPrior(lambda_a=2.0, lambda_b=5.0)) == (2.0, 5.0)
 
 
 def unit_steps(z):
@@ -292,11 +297,11 @@ class TestJumpMomentConditionals:
         assert posterior_mean == pytest.approx(0.0004, rel=0.05)
 
     def test_equal_diffusion_conditionals_on_unit_steps(self):
-        # update_jump_moments draws mu_z then sigma2_z as the diffusion
-        # conditionals do on the sizes as unit steps, draw for draw
+        # the sweep draws mu_z then sigma2_z as the diffusion conditionals
+        # do on the sizes as unit steps, draw for draw
         z = np.random.default_rng(13).normal(-0.003, 0.02, 300)
         prior = JumpPrior(jump=GbmPrior(theta_mean=0.5, theta_var=0.04, ig_shape=3, ig_scale=0.02))
-        got = update_jump_moments(z, 0.0004, prior, rng=np.random.default_rng(14))
+        got = draw_jump_moments(z, 0.0004, prior, np.random.default_rng(14))
         gen = np.random.default_rng(14)
         mu_z = sample_theta_given_sigma2(unit_steps(z), 0.0004, prior.jump, rng=gen)
         sigma2_z = sample_sigma2_given_theta(unit_steps(z), mu_z, prior.jump, rng=gen)
@@ -305,7 +310,7 @@ class TestJumpMomentConditionals:
     def test_update_with_no_active_reduces_to_prior(self):
         rng = np.random.default_rng(40)
         draws = np.array(
-            [update_jump_moments(np.array([]), 0.01, rng=rng) for _ in range(20000)]
+            [draw_jump_moments([], 0.01, JumpPrior(), rng) for _ in range(20000)]
         )
         mu_draws, s2_draws = draws[:, 0], draws[:, 1]
         assert abs(mu_draws.mean()) < 4 * 10.0 / np.sqrt(len(mu_draws))
@@ -502,8 +507,8 @@ def from_x(x):
 
 
 def reference_sweep(inc, params, prior, gen, move=None):
-    """One sweep of run_jump_gibbs from the oracle's blocks and the public
-    lambda_star and jump-moment updates, with JumpParams rebuilt after every
+    """One sweep of run_jump_gibbs from the oracle's blocks and the sweep's
+    lambda_star and jump-moment draws, with JumpParams rebuilt after every
     block: first move(x) -> (x, accepted) on x = to_x(params) when a move is
     given, then (J, Z), lambda_star, (mu_z, sigma2_z) and (theta, sigma2).
     Returns the new params, the indicators, whether the move's proposal was
@@ -515,8 +520,9 @@ def reference_sweep(inc, params, prior, gen, move=None):
             params = from_x(x)
     drawn_at = params
     indicators, sizes = latent_block(inc, params, gen)
-    params = _with(params, lambda_star=update_lambda(indicators, prior, gen))
-    mu_z, sigma2_z = update_jump_moments(sizes, params.sigma2_z, prior, gen)
+    k = int(np.count_nonzero(indicators))
+    params = _with(params, lambda_star=float(gen.beta(*_lambda_beta(k, indicators.size, prior))))
+    mu_z, sigma2_z = draw_jump_moments(sizes, params.sigma2_z, prior, gen)
     params = _with(params, mu_z=mu_z, sigma2_z=sigma2_z)
     theta, sigma2 = diffusion_block(inc, indicators, sizes, params.sigma2, prior.diffusion, gen)
     return _with(params, theta=theta, sigma2=sigma2), indicators, accepted, drawn_at
