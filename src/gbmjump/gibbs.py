@@ -151,7 +151,7 @@ class ChainMeta:
             raise ValueError(f"accept_rate must be a number in [0, 1], got {rate!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PosteriorChain:
     """Retained Gibbs draws, one row per sweep after burn-in, in the stored
     columns of meta.model.
@@ -162,7 +162,8 @@ class PosteriorChain:
     draw outside [0, 1] or an n_jumps draw that is not a whole number >= 0 is
     an error naming the column. jump_probs, each increment's posterior jump
     probability, is for a gbm-jump chain only, and must be 1-D with every
-    value in [0, 1].
+    value in [0, 1]. The chain is frozen: dataclasses.replace makes a changed
+    one and runs these checks again.
     """
 
     draws: np.ndarray
@@ -171,7 +172,7 @@ class PosteriorChain:
 
     def __post_init__(self) -> None:
         model = self.meta.model
-        self.draws = np.asarray(self.draws, dtype=float)
+        object.__setattr__(self, "draws", np.asarray(self.draws, dtype=float))
         if self.draws.ndim != 2 or self.draws.shape[1] != len(self.columns):
             raise ValueError(f"{model} draws must be rows of ({', '.join(self.columns)})")
         finite = np.isfinite(self.draws).all(axis=0)
@@ -189,7 +190,8 @@ class PosteriorChain:
         if self.jump_probs is not None:
             if model != "gbm-jump":
                 raise ValueError(f"a {model} chain has no jump_probs")
-            self.jump_probs = probs = np.asarray(self.jump_probs, dtype=float)
+            probs = np.asarray(self.jump_probs, dtype=float)
+            object.__setattr__(self, "jump_probs", probs)
             if probs.ndim != 1 or not np.all((probs >= 0.0) & (probs <= 1.0)):
                 raise ValueError("jump_probs must be 1-D with every value in [0, 1]")
 
@@ -252,99 +254,94 @@ def run_gibbs(
     return PosteriorChain(draws=draws, meta=meta)
 
 
+# a chain file's '# key: value' lines, in this order; accept_rate only when set
+_CHAIN_HEADER = ("model", "n_keep", "burn_in", "seed", "data", "accept_rate")
+
+
 def write_chain_csv(chain: PosteriorChain, path) -> None:
-    """One row per draw with a '# key: value' metadata header block: the
-    model, n_keep (the number of draws), then the rest of meta; the
-    accept_rate line only when the chain has one."""
+    """One row per draw of the model's exported columns, under a header line
+    for each key of _CHAIN_HEADER: n_keep is the number of draws, the rest
+    come from meta."""
     columns = {c: chain.column(c) for c in CHAIN_COLUMNS[chain.meta.model].exported}
-    meta = {"model": chain.meta.model, "n_keep": len(chain), **asdict(chain.meta)}
-    if meta["accept_rate"] is None:
-        del meta["accept_rate"]
-    write_csv(path, columns, meta=meta)
+    values = {"n_keep": len(chain), **asdict(chain.meta)}
+    keys = _CHAIN_HEADER if chain.meta.accept_rate is not None else _CHAIN_HEADER[:-1]
+    write_csv(path, columns, meta={key: values[key] for key in keys})
+
+
+def _expect_layout(what: str, found: tuple, written: tuple) -> None:
+    if found != written:
+        raise ValueError(f"{what} are {', '.join(found) or 'none'}; "
+                         f"write_chain_csv writes {', '.join(written)}")
 
 
 def read_chain_csv(path) -> PosteriorChain:
     """Inverse of write_chain_csv; reconstructs sigma2_z from sigma_z.
 
-    Raises ValueError naming the file when the text is not UTF-8, the header
-    repeats a key (naming it) or lacks a key that write_chain_csv always
-    writes (model, n_keep, burn_in, seed, data), its n_keep, burn_in or seed
-    is not an integer or its accept_rate not a number (naming the key), its
-    values are ones ChainMeta rejects (naming the key), a column the writer
-    exports for the model is missing or repeated or a column it does not
-    export is present, a cell is not a number, the rows are none, differ in
-    length or differ in number from the header's n_keep, a draw is one
-    PosteriorChain rejects, or an exported column differs from what the
+    The file must have the layout write_chain_csv gives it: the header keys
+    of _CHAIN_HEADER in that order, and the exported columns of its model in
+    the order of CHAIN_COLUMNS. Every refusal is a DataError naming the
+    file: a header key or column row that differs from that layout (naming
+    what the file holds and what write_chain_csv writes), text that is not
+    UTF-8, an n_keep, burn_in or seed that is not an integer or an
+    accept_rate that is not a number (naming the key), header values that
+    ChainMeta rejects, a cell that is not a number, rows that are none,
+    differ in length or differ in number from n_keep, a draw that
+    PosteriorChain rejects, or an exported column that differs from what the
     rebuilt chain derives for it.
     """
-    meta_raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            line = fh.readline()
-            while line.startswith("#"):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = []
+            while (line := fh.readline()).startswith("#"):
                 key, _, value = line[1:].partition(":")
-                if key.strip() in meta_raw:
-                    raise ValueError(f"repeated header key {key.strip()}")
-                meta_raw[key.strip()] = value.strip()
-                line = fh.readline()
+                header.append((key.strip(), value.strip()))
             cols = tuple(line.strip().split(","))
             start = fh.tell()
             if not fh.readline().strip():
                 raise ValueError("chain file holds no draws")
             fh.seek(start)
             body = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:  # UnicodeDecodeError, for a byte that is not UTF-8, too
-            raise DataError(f"{path}: {exc}") from None
+        raw = dict(header)
+        keys = _CHAIN_HEADER if "accept_rate" in raw else _CHAIN_HEADER[:-1]
+        _expect_layout("header keys", tuple(key for key, _ in header), keys)
 
-    def header(key: str, parse=str, kind: str = ""):
-        if key not in meta_raw:
-            raise ValueError(f"{path}: header has no {key}")
-        try:
-            return parse(meta_raw[key])
-        except ValueError:
-            raise ValueError(f"{path}: header {key} must be {kind}, got {meta_raw[key]!r}") from None
+        def parse(key: str, to=int, kind: str = "an integer"):
+            """The typed value of raw[key], None when the key is absent."""
+            try:
+                return to(raw[key]) if key in raw else None
+            except ValueError:
+                raise ValueError(f"{key} must be {kind}, got {raw[key]!r}") from None
 
-    fields = dict(
-        model=header("model"),
-        burn_in=header("burn_in", int, "an integer"),
-        seed=header("seed", lambda raw: None if raw == "None" else int(raw), "an integer"),
-        data=header("data"),
-        accept_rate=header("accept_rate", float, "a number in [0, 1]")
-        if "accept_rate" in meta_raw else None,
-    )
-    n_keep = header("n_keep", int, "an integer")
-    try:
-        meta = ChainMeta(**fields)
-    except ValueError as exc:
-        raise ValueError(f"{path}: header {exc}") from None
-    stored, exported, _ = CHAIN_COLUMNS[meta.model]
-    if body.shape[1] != len(cols):
-        raise ValueError(f"{path}: {body.shape[1]} values per row, {len(cols)} column names")
-    missing = [c for c in exported if c not in cols]
-    if missing:
-        raise ValueError(f"{path}: missing chain column(s) {', '.join(missing)}")
-    extra = [c for c in cols if c not in exported]
-    if extra:
-        raise ValueError(f"{path}: chain column(s) {', '.join(extra)} not in a {meta.model} chain")
-    repeated = [c for c in exported if cols.count(c) > 1]
-    if repeated:
-        raise ValueError(f"{path}: repeated chain column(s) {', '.join(repeated)}")
-    if body.shape[0] != n_keep:
-        raise ValueError(f"{path}: {body.shape[0]} draws, header says n_keep {n_keep}")
-    take = {c: body[:, i] for i, c in enumerate(cols)}
-    # an extreme finite value can overflow below: the checks then fail on it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if "sigma_z" in take:  # the file holds sigma_z, the draws its square
-            take["sigma2_z"] = take["sigma_z"] ** 2
-        draws = np.column_stack([take[c] for c in stored])
         try:
-            chain = PosteriorChain(draws=draws, meta=meta)
+            n_keep = parse("n_keep")
+            meta = ChainMeta(
+                model=raw["model"],
+                burn_in=parse("burn_in"),
+                seed=parse("seed", lambda s: None if s == "None" else int(s)),
+                data=raw["data"],
+                accept_rate=parse("accept_rate", float, "a number in [0, 1]"),
+            )
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        # rounding slack: relative, plus absolute at theta's and sigma2's scale
-        # for mu = theta + sigma2/2, which can cancel to near zero
-        atol = 1e-12 * np.abs(draws[:, :2]).max()
-        for name in exported:
-            if not np.allclose(take[name], chain.column(name), rtol=1e-12, atol=atol):
-                raise ValueError(f"{path}: column {name} disagrees with the draws it derives from")
+            raise ValueError(f"header {exc}") from None
+        stored, exported, _ = CHAIN_COLUMNS[meta.model]
+        _expect_layout(f"{meta.model} chain columns", cols, exported)
+        if body.shape[1] != len(cols):
+            raise ValueError(f"{body.shape[1]} values per row, {len(cols)} column names")
+        if body.shape[0] != n_keep:
+            raise ValueError(f"{body.shape[0]} draws, header says n_keep {n_keep}")
+        take = dict(zip(cols, body.T))
+        # an extreme finite value can overflow below: the checks then fail on it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if "sigma_z" in take:  # the file holds sigma_z, the draws its square
+                take["sigma2_z"] = take["sigma_z"] ** 2
+            draws = np.column_stack([take[c] for c in stored])
+            chain = PosteriorChain(draws=draws, meta=meta)
+            # rounding slack: relative, plus absolute at theta's and sigma2's
+            # scale for mu = theta + sigma2/2, which can cancel to near zero
+            atol = 1e-12 * np.abs(draws[:, :2]).max()
+            for name in exported:
+                if not np.allclose(take[name], chain.column(name), rtol=1e-12, atol=atol):
+                    raise ValueError(f"column {name} disagrees with the draws it derives from")
+    except ValueError as exc:  # UnicodeDecodeError, for a byte that is not UTF-8, too
+        raise DataError(f"{path}: {exc}") from None
     return chain

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from gbmjump import load_price_series, run_gibbs, run_jump_gibbs, to_increments
+from gbmjump import DataError, load_price_series, run_gibbs, run_jump_gibbs, to_increments
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 TRAIN_CSV = DATA_DIR / "sp500_synthetic.csv"
@@ -66,9 +66,9 @@ def edits_of(valid: bytes):
 
 def loads_or_names_file(read, path, data: bytes) -> None:
     """Write data to path and read it with read: it loads, or it raises a
-    ValueError whose message starts with the path."""
+    DataError whose message starts with the path."""
     path.write_bytes(data)
     try:
         read(path)
     except ValueError as exc:
-        assert str(exc).startswith(f"{path}:"), exc
+        assert isinstance(exc, DataError) and str(exc).startswith(f"{path}:"), repr(exc)

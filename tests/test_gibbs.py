@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from scipy import stats
 
 from gbmjump import (
     ChainMeta,
+    DataError,
     GbmParams,
     GbmPrior,
     IncrementSeries,
@@ -285,6 +286,17 @@ class TestChainModel:
         with pytest.raises(ValueError, match=message):
             PosteriorChain(draws=[row, row], meta=meta, jump_probs=probs)
 
+    def test_frozen(self):
+        """The checks run at construction, so a field is not reassigned: a
+        jump chain relabelled gbm would write its (theta, sigma2) columns as a
+        valid GBM chain file. replace builds a new chain and checks it again."""
+        meta = ChainMeta(model="gbm-jump", burn_in=0, seed=None, data="0" * 8)
+        chain = PosteriorChain(draws=[JUMP_ROW, JUMP_ROW], meta=meta)
+        with pytest.raises(FrozenInstanceError):
+            chain.meta = replace(meta, model="gbm")
+        with pytest.raises(ValueError, match=r"gbm draws must be rows of \(theta, sigma2\)"):
+            replace(chain, meta=replace(meta, model="gbm"))
+
 
 VALID_META = dict(model="gbm", burn_in=0, seed=None, data="0123abcd")
 
@@ -415,7 +427,7 @@ class TestChainCsv:
         write_chain_csv(chain, path)
         assert "accept_rate" not in path.read_text()
         assert read_chain_csv(path).meta.accept_rate is None
-        chain.meta = replace(chain.meta, accept_rate=0.2875)
+        chain = replace(chain, meta=replace(chain.meta, accept_rate=0.2875))
         write_chain_csv(chain, path)
         assert path.read_text().splitlines()[5] == "# accept_rate: 0.2875"
         assert read_chain_csv(path).meta == chain.meta
@@ -452,13 +464,32 @@ def repeat_first_column(lines):
     return [*lines[:5], *(line.split(",", 1)[0] + "," + line for line in lines[5:])]
 
 
+def swap_mu_sigma(lines):
+    """The mu and sigma columns swapped, names and values together."""
+    def swap(line):
+        theta, sigma2, mu, sigma = line.split(",")
+        return ",".join((theta, sigma2, sigma, mu))
+
+    return [*lines[:5], *map(swap, lines[5:])]
+
+
+def other_keys(found):
+    return f"header keys are {found}; write_chain_csv writes model, n_keep, burn_in, seed, data$"
+
+
+def other_columns(found):
+    return f"gbm chain columns are {found}; write_chain_csv writes theta, sigma2, mu, sigma$"
+
+
 class TestChainCsvValidation:
-    """read_chain_csv rejects malformed files with a message naming the file."""
+    """read_chain_csv refuses a file whose header keys or columns differ from
+    what write_chain_csv writes, or whose values are malformed, with a
+    DataError naming the file."""
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (drop_last_column, "missing chain column.*sigma"),
+            (drop_last_column, other_columns("theta, sigma2, mu")),
             (lambda lines: lines[:-3], "7 draws, header says n_keep 10"),
             (lambda lines: lines[:6], "no draws"),
             (lambda lines: ["# model: garch", *lines[1:]],
@@ -468,23 +499,30 @@ class TestChainCsvValidation:
              "could not convert string 'abc'"),
             (lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]],
              "number of columns changed from 4 to 3"),
-            (drop_header("model"), "header has no model$"),
-            (drop_header("n_keep"), "header has no n_keep$"),
-            (drop_header("burn_in"), "header has no burn_in$"),
-            (drop_header("seed"), "header has no seed$"),
-            (drop_header("data"), "header has no data$"),
-            (repeat_first_column, r"repeated chain column\(s\) theta$"),
-            (lambda lines: [*lines[:4], "# seed: 5", *lines[4:]], "repeated header key seed$"),
+            (drop_header("model"), other_keys("n_keep, burn_in, seed, data")),
+            (drop_header("n_keep"), other_keys("model, burn_in, seed, data")),
+            (drop_header("burn_in"), other_keys("model, n_keep, seed, data")),
+            (drop_header("seed"), other_keys("model, n_keep, burn_in, data")),
+            (drop_header("data"), other_keys("model, n_keep, burn_in, seed")),
+            (repeat_first_column, other_columns("theta, theta, sigma2, mu, sigma")),
+            (lambda lines: [*lines[:4], "# seed: 5", *lines[4:]],
+             other_keys("model, n_keep, burn_in, seed, seed, data")),
             (set_header("burn_in", -5), "header burn_in must be an integer >= 0, got -5$"),
             (set_header("seed", -3), "header seed must be an integer >= 0, got -3$"),
             (set_header("data", "40bb005"), "header data must be 8 lowercase hex .* '40bb005'$"),
             (set_header("data", "40BB0051"), "header data must be 8 lowercase hex .* '40BB0051'$"),
             (set_header("data", "0x40bb00"), "header data must be 8 lowercase hex .* '0x40bb00'$"),
+            (lambda lines: [*lines[:5], "# note: x", *lines[5:]],
+             other_keys("model, n_keep, burn_in, seed, data, note")),
+            (lambda lines: [*lines[:2], lines[3], lines[2], *lines[4:]],
+             other_keys("model, n_keep, seed, burn_in, data")),
+            (swap_mu_sigma, other_columns("theta, sigma2, sigma, mu")),
         ],
         ids=["missing-column", "short", "no-rows", "unknown-model", "ragged",
              "non-numeric-cell", "short-last-row", "no-model", "no-n_keep", "no-burn_in",
              "no-seed", "no-data", "repeated-column", "repeated-key", "negative-burn_in",
-             "negative-seed", "short-data", "upper-case-data", "prefixed-data"],
+             "negative-seed", "short-data", "upper-case-data", "prefixed-data", "unknown-key",
+             "swapped-keys", "swapped-columns"],
     )
     def test_rejected(self, tmp_path, train_inc, edit, message):
         path = tmp_path / "chain.csv"
@@ -492,7 +530,7 @@ class TestChainCsvValidation:
         lines = path.read_text().splitlines()
         assert lines[1] == "# n_keep: 10" and lines[5] == "theta,sigma2,mu,sigma"
         path.write_text("\n".join(edit(lines)) + "\n")
-        with pytest.raises(ValueError, match=message) as err:
+        with pytest.raises(DataError, match=message) as err:
             read_chain_csv(path)
         assert str(err.value).startswith(f"{path}: ")
 
@@ -504,9 +542,12 @@ class TestChainCsvValidation:
         lines = path.read_text().splitlines()
         assert lines[0] == "# model: gbm-jump"
         path.write_text("\n".join(lines[1:]) + "\n")
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(DataError) as err:
             read_chain_csv(path)
-        assert str(err.value) == f"{path}: header has no model"
+        assert str(err.value) == (
+            f"{path}: header keys are n_keep, burn_in, seed, data, accept_rate; "
+            "write_chain_csv writes model, n_keep, burn_in, seed, data, accept_rate"
+        )
 
     @pytest.mark.parametrize(
         "key, value", [("n_keep", "5e3"), ("burn_in", "x"), ("seed", "1.5")]
@@ -520,7 +561,7 @@ class TestChainCsvValidation:
         ]
         path.write_text("\n".join(lines) + "\n")
         message = f"{path}: header {key} must be an integer, got '{value}'"
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(DataError) as err:
             read_chain_csv(path)
         assert str(err.value) == message
 
@@ -539,7 +580,7 @@ class TestChainCsvValidation:
         lines[5] = f"# accept_rate: {value}"
         path.write_text("\n".join(lines) + "\n")
         message = f"{path}: header accept_rate must be a number in [0, 1], got {shown}"
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(DataError) as err:
             read_chain_csv(path)
         assert str(err.value) == message
 
@@ -568,7 +609,7 @@ class TestChainCsvValidation:
         at = lines[6].split(",").index(column)
         row[at] = edit(row[at])
         path.write_text("\n".join([*lines[:7], ",".join(row), *lines[8:]]) + "\n")
-        with pytest.raises(ValueError, match=message) as err:
+        with pytest.raises(DataError, match=message) as err:
             read_chain_csv(path)
         assert str(path) in str(err.value)
 
@@ -593,7 +634,7 @@ class TestChainCsvValidation:
         for column, value in values.items():
             row[columns.index(column)] = value
         path.write_text("\n".join([*lines[:7], ",".join(row), *lines[8:]]) + "\n")
-        with pytest.raises(ValueError, match=message) as err:
+        with pytest.raises(DataError, match=message) as err:
             read_chain_csv(path)
         assert str(err.value).startswith(f"{path}: ")
 
