@@ -261,9 +261,12 @@ _CHAIN_HEADER = ("model", "n_keep", "burn_in", "seed", "data", "accept_rate")
 def write_chain_csv(chain: PosteriorChain, path) -> None:
     """One row per draw of the model's exported columns, under a header line
     for each key of _CHAIN_HEADER: n_keep is the number of draws, the rest
-    come from meta."""
+    come from meta, accept_rate as a float (1.0 for an int 1, as the reader
+    parses it)."""
     columns = {c: chain.column(c) for c in CHAIN_COLUMNS[chain.meta.model].exported}
     values = {"n_keep": len(chain), **asdict(chain.meta)}
+    if chain.meta.accept_rate is not None:
+        values["accept_rate"] = float(chain.meta.accept_rate)
     keys = _CHAIN_HEADER if chain.meta.accept_rate is not None else _CHAIN_HEADER[:-1]
     write_csv(path, columns, meta={key: values[key] for key in keys})
 
@@ -306,11 +309,17 @@ def read_chain_csv(path) -> PosteriorChain:
         _expect_layout("header keys", tuple(key for key, _ in header), keys)
 
         def parse(key: str, to=int, kind: str = "an integer"):
-            """The typed value of raw[key], None when the key is absent."""
+            """The typed value of raw[key], None when the key is absent. Only
+            text that str() gives back for its value parses, as
+            write_chain_csv writes it: no sign, underscore or padding."""
+            if key not in raw:
+                return None
             try:
-                return to(raw[key]) if key in raw else None
+                if str(value := to(raw[key])) == raw[key]:
+                    return value
             except ValueError:
-                raise ValueError(f"{key} must be {kind}, got {raw[key]!r}") from None
+                pass
+            raise ValueError(f"{key} must be {kind}, got {raw[key]!r}")
 
         try:
             n_keep = parse("n_keep")

@@ -24,11 +24,15 @@ The move is off on series of fewer than 250 increments, when Newton does not
 converge within 50 steps or minus the Hessian at its end is not positive
 definite (the conjugate blocks then run alone), and after a lambda_star draw
 of exactly 0 or 1. The array E = exp(-log-odds) that the move's target
-evaluates at the state it keeps is the indicator draw's input, normals for
-the sizes are drawn only at the active steps, and the chain's jump_probs
-average each step's jump probability 1/(1 + E) over kept sweeps
-(Rao-Blackwellized), so they draw no random numbers. run_jump_gibbs takes
-the same (inc, prior, n_keep, burn_in, seed) as gibbs.run_gibbs.
+evaluates at the state it keeps is the indicator draw's input, and the
+chain's jump_probs average each step's jump probability 1/(1 + E) over kept
+sweeps (Rao-Blackwellized), so they draw no random numbers. The blocks after
+the latent one read the sizes only through sum Z, sum Z^2 and the sizes'
+correction to the diffusion statistics. On equal steps those sums come from
+their joint law given J, from two normals and a chi-square, and no size is
+drawn (_size_sums); on unequal steps one normal per active step draws its
+size. run_jump_gibbs takes the same (inc, prior, n_keep, burn_in, seed) as
+gibbs.run_gibbs.
 """
 
 from __future__ import annotations
@@ -154,6 +158,32 @@ def _jump_adjusted_stats(stats: _SuffStats, d_act, dt_act, sizes, total: float) 
     return _SuffStats(stats.n, stats.sd - total, stats.st, sdd)
 
 
+def _size_sums(sums, draws, dt: float, theta, sigma2, mu_z, sigma2_z):
+    """(sum Z, sum Z^2, sum d*Z) over k >= 1 active steps of length dt, with
+    Z_i = alpha*d_i + beta + s*z_i as in _jump_sizes, from sums = (S2, S1, k),
+    the active steps' sums of d^2, d and 1, and draws = (g1, g2, W), two
+    standard normals and a chi-square with k - 2 degrees of freedom (0 for
+    k <= 2). g1 and g2 are z's projections on the orthonormal 1/sqrt(k) and
+    (d - S1/k)/|d - S1/k|, and W the rest of |z|^2, so sum z = A, sum d*z = C
+    and |z|^2 = Q below have their joint law given J; when every active d is
+    equal, g2 stands for any direction orthogonal to the first."""
+    s2, s1, k = sums
+    g1, g2, w = draws
+    v0 = sigma2 * dt
+    v = 1.0 / (1.0 / sigma2_z + 1.0 / v0)
+    alpha, beta, s = v / v0, v * (mu_z / sigma2_z - theta / sigma2), math.sqrt(v)
+    a = math.sqrt(k) * g1
+    if k == 1:
+        c, q = s1 * g1, g1 * g1
+    else:
+        c = s1 / math.sqrt(k) * g1 + math.sqrt(max(s2 - s1 * s1 / k, 0.0)) * g2
+        q = g1 * g1 + g2 * g2 + w
+    total = alpha * s1 + k * beta + s * a
+    squares = (alpha * alpha * s2 + 2.0 * alpha * beta * s1 + k * beta * beta
+               + 2.0 * s * (alpha * c + beta * a) + v * q)
+    return total, squares, alpha * s2 + beta * s1 + s * c
+
+
 def _size_stats(sizes, total: float) -> _SuffStats:
     """_SuffStats of the active sizes, given their sum total, as steps of
     length 1: Z_i ~ Normal(mu_z, sigma2_z) is the diffusion model with
@@ -176,6 +206,33 @@ class _Marginal:
         # rows (d^2, d, 1): L = (a, b, c) @ powers
         self.powers = np.stack((self.d * self.d, self.d, np.ones(inc.n)))
         self.scratch = np.empty((2, inc.n))  # log_kernel's work rows, free between calls
+
+    def jump_stats(self, active, theta, sigma2, mu_z, sigma2_z, gen):
+        """(_SuffStats of the active steps' sizes as unit-length steps,
+        _SuffStats of d - J*Z) with the sizes drawn given the indicators
+        active, 1.0 or 0.0 per step. Equal steps: one product with the powers
+        gives (S2, S1, k), and for k > 0 two normals and, for k > 2, a
+        chi-square with k - 2 degrees of freedom draw the sums (_size_sums).
+        Unequal steps: one normal per active step, in step order, draws its
+        size (_jump_sizes)."""
+        if isinstance(self.dt, float):
+            s2, s1, k = (self.powers @ active).tolist()
+            k = int(k)
+            if k == 0:
+                return _NO_DATA, self.stats
+            g1, g2 = gen.standard_normal(2).tolist()
+            draws = (g1, g2, gen.chisquare(k - 2) if k > 2 else 0.0)
+            total, squares, cross = _size_sums(
+                (s2, s1, k), draws, self.dt, theta, sigma2, mu_z, sigma2_z)
+            n, sd, st, sdd = self.stats
+            return (_SuffStats(k, total, k, squares),
+                    _SuffStats(n, sd - total, st, sdd - (2.0 * cross - squares) / self.dt))
+        idx = active.nonzero()[0]
+        d_act, dt_act = self.d[idx], self.dt[idx]
+        z = gen.standard_normal(idx.size)
+        sizes = _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z)
+        total = float(sizes.sum())
+        return _size_stats(sizes, total), _jump_adjusted_stats(self.stats, d_act, dt_act, sizes, total)
 
     def neg_log_odds(self, theta, sigma2, mu_z, sigma2_z, logit_lam, out=None):
         """-max(L, _LOG_ODDS_FLOOR) of the log-odds L = (a*d + b)*d + c at
@@ -391,7 +448,7 @@ def run_jump_gibbs(
     gen = np.random.default_rng(seed)
     theta, sigma2, mu_z, sigma2_z, lam = astuple(_initial_params(inc, prior))
     marginal = _Marginal(inc, prior)
-    d, dt, n = marginal.d, marginal.dt, inc.n
+    n = inc.n
     x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
     proposal = _laplace(marginal, x) if n >= _MOVE_MIN_N else None
     buffers, moves, taken = (np.empty(n), np.empty(n)), 0, 0
@@ -415,16 +472,12 @@ def run_jump_gibbs(
         if sweep >= burn_in:
             jump_probs += np.reciprocal(e, out=marginal.scratch[0])
         e *= gen.random(n)
-        idx = (e < 1.0).nonzero()[0]
-        d_act, dt_act = d[idx], dt[idx] if isinstance(dt, np.ndarray) else dt
-        z = gen.standard_normal(idx.size)
-        sizes = _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z)
-        total = float(sizes.sum())
-        lam = float(gen.beta(*_lambda_beta(idx.size, n, prior)))
-        mu_z, sigma2_z = _draw_theta_sigma2(_size_stats(sizes, total), sigma2_z, prior.jump, gen)
-        stats = _jump_adjusted_stats(marginal.stats, d_act, dt_act, sizes, total)
+        active = np.less(e, 1.0, out=e)
+        sizes, stats = marginal.jump_stats(active, theta, sigma2, mu_z, sigma2_z, gen)
+        lam = float(gen.beta(*_lambda_beta(sizes.n, n, prior)))
+        mu_z, sigma2_z = _draw_theta_sigma2(sizes, sigma2_z, prior.jump, gen)
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
         if sweep >= burn_in:
-            draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, idx.size)
+            draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, sizes.n)
     meta = replace(meta, accept_rate=taken / moves if moves else None)
     return PosteriorChain(draws=draws, meta=meta, jump_probs=jump_probs / n_keep)

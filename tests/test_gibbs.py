@@ -550,7 +550,9 @@ class TestChainCsvValidation:
         )
 
     @pytest.mark.parametrize(
-        "key, value", [("n_keep", "5e3"), ("burn_in", "x"), ("seed", "1.5")]
+        "key, value",
+        [("n_keep", "5e3"), ("burn_in", "x"), ("seed", "1.5"),
+         ("n_keep", "010"), ("burn_in", "+1_000"), ("seed", "4_2")],
     )
     def test_malformed_header_integer_names_file_and_key(self, tmp_path, train_inc, key, value):
         path = tmp_path / "chain.csv"
@@ -566,8 +568,9 @@ class TestChainCsvValidation:
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
-        "value, shown", [("x", "'x'"), ("1.5", "1.5"), ("nan", "nan"), ("", "''")],
-        ids=["x", "1.5", "nan", ""],
+        "value, shown",
+        [("x", "'x'"), ("1.5", "1.5"), ("nan", "nan"), ("", "''"), ("0.8_3", "'0.8_3'")],
+        ids=["x", "1.5", "nan", "", "0.8_3"],
     )
     def test_malformed_accept_rate_names_file_and_key(self, tmp_path, train_inc, value, shown):
         """A value that is not a number is quoted as read; a number outside

@@ -37,7 +37,9 @@ from gbmjump.jumps import (
     _laplace,
     _logit,
     _Marginal,
+    _NO_DATA,
     _size_stats,
+    _size_sums,
 )
 
 from conftest import batch_means_z
@@ -102,26 +104,38 @@ def sweep_jump_prob(inc, params):
     return 1.0 / (1.0 + odds_e(inc, params))
 
 
-# The oracle's latent and diffusion blocks. They call the private arithmetic
-# that run_jump_gibbs's fused sweep calls, so TestSweepWiring can pin the
-# sweep to them draw for draw and so check the order of the blocks, the state
-# each conditions on, their priors and the random stream; the tests below
-# check that arithmetic against the laws it draws from.
+# The oracle's latent block. It calls the private arithmetic that
+# run_jump_gibbs's fused sweep calls, so TestSweepWiring can pin the sweep to
+# it draw for draw and so check the order of the blocks, the state each
+# conditions on, their priors and the random stream; the tests below check
+# that arithmetic against the laws it draws from.
 def latent_block(inc, params, gen):
-    """(J, Z) given params and data: J_i = [u_i*(1 + E_i) < 1] from n
-    uniforms, then one normal per active step, in step order, for its size.
-    Returns the indicators and the active steps' sizes."""
+    """(J, Z) given params and data, as what the later blocks read of them:
+    the indicators, the _SuffStats of the active sizes as unit-length steps
+    and the _SuffStats of d_i - J_i*Z_i. J_i = [u_i*(1 + E_i) < 1] from n
+    uniforms. Equal steps: the k active steps' sums of d^2, d and 1 from the
+    product with _Marginal's powers, then, for k > 0, two normals and, for
+    k > 2, a chi-square with k - 2 degrees of freedom for the sums of the
+    sizes (_size_sums). Unequal steps: one normal per active step, in step
+    order, for its size."""
     indicators = gen.random(inc.n) * (1.0 + odds_e(inc, params)) < 1.0
+    suff = _SuffStats.of(inc.d, inc.dt)
+    if inc.n and np.all(inc.dt == inc.dt[0]):
+        dt = float(inc.dt[0])
+        s2, s1, k = (_Marginal(inc, JumpPrior()).powers @ indicators.astype(float)).tolist()
+        k = int(k)
+        if k == 0:
+            return indicators, _SuffStats(0, 0.0, 0, 0.0), suff
+        g1, g2 = gen.standard_normal(2)
+        w = gen.chisquare(k - 2) if k > 2 else 0.0
+        total, squares, cross = _size_sums((s2, s1, k), (g1, g2, w), dt, *astuple(params)[:4])
+        resid = _SuffStats(suff.n, suff.sd - total, suff.st, suff.sdd - (2.0 * cross - squares) / dt)
+        return indicators, _SuffStats(k, total, k, squares), resid
     z = gen.standard_normal(int(np.count_nonzero(indicators)))
     d, dt = inc.d[indicators], inc.dt[indicators]
-    return indicators, _jump_sizes(d, dt, z, *astuple(params)[:4])
-
-
-def diffusion_block(inc, indicators, sizes, sigma2, prior, gen):
-    """(theta, sigma2) from the no-jump conditionals on d_i - J_i*Z_i."""
-    d, dt = inc.d[indicators], inc.dt[indicators]
-    suff = _jump_adjusted_stats(_SuffStats.of(inc.d, inc.dt), d, dt, sizes, float(sizes.sum()))
-    return _draw_theta_sigma2(suff, sigma2, prior, gen)
+    sizes = _jump_sizes(d, dt, z, *astuple(params)[:4])
+    total = float(sizes.sum())
+    return indicators, _size_stats(sizes, total), _jump_adjusted_stats(suff, d, dt, sizes, total)
 
 
 def draw_jump_moments(sizes, sigma2_z, prior, gen):
@@ -185,53 +199,74 @@ class TestIndicatorProb:
         assert p_hi >= p_lo
 
 
+def size_conditional(d, dt, params):
+    """(m, v) of Z_i | J_i = 1 from the precision-weighted normal formula."""
+    base_var = params.sigma2 * dt
+    v = 1.0 / (1.0 / params.sigma2_z + 1.0 / base_var)
+    return v * (params.mu_z / params.sigma2_z + (d - params.theta * dt) / base_var), v
+
+
 class TestSampleLatent:
-    """The oracle's (J, Z) draw, whose sizes come from the sweep's _jump_sizes."""
+    """The latent block's draws: sizes per step from the sweep's _jump_sizes
+    on unequal steps, the sums of the sizes from _Marginal.jump_stats on
+    equal ones."""
 
     def test_active_sizes_match_precision_weighted_normal(self):
-        # identical increments with lambda_star = 1: every Z_i | J_i = 1 shares
-        # the same conditional Normal(m, v)
+        # identical increments: every Z_i | J_i = 1 shares the same
+        # conditional Normal(m, v)
         n = 100_000
         d0 = -0.04
-        inc = IncrementSeries(d=np.full(n, d0), dt=np.full(n, DT))
-        params = _with(REF, lambda_star=1.0)
-        indicators, sizes = latent_block(inc, params, np.random.default_rng(31))
-        assert np.all(indicators)
-        base_var = params.sigma2 * DT
-        v = 1.0 / (1.0 / params.sigma2_z + 1.0 / base_var)
-        m = v * (params.mu_z / params.sigma2_z + (d0 - params.theta * DT) / base_var)
+        z = np.random.default_rng(31).standard_normal(n)
+        sizes = _jump_sizes(np.full(n, d0), DT, z, *astuple(REF)[:4])
+        m, v = size_conditional(d0, DT, REF)
         ks = stats.kstest(sizes, stats.norm(m, np.sqrt(v)).cdf)
         assert ks.statistic < 0.006
 
     def test_inactive_sizes_zero_after_n_uniforms_then_k_normals(self, train_inc):
-        # no size is drawn or held for an inactive step
+        # unequal steps: no size is drawn or held for an inactive step
+        inc = weekend_steps(train_inc)
         gen = np.random.default_rng(32)
-        indicators, sizes = latent_block(train_inc, REF, gen)
+        indicators, sizes, _ = latent_block(inc, REF, gen)
         k = int(np.count_nonzero(indicators))
-        assert 0 < k < train_inc.n
-        assert sizes.shape == (k,)
+        assert 0 < k < inc.n
+        assert sizes.n == k
         twin = np.random.default_rng(32)
-        twin.random(train_inc.n)
+        twin.random(inc.n)
         twin.standard_normal(k)
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 50])
+    def test_equal_steps_draw_two_normals_then_a_chi_square(self, train_inc, k):
+        # equal steps: no size is drawn; k = 0 draws nothing, k > 0 two
+        # normals and k > 2 then a chi-square with k - 2 degrees of freedom
+        active = np.zeros(train_inc.n)
+        active[:k] = 1.0
+        gen = np.random.default_rng(32)
+        sizes, _ = _Marginal(train_inc, JumpPrior()).jump_stats(active, *astuple(REF)[:4], gen)
+        assert sizes.n == k
+        twin = np.random.default_rng(32)
+        if k > 0:
+            twin.standard_normal(2)
+        if k > 2:
+            twin.chisquare(k - 2)
         assert gen.bit_generator.state == twin.bit_generator.state
 
     def test_indicator_frequency_tracks_probability(self):
         n = 100_000
         inc = IncrementSeries(d=np.full(n, -0.02), dt=np.full(n, DT))
-        indicators, _ = latent_block(inc, REF, np.random.default_rng(33))
+        indicators, *_ = latent_block(inc, REF, np.random.default_rng(33))
         p = jump_indicator_prob(inc, REF)[0]
         se = np.sqrt(p * (1.0 - p) / n)
         assert abs(indicators.mean() - p) < 4 * se
 
 
 class TestDiffusionBlock:
-    """The oracle's (theta, sigma2) draw on the sweep's _jump_adjusted_stats."""
+    """The (theta, sigma2) draw on the sweep's _jump_adjusted_stats."""
 
     def test_no_jumps_reduces_to_plain_conditionals(self, train_inc):
-        none = np.zeros(train_inc.n, dtype=bool)
-        theta, sigma2 = diffusion_block(
-            train_inc, none, np.array([]), 0.03, GbmPrior(), np.random.default_rng(55)
-        )
+        none = np.array([])
+        suff = _jump_adjusted_stats(_SuffStats.of(train_inc.d, train_inc.dt), none, none, none, 0.0)
+        theta, sigma2 = _draw_theta_sigma2(suff, 0.03, GbmPrior(), np.random.default_rng(55))
         gen = np.random.default_rng(55)
         mean, var = theta_conditional(train_inc, 0.03)
         theta_ref = mean + np.sqrt(var) * gen.standard_normal()
@@ -253,6 +288,44 @@ class TestDiffusionBlock:
             shifted = inc.d.copy()
             shifted[on] -= sizes
             assert got == pytest.approx(_SuffStats.of(shifted, inc.dt), rel=1e-12)
+
+
+class TestSizeSums:
+    """On equal steps _Marginal.jump_stats draws the sums the conjugate blocks
+    read in one go: their law given J is that of the sums of per-step sizes."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 50, "equal-d"])
+    def test_matches_per_step_sizes(self, train_inc, k):
+        inc = IncrementSeries(d=train_inc.d[:60], dt=train_inc.dt[:60])
+        if k == "equal-d":  # every active d the same: sum d*z has one direction
+            inc, k = IncrementSeries(d=np.full(60, -0.03), dt=np.full(60, DT)), 5
+        active = np.zeros(inc.n)
+        active[:k] = 1.0
+        marginal, gen, reps = _Marginal(inc, JumpPrior()), np.random.default_rng(61), 20_000
+        got = np.array([
+            (sizes.sd, sizes.sdd, resid.sd, resid.sdd)
+            for sizes, resid in (marginal.jump_stats(active, *astuple(REF)[:4], gen)
+                                 for _ in range(reps))
+        ])
+        # brute force: one size per active step from its conditional normal
+        d = inc.d[:k]
+        m, v = size_conditional(d, DT, REF)
+        z = m + np.sqrt(v) * gen.standard_normal((reps, k))
+        suff = marginal.stats
+        want = np.column_stack((
+            z.sum(axis=1), (z * z).sum(axis=1),
+            suff.sd - z.sum(axis=1), suff.sdd - ((2.0 * d - z) * z).sum(axis=1) / DT,
+        ))
+        for name, a, b in zip(("sum Z", "sum Z^2", "sd", "sdd"), got.T, want.T):
+            p_value = stats.ks_2samp(a, b).pvalue
+            assert p_value > 1e-3, f"{name}: p={p_value:.2g}"
+
+    def test_no_active_step_leaves_the_statistics(self, train_inc):
+        marginal = _Marginal(train_inc, JumpPrior())
+        sizes, resid = marginal.jump_stats(
+            np.zeros(train_inc.n), *astuple(REF)[:4], np.random.default_rng(62))
+        assert sizes == _NO_DATA
+        assert resid == marginal.stats
 
 
 class TestLambdaConditional:
@@ -519,12 +592,12 @@ def reference_sweep(inc, params, prior, gen, move=None):
         if accepted:
             params = from_x(x)
     drawn_at = params
-    indicators, sizes = latent_block(inc, params, gen)
+    indicators, sizes, resid = latent_block(inc, params, gen)
     k = int(np.count_nonzero(indicators))
     params = _with(params, lambda_star=float(gen.beta(*_lambda_beta(k, indicators.size, prior))))
-    mu_z, sigma2_z = draw_jump_moments(sizes, params.sigma2_z, prior, gen)
+    mu_z, sigma2_z = _draw_theta_sigma2(sizes, params.sigma2_z, prior.jump, gen)
     params = _with(params, mu_z=mu_z, sigma2_z=sigma2_z)
-    theta, sigma2 = diffusion_block(inc, indicators, sizes, params.sigma2, prior.diffusion, gen)
+    theta, sigma2 = _draw_theta_sigma2(resid, params.sigma2, prior.diffusion, gen)
     return _with(params, theta=theta, sigma2=sigma2), indicators, accepted, drawn_at
 
 
