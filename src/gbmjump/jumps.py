@@ -136,16 +136,23 @@ def _log_odds_terms(dt, theta, sigma2, mu_z, sigma2_z, logit_lam):
     return a, b, c
 
 
-def _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z):
-    """Z_i | J_i = 1 from one normal each in z, given the active steps'
-    increments d_act and step lengths dt_act (or one scalar dt): Normal(m, v),
-    v = 1/(1/sigma2_z + 1/v0) with v0 = sigma2*dt_i, and
-    m = v*(mu_z/sigma2_z + (d_i - theta*dt_i)/v0)
+def _size_law(dt, theta, sigma2, mu_z, sigma2_z):
+    """(alpha, beta, v) with Z_i | J_i = 1 ~ Normal(alpha*d_i + beta, v) at a
+    step of length dt (a scalar, or an array of the steps' lengths):
+    v = 1/(1/sigma2_z + 1/v0) with v0 = sigma2*dt, and the mean
+    v*(mu_z/sigma2_z + (d_i - theta*dt)/v0)
       = (v/v0)*d_i + v*(mu_z/sigma2_z - theta/sigma2)."""
-    v0 = sigma2 * dt_act
+    v0 = sigma2 * dt
     v = 1.0 / (1.0 / sigma2_z + 1.0 / v0)
-    sizes = (v / v0) * d_act
-    sizes += v * (mu_z / sigma2_z - theta / sigma2)
+    return v / v0, v * (mu_z / sigma2_z - theta / sigma2), v
+
+
+def _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z):
+    """Z_i | J_i = 1 (_size_law) from one normal each in z, given the active
+    steps' increments d_act and step lengths dt_act (or one scalar dt)."""
+    alpha, beta, v = _size_law(dt_act, theta, sigma2, mu_z, sigma2_z)
+    sizes = alpha * d_act
+    sizes += beta
     sizes += np.sqrt(v) * z
     return sizes
 
@@ -160,19 +167,18 @@ def _jump_adjusted_stats(stats: _SuffStats, d_act, dt_act, sizes, total: float) 
 
 def _size_sums(sums, draws, dt: float, theta, sigma2, mu_z, sigma2_z):
     """(sum Z, sum Z^2, sum d*Z) over k >= 1 active steps of length dt, with
-    Z_i = alpha*d_i + beta + s*z_i as in _jump_sizes, from sums = (S2, S1, k),
-    the active steps' sums of d^2, d and 1, and draws = (g1, g2, W), two
-    standard normals and a chi-square with k - 2 degrees of freedom (0 for
-    k <= 2). g1 and g2 are z's projections on the orthonormal 1/sqrt(k) and
-    (d - S1/k)/|d - S1/k|, and W the rest of |z|^2, so sum z = A, sum d*z = C
-    and |z|^2 = Q below have their joint law given J; when every active d is
-    equal, g2 stands for any direction orthogonal to the first."""
+    Z_i = alpha*d_i + beta + s*z_i (_size_law, s = sqrt(v)) as _jump_sizes
+    draws them one by one, from sums = (S2, S1, k), the active steps' sums
+    of d^2, d and 1, and draws = (g1, g2, W), two standard normals and a
+    chi-square with k - 2 degrees of freedom (0 for k <= 2). g1 and g2 are
+    z's projections on the orthonormal 1/sqrt(k) and (d - S1/k)/|d - S1/k|,
+    and W the rest of |z|^2, so sum z = A, sum d*z = C and |z|^2 = Q below
+    have their joint law given J; when every active d is equal, g2 stands
+    for any direction orthogonal to the first."""
     s2, s1, k = sums
     g1, g2, w = draws
-    v0 = sigma2 * dt
-    v = 1.0 / (1.0 / sigma2_z + 1.0 / v0)
-    alpha, beta, s = v / v0, v * (mu_z / sigma2_z - theta / sigma2), math.sqrt(v)
-    a = math.sqrt(k) * g1
+    alpha, beta, v = _size_law(dt, theta, sigma2, mu_z, sigma2_z)
+    s, a = math.sqrt(v), math.sqrt(k) * g1
     if k == 1:
         c, q = s1 * g1, g1 * g1
     else:
@@ -232,7 +238,8 @@ class _Marginal:
         z = gen.standard_normal(idx.size)
         sizes = _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z)
         total = float(sizes.sum())
-        return _size_stats(sizes, total), _jump_adjusted_stats(self.stats, d_act, dt_act, sizes, total)
+        stats = _jump_adjusted_stats(self.stats, d_act, dt_act, sizes, total)
+        return _size_stats(sizes, total), stats
 
     def neg_log_odds(self, theta, sigma2, mu_z, sigma2_z, logit_lam, out=None):
         """-max(L, _LOG_ODDS_FLOOR) of the log-odds L = (a*d + b)*d + c at

@@ -129,7 +129,8 @@ def latent_block(inc, params, gen):
         g1, g2 = gen.standard_normal(2)
         w = gen.chisquare(k - 2) if k > 2 else 0.0
         total, squares, cross = _size_sums((s2, s1, k), (g1, g2, w), dt, *astuple(params)[:4])
-        resid = _SuffStats(suff.n, suff.sd - total, suff.st, suff.sdd - (2.0 * cross - squares) / dt)
+        sdd = suff.sdd - (2.0 * cross - squares) / dt
+        resid = _SuffStats(suff.n, suff.sd - total, suff.st, sdd)
         return indicators, _SuffStats(k, total, k, squares), resid
     z = gen.standard_normal(int(np.count_nonzero(indicators)))
     d, dt = inc.d[indicators], inc.dt[indicators]
