@@ -82,15 +82,19 @@ def trading_days(first: dt.date, last: dt.date) -> list[dt.date]:
     return days
 
 
-def mixture_increments(n: int, theta: float, rng: np.random.Generator) -> np.ndarray:
+def mixture_increments(n: int, theta: float, rng: np.random.Generator):
+    """n increments of the generating mixture, and which of them jumped."""
     step = 1.0 / DAYS_PER_YEAR
     d = theta * step + SIGMA_DIFF * math.sqrt(step) * rng.standard_normal(n)
     jumps = rng.random(n) < LAMBDA_STAR
     sizes = MU_Z + SIGMA_Z * rng.standard_normal(n)
-    return d + np.where(jumps, sizes, 0.0)
+    return d + np.where(jumps, sizes, 0.0), jumps
 
 
 def build(seed: int = DEFAULT_SEED):
+    """(training dates, prices), (holdout dates, prices) and the training
+    increments' jump indicators: the affine rescaling keeps which increments
+    jumped, so these are the true jump days of the written series."""
     train_dates = trading_days(dt.date(2009, 1, 2), dt.date(2014, 12, 31))
     hold_dates = trading_days(dt.date(2015, 1, 2), dt.date(2015, 2, 27))
     assert len(train_dates) == 1511, f"calendar yields {len(train_dates)} rows"
@@ -102,19 +106,19 @@ def build(seed: int = DEFAULT_SEED):
     theta_gen = (mean_target - LAMBDA_STAR * MU_Z) * DAYS_PER_YEAR
 
     rng = np.random.default_rng(seed)
-    raw = mixture_increments(n, theta_gen, rng)
+    raw, jumps = mixture_increments(n, theta_gen, rng)
     scale = sd_target / raw.std()  # population SD: the MLE uses the 1/n divisor
     d = mean_target + scale * (raw - raw.mean())
     prices = np.round(TRAIN_FIRST * np.exp(np.concatenate(([0.0], np.cumsum(d)))), 2)
     prices[0], prices[-1] = TRAIN_FIRST, TRAIN_LAST
 
-    raw_hold = mixture_increments(len(hold_dates), theta_gen, rng)
+    raw_hold, _ = mixture_increments(len(hold_dates), theta_gen, rng)
     drift_fix = (math.log(HOLD_LAST / TRAIN_LAST) - raw_hold.sum()) / len(hold_dates)
     d_hold = raw_hold + drift_fix
     hold_prices = np.round(TRAIN_LAST * np.exp(np.cumsum(d_hold)), 2)
     hold_prices[-1] = HOLD_LAST
 
-    return (train_dates, prices), (hold_dates, hold_prices)
+    return (train_dates, prices), (hold_dates, hold_prices), jumps
 
 
 def write_csv(path: Path, dates, prices) -> None:
@@ -130,7 +134,7 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", default="data")
     args = parser.parse_args(argv)
 
-    (train_dates, prices), (hold_dates, hold_prices) = build(args.seed)
+    (train_dates, prices), (hold_dates, hold_prices), _ = build(args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "sp500_synthetic.csv", train_dates, prices)

@@ -1,30 +1,43 @@
-"""Scan the jump sampler's independence-move proposal over a grid of t
-degrees of freedom and covariance scales, on synthetic jump-diffusion series.
+"""Scan the jump sampler's independence move on synthetic jump-diffusion
+series: first the length of the sweep cycle, then the proposal's t degrees
+of freedom and covariance scale.
 
-For every grid point (df, scale) the move's proposal is a t with df degrees
-of freedom and scale times the Laplace covariance. Each series below is drawn
-once per seed and fitted at every grid point with the same chain seed, so the
-grid points see the same data and the same random stream. Per fit it records
-the move's acceptance rate and the ESS of each reported parameter by
+Each series below is drawn once per seed and fitted at every scanned point
+with the same chain seed, so the points see the same data and the same
+random stream. Per fit the scan records the move's acceptance rate, the
+seconds run_jump_gibbs takes and the ESS of each reported parameter by
 perfbench/ess.py (Geyer's initial monotone sequence).
 
-Rule, fixed before the scan: the chosen point has the highest geometric
-mean, over every (series, seed) fit, of the smallest of the five
-per-parameter ESS. The bundled data are fitted only as a check; they choose
-nothing.
+Cycle length: with the proposal at today's t (_T_DF, _T_SCALE), the sweeps
+run in cycles of m in MOVES, the move alone in the first m - 1 and the whole
+sweep in the last (m = 1 runs the whole sweep every time). Rule, fixed
+before the scan: the chosen m has the highest geometric mean, over every
+(series, seed) fit, of the smallest of the five per-parameter ESS per
+second of sampler time.
+
+Proposal: at today's cycle length, for every grid point (df, scale) the
+proposal is a t with df degrees of freedom and scale times the Laplace
+covariance. Rule, fixed before the scan: the chosen point has the highest
+geometric mean, over every (series, seed) fit, of the smallest of the five
+per-parameter ESS.
+
+The bundled data are fitted only as a check; they choose nothing.
 
 Usage: python3 scripts/move_scan.py
 
-It prints one row per grid point for the synthetic series (mean acceptance,
-geometric-mean ESS per parameter, and the rule's score, the chosen row
-marked *), then one row per grid point for the bundled data (mean acceptance
-and mean ESS per parameter over the same seeds).
+It prints one row per cycle length (mean acceptance, the geometric mean of
+min-ESS per second per shape and over all fits, and that of min-ESS, the
+chosen row marked *), one row per grid point for the synthetic series (mean
+acceptance, geometric-mean ESS per parameter, and the rule's score, the
+chosen row marked *), and then the same rows on the bundled data (means
+over the same seeds).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +53,7 @@ from gbmjump import (  # noqa: E402
 
 DFS = (5.0, 10.0, 20.0, 30.0, 50.0)
 SCALES = (1.0, 1.1, 1.2)
+MOVES = (1, 2, 3, 5)
 PARAMS = ("lambda_star", "sigma", "mu", "mu_z", "sigma_z")
 DT = 1.0 / 252.0
 # (n, lambda_star, annual sigma, mu_z, sigma_z): rare large jumps to frequent
@@ -62,37 +76,75 @@ def synthetic(shape_index: int, seed: int) -> IncrementSeries:
     return IncrementSeries(d=simulate_jump_increments(params, DT, n, gen), dt=np.full(n, DT))
 
 
-def fit(inc: IncrementSeries, df: float, scale: float, seed: int):
-    """(acceptance, ESS per parameter) of one chain with the move's proposal
-    set to a t with df degrees of freedom and scale times the Laplace
-    covariance."""
-    saved = jumps._T_DF, jumps._T_SCALE
-    jumps._T_DF, jumps._T_SCALE = df, scale
+def fit(inc: IncrementSeries, seed: int, df=None, scale=None, moves=None):
+    """(acceptance, ESS per parameter, seconds) of one chain with the move's
+    proposal set to a t with df degrees of freedom and scale times the
+    Laplace covariance, and the sweeps in cycles of moves; today's constant
+    for each one not given."""
+    saved = jumps._T_DF, jumps._T_SCALE, jumps._MOVES
+    jumps._T_DF, jumps._T_SCALE, jumps._MOVES = (
+        v if v is not None else old for v, old in zip((df, scale, moves), saved))
     try:
+        start = time.perf_counter()
         chain = run_jump_gibbs(inc, n_keep=KEEP, burn_in=BURN_IN, seed=seed)
+        seconds = time.perf_counter() - start
     finally:
-        jumps._T_DF, jumps._T_SCALE = saved
+        jumps._T_DF, jumps._T_SCALE, jumps._MOVES = saved
     rate = chain.meta.accept_rate
-    return (math.nan if rate is None else rate), [ess(chain.column(p)) for p in PARAMS]
+    return (math.nan if rate is None else rate), [ess(chain.column(p)) for p in PARAMS], seconds
+
+
+def gm(values) -> float:
+    """Geometric mean."""
+    return math.exp(np.mean(np.log(values)))
+
+
+def scan_cycles(series, bundled, seeds) -> None:
+    """The cycle-length scan and its bundled-data check."""
+    shapes = "  ".join(f"{f'shape {i}':>8}" for i in range(len(SHAPES)))
+    rows = []
+    for m in MOVES:
+        fits = [fit(inc, s, moves=m) for inc, s in series]
+        min_ess = np.array([min(e) for _, e, _ in fits])
+        per_s = (min_ess / [t for *_, t in fits]).reshape(len(SHAPES), -1)
+        rows.append((m, np.nanmean([r for r, _, _ in fits]), [gm(row) for row in per_s],
+                     gm(per_s), gm(min_ess)))
+    best = max(range(len(rows)), key=lambda i: rows[i][3])
+    print(f"cycle length: {len(SHAPES)} shapes x {SEEDS} seeds, {KEEP} kept draws, "
+          f"burn-in {BURN_IN}, t{jumps._T_DF:.0f} x {jumps._T_SCALE}; geometric means "
+          f"over seeds of min-ESS per second of sampler time")
+    print(f"  {'m':>2} {'accept':>6}  {shapes}  {'all /s':>8}  {'min-ESS':>8}")
+    for i, (m, rate, per_shape, score, min_gm) in enumerate(rows):
+        cells = "  ".join(f"{v:8.0f}" for v in per_shape)
+        print(f"{'*' if i == best else ' '} {m:2d} {rate:6.3f}  {cells}  {score:8.0f}  {min_gm:8.0f}")
+
+    print(f"\nbundled data (check only): {bundled.n} increments x {SEEDS} seeds; "
+          f"means over seeds")
+    print(f"  {'m':>2} {'accept':>6}  {'lambda_star ESS':>15}  {'min-ESS /s':>10}")
+    for m in MOVES:
+        fits = [fit(bundled, s, moves=m) for s in seeds]
+        lam = np.mean([e[0] for _, e, _ in fits])
+        per_s = np.mean([min(e) / t for _, e, t in fits])
+        print(f"  {m:2d} {np.mean([r for r, _, _ in fits]):6.3f}  {lam:15.0f}  {per_s:10.0f}")
 
 
 def main() -> int:
     seeds = range(1, SEEDS + 1)
     series = [(synthetic(i, s), s) for i in range(len(SHAPES)) for s in seeds]
     bundled = to_increments(load_price_series(BUNDLED))
+    scan_cycles(series, bundled, seeds)
+
     grid = [(df, scale) for df in DFS for scale in SCALES]
     header = "  ".join(f"{p:>11}" for p in PARAMS)
-
     rows = []
     for df, scale in grid:
-        fits = [fit(inc, df, scale, s) for inc, s in series]
-        ess_table = np.array([e for _, e in fits])
-        score = math.exp(np.mean(np.log(ess_table.min(axis=1))))
-        rows.append((df, scale, np.nanmean([r for r, _ in fits]),
-                     np.exp(np.log(ess_table).mean(axis=0)), score))
+        fits = [fit(inc, s, df, scale) for inc, s in series]
+        ess_table = np.array([e for _, e, _ in fits])
+        rows.append((df, scale, np.nanmean([r for r, _, _ in fits]),
+                     np.exp(np.log(ess_table).mean(axis=0)), gm(ess_table.min(axis=1))))
     best = max(range(len(rows)), key=lambda i: rows[i][-1])
-    print(f"synthetic: {len(SHAPES)} shapes x {SEEDS} seeds, {KEEP} kept draws, "
-          f"burn-in {BURN_IN}; ESS are geometric means over fits")
+    print(f"\nproposal: {len(SHAPES)} shapes x {SEEDS} seeds, {KEEP} kept draws, "
+          f"burn-in {BURN_IN}, cycles of {jumps._MOVES}; ESS are geometric means over fits")
     print(f"  {'df':>4} {'scale':>5} {'accept':>6}  {header}  {'min-ESS gm':>10}")
     for i, (df, scale, rate, ess_gm, score) in enumerate(rows):
         cells = "  ".join(f"{v:11.0f}" for v in ess_gm)
@@ -102,9 +154,9 @@ def main() -> int:
           f"{KEEP} kept draws; mean ESS over seeds")
     print(f"  {'df':>4} {'scale':>5} {'accept':>6}  {header}")
     for df, scale in grid:
-        fits = [fit(bundled, df, scale, s) for s in seeds]
-        cells = "  ".join(f"{v:11.0f}" for v in np.mean([e for _, e in fits], axis=0))
-        print(f"  {df:4.0f} {scale:5.1f} {np.mean([r for r, _ in fits]):6.3f}  {cells}")
+        fits = [fit(bundled, s, df, scale) for s in seeds]
+        cells = "  ".join(f"{v:11.0f}" for v in np.mean([e for _, e, _ in fits], axis=0))
+        print(f"  {df:4.0f} {scale:5.1f} {np.mean([r for r, _, _ in fits]):6.3f}  {cells}")
     return 0
 
 

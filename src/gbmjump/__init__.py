@@ -11,16 +11,11 @@ from .gibbs import (
     PosteriorChain,
     read_chain_csv,
     run_gibbs,
-    sample_sigma2_given_theta,
-    sample_theta_given_sigma2,
-    sigma2_conditional,
-    theta_conditional,
     write_chain_csv,
 )
 from .jumps import (
     JumpParams,
     JumpPrior,
-    increment_moments,
     marginal_log_posterior,
     run_jump_gibbs,
     simulate_jump_increments,

@@ -73,32 +73,6 @@ def _draw_theta_sigma2(stats: _SuffStats, sigma2: float, prior: GbmPrior, gen):
     return float(theta), float(scale / gen.gamma(shape))
 
 
-def theta_conditional(inc: IncrementSeries, sigma2: float, prior: GbmPrior = GbmPrior()):
-    """(mean, variance) of theta | sigma2, data."""
-    return _theta_conditional(_SuffStats.of(inc.d, inc.dt), sigma2, prior)
-
-
-def sigma2_conditional(inc: IncrementSeries, theta: float, prior: GbmPrior = GbmPrior()):
-    """(shape, scale) of the inverse-gamma sigma2 | theta, data."""
-    return _sigma2_conditional(_SuffStats.of(inc.d, inc.dt), theta, prior)
-
-
-def sample_theta_given_sigma2(
-    inc: IncrementSeries, sigma2: float, prior: GbmPrior = GbmPrior(), rng=None
-) -> float:
-    mean, var = theta_conditional(inc, sigma2, prior)
-    return float(mean + math.sqrt(var) * np.random.default_rng(rng).standard_normal())
-
-
-def sample_sigma2_given_theta(
-    inc: IncrementSeries, theta: float, prior: GbmPrior = GbmPrior(), rng=None
-) -> float:
-    shape, scale = sigma2_conditional(inc, theta, prior)
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("shape and scale must be positive")
-    return float(scale / np.random.default_rng(rng).gamma(shape))
-
-
 class ChainColumns(NamedTuple):
     """The columns of a model's chain: those its draws hold, those its CSV
     holds, and the parameters its summary reports."""

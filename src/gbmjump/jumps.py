@@ -2,7 +2,7 @@
 
 Observation model per step: d_i ~ Normal(theta*dt_i, sigma2*dt_i) plus, with
 probability lambda_star, an independent Normal(mu_z, sigma2_z) jump. The
-sampler augments with latent indicators J_i and sizes Z_i. Each sweep runs
+sampler augments with latent indicators J_i and sizes Z_i. A whole sweep runs
 
     move  ->  latent (J, Z)  ->  lambda_star  ->  (mu_z, sigma2_z)  ->  (theta, sigma2)
 
@@ -17,17 +17,27 @@ its scale. Damped Newton ascent from the chain's start finds both before
 sweep 0, and they stay fixed, so the move runs from sweep 0 at any burn-in.
 Run alone, an independence sampler whose proposal has lighter tails than
 its target is not geometrically ergodic (Mengersen & Tweedie 1996, Ann.
-Statist. 24); here the conjugate blocks run every sweep and are ergodic on
-their own, so the move only has to fit the bulk, which on series of a few
-hundred increments or more is close to the Laplace approximation.
-The move is off on series of fewer than 250 increments, when Newton does not
-converge within 50 steps or minus the Hessian at its end is not positive
-definite (the conjugate blocks then run alone), and after a lambda_star draw
-of exactly 0 or 1. The array E = exp(-log-odds) that the move's target
-evaluates at the state it keeps is the indicator draw's input, and the
-chain's jump_probs average each step's jump probability 1/(1 + E) over kept
-sweeps (Rao-Blackwellized), so they draw no random numbers. The blocks after
-the latent one read the sizes only through sum Z, sum Z^2 and the sizes'
+Statist. 24); here the conjugate blocks run in every cycle of sweeps and are
+ergodic on their own, so the move only has to fit the bulk, which on series
+of a few hundred increments or more is close to the Laplace approximation.
+With the move on, the sweeps run in cycles of _MOVES from sweep 0: the move
+alone in the first _MOVES - 1, a whole sweep in the last. Each kernel leaves
+the posterior invariant, so the fixed cycle does too (Tierney 1994, Ann.
+Statist. 22). A move-only sweep pays for one target evaluation: the move
+keeps the target's value and E at its state from the evaluation that put it
+there, and evaluates afresh only after the blocks have moved the state. Its
+row holds the move's (theta, sigma2, mu_z, sigma2_z, lambda_star) and, as
+n_jumps, the count of indicators drawn from n uniforms against the E at
+those parameters, so every row is a joint draw (van Dyk & Park 2008, JASA
+103). The move is off, and every sweep a whole one, on series of fewer than
+250 increments, when Newton does not converge within 50 steps or minus the
+Hessian at its end is not positive definite (the conjugate blocks then run
+alone), and at a lambda_star of exactly 0 or 1 until the next draw of it.
+The array E = exp(-log-odds) that the move's target evaluates at the state
+it keeps is the indicator draw's input, and the chain's jump_probs average
+each step's jump probability 1/(1 + E) over kept sweeps of both kinds
+(Rao-Blackwellized), so they draw no random numbers. The blocks after the
+latent one read the sizes only through sum Z, sum Z^2 and the sizes'
 correction to the diffusion statistics. On equal steps those sums come from
 their joint law given J, from two normals and a chi-square, and no size is
 drawn (_size_sums); on unequal steps one normal per active step draws its
@@ -112,11 +122,24 @@ _NO_DATA = _SuffStats(0, 0.0, 0.0, 0.0)
 # seeds, and on the bundled data 1.0 reads higher. The mode search takes at
 # most _NEWTON_CAP Newton steps.
 _MOVE_MIN_N, _T_DF, _T_SCALE, _NEWTON_CAP = 250, 30.0, 1.2, 50
+# With the move on, the sweeps run in cycles of _MOVES: the move alone in the
+# first _MOVES - 1, the whole sweep in the last. scripts/move_scan.py scores
+# each of {1, 2, 3, 5} by the geometric mean of the smallest per-parameter ESS
+# per second of sampler time over the same synthetic series. 5 scored highest,
+# but its chains, with one conjugate sweep in five, do not forget their start
+# within the 10 burn-in sweeps of the simulation-based calibration at
+# _MOVE_MIN_N increments (tests/test_sbc.py), which fails; 2 is the next.
+_MOVES = 2
 
 
 def _logit(p: float) -> float:
     """log(p/(1-p)); -inf at 0 and +inf at 1."""
     return math.log(p) - math.log1p(-p) if 0.0 < p < 1.0 else (p - 0.5) * math.inf
+
+
+def _expit(t: float) -> float:
+    """1/(1 + exp(-t)), the inverse of _logit, without overflow."""
+    return 1.0 / (1.0 + math.exp(-t)) if t > -700.0 else math.exp(t)
 
 
 def _softplus(t: float) -> float:
@@ -212,6 +235,17 @@ class _Marginal:
         # rows (d^2, d, 1): L = (a, b, c) @ powers
         self.powers = np.stack((self.d * self.d, self.d, np.ones(inc.n)))
         self.scratch = np.empty((2, inc.n))  # log_kernel's work rows, free between calls
+
+    def indicators(self, e, gen, probs=None):
+        """J_i = [u_i < 1/(1 + E_i)] from n uniforms, as u_i*(1 + E_i) < 1,
+        1.0 or 0.0 per step in a work row of log_kernel, valid until its next
+        call, so e is left as it was; probs, when given, gains each step's
+        jump probability 1/(1 + E_i)."""
+        odds = np.add(e, 1.0, out=self.scratch[1])
+        if probs is not None:
+            probs += np.reciprocal(odds, out=self.scratch[0])
+        odds *= gen.random(odds.size)
+        return np.less(odds, 1.0, out=odds)
 
     def jump_stats(self, active, theta, sigma2, mu_z, sigma2_z, gen):
         """(_SuffStats of the active steps' sizes as unit-length steps,
@@ -330,25 +364,24 @@ def marginal_log_posterior(
     return _Marginal(inc, prior).log_kernel(*astuple(params)[:4], _logit(params.lambda_star))[0]
 
 
-def _independence_step(x, proposal, target, gen, out=(None, None)):
-    """One independence Metropolis step from x on target(x, out) -> (log
-    density, E), with the t proposal (mode, factor, inverse): y = mode
-    + factor @ (z*sqrt(_T_DF/w)) from len(x) normals z and a chi-square w,
-    taken with probability min(1, exp(target(y) - target(x) + log q(x)
-    - log q(y))) for the proposal's log density log q(y) = -(_T_DF +
-    len(x))/2*log(1 + |inverse @ (y - mode)|^2/_T_DF) + constant.
-    E at x goes to out[0], at y to out[1]. Returns the next x, its E, and
-    whether y was taken."""
+def _independence_step(x, current, proposal, target, gen, out=None):
+    """One independence Metropolis step from x, whose (log density, E) under
+    target is current, on target(y, out) -> (log density, E) with the t
+    proposal (mode, factor, inverse): y = mode + factor @ (z*sqrt(_T_DF/w))
+    from len(x) normals z and a chi-square w, taken with probability
+    min(1, exp(target(y) - target(x) + log q(x) - log q(y))) for the
+    proposal's log density log q(y) = -(_T_DF + len(x))/2*log(1 + |inverse @
+    (y - mode)|^2/_T_DF) + constant. E at y goes to out. Returns the next x,
+    its (log density, E), and whether y was taken."""
     mode, factor, inverse = proposal
-    current, e = target(x, out[0])
     z = gen.standard_normal(len(x)) * math.sqrt(_T_DF / gen.chisquare(_T_DF))
     y = mode + factor @ z
-    value, e_y = target(y, out[1])
+    proposed = target(y, out)
     w = inverse @ (x - mode)
     log_q = 0.5 * (_T_DF + len(x)) * math.log((_T_DF + z @ z) / (_T_DF + w @ w))
-    if gen.random() < math.exp(min(value - current + log_q, 0.0)):
-        return y, e_y, True
-    return x, e, False
+    if gen.random() < math.exp(min(proposed[0] - current[0] + log_q, 0.0)):
+        return y, proposed, True
+    return x, current, False
 
 
 def _laplace(marginal: _Marginal, x):
@@ -397,18 +430,6 @@ def _check_steps(dt) -> np.ndarray:
     return dt
 
 
-def increment_moments(params: JumpParams, dt: float):
-    """Exact (mean, variance) of one increment under the jump model:
-    mean = theta*dt + lambda_star*mu_z,
-    var  = sigma2*dt + lambda_star*sigma2_z + lambda_star*(1-lambda_star)*mu_z^2.
-    """
-    _check_steps(dt)
-    lam = params.lambda_star
-    mean = params.theta * dt + lam * params.mu_z
-    var = params.sigma2 * dt + lam * params.sigma2_z + lam * (1.0 - lam) * params.mu_z**2
-    return mean, var
-
-
 def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.ndarray:
     """Sample n increments: Normal diffusion plus Bernoulli(lambda_star) jumps."""
     if n < 1:
@@ -441,13 +462,14 @@ def run_jump_gibbs(
     burn_in: int = 1000,
     seed: int | None = None,
 ) -> PosteriorChain:
-    """Metropolis-within-Gibbs sampler (see the module docstring); returns a
-    chain with columns (theta, sigma2, mu_z, sigma2_z, lambda_star, n_jumps)
-    whose meta.accept_rate is the share of the move's proposals taken over
-    all sweeps, or None when the move is off, and whose jump_probs holds the
-    posterior mean of each J_i: the mean over kept sweeps of the probability
-    1/(1 + E_i) that the indicator draw used. As in run_gibbs, burn_in and
-    seed are checked by ChainMeta before the first sweep.
+    """Metropolis-within-Gibbs sampler, in cycles of move-only and whole
+    sweeps (see the module docstring); returns a chain with columns (theta,
+    sigma2, mu_z, sigma2_z, lambda_star, n_jumps) whose meta.accept_rate is
+    the share of the move's proposals taken over all sweeps, or None when the
+    move is off, and whose jump_probs holds the posterior mean of each J_i:
+    the mean over kept sweeps of the probability 1/(1 + E_i) that the
+    indicator draw used. As in run_gibbs, burn_in and seed are checked by
+    ChainMeta before the first sweep.
     """
     if n_keep < 1:
         raise ValueError("need n_keep >= 1")
@@ -458,33 +480,44 @@ def run_jump_gibbs(
     n = inc.n
     x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
     proposal = _laplace(marginal, x) if n >= _MOVE_MIN_N else None
-    buffers, moves, taken = (np.empty(n), np.empty(n)), 0, 0
+    # current is the move's (target value, E) at x, E in buffers[0], or None
+    # when the blocks have moved the state since; proposals go to buffers[1]
+    buffers, current, moves, taken = [np.empty(n), np.empty(n)], None, 0, 0
     draws, jump_probs = np.empty((n_keep, 6)), np.zeros(n)
     for sweep in range(burn_in + n_keep):
-        # a lambda_star draw of exactly 0 or 1 has no logit: skip that move
-        if proposal is not None and 0.0 < lam < 1.0:
-            x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
-            x, e, accepted = _independence_step(x, proposal, marginal.move_target, gen, buffers)
+        kept = sweep >= burn_in
+        # a lambda_star of exactly 0 or 1 has no logit: skip that move
+        moving = proposal is not None and 0.0 < lam < 1.0
+        if moving:
+            if current is None:
+                current = marginal.move_target(x, buffers[0])
+            x, current, accepted = _independence_step(
+                x, current, proposal, marginal.move_target, gen, buffers[1])
             moves, taken = moves + 1, taken + accepted
             if accepted:
-                # the move's lambda_star reaches the indicators through e
-                # only: the lambda block below redraws it
-                theta, log_s2, mu_z, log_sz2, _ = x.tolist()
-                sigma2, sigma2_z = math.exp(log_s2), math.exp(log_sz2)
+                buffers.reverse()
+                theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
+                sigma2, sigma2_z, lam = math.exp(log_s2), math.exp(log_sz2), _expit(logit_lam)
+            e = current[1]
         else:
             neg = marginal.neg_log_odds(theta, sigma2, mu_z, sigma2_z, _logit(lam), buffers[0])
             e = np.exp(neg, out=neg)
-        # J_i = [u_i < 1/(1 + E_i)], as u_i*(1 + E_i) < 1 in place
-        e += 1.0
-        if sweep >= burn_in:
-            jump_probs += np.reciprocal(e, out=marginal.scratch[0])
-        e *= gen.random(n)
-        active = np.less(e, 1.0, out=e)
+        active = marginal.indicators(e, gen, jump_probs if kept else None)
+        if moving and sweep % _MOVES < _MOVES - 1:
+            # move only: the row is the move's state and the count of
+            # indicators drawn at it
+            if kept:
+                draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam,
+                                          np.count_nonzero(active))
+            continue
         sizes, stats = marginal.jump_stats(active, theta, sigma2, mu_z, sigma2_z, gen)
         lam = float(gen.beta(*_lambda_beta(sizes.n, n, prior)))
         mu_z, sigma2_z = _draw_theta_sigma2(sizes, sigma2_z, prior.jump, gen)
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
-        if sweep >= burn_in:
+        if proposal is not None:
+            x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
+            current = None
+        if kept:
             draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, sizes.n)
     meta = replace(meta, accept_rate=taken / moves if moves else None)
     return PosteriorChain(draws=draws, meta=meta, jump_probs=jump_probs / n_keep)

@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,15 @@ from gbmjump import DataError, load_price_series, run_gibbs, run_jump_gibbs, to_
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 TRAIN_CSV = DATA_DIR / "sp500_synthetic.csv"
 HOLDOUT_CSV = DATA_DIR / "sp500_synthetic_holdout.csv"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """The module scripts/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

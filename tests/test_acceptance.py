@@ -16,6 +16,9 @@ them) and then asserts, so the suite both reports and enforces the contract:
 9. retained chains decorrelate: on the GBM chain PACF lag 1 < 0.3 and later
    lags at noise level; on the jump chain the lag-1 PACF of lambda_star and
    sigma stays below its ceiling
+10. the jump fit's latent layer finds the generator's jumps: the 95% interval
+   of n_jumps covers the true count, and jump_probs rank the true jump days
+   above the others with an AUC of at least 0.75
 """
 
 import time
@@ -29,21 +32,25 @@ from gbmjump import (
     IncrementSeries,
     JumpParams,
     JumpPrior,
-    increment_moments,
     log_likelihood,
     mle_fit,
     pacf,
     predictive_band,
     run_gibbs,
     run_jump_gibbs,
+    simulate_jump_increments,
+    summarize,
+)
+from gbmjump.jumps import _lambda_beta
+
+from conftest import load_script
+from oracle import (
+    increment_moments,
     sample_sigma2_given_theta,
     sample_theta_given_sigma2,
     sigma2_conditional,
-    simulate_jump_increments,
-    summarize,
     theta_conditional,
 )
-from gbmjump.jumps import _lambda_beta
 
 DT = 1.0 / 252.0
 EMPTY = IncrementSeries(d=np.array([]), dt=np.array([]))
@@ -337,4 +344,27 @@ def test_criterion_9_chain_decorrelation(timed_gbm, timed_jump):
         + " ".join(f"{n} {v:+.4f} (< {JUMP_LAG1_CEILING[n]})" for n, v in jump_lag1.items())
     )
     report(9, ok, detail)
+    assert ok, detail
+
+
+def rank_auc(scores, positive) -> float:
+    """Area under the ROC curve of scores for the positive cases: the chance
+    that a positive case outscores a negative one, ties counting half
+    (Mann-Whitney, from average ranks)."""
+    ranks = stats.rankdata(scores)
+    k, n = int(np.count_nonzero(positive)), len(scores)
+    return (ranks[positive].sum() - k * (k + 1) / 2.0) / (k * (n - k))
+
+
+def test_criterion_10_latent_layer_finds_the_true_jumps(timed_jump):
+    # the bundled series' true jump days, from the generator that wrote it
+    chain, _ = timed_jump
+    truth = load_script("make_dataset").build()[2]
+    assert truth.size == chain.jump_probs.size
+    n_true = int(np.count_nonzero(truth))
+    lo, hi = np.quantile(chain.column("n_jumps"), [0.025, 0.975])
+    auc = rank_auc(chain.jump_probs, truth)
+    ok = lo <= n_true <= hi and auc >= 0.75
+    detail = f"n_jumps 95% interval [{lo:.0f}, {hi:.0f}] vs true {n_true}, AUC {auc:.3f} (>= 0.75)"
+    report(10, ok, detail)
     assert ok, detail

@@ -1,7 +1,5 @@
-import importlib.util
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +10,7 @@ from gbmjump import (
 )
 from gbmjump.cli import RunConfig, _build_parser, build_config, main
 
-from conftest import DATA_DIR, HOLDOUT_CSV, TRAIN_CSV
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import DATA_DIR, HOLDOUT_CSV, TRAIN_CSV, load_script
 
 
 def run_cli(capsys, *args):

@@ -20,15 +20,17 @@ from gbmjump import (
     read_chain_csv,
     run_gibbs,
     run_jump_gibbs,
-    sample_sigma2_given_theta,
-    sample_theta_given_sigma2,
-    sigma2_conditional,
-    theta_conditional,
     write_chain_csv,
 )
 from gbmjump.gibbs import CHAIN_COLUMNS
 
 from conftest import FUZZ, batch_means_z, edits_of, loads_or_names_file
+from oracle import (
+    sample_sigma2_given_theta,
+    sample_theta_given_sigma2,
+    sigma2_conditional,
+    theta_conditional,
+)
 
 EMPTY = IncrementSeries(d=np.array([]), dt=np.array([]))
 ONE = IncrementSeries(d=np.array([1.0]), dt=np.array([1.0]))
@@ -173,7 +175,7 @@ class TestRunGibbs:
 
 
 def public_sweep(inc, theta, sigma2, prior, gen):
-    """One sweep of run_gibbs from the public conditionals."""
+    """One sweep of run_gibbs from the oracle's conditionals."""
     theta = sample_theta_given_sigma2(inc, sigma2, prior, gen)
     return theta, sample_sigma2_given_theta(inc, theta, prior, gen)
 

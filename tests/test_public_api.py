@@ -10,11 +10,10 @@ from conftest import TRAIN_CSV
 PUBLIC_NAMES = [
     "Band", "ChainMeta", "DataError", "GbmParams", "GbmPrior", "IncrementSeries",
     "JumpParams", "JumpPrior", "ParamSummary", "PosteriorChain", "PriceSeries",
-    "fitted_band", "increment_moments", "load_price_series", "log_likelihood",
-    "marginal_log_posterior", "mle_fit", "pacf", "predictive_band", "read_chain_csv",
-    "run_gibbs", "run_jump_gibbs", "sample_sigma2_given_theta", "sample_theta_given_sigma2",
-    "sigma2_conditional", "simulate_jump_increments", "summarize", "theta_conditional",
-    "to_increments", "write_band_csv", "write_chain_csv",
+    "fitted_band", "load_price_series", "log_likelihood", "marginal_log_posterior",
+    "mle_fit", "pacf", "predictive_band", "read_chain_csv", "run_gibbs", "run_jump_gibbs",
+    "simulate_jump_increments", "summarize", "to_increments", "write_band_csv",
+    "write_chain_csv",
 ]
 
 # Modules that importing the package must not load: hashlib loads OpenSSL
