@@ -14,12 +14,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import pacf, summarize, summary_to_dict, write_summary_csv, write_summary_json
+from .diagnostics import (
+    ParamSummary, pacf, summarize, summary_to_dict, write_summary_csv, write_summary_json,
+)
 from .gbm import mle_fit
 from .gibbs import read_chain_csv, run_gibbs, write_chain_csv
 from .jumps import run_jump_gibbs
@@ -68,14 +70,35 @@ class RunConfig:
             raise ValueError("level must lie strictly in (0, 1)")
 
 
+# RunConfig field -> (the subcommands that read it, add_argument keywords of
+# its flag --name, with - for _), in --help order after --config. The flag's
+# type comes from the field's annotation through _KINDS.
+OPTIONS = {
+    "input": ("mle fit forecast study", {"help": "price CSV with date and close columns"}),
+    "days_per_year": ("mle fit forecast study", {}),
+    "out": ("mle fit forecast study", {"help": "output directory"}),
+    "format": ("mle fit study", {"choices": FORMATS}),
+    "iters": ("fit study", {"help": "retained draws (at least 2)"}),
+    "burnin": ("fit study", {"help": "discarded initial sweeps"}),
+    "seed": ("fit forecast study", {}),
+    "model": ("fit forecast", {"choices": MODELS}),
+    "holdout": ("study", {"help": "price CSV of the closes after --input's"}),
+    "level": ("forecast study", {"help": "credible level in (0, 1)"}),
+    "horizon": ("forecast", {"help": "forecast steps"}),
+    "chain": ("forecast", {"help": "chain CSV written by fit or study"}),
+    "fitted_band": ("forecast", {"help": "also write the fitted-window band"}),
+}
+
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-# declared field type -> (string parser, exact types accepted, name in errors)
+# declared field type -> (string parser, exact types accepted, name in errors,
+# add_argument keywords of its flag)
 _KINDS = {
-    "int": (int, (int,), "an integer"),
-    "float": (float, (int, float), "a number"),
-    "bool": (lambda s: _BOOL_WORDS[s.strip().lower()], (bool,), "a boolean"),
-    "str": (str, (str,), "a string"),
+    "int": (int, (int,), "an integer", {"type": int}),
+    "float": (float, (int, float), "a number", {"type": float}),
+    "bool": (lambda s: _BOOL_WORDS[s.strip().lower()], (bool,), "a boolean",
+             {"action": "store_const", "const": True}),
+    "str": (str, (str,), "a string", {}),
 }
 
 
@@ -87,7 +110,7 @@ def _coerce(name: str, raw, source: str):
     declared = _FIELD_TYPES[name]
     if raw is None and declared.endswith(" | None"):
         return raw
-    parse, accepts, what = _KINDS[declared.removesuffix(" | None")]
+    parse, accepts, what, _ = _KINDS[declared.removesuffix(" | None")]
     value = raw
     if isinstance(raw, str):
         try:
@@ -154,19 +177,11 @@ def cmd_mle(cfg: RunConfig) -> int:
     params = mle_fit(inc)
     if params.degenerate:
         print("warning: degenerate fit, sample volatility is zero", file=sys.stderr)
-    print(
-        f"theta_hat={params.theta:.6f} sigma2_hat={params.sigma2:.6f} "
-        f"mu_hat={params.mu:.6f} sigma_hat={params.sigma:.6f}"
-    )
+    values = {"theta_hat": params.theta, "sigma2_hat": params.sigma2, "mu_hat": params.mu,
+              "sigma_hat": params.sigma, "degenerate": params.degenerate}
+    print(" ".join(f"{key}={value:.6f}" for key, value in list(values.items())[:4]))
     if cfg.out is not None:
         out = _out_dir(cfg)
-        values = {
-            "theta_hat": params.theta,
-            "sigma2_hat": params.sigma2,
-            "mu_hat": params.mu,
-            "sigma_hat": params.sigma,
-            "degenerate": params.degenerate,
-        }
         if cfg.format == "json":
             write_json(out / "mle.json", values)
         else:
@@ -182,12 +197,10 @@ def _report(chain, out: Path, fmt: str):
     long enough and, for a jump chain, jump_probs_<tag>.csv with one row per
     increment. Return the summary and the PACF or None."""
     summary = summarize(chain)
-    print(f"{'parameter':<12}{'mean':>12}{'sd':>12}{'q2.5':>12}{'q50':>12}{'q97.5':>12}")
+    columns = (f.name.replace("_", ".") for f in fields(ParamSummary))  # q2_5 as q2.5
+    print(f"{'parameter':<12}" + "".join(f"{column:>12}" for column in columns))
     for name, row in summary.items():
-        print(
-            f"{name:<12}{row.mean:>12.4f}{row.sd:>12.4f}"
-            f"{row.q2_5:>12.4f}{row.q50:>12.4f}{row.q97_5:>12.4f}"
-        )
+        print(f"{name:<12}" + "".join(f"{value:>12.4f}" for value in astuple(row)))
     if chain.meta.accept_rate is not None:
         print(f"metropolis acceptance rate {chain.meta.accept_rate:.3f}")
     tag = chain.meta.model.replace("-", "_")
@@ -216,13 +229,7 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def _next_weekdays(start: dt.date, count: int) -> list[dt.date]:
     """Trading-style date stamps for forecast rows: weekdays after start."""
-    days = []
-    cursor = start
-    while len(days) < count:
-        cursor += dt.timedelta(days=1)
-        if cursor.weekday() < 5:
-            days.append(cursor)
-    return days
+    return np.busday_offset(start, np.arange(1, count + 1), roll="backward").tolist()
 
 
 def write_bands(chain, series, inc, out: Path, steps, dates, level: float, seed, fitted: bool):
@@ -339,54 +346,37 @@ def cmd_study(cfg: RunConfig) -> int:
     return 0
 
 
+# subcommand -> (handler, help)
+COMMANDS = {
+    "mle": (cmd_mle, "closed-form maximum likelihood"),
+    "fit": (cmd_fit, "Gibbs posterior sampling"),
+    "forecast": (cmd_forecast, "posterior predictive band"),
+    "study": (cmd_study, "fit every model, band it over a holdout, report coverage"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbmjump",
         description="Fit GBM or GBM-with-jumps to daily closes and forecast.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in (
-        ("mle", "closed-form maximum likelihood"),
-        ("fit", "Gibbs posterior sampling"),
-        ("forecast", "posterior predictive band"),
-        ("study", "fit every model, band it over a holdout, report coverage"),
-    ):
+    for command, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--input", help="price CSV with date and close columns")
         p.add_argument("--config", help="JSON file of option defaults")
-        p.add_argument("--days-per-year", dest="days_per_year", type=int)
-        p.add_argument("--out", help="output directory")
-        if command != "forecast":
-            p.add_argument("--format", choices=FORMATS)
-        if command == "mle":
-            continue
-        if command != "forecast":
-            p.add_argument("--iters", type=int, help="retained draws (at least 2)")
-            p.add_argument("--burnin", type=int, help="discarded initial sweeps")
-        p.add_argument("--seed", type=int)
-        if command == "study":
-            p.add_argument("--holdout", help="price CSV of the closes after --input's")
-        else:
-            p.add_argument("--model", choices=MODELS)
-        if command in ("forecast", "study"):
-            p.add_argument("--level", type=float, help="credible level in (0, 1)")
-        if command == "forecast":
-            p.add_argument("--horizon", type=int, help="forecast steps")
-            p.add_argument("--chain", help="chain CSV written by fit or study")
-            p.add_argument(
-                "--fitted-band", dest="fitted_band", action="store_const", const=True,
-                help="also write the fitted-window band",
-            )
+        for name, (readers, keywords) in OPTIONS.items():
+            if command in readers.split():
+                *_, typed = _KINDS[_FIELD_TYPES[name].removesuffix(" | None")]
+                p.add_argument("--" + name.replace("_", "-"), **typed, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {"mle": cmd_mle, "fit": cmd_fit, "forecast": cmd_forecast, "study": cmd_study}
-    flag_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    flag_values = vars(_build_parser().parse_args(argv))
+    handler, _ = COMMANDS[flag_values.pop("command")]
+    config_path = flag_values.pop("config")
     try:
-        cfg = build_config(flag_values, args.config)
-        return handlers[args.command](cfg)
+        return handler(build_config(flag_values, config_path))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

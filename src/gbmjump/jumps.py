@@ -111,10 +111,12 @@ class JumpPrior:
 _LOG_ODDS_FLOOR = -700.0
 _NO_DATA = _SuffStats(0, 0.0, 0.0, 0.0)
 # The move runs on series of at least _MOVE_MIN_N increments: on shorter ones
-# its proposal fits the posterior too loosely to be taken often, and its two
-# target evaluations cost more than the conjugate blocks. The proposal is a t
-# with _T_DF degrees of freedom and _T_SCALE times the Laplace covariance as
-# its scale: of df in {5, 10, 20, 30, 50} and scale in {1.0, 1.1, 1.2}, the
+# its proposal fits the posterior too loosely to be taken often, and its target
+# evaluations, _MOVES + 1 per cycle of _MOVES sweeps (three in two), cost more
+# than the conjugate blocks. The threshold 250 was set when every sweep made
+# two evaluations, before the cycle, and has not been measured since. The
+# proposal is a t with _T_DF degrees of freedom and _T_SCALE times the Laplace
+# covariance as its scale: of df in {5, 10, 20, 30, 50} and scale in {1.0, 1.1, 1.2}, the
 # pair with the highest geometric mean of the smallest per-parameter ESS over
 # synthetic jump-diffusion series (scripts/move_scan.py reruns the scan).
 # Scale 1.2 over 1.0 is not resolved by that scan: its margin comes from the
@@ -234,7 +236,11 @@ class _Marginal:
         self.dt = float(inc.dt[0]) if equal else inc.dt  # a float when every step is equal
         # rows (d^2, d, 1): L = (a, b, c) @ powers
         self.powers = np.stack((self.d * self.d, self.d, np.ones(inc.n)))
-        self.scratch = np.empty((2, inc.n))  # log_kernel's work rows, free between calls
+        # log_kernel's work rows, free between calls, which indicators reuses.
+        # Allocating the two rows on each call took 1.19-1.20x the sweep time
+        # (two runs of 40 alternating pairs of 1,200 sweeps of the bundled data,
+        # faster in 0 and 3 of 40), for the same chain.
+        self.scratch = np.empty((2, inc.n))
 
     def indicators(self, e, gen, probs=None):
         """J_i = [u_i < 1/(1 + E_i)] from n uniforms, as u_i*(1 + E_i) < 1,
@@ -481,7 +487,11 @@ def run_jump_gibbs(
     x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
     proposal = _laplace(marginal, x) if n >= _MOVE_MIN_N else None
     # current is the move's (target value, E) at x, E in buffers[0], or None
-    # when the blocks have moved the state since; proposals go to buffers[1]
+    # when the blocks have moved the state since; proposals go to buffers[1].
+    # E and the indicators as fresh arrays on each evaluation, in place of
+    # these rows and log_kernel's, took about 1.02-1.03x the sweep time
+    # (measured as for _Marginal.scratch: faster in 17 and 12 of 40 pairs),
+    # for the same chain.
     buffers, current, moves, taken = [np.empty(n), np.empty(n)], None, 0, 0
     draws, jump_probs = np.empty((n_keep, 6)), np.zeros(n)
     for sweep in range(burn_in + n_keep):

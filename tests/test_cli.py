@@ -1,5 +1,7 @@
+import datetime as dt
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from gbmjump import (
     ChainMeta, PosteriorChain, load_price_series, read_chain_csv, run_gibbs, to_increments,
     write_chain_csv,
 )
-from gbmjump.cli import RunConfig, _build_parser, build_config, main
+from gbmjump.cli import (
+    COMMANDS, OPTIONS, RunConfig, _build_parser, _next_weekdays, build_config, main,
+)
 
 from conftest import DATA_DIR, HOLDOUT_CSV, TRAIN_CSV, load_script
 
@@ -39,6 +43,11 @@ class TestBuildConfig:
     def test_defaults(self):
         cfg = build_config({}, None, env={})
         assert cfg == RunConfig()
+
+    def test_every_field_has_an_option_row_read_by_subcommands(self):
+        assert set(OPTIONS) == {f.name for f in fields(RunConfig)}
+        for readers, _ in OPTIONS.values():
+            assert readers.split() and set(readers.split()) <= set(COMMANDS)
 
     def test_config_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -225,6 +234,25 @@ class TestScopedOptions:
         )
         assert (rc, err) == (1, f"error: {message}\n")
         assert not (tmp_path / "out").exists()
+
+
+class TestReadmeCommandTable:
+    """README's "Command line" table lists each subcommand's flags in the
+    order of its --help."""
+
+    TABLE = dict(re.findall(
+        r"^\| `(\w+)` \| `([^`]+)` \|$", (DATA_DIR.parent / "README.md").read_text(), re.M,
+    ))
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_flags_match_the_parser(self, capsys, command):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert self.TABLE[command].split() == re.findall(r"\[(--[a-z-]+)", usage)
+
+    def test_every_subcommand_has_a_row(self):
+        assert list(self.TABLE) == list(COMMANDS)
 
 
 class TestMleCommand:
@@ -486,6 +514,29 @@ class TestForecastCommand:
         rc, _, err = run_cli(capsys, "forecast", "--input", TRAIN_CSV, "--out", tmp_path / "fc")
         assert (rc, err) == (1, "error: --chain is required\n")
         assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("last", ["2020-01-10", "2020-01-11"])  # a Friday, a Saturday
+    def test_forecast_dates_skip_the_weekend(self, capsys, tmp_path, last):
+        end = dt.date.fromisoformat(last)
+        prices = 100.0 * np.exp(np.cumsum(0.01 * np.random.default_rng(0).standard_normal(30)))
+        rows = [f"{end - dt.timedelta(days=29 - i)},{p:.4f}" for i, p in enumerate(prices)]
+        data = tmp_path / "prices.csv"
+        data.write_text("date,close\n" + "\n".join(rows) + "\n")
+        chain = fit_chain(capsys, tmp_path / "fit", "--iters", 30, "--seed", 2, data=data)
+        rc, _, err = run_cli(
+            capsys, "forecast", "--input", data, "--chain", chain, "--seed", 2,
+            "--horizon", 6, "--out", tmp_path / "fc",
+        )
+        assert (rc, err) == (0, "")
+        lines = (tmp_path / "fc" / "forecast_band_gbm.csv").read_text().splitlines()[2:]
+        assert [line.split(",")[1] for line in lines] == [
+            "2020-01-13", "2020-01-14", "2020-01-15", "2020-01-16", "2020-01-17", "2020-01-20",
+        ]
+
+    def test_weekday_stamps_match_a_day_by_day_walk(self):
+        for start in (dt.date(2020, 1, 6) + dt.timedelta(days=k) for k in range(7)):
+            days = (start + dt.timedelta(days=k) for k in range(1, 20))
+            assert _next_weekdays(start, 10) == [d for d in days if d.weekday() < 5][:10]
 
 
 class TestErrorPaths:
