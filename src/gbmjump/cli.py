@@ -319,7 +319,8 @@ def cmd_study(cfg: RunConfig) -> int:
         start = time.perf_counter()
         chain = _run_fit(inc, cfg, model)
         seconds = time.perf_counter() - start
-        print(f"\n{model} posterior ({seconds:.1f}s)")
+        print(f"{model} fit took {seconds:.1f}s", file=sys.stderr)
+        print(f"\n{model} posterior")
         summary, lags = _report(chain, out, cfg.format)
         if chain.jump_probs is not None:
             flagged = int(np.sum(chain.jump_probs > 0.5))

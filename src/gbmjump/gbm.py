@@ -100,6 +100,14 @@ def mle_fit(inc: IncrementSeries) -> GbmParams:
     return GbmParams(theta=theta, sigma2=sigma2)
 
 
+def _substreams(gen: np.random.Generator):
+    """substream(k), the generator of child k of SeedSequence(entropy).spawn(),
+    with entropy drawn from gen now: a caller's substreams, each built only
+    when asked for."""
+    entropy = gen.integers(2**32, size=4)
+    return lambda k: np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
+
+
 class IncrementKernel:
     """Log-increments of a set of parameter draws, drawn block by block in time order.
 
@@ -120,12 +128,7 @@ class IncrementKernel:
         self._draws = len(params[0])
         self._theta, sigma2, *jump = params
         self._sigma = np.sqrt(sigma2)
-        entropy = gen.integers(2**32, size=4)
-
-        def substream(k: int) -> np.random.Generator:
-            # child k of SeedSequence(entropy).spawn(3), built only when used
-            return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
-
+        substream = _substreams(gen)
         self._noise = substream(0)
         self._jump = None
         if jump:

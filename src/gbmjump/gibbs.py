@@ -59,10 +59,12 @@ def _sigma2_conditional(stats: _SuffStats, theta: float, prior: GbmPrior):
 def _normal_ig_log_kernel(stats: _SuffStats, theta: float, sigma2: float, prior: GbmPrior):
     """log of prior(theta, sigma2) * prod_i N(d_i; theta*dt_i, sigma2*dt_i) up to
     a constant free of (theta, sigma2): -(shape + 1)*log(sigma2) - scale/sigma2
-    - (theta - theta_mean)^2/(2*theta_var), with (shape, scale) of sigma2 | theta."""
+    - (theta - theta_mean)^2/(2*theta_var), with (shape, scale) of sigma2 | theta.
+    At one point as floats, or at several as arrays (then an array)."""
     shape, scale = _sigma2_conditional(stats, theta, prior)
     dev = theta - prior.theta_mean
-    return -(shape + 1.0) * math.log(sigma2) - scale / sigma2 - 0.5 * dev * dev / prior.theta_var
+    log_sigma2 = math.log(sigma2) if isinstance(sigma2, float) else np.log(sigma2)
+    return -(shape + 1.0) * log_sigma2 - scale / sigma2 - 0.5 * dev * dev / prior.theta_var
 
 
 def _draw_theta_sigma2(stats: _SuffStats, sigma2: float, prior: GbmPrior, gen):

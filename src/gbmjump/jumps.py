@@ -23,19 +23,23 @@ of a few hundred increments or more is close to the Laplace approximation.
 With the move on, the sweeps run in cycles of _MOVES from sweep 0: the move
 alone in the first _MOVES - 1, a whole sweep in the last. Each kernel leaves
 the posterior invariant, so the fixed cycle does too (Tierney 1994, Ann.
-Statist. 22). A move-only sweep pays for one target evaluation: the move
-keeps the target's value and E at its state from the evaluation that put it
-there, and evaluates afresh only after the blocks have moved the state. Its
-row holds the move's (theta, sigma2, mu_z, sigma2_z, lambda_star) and, as
-n_jumps, the count of indicators drawn from n uniforms against the E at
-those parameters, so every row is a joint draw (van Dyk & Park 2008, JASA
-103). The move is off, and every sweep a whole one, on series of fewer than
-250 increments, when Newton does not converge within 50 steps or minus the
-Hessian at its end is not positive definite (the conjugate blocks then run
-alone), and at a lambda_star of exactly 0 or 1 until the next draw of it.
-The array E = exp(-log-odds) that the move's target evaluates at the state
-it keeps is the indicator draw's input, and the chain's jump_probs average
-each step's jump probability 1/(1 + E) over kept sweeps of both kinds
+Statist. 22). The proposal does not depend on the chain's state (Liu 1996,
+Stat. Comput. 6), so its offers are drawn, and the target's value and E at
+each evaluated, _BLOCK at a time before the sweeps reach them (Brockwell
+2006, JCGS 15), from three substreams split off the chain's generator before
+sweep 0; the step itself only compares and copies. The move keeps the
+target's value and E at its state from the evaluation that put it there, and
+evaluates afresh, at one point, only after the blocks have moved the state. A
+move-only sweep's row holds the move's (theta, sigma2, mu_z, sigma2_z,
+lambda_star) and, as n_jumps, the count of indicators drawn from n uniforms
+against the E at those parameters, so every row is a joint draw (van Dyk &
+Park 2008, JASA 103). The move is off, and every sweep a whole one, on series
+of fewer than 250 increments, when Newton does not converge within 50 steps
+or minus the Hessian at its end is not positive definite (the conjugate
+blocks then run alone), and at a lambda_star of exactly 0 or 1 until the next
+draw of it. The array E = exp(-log-odds) that the move's target evaluates at
+the state it keeps is the indicator draw's input, and the chain's jump_probs
+average each step's jump probability 1/(1 + E) over kept sweeps of both kinds
 (Rao-Blackwellized), so they draw no random numbers. The blocks after the
 latent one read the sizes only through sum Z, sum Z^2 and the sizes'
 correction to the diffusion statistics. On equal steps those sums come from
@@ -52,7 +56,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .gbm import IncrementKernel, _SuffStats
+from .gbm import IncrementKernel, _substreams, _SuffStats
 from .gibbs import (
     ChainMeta,
     GbmPrior,
@@ -112,9 +116,11 @@ _LOG_ODDS_FLOOR = -700.0
 _NO_DATA = _SuffStats(0, 0.0, 0.0, 0.0)
 # The move runs on series of at least _MOVE_MIN_N increments: on shorter ones
 # its proposal fits the posterior too loosely to be taken often, and its target
-# evaluations, _MOVES + 1 per cycle of _MOVES sweeps (three in two), cost more
-# than the conjugate blocks. The threshold 250 was set when every sweep made
-# two evaluations, before the cycle, and has not been measured since. The
+# evaluations, _MOVES offers and one state per cycle of _MOVES sweeps, cost
+# more than the conjugate blocks. The threshold 250 was set when every sweep
+# made two one-point evaluations, before the cycle and before the offers were
+# evaluated in blocks, so at a higher cost per evaluation than today's; it has
+# not been measured again. The
 # proposal is a t with _T_DF degrees of freedom and _T_SCALE times the Laplace
 # covariance as its scale: of df in {5, 10, 20, 30, 50} and scale in {1.0, 1.1, 1.2}, the
 # pair with the highest geometric mean of the smallest per-parameter ESS over
@@ -132,6 +138,12 @@ _MOVE_MIN_N, _T_DF, _T_SCALE, _NEWTON_CAP = 250, 30.0, 1.2, 50
 # within the 10 burn-in sweeps of the simulation-based calibration at
 # _MOVE_MIN_N increments (tests/test_sbc.py), which fails; 2 is the next.
 _MOVES = 2
+# The move's offers are drawn and evaluated this many at a time (_offers);
+# the chain does not depend on it, and its E rows take _BLOCK * n * 8 bytes
+# (0.39 MB on the bundled data). Against 32, a sweep took 1.09 times as long
+# at 16 and 0.96 times at 64 (medians of 16 alternating 2,000-sweep fits of
+# the bundled data in one process, 2-CPU Xeon VM).
+_BLOCK = 32
 
 
 def _logit(p: float) -> float:
@@ -144,15 +156,18 @@ def _expit(t: float) -> float:
     return 1.0 / (1.0 + math.exp(-t)) if t > -700.0 else math.exp(t)
 
 
-def _softplus(t: float) -> float:
-    """log(1 + exp(t)) without overflow."""
-    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+def _softplus(t):
+    """log(1 + exp(t)) without overflow, of a float or elementwise of an array."""
+    if isinstance(t, float):
+        return (t if t > 0.0 else 0.0) + math.log1p(math.exp(-abs(t)))
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def _log_odds_terms(dt, theta, sigma2, mu_z, sigma2_z, logit_lam):
     """(a, b, c) with the log-odds of J_i = 1, logit(lambda_star)
     + log N(d_i; m1, v1) - log N(d_i; m0, v0), equal to a*d_i^2 + b*d_i + c.
-    Scalars for a scalar dt; a > 0; c is -inf or +inf at lambda_star 0 or 1."""
+    Scalars for a scalar dt and scalar parameters, arrays for an array of
+    either; a > 0; c is -inf or +inf at lambda_star 0 or 1."""
     v0, m0 = sigma2 * dt, theta * dt
     v1, m1 = v0 + sigma2_z, m0 + mu_z
     a = 0.5 * (1.0 / v0 - 1.0 / v1)
@@ -284,10 +299,12 @@ class _Marginal:
     def neg_log_odds(self, theta, sigma2, mu_z, sigma2_z, logit_lam, out=None):
         """-max(L, _LOG_ODDS_FLOOR) of the log-odds L = (a*d + b)*d + c at
         each step, into out when given: one product with the powers for equal
-        steps, -(a*d + b)*d - c in place for unequal ones."""
+        steps, -(a*d + b)*d - c in place for unequal ones. On equal steps the
+        parameters may be arrays of k, for k rows, one per point."""
         a, b, c = _log_odds_terms(self.dt, theta, sigma2, mu_z, sigma2_z, logit_lam)
         if isinstance(self.dt, float):
-            neg = np.dot((-a, -b, -c), self.powers, out=out)
+            # (-a, -b, -c) as a row, or as k rows for arrays of k parameters
+            neg = np.dot(np.array((-a, -b, -c)).T, self.powers, out=out)
         else:
             neg = np.multiply(self.d, -a, out=out)
             neg -= b
@@ -297,17 +314,33 @@ class _Marginal:
 
     def log_kernel(self, theta, sigma2, mu_z, sigma2_z, logit_lam, out=None):
         """(log density up to a constant, E of the log-odds it summed, in out
-        when given).
+        when given), at one point given as floats, or at k points given as
+        arrays of k: then an array of k values and E with one row per point.
 
         Each step's log mixture density is log N(d; theta*dt, sigma2*dt)
         + log(1 - lambda) + softplus(L) with L its jump log-odds, and
         softplus(L) = L + log1p(exp(-L)) on max(L, _LOG_ODDS_FLOOR); the no-jump
         densities enter in closed form through the sufficient statistics.
+        k points on equal steps take one (k, 3) @ powers product into E's
+        rows, and log1p(E) goes through the two work rows, two rows at a
+        time; on unequal steps the points go through the one-point code row
+        by row.
         """
-        neg = self.neg_log_odds(theta, sigma2, mu_z, sigma2_z, logit_lam, self.scratch[0])
-        e = np.exp(neg, out=out)
-        np.log1p(e, out=self.scratch[1])
-        sum_neg, sum_log1p = (self.scratch @ self.powers[2]).tolist()
+        if not isinstance(theta, np.ndarray):
+            neg = self.neg_log_odds(theta, sigma2, mu_z, sigma2_z, logit_lam, self.scratch[0])
+            e = np.exp(neg, out=out)
+            np.log1p(e, out=self.scratch[1])
+            sum_neg, sum_log1p = (self.scratch @ self.powers[2]).tolist()
+        elif isinstance(self.dt, float):
+            neg = self.neg_log_odds(theta, sigma2, mu_z, sigma2_z, logit_lam, out)
+            sum_neg = neg @ self.powers[2]
+            e = np.exp(neg, out=neg)
+            sum_log1p = np.concatenate([np.log1p(rows, out=self.scratch[:len(rows)]) @ self.powers[2]
+                                        for rows in np.split(e, range(2, len(e), 2))])
+        else:
+            points = np.array((theta, sigma2, mu_z, sigma2_z, logit_lam)).T.tolist()
+            e = np.empty((len(points), self.d.size)) if out is None else out
+            return np.array([self.log_kernel(*p, out=row)[0] for p, row in zip(points, e)]), e
         prior = self.prior
         log_1m = -_softplus(logit_lam)  # log(1 - lambda_star)
         value = (_normal_ig_log_kernel(self.stats, theta, sigma2, prior.diffusion)
@@ -319,13 +352,26 @@ class _Marginal:
     def move_target(self, x, out=None):
         """log_kernel on x = (theta, log sigma2, mu_z, log sigma2_z, logit
         lambda_star) plus the Jacobian log sigma2 + log sigma2_z
-        + log lambda_star + log(1 - lambda_star); and E. The value is -inf,
-        with E None, where a variance overflows or underflows."""
-        theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
-        if not -700.0 < min(log_s2, log_sz2) <= max(log_s2, log_sz2) < 700.0:
-            return -math.inf, None
-        value, e = self.log_kernel(theta, math.exp(log_s2), mu_z, math.exp(log_sz2), logit_lam, out)
-        return value + log_s2 + log_sz2 + logit_lam - 2.0 * _softplus(logit_lam), e
+        + log lambda_star + log(1 - lambda_star); and E. x is one point, or
+        k points as the rows of a (k, 5) array, for k values and k rows of E.
+        The value is -inf where a variance overflows or underflows: with E
+        None at one point; at k points that row of E is meaningless."""
+        if x.ndim == 1:
+            theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
+            if not -700.0 < min(log_s2, log_sz2) <= max(log_s2, log_sz2) < 700.0:
+                return -math.inf, None
+            sigma2, sigma2_z = math.exp(log_s2), math.exp(log_sz2)
+        else:
+            theta, log_s2, mu_z, log_sz2, logit_lam = x.T
+            log_var = x[:, 1:4:2]
+            bad = np.abs(log_var).max(axis=1) >= 700.0
+            # the bad rows are evaluated at unit variances, then set to -inf
+            sigma2, sigma2_z = np.exp(np.where(bad[:, None], 0.0, log_var)).T
+        value, e = self.log_kernel(theta, sigma2, mu_z, sigma2_z, logit_lam, out)
+        value = value + log_s2 + log_sz2 + logit_lam - 2.0 * _softplus(logit_lam)
+        if x.ndim == 2:
+            value[bad] = -math.inf
+        return value, e
 
     def gradient(self, x):
         """Gradient of move_target's value at x. The data enter through
@@ -370,24 +416,53 @@ def marginal_log_posterior(
     return _Marginal(inc, prior).log_kernel(*astuple(params)[:4], _logit(params.lambda_star))[0]
 
 
-def _independence_step(x, current, proposal, target, gen, out=None):
-    """One independence Metropolis step from x, whose (log density, E) under
-    target is current, on target(y, out) -> (log density, E) with the t
-    proposal (mode, factor, inverse): y = mode + factor @ (z*sqrt(_T_DF/w))
-    from len(x) normals z and a chi-square w, taken with probability
-    min(1, exp(target(y) - target(x) + log q(x) - log q(y))) for the
-    proposal's log density log q(y) = -(_T_DF + len(x))/2*log(1 + |inverse @
-    (y - mode)|^2/_T_DF) + constant. E at y goes to out. Returns the next x,
-    its (log density, E), and whether y was taken."""
-    mode, factor, inverse = proposal
-    z = gen.standard_normal(len(x)) * math.sqrt(_T_DF / gen.chisquare(_T_DF))
-    y = mode + factor @ z
-    proposed = target(y, out)
+def _move_state(marginal: _Marginal, proposal, x, e):
+    """The move's state at x: (x, marginal.move_target's value there,
+    _T_DF + |inverse @ (x - mode)|^2 for the t proposal (mode, factor,
+    inverse), E at x in the buffer e)."""
+    mode, _, inverse = proposal
     w = inverse @ (x - mode)
-    log_q = 0.5 * (_T_DF + len(x)) * math.log((_T_DF + z @ z) / (_T_DF + w @ w))
-    if gen.random() < math.exp(min(proposed[0] - current[0] + log_q, 0.0)):
-        return y, proposed, True
-    return x, current, False
+    return x, marginal.move_target(x, e)[0], _T_DF + w @ w, e
+
+
+def _offers(marginal: _Marginal, proposal, streams):
+    """The move's offers, one at a time: (y, marginal.move_target's value at
+    y, _T_DF + |z|^2, E at y, a uniform u) for y = mode + factor @ z of the t
+    proposal (mode, factor, inverse), z = g*sqrt(_T_DF/w) from 5 standard
+    normals g and a chi-square w with _T_DF degrees of freedom. The offers
+    are drawn and evaluated _BLOCK at a time, and the E rows live in one
+    (_BLOCK, n) block that the next draw refills. The normals, the
+    chi-squares and the uniforms each come from one of the three generators
+    in streams, and factor @ z is an elementwise sum (a BLAS product rounds
+    differently at different lengths), so every block length gives the same
+    offers."""
+    mode, factor, _ = proposal
+    normals, chisquares, uniforms = streams
+    e = np.empty((_BLOCK, marginal.d.size))
+    while True:
+        z = normals.standard_normal((_BLOCK, len(mode)))
+        z *= np.sqrt(_T_DF / chisquares.chisquare(_T_DF, _BLOCK))[:, None]
+        y = mode + (z[:, None, :] * factor).sum(axis=2)
+        values = marginal.move_target(y, e)[0].tolist()
+        norms = (_T_DF + (z * z).sum(axis=1)).tolist()
+        yield from zip(y, values, norms, e, uniforms.random(_BLOCK).tolist())
+
+
+def _independence_step(state, offer):
+    """One independence Metropolis step from the move's state (x, target
+    value, _T_DF + |w|^2, E) of _move_state, to the offer's y (_offers),
+    taken when u < exp(target(y) - target(x) + log q(x) - log q(y)) for the
+    t proposal's log density log q = -(_T_DF + 5)/2*log(_T_DF + |w|^2)
+    + constant, w = inverse @ (x - mode), which is z at y. Taking y copies
+    its E row into the state's buffer. Returns the next state and whether y
+    was taken."""
+    x, value, norm, e = state
+    y, y_value, y_norm, y_e, u = offer
+    log_q = 0.5 * (_T_DF + len(x)) * math.log(y_norm / norm)
+    if u < math.exp(min(y_value - value + log_q, 0.0)):
+        np.copyto(e, y_e)
+        return (y, y_value, y_norm, e), True
+    return state, False
 
 
 def _laplace(marginal: _Marginal, x):
@@ -486,32 +561,33 @@ def run_jump_gibbs(
     n = inc.n
     x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
     proposal = _laplace(marginal, x) if n >= _MOVE_MIN_N else None
-    # current is the move's (target value, E) at x, E in buffers[0], or None
-    # when the blocks have moved the state since; proposals go to buffers[1].
-    # E and the indicators as fresh arrays on each evaluation, in place of
-    # these rows and log_kernel's, took about 1.02-1.03x the sweep time
-    # (measured as for _Marginal.scratch: faster in 17 and 12 of 40 pairs),
-    # for the same chain.
-    buffers, current, moves, taken = [np.empty(n), np.empty(n)], None, 0, 0
+    # the move's offers come from three substreams, split off gen only when
+    # the move is on, so that chains without it keep their streams
+    offers = None if proposal is None else _offers(
+        marginal, proposal, tuple(map(_substreams(gen), range(3))))
+    # state is the move's state (_move_state) at x, or None when the blocks
+    # have moved x since. E, at the state or at the parameters of a sweep
+    # without the move, is in e. E and the indicators as fresh arrays on each
+    # evaluation, in place of this row and log_kernel's, took about
+    # 1.02-1.03x the sweep time (measured as for _Marginal.scratch: faster in
+    # 17 and 12 of 40 pairs), for the same chain.
+    e, state, moves, taken = np.empty(n), None, 0, 0
     draws, jump_probs = np.empty((n_keep, 6)), np.zeros(n)
     for sweep in range(burn_in + n_keep):
         kept = sweep >= burn_in
         # a lambda_star of exactly 0 or 1 has no logit: skip that move
-        moving = proposal is not None and 0.0 < lam < 1.0
+        moving = offers is not None and 0.0 < lam < 1.0
         if moving:
-            if current is None:
-                current = marginal.move_target(x, buffers[0])
-            x, current, accepted = _independence_step(
-                x, current, proposal, marginal.move_target, gen, buffers[1])
+            if state is None:
+                state = _move_state(marginal, proposal, x, e)
+            state, accepted = _independence_step(state, next(offers))
             moves, taken = moves + 1, taken + accepted
             if accepted:
-                buffers.reverse()
+                x = state[0]
                 theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
                 sigma2, sigma2_z, lam = math.exp(log_s2), math.exp(log_sz2), _expit(logit_lam)
-            e = current[1]
         else:
-            neg = marginal.neg_log_odds(theta, sigma2, mu_z, sigma2_z, _logit(lam), buffers[0])
-            e = np.exp(neg, out=neg)
+            np.exp(marginal.neg_log_odds(theta, sigma2, mu_z, sigma2_z, _logit(lam), e), out=e)
         active = marginal.indicators(e, gen, jump_probs if kept else None)
         if moving and sweep % _MOVES < _MOVES - 1:
             # move only: the row is the move's state and the count of
@@ -526,7 +602,7 @@ def run_jump_gibbs(
         theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
         if proposal is not None:
             x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
-            current = None
+            state = None
         if kept:
             draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, sizes.n)
     meta = replace(meta, accept_rate=taken / moves if moves else None)

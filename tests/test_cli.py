@@ -2,6 +2,7 @@ import datetime as dt
 import json
 import re
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gbmjump import (
     ChainMeta, PosteriorChain, load_price_series, read_chain_csv, run_gibbs, to_increments,
     write_chain_csv,
 )
+from gbmjump import cli
 from gbmjump.cli import (
     COMMANDS, OPTIONS, RunConfig, _build_parser, _next_weekdays, build_config, main,
 )
@@ -200,7 +202,8 @@ class TestScopedOptions:
             capsys, "study", "--input", TRAIN_CSV, "--holdout", HOLDOUT_CSV, "--iters", 2,
             "--burnin", 1, "--seed", 1, "--out", tmp_path,
         )
-        assert (rc, err) == (0, "")
+        # stderr holds the fits' run times and nothing else
+        assert rc == 0 and re.fullmatch(r"(\S+ fit took \d+\.\ds\n)+", err), err
 
     def test_fit_ignores_horizon_env_and_file(self, capsys, tmp_path, monkeypatch):
         settings = ("fit", "--input", TRAIN_CSV, "--iters", 2, "--burnin", 1, "--seed", 1)
@@ -596,6 +599,18 @@ class TestStudyCommand:
             assert rc == 0
             name = f"fitted_band_{tag}.csv"
             assert (cli_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+    def test_seeded_runs_print_the_same_stdout(self, tmp_path, capsys, monkeypatch):
+        # a clock whose every reading is further on: the two runs' fits take
+        # different times, which go to stderr
+        ticks = iter(range(100))
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks) ** 2 / 7))
+        settings = ("study", "--input", TRAIN_CSV, "--holdout", HOLDOUT_CSV, "--iters", 5,
+                    "--burnin", 1, "--seed", 3, "--out", tmp_path)
+        (rc1, out1, err1), (rc2, out2, err2) = (run_cli(capsys, *settings) for _ in range(2))
+        assert rc1 == rc2 == 0
+        assert out1 == out2
+        assert err1 != err2
 
     def test_jump_probs_match_fit(self, tmp_path, capsys):
         settings = ("--input", TRAIN_CSV, "--iters", 20, "--burnin", 2, "--seed", 5)

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from gbmjump.jumps import (
     _laplace,
     _logit,
     _Marginal,
+    _move_state,
     _NO_DATA,
+    _offers,
     _size_stats,
     _size_sums,
 )
@@ -633,6 +636,15 @@ def geweke_data(params, dt, gen):
     return d + hit * (params.mu_z + np.sqrt(params.sigma2_z) * gen.standard_normal(n))
 
 
+def geweke_step(inc, x, streams):
+    """(x, taken) after one independence step of the sampler on inc's data
+    under GEWEKE_PRIOR with GEWEKE_PROPOSAL, its offer drawn from streams."""
+    marginal = _Marginal(inc, GEWEKE_PRIOR)
+    state = _move_state(marginal, GEWEKE_PROPOSAL, x, np.empty(inc.n))
+    state, taken = _independence_step(state, next(_offers(marginal, GEWEKE_PROPOSAL, streams)))
+    return state[0], taken
+
+
 def geweke_z(rows):
     """batch_means_z of each column of rows, (theta, sigma2, mu_z, sigma2_z,
     lambda_star) draws, against its GEWEKE_PRIOR mean, with the variances as
@@ -654,20 +666,22 @@ def weekend_steps(inc):
 
 
 class TestMetropolisMove:
-    def test_geweke_move_alone_keeps_the_prior(self):
+    def test_geweke_move_alone_keeps_the_prior(self, monkeypatch):
         # Geweke (2004) successive-conditional simulator on the move by itself:
         # d ~ p(d | x), then one independence step x | d with a fixed
         # proposal. Its draws of x keep the prior law; the exact Gibbs blocks
-        # would mask a wrong target if the whole sweep ran here.
+        # would mask a wrong target if the whole sweep ran here. The data
+        # change on every iteration, so each offer is a block of one.
+        monkeypatch.setattr(jumps, "_BLOCK", 1)
         n, iters = 20, 20_000
         gen = np.random.default_rng(4)
+        streams = proposal_streams(gen)
         dt = np.full(n, DT)
         x = np.array(to_x(geweke_start(gen)))
         rows = np.empty((iters, 5))
         for i in range(iters):
             d = geweke_data(from_x(x), dt, gen)
-            target = _Marginal(IncrementSeries(d=d, dt=dt), GEWEKE_PRIOR).move_target
-            x, _, _ = _independence_step(x, target(x), GEWEKE_PROPOSAL, target, gen)
+            x, _ = geweke_step(IncrementSeries(d=d, dt=dt), x, streams)
             rows[i] = x
         rows[:, [1, 3]] = np.exp(rows[:, [1, 3]])
         rows[:, 4] = expit(rows[:, 4])
@@ -729,26 +743,78 @@ class TestMetropolisMove:
         assert np.array_equal(chain.draws, draws)
 
 
+class TestOfferBlocks:
+    """The move's offers, drawn and evaluated _BLOCK at a time."""
+
+    @pytest.mark.parametrize("calendar", [False, True], ids=["trading-dt", "calendar-dt"])
+    def test_block_matches_one_point_evaluations(self, train_inc, calendar):
+        # equal steps take one product for the block, unequal steps go row by
+        # row; a row whose sigma2 overflows is -inf in either
+        inc = weekend_steps(train_inc) if calendar else train_inc
+        marginal = _Marginal(inc, SKEWED)
+        xs = np.array([0.3, -5.0, -0.002, -8.0, -0.5]) + np.random.default_rng(12).normal(
+            0.0, [0.1, 0.2, 1e-3, 0.3, 0.3], (8, 5))
+        xs[5, 1] = 800.0
+        e = np.full((8, inc.n), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, rows = marginal.move_target(xs, e)
+        assert rows is e and values.shape == (8,)
+        for i, x in enumerate(xs):
+            value, row = marginal.move_target(x, np.empty(inc.n))
+            if i == 5:
+                assert value == values[i] == -math.inf and row is None
+            else:
+                assert values[i] == pytest.approx(value, rel=1e-12, abs=0.0)
+                assert e[i] == pytest.approx(row, rel=1e-12, abs=0.0)
+
+    def test_chain_never_takes_an_overflowing_offer(self, train_inc, monkeypatch):
+        # every other offer's sigma2 overflows: its target is -inf, and were
+        # it taken the chain would hold exp(800), which math.exp cannot make
+        target = jumps._Marginal.move_target
+
+        def overflowing(self, x, out=None):
+            if x.ndim == 2:
+                x[::2, 1] = 800.0
+            return target(self, x, out)
+
+        monkeypatch.setattr(jumps._Marginal, "move_target", overflowing)
+        chain = run_jump_gibbs(train_inc, n_keep=200, burn_in=0, seed=5)
+        assert np.all(chain.column("sigma2") < 1.0)
+        assert 0.0 < chain.meta.accept_rate <= 0.5
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_block_length_leaves_the_chain(self, train_inc, monkeypatch, seed):
+        chains = {}
+        for block in (1, 7, jumps._BLOCK):
+            monkeypatch.setattr(jumps, "_BLOCK", block)
+            chains[block] = run_jump_gibbs(train_inc, n_keep=60, burn_in=5, seed=seed)
+        *others, default = chains.values()
+        assert default.meta.accept_rate is not None
+        for chain in others:
+            assert np.array_equal(chain.draws, default.draws)
+            assert chain.meta.accept_rate == default.meta.accept_rate
+            assert np.max(np.abs(chain.jump_probs - default.jump_probs)) <= 1e-12
+
+
 class TestWholeSampler:
-    def test_geweke_whole_sweep_keeps_the_prior(self):
+    def test_geweke_whole_sweep_keeps_the_prior(self, monkeypatch):
         # Geweke (2004) successive-conditional simulator on the whole sweep:
         # d ~ p(d | params), then reference_sweep, the loop TestSweepWiring pins
         # to run_jump_gibbs, with the move on a fixed proposal. The draws of
         # params keep the prior law only if every block conditions on the
-        # right state under the right prior.
+        # right state under the right prior. The data change on every
+        # iteration, so each offer is a block of one.
+        monkeypatch.setattr(jumps, "_BLOCK", 1)
         n, iters = 20, 10_000
         gen = np.random.default_rng(1)
+        streams = proposal_streams(gen)
         dt = np.full(n, DT)
         params = geweke_start(gen)
         rows = np.empty((iters, 5))
         for i in range(iters):
             inc = IncrementSeries(d=geweke_data(params, dt, gen), dt=dt)
-            target = _Marginal(inc, GEWEKE_PRIOR).move_target
-
-            def move(x):
-                x, _, accepted = _independence_step(x, target(x), GEWEKE_PROPOSAL, target, gen)
-                return x, accepted
-
+            move = partial(geweke_step, inc, streams=streams)
             params = reference_sweep(inc, params, GEWEKE_PRIOR, gen, move)[0]
             rows[i] = (params.theta, params.sigma2, params.mu_z, params.sigma2_z,
                        params.lambda_star)
@@ -764,12 +830,25 @@ def move_target(inc, prior, x):
     return marginal_log_posterior(inc, params, prior) + jacobian
 
 
-def t_move(inc, prior, proposal, gen):
+def proposal_streams(gen):
+    """The generators of the move's normals, chi-squares and uniforms that
+    run_jump_gibbs splits off gen: children 0, 1 and 2 of a SeedSequence
+    whose entropy is four 32-bit words drawn from gen."""
+    entropy = gen.integers(2**32, size=4)
+    return [np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
+            for k in range(3)]
+
+
+def t_move(inc, prior, proposal, streams):
     """The move(x) -> (x, accepted) of reference_sweep that run_jump_gibbs makes,
     from marginal_log_posterior: one independence step with the t proposal
-    (mode, factor, inverse), y = mode + factor @ (z*sqrt(_T_DF/w)), its density
-    from a solve against factor."""
+    (mode, factor, inverse), y = mode + factor @ z for z = g*sqrt(_T_DF/w),
+    drawn one at a time: 5 normals g, a chi-square w and the uniform of the
+    test each from its generator in streams (proposal_streams). factor @ z is
+    summed elementwise in column order, as the sampler does; the proposal's
+    density comes from a solve against factor."""
     mode, factor, _ = proposal
+    normals, chisquares, uniforms = streams
 
     def log_q(v):
         w = np.linalg.solve(factor, v - mode)
@@ -777,9 +856,10 @@ def t_move(inc, prior, proposal, gen):
 
     def move(x):
         current = move_target(inc, prior, x)
-        y = mode + factor @ (gen.standard_normal(5) * math.sqrt(_T_DF / gen.chisquare(_T_DF)))
+        z = normals.standard_normal(5) * math.sqrt(_T_DF / chisquares.chisquare(_T_DF))
+        y = mode + (z * factor).sum(axis=1)
         log_ratio = move_target(inc, prior, y) - current + log_q(x) - log_q(y)
-        if gen.random() < math.exp(min(log_ratio, 0.0)):
+        if uniforms.random() < math.exp(min(log_ratio, 0.0)):
             return y, True
         return x, False
 
@@ -789,8 +869,8 @@ def t_move(inc, prior, proposal, gen):
 def reference_chain(inc, n_keep, burn_in, seed, prior):
     """run_jump_gibbs rebuilt from t_move and reference_sweep under prior. On a
     series of at least _MOVE_MIN_N increments, t_move is fed the proposal that
-    _laplace finds from the chain's start, unless it finds none, and the
-    sweeps run in cycles of _MOVES from the first: t_move alone in the first
+    _laplace finds from the chain's start, unless it finds none, and its
+    streams split off the chain's generator after that search; the sweeps run in cycles of _MOVES from the first: t_move alone in the first
     _MOVES - 1, its row counting n indicators drawn at its parameters, and
     the whole reference_sweep in the last. Without the move every sweep is a
     reference_sweep. Returns the draws, the mean over kept sweeps of each
@@ -801,7 +881,8 @@ def reference_chain(inc, n_keep, burn_in, seed, prior):
     move = None
     if inc.n >= _MOVE_MIN_N:
         proposal = _laplace(_Marginal(inc, prior), np.array(to_x(params)))
-        move = None if proposal is None else t_move(inc, prior, proposal, gen)
+        if proposal is not None:
+            move = t_move(inc, prior, proposal, proposal_streams(gen))
     moves, taken = 0, 0
     draws, probs = [], np.zeros(inc.n)
     for sweep in range(burn_in + n_keep):
