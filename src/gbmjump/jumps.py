@@ -565,10 +565,10 @@ def run_jump_gibbs(
     # the move is on, so that chains without it keep their streams
     offers = None if proposal is None else _offers(
         marginal, proposal, tuple(map(_substreams(gen), range(3))))
-    # state is the move's state (_move_state) at x, or None when the blocks
-    # have moved x since. E, at the state or at the parameters of a sweep
-    # without the move, is in e. E and the indicators as fresh arrays on each
-    # evaluation, in place of this row and log_kernel's, took about
+    # state is the move's state (_move_state), or None when the blocks have
+    # moved the parameters since. E, at the state or at the parameters of a
+    # sweep without the move, is in e. E and the indicators as fresh arrays
+    # on each evaluation, in place of this row and log_kernel's, took about
     # 1.02-1.03x the sweep time (measured as for _Marginal.scratch: faster in
     # 17 and 12 of 40 pairs), for the same chain.
     e, state, moves, taken = np.empty(n), None, 0, 0
@@ -579,31 +579,28 @@ def run_jump_gibbs(
         moving = offers is not None and 0.0 < lam < 1.0
         if moving:
             if state is None:
+                x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
                 state = _move_state(marginal, proposal, x, e)
             state, accepted = _independence_step(state, next(offers))
             moves, taken = moves + 1, taken + accepted
             if accepted:
-                x = state[0]
-                theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
+                theta, log_s2, mu_z, log_sz2, logit_lam = state[0].tolist()
                 sigma2, sigma2_z, lam = math.exp(log_s2), math.exp(log_sz2), _expit(logit_lam)
         else:
             np.exp(marginal.neg_log_odds(theta, sigma2, mu_z, sigma2_z, _logit(lam), e), out=e)
         active = marginal.indicators(e, gen, jump_probs if kept else None)
+        # n_jumps counts the indicators drawn in the sweep. A move-only sweep
+        # ends with the move's state; the last sweep of a cycle, and every
+        # sweep without the move, runs the blocks too.
         if moving and sweep % _MOVES < _MOVES - 1:
-            # move only: the row is the move's state and the count of
-            # indicators drawn at it
-            if kept:
-                draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam,
-                                          np.count_nonzero(active))
-            continue
-        sizes, stats = marginal.jump_stats(active, theta, sigma2, mu_z, sigma2_z, gen)
-        lam = float(gen.beta(*_lambda_beta(sizes.n, n, prior)))
-        mu_z, sigma2_z = _draw_theta_sigma2(sizes, sigma2_z, prior.jump, gen)
-        theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
-        if proposal is not None:
-            x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
-            state = None
+            n_jumps = np.count_nonzero(active)
+        else:
+            sizes, stats = marginal.jump_stats(active, theta, sigma2, mu_z, sigma2_z, gen)
+            lam = float(gen.beta(*_lambda_beta(sizes.n, n, prior)))
+            mu_z, sigma2_z = _draw_theta_sigma2(sizes, sigma2_z, prior.jump, gen)
+            theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
+            n_jumps, state = sizes.n, None
         if kept:
-            draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, sizes.n)
+            draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, n_jumps)
     meta = replace(meta, accept_rate=taken / moves if moves else None)
     return PosteriorChain(draws=draws, meta=meta, jump_probs=jump_probs / n_keep)
