@@ -279,7 +279,9 @@ def read_chain_csv(path) -> PosteriorChain:
             if not fh.readline().strip():
                 raise ValueError("chain file holds no draws")
             fh.seek(start)
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+            # write_chain_csv writes no comment row, so a "#" in the body is a
+            # bad cell, not a comment that would leave the body empty
+            body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         raw = dict(header)
         keys = _CHAIN_HEADER if "accept_rate" in raw else _CHAIN_HEADER[:-1]
         _expect_layout("header keys", tuple(key for key, _ in header), keys)

@@ -14,7 +14,10 @@ lambda_star and sigma2_z that the blocks cross slowly. Its proposal is a
 multivariate t with 30 degrees of freedom centred at the posterior mode, with
 1.2 times the Laplace covariance (the inverse of minus the Hessian there) as
 its scale. Damped Newton ascent from the chain's start finds both before
-sweep 0, and they stay fixed, so the move runs from sweep 0 at any burn-in.
+sweep 0, with the gradient and Hessian differenced from the target's values
+at 21 points around each iterate (_derivatives), so the target is written
+once and a new one needs no derivative code. They stay fixed, so the move
+runs from sweep 0 at any burn-in, and the chain starts at the mode.
 Run alone, an independence sampler whose proposal has lighter tails than
 its target is not geometrically ergodic (Mengersen & Tweedie 1996, Ann.
 Statist. 24); here the conjugate blocks run in every cycle of sweeps and are
@@ -63,7 +66,6 @@ from .gibbs import (
     PosteriorChain,
     _draw_theta_sigma2,
     _normal_ig_log_kernel,
-    _sigma2_conditional,
     _start,
 )
 from .series import IncrementSeries
@@ -154,6 +156,12 @@ def _logit(p: float) -> float:
 def _expit(t: float) -> float:
     """1/(1 + exp(-t)), the inverse of _logit, without overflow."""
     return 1.0 / (1.0 + math.exp(-t)) if t > -700.0 else math.exp(t)
+
+
+def _natural(x):
+    """(theta, sigma2, mu_z, sigma2_z, lambda_star) at the move's x."""
+    theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
+    return theta, math.exp(log_s2), mu_z, math.exp(log_sz2), _expit(logit_lam)
 
 
 def _softplus(t):
@@ -373,34 +381,6 @@ class _Marginal:
             value[bad] = -math.inf
         return value, e
 
-    def gradient(self, x):
-        """Gradient of move_target's value at x. The data enter through
-        sum_i p_i*dL_i/dx with p = 1/(1 + E): L_i = logit_lam + F(v1, m1)
-        - F(v0, m0) for F(v, m) = (-1/(2v), m/v, -(log v + m^2/v)/2) @
-        (d_i^2, d_i, 1), so one product s = powers @ p (per step for unequal
-        steps) gives every sum."""
-        theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
-        sigma2, sigma2_z = math.exp(log_s2), math.exp(log_sz2)
-        p = 1.0 / (np.exp(self.neg_log_odds(theta, sigma2, mu_z, sigma2_z, logit_lam)) + 1.0)
-        s = (self.powers @ p).tolist() if isinstance(self.dt, float) else self.powers * p
-
-        def d_f(v, m):  # (dF/dv, dF/dm) @ s
-            return ((s[0] - m * (2 * s[1] - m * s[2])) / v - s[2]) / (2 * v), (s[1] - m * s[2]) / v
-
-        v0, m0 = sigma2 * self.dt, theta * self.dt
-        (dv0, dm0), (dv1, dm1) = d_f(v0, m0), d_f(v0 + sigma2_z, m0 + mu_z)
-        data = (self.dt * (dm1 - dm0), v0 * (dv1 - dv0), dm1, sigma2_z * dv1, s[2])
-        stats, dif, jmp, prior = self.stats, self.prior.diffusion, self.prior.jump, self.prior
-        shape, scale = _sigma2_conditional(stats, theta, dif)
-        lam = math.exp(-_softplus(-logit_lam))
-        return np.array(data).reshape(5, -1).sum(axis=1) + (
-            (stats.sd - theta * stats.st) / sigma2 - (theta - dif.theta_mean) / dif.theta_var,
-            scale / sigma2 - shape,  # with the Jacobian's +1
-            (jmp.theta_mean - mu_z) / jmp.theta_var,
-            jmp.ig_scale / sigma2_z - jmp.ig_shape,
-            prior.lambda_a * (1.0 - lam) - (prior.lambda_b + stats.n) * lam,
-        )
-
 
 def marginal_log_posterior(
     inc: IncrementSeries, params: JumpParams, prior: JumpPrior = JumpPrior()
@@ -465,24 +445,44 @@ def _independence_step(state, offer):
     return state, False
 
 
+def _derivatives(marginal: _Marginal, x):
+    """(value, g, -H): marginal.move_target's value, gradient and minus its
+    Hessian at x, from its values at 21 points in one block evaluation: x,
+    x +- h_i*e_i and x + h_i*e_i + h_j*e_j for i < j. Central differences
+    give g and the diagonal of -H, forward differences the rest of -H."""
+    # h_i = 1e-5*max(|x_i|, 1): relative to x_i, and absolute near 0, where
+    # theta, mu_z and logit lambda_star sit; the step the Hessian took when
+    # it was differenced from a hand-written gradient. At the bundled data's
+    # mode the target, about 2e3, rounds by up to 1.6e-12, which costs at
+    # most 1.6e-7 in g and a relative 5e-4 in -H's diagonal (1.4e2 to
+    # 1.8e6); a step 10 times as long moves mu_z's g by 2e-2 through the
+    # target's higher terms.
+    h = 1e-5 * np.maximum(np.abs(x), 1.0)
+    k = len(x)
+    i, j = np.triu_indices(k, 1)
+    steps = np.diag(h)
+    points = x + np.concatenate((np.zeros((1, k)), steps, -steps, steps[i] + steps[j]))
+    f = marginal.move_target(points)[0]
+    value, up, down, pairs = f[0], f[1:k + 1], f[k + 1:2 * k + 1], f[2 * k + 1:]
+    minus_h = np.diag((2.0 * value - up - down) / (h * h))
+    minus_h[i, j] = minus_h[j, i] = (up[i] + up[j] - pairs - value) / (h[i] * h[j])
+    return value, (up - down) / (2.0 * h), minus_h
+
+
 def _laplace(marginal: _Marginal, x):
     """The move's t proposal (mode, factor, inverse) from the Laplace
     approximation of marginal.move_target: factor @ factor.T is _T_SCALE
     times the inverse of -H, minus the Hessian at the mode, and inverse is
     factor's inverse. Damped Newton ascent from x finds the mode: each step
-    is the analytic gradient g over the absolute eigenvalues of -H, which
-    comes from central differences of g (so the step climbs where the target
-    is not concave), halved until it raises the target. It stops when -H is
-    positive definite and g'(-H)^-1 g < 1e-8. None when that takes more than
-    _NEWTON_CAP steps or no halving raises the target."""
+    is the gradient g over the absolute eigenvalues of -H, both differenced
+    from the target's values (_derivatives), so the step climbs where the
+    target is not concave, halved until it raises the target. It stops when
+    -H is positive definite and g'(-H)^-1 g < 1e-8. None when that takes
+    more than _NEWTON_CAP steps or no halving raises the target."""
     with np.errstate(all="ignore"):
-        value = marginal.move_target(x)[0]
         for _ in range(_NEWTON_CAP):
-            grad, at = marginal.gradient(x), marginal.gradient
-            # -H from central differences of the gradient, symmetrized
-            rows = np.array([(at(x - h) - at(x + h)) / (2.0 * h.sum())
-                             for h in np.diag(1e-5 * np.maximum(np.abs(x), 1.0))])
-            w, v = np.linalg.eigh(0.5 * (rows + rows.T))
+            value, grad, minus_h = _derivatives(marginal, x)
+            w, v = np.linalg.eigh(minus_h)
             step = v @ ((v.T @ grad) / np.maximum(np.abs(w), 1e-6 * np.abs(w).max()))
             if w[0] > 0.0 and grad @ step < 1e-8:
                 root = np.sqrt(w / _T_SCALE)
@@ -494,7 +494,7 @@ def _laplace(marginal: _Marginal, x):
                 step *= 0.5
             else:
                 return None
-            x, value = x + step, trial
+            x = x + step
     return None
 
 
@@ -525,7 +525,8 @@ def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:
     """Diffusion at the no-jump start (the MLE, or the prior center below two
     increments), lambda_star = 0.1, mu_z = 0 and sigma2_z the variance of d
     (at least 1e-6), or the prior center. Not the excess over the MLE's
-    diffusion share: on equal steps that share is the whole variance."""
+    diffusion share: on equal steps that share is the whole variance. The
+    chain starts here when the move is off, and the mode search when on."""
     theta, sigma2 = _start(inc, prior.diffusion)
     if inc.n >= 2:
         sigma2_z = max(float(np.var(inc.d)), 1e-6)
@@ -561,6 +562,13 @@ def run_jump_gibbs(
     n = inc.n
     x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
     proposal = _laplace(marginal, x) if n >= _MOVE_MIN_N else None
+    if proposal is not None:
+        # start at the mode. From the no-jump start, whose sigma2 also holds
+        # the jumps' variance, 10 sweeps left too many chains of the
+        # calibration's 250-increment series (tests/test_sbc.py) with sigma2
+        # above the truth: its lowest rank bin held 263 of 1,000 over four
+        # seeds, against 220 from the mode and 200 expected.
+        theta, sigma2, mu_z, sigma2_z, lam = _natural(proposal[0])
     # the move's offers come from three substreams, split off gen only when
     # the move is on, so that chains without it keep their streams
     offers = None if proposal is None else _offers(
@@ -584,8 +592,7 @@ def run_jump_gibbs(
             state, accepted = _independence_step(state, next(offers))
             moves, taken = moves + 1, taken + accepted
             if accepted:
-                theta, log_s2, mu_z, log_sz2, logit_lam = state[0].tolist()
-                sigma2, sigma2_z, lam = math.exp(log_s2), math.exp(log_sz2), _expit(logit_lam)
+                theta, sigma2, mu_z, sigma2_z, lam = _natural(state[0])
         else:
             np.exp(marginal.neg_log_odds(theta, sigma2, mu_z, sigma2_z, _logit(lam), e), out=e)
         active = marginal.indicators(e, gen, jump_probs if kept else None)

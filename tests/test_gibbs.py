@@ -519,12 +519,13 @@ class TestChainCsvValidation:
             (lambda lines: [*lines[:2], lines[3], lines[2], *lines[4:]],
              other_keys("model, n_keep, seed, burn_in, data")),
             (swap_mu_sigma, other_columns("theta, sigma2, sigma, mu")),
+            (lambda lines: [*lines[:6], "# note"], "could not convert string '# note'"),
         ],
         ids=["missing-column", "short", "no-rows", "unknown-model", "ragged",
              "non-numeric-cell", "short-last-row", "no-model", "no-n_keep", "no-burn_in",
              "no-seed", "no-data", "repeated-column", "repeated-key", "negative-burn_in",
              "negative-seed", "short-data", "upper-case-data", "prefixed-data", "unknown-key",
-             "swapped-keys", "swapped-columns"],
+             "swapped-keys", "swapped-columns", "comment-body"],
     )
     def test_rejected(self, tmp_path, train_inc, edit, message):
         path = tmp_path / "chain.csv"
@@ -664,6 +665,7 @@ class TestChainCsvFuzz:
     @given(st.binary(max_size=120))
     @example(VALID_CHAIN.replace(b"0.3,4.0", b"0." + b"3" * 131_073 + b",4.0"))
     @example(VALID_CHAIN.replace(b"# seed: 4", b"# seed: 4\xff"))
+    @example(b"\n#")  # a body of comment rows alone: no draws, not an empty read
     def test_arbitrary_bytes(self, tmp_path, data):
         loads_or_names_file(read_chain_csv, tmp_path / "chain.csv", data)
 

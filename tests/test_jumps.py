@@ -26,6 +26,7 @@ from gbmjump.jumps import (
     _MOVE_MIN_N,
     _MOVES,
     _T_DF,
+    _derivatives,
     _independence_step,
     _initial_params,
     _jump_adjusted_stats,
@@ -688,18 +689,39 @@ class TestMetropolisMove:
         z = geweke_z(rows)
         assert all(abs(v) < 4.0 for v in z.values()), z
 
+    def test_stencil_recovers_a_quadratic(self, train_inc, monkeypatch):
+        # on a quadratic target, central and forward differences are exact
+        # but for rounding: the stencil gives its value, gradient and
+        # Hessian, here with curvatures from 1.5e2 to 2.5e6, as at the
+        # bundled data's mode, and every pair of coordinates correlated
+        x0 = np.array([0.3, -5.0, -0.002, -8.0, -0.5])
+        grad = np.array([2.0, -30.0, 500.0, 4.0, -1.5])
+        sd = np.array([0.05, 0.07, 7e-4, 0.07, 0.09])
+        minus_h = np.linalg.inv(np.outer(sd, sd) * (0.3 + 0.7 * np.eye(5)))
+
+        def quadratic(self, x, out=None):
+            dx = x - x0
+            return 7.0 + dx @ grad - 0.5 * ((dx @ minus_h) * dx).sum(axis=-1), None
+
+        monkeypatch.setattr(jumps._Marginal, "move_target", quadratic)
+        value, g, h = _derivatives(_Marginal(train_inc, JumpPrior()), x0)
+        assert value == 7.0
+        assert g == pytest.approx(grad, rel=1e-8)
+        assert h == pytest.approx(minus_h, rel=1e-6, abs=1e-9 * np.abs(minus_h).max())
+
     @pytest.mark.parametrize("calendar", [False, True], ids=["trading-dt", "calendar-dt"])
-    def test_gradient_matches_central_differences(self, train_inc, calendar):
+    def test_gradient_vanishes_at_the_laplace_mode(self, train_inc, calendar):
+        # one-point central differences at a tenth of the stencil's step,
+        # independent of the stencil, find no slope at the mode: in units of
+        # the proposal's scale, factor.T @ g, it is at most 6e-6 here, and
+        # about 1 one scale away from the mode
         inc = weekend_steps(train_inc) if calendar else train_inc
         marginal = _Marginal(inc, SKEWED)
-        rng = np.random.default_rng(6)
-        for _ in range(3):
-            x = np.array([0.3, -5.0, -0.002, -8.0, -0.5])
-            x += rng.normal(0.0, [0.1, 0.2, 1e-3, 0.3, 0.3])
-            h = np.diag(1e-6 * np.maximum(np.abs(x), 1.0))
-            fd = [(marginal.move_target(x + dx)[0] - marginal.move_target(x - dx)[0])
-                  / (2.0 * dx.sum()) for dx in h]
-            assert marginal.gradient(x) == pytest.approx(fd, rel=1e-5, abs=1e-3)
+        mode, factor, _ = _laplace(marginal, np.array(to_x(_initial_params(inc, SKEWED))))
+        h = np.diag(1e-6 * np.maximum(np.abs(mode), 1.0))
+        g = np.array([(marginal.move_target(mode + dx)[0] - marginal.move_target(mode - dx)[0])
+                      / (2.0 * dx.sum()) for dx in h])
+        assert np.abs(factor.T @ g).max() < 1e-4
 
     def test_overflowing_variance_rejects(self, train_inc):
         # a t tail or a Newton trial step can reach a variance that exp
@@ -731,10 +753,11 @@ class TestMetropolisMove:
     def test_falls_back_to_plain_gibbs_when_minus_hessian_is_not_positive_definite(
         self, train_inc, monkeypatch
     ):
-        # a gradient of x makes -H = -I, negative definite: Newton never
+        # a target of |x|^2/2 has -H = -I, negative definite: Newton never
         # stops, and at its cap the sampler runs the conjugate blocks alone,
         # as on a short series
-        monkeypatch.setattr(jumps._Marginal, "gradient", lambda self, x: x)
+        monkeypatch.setattr(jumps._Marginal, "move_target",
+                            lambda self, x, out=None: (0.5 * (x * x).sum(axis=-1), None))
         x = np.array(to_x(_initial_params(train_inc, JumpPrior())))
         assert _laplace(_Marginal(train_inc, JumpPrior()), x) is None
         chain = run_jump_gibbs(train_inc, n_keep=10, burn_in=2, seed=9)
@@ -770,11 +793,12 @@ class TestOfferBlocks:
 
     def test_chain_never_takes_an_overflowing_offer(self, train_inc, monkeypatch):
         # every other offer's sigma2 overflows: its target is -inf, and were
-        # it taken the chain would hold exp(800), which math.exp cannot make
+        # it taken the chain would hold exp(800), which math.exp cannot make.
+        # Only the offer blocks are edited, not the Laplace fit's stencil.
         target = jumps._Marginal.move_target
 
         def overflowing(self, x, out=None):
-            if x.ndim == 2:
+            if x.ndim == 2 and len(x) == jumps._BLOCK:
                 x[::2, 1] = 800.0
             return target(self, x, out)
 
@@ -869,19 +893,21 @@ def t_move(inc, prior, proposal, streams):
 def reference_chain(inc, n_keep, burn_in, seed, prior):
     """run_jump_gibbs rebuilt from t_move and reference_sweep under prior. On a
     series of at least _MOVE_MIN_N increments, t_move is fed the proposal that
-    _laplace finds from the chain's start, unless it finds none, and its
-    streams split off the chain's generator after that search; the sweeps run in cycles of _MOVES from the first: t_move alone in the first
-    _MOVES - 1, its row counting n indicators drawn at its parameters, and
-    the whole reference_sweep in the last. Without the move every sweep is a
-    reference_sweep. Returns the draws, the mean over kept sweeps of each
-    step's jump probability at the parameters its indicators were drawn at,
-    and the acceptance rate."""
+    _laplace finds from the chain's start, unless it finds none, the chain
+    then starts at the proposal's mode, and t_move's streams split off the
+    chain's generator after that search; the sweeps run in cycles of _MOVES
+    from the first: t_move alone in the first _MOVES - 1, its row counting n
+    indicators drawn at its parameters, and the whole reference_sweep in the
+    last. Without the move every sweep is a reference_sweep. Returns the
+    draws, the mean over kept sweeps of each step's jump probability at the
+    parameters its indicators were drawn at, and the acceptance rate."""
     gen = np.random.default_rng(seed)
     params = _initial_params(inc, prior)
     move = None
     if inc.n >= _MOVE_MIN_N:
         proposal = _laplace(_Marginal(inc, prior), np.array(to_x(params)))
         if proposal is not None:
+            params = from_x(proposal[0])
             move = t_move(inc, prior, proposal, proposal_streams(gen))
     moves, taken = 0, 0
     draws, probs = [], np.zeros(inc.n)
