@@ -13,7 +13,9 @@ run in cycles of m in MOVES, the move alone in the first m - 1 and the whole
 sweep in the last (m = 1 runs the whole sweep every time). Rule, fixed
 before the scan: the chosen m has the highest geometric mean, over every
 (series, seed) fit, of the smallest of the five per-parameter ESS per
-second of sampler time.
+second of sampler time. Each (series, seed) is fitted at every length back
+to back, in an order rotated by the fit's index, so a slow spell of the
+machine lands on every length alike.
 
 Proposal: at today's cycle length, for every grid point (df, scale) the
 proposal is a t with df degrees of freedom and scale times the Laplace
@@ -26,11 +28,11 @@ The bundled data are fitted only as a check; they choose nothing.
 Usage: python3 scripts/move_scan.py
 
 It prints one row per cycle length (mean acceptance, the geometric mean of
-min-ESS per second per shape and over all fits, and that of min-ESS, the
-chosen row marked *), one row per grid point for the synthetic series (mean
-acceptance, geometric-mean ESS per parameter, and the rule's score, the
-chosen row marked *), and then the same rows on the bundled data (means
-over the same seeds).
+min-ESS per second per shape and over all fits, that of min-ESS and the
+median seconds of one fit, the chosen row marked *), one row per grid point
+for the synthetic series (mean acceptance, geometric-mean ESS per parameter,
+and the rule's score, the chosen row marked *), and then the same rows on
+the bundled data (means over the same seeds).
 """
 
 from __future__ import annotations
@@ -99,33 +101,47 @@ def gm(values) -> float:
     return math.exp(np.mean(np.log(values)))
 
 
+def interleaved(items, fit_one):
+    """{m: [fit_one(item, m) for item in items]} for m in MOVES, fitted with
+    every length back to back for each item, in an order rotated by the
+    item's index, so that a slow spell of the machine lands on every length
+    alike and not on the one whose fits it catches."""
+    fits = {m: [None] * len(items) for m in MOVES}
+    for k, item in enumerate(items):
+        for m in MOVES[k % len(MOVES):] + MOVES[:k % len(MOVES)]:
+            fits[m][k] = fit_one(item, m)
+    return fits
+
+
 def scan_cycles(series, bundled, seeds) -> None:
     """The cycle-length scan and its bundled-data check."""
     shapes = "  ".join(f"{f'shape {i}':>8}" for i in range(len(SHAPES)))
     rows = []
-    for m in MOVES:
-        fits = [fit(inc, s, moves=m) for inc, s in series]
+    for m, fits in interleaved(series, lambda item, m: fit(*item, moves=m)).items():
         min_ess = np.array([min(e) for _, e, _ in fits])
-        per_s = (min_ess / [t for *_, t in fits]).reshape(len(SHAPES), -1)
+        seconds = [t for *_, t in fits]
+        per_s = (min_ess / seconds).reshape(len(SHAPES), -1)
         rows.append((m, np.nanmean([r for r, _, _ in fits]), [gm(row) for row in per_s],
-                     gm(per_s), gm(min_ess)))
+                     gm(per_s), gm(min_ess), np.median(seconds)))
     best = max(range(len(rows)), key=lambda i: rows[i][3])
     print(f"cycle length: {len(SHAPES)} shapes x {SEEDS} seeds, {KEEP} kept draws, "
-          f"burn-in {BURN_IN}, t{jumps._T_DF:.0f} x {jumps._T_SCALE}; geometric means "
-          f"over seeds of min-ESS per second of sampler time")
-    print(f"  {'m':>2} {'accept':>6}  {shapes}  {'all /s':>8}  {'min-ESS':>8}")
-    for i, (m, rate, per_shape, score, min_gm) in enumerate(rows):
+          f"burn-in {BURN_IN}, t{jumps._T_DF:.0f} x {jumps._T_SCALE}, lengths interleaved "
+          f"per fit; geometric means over seeds of min-ESS per second of sampler time")
+    print(f"  {'m':>2} {'accept':>6}  {shapes}  {'all /s':>8}  {'min-ESS':>8}  {'median s':>8}")
+    for i, (m, rate, per_shape, score, min_gm, median_s) in enumerate(rows):
         cells = "  ".join(f"{v:8.0f}" for v in per_shape)
-        print(f"{'*' if i == best else ' '} {m:2d} {rate:6.3f}  {cells}  {score:8.0f}  {min_gm:8.0f}")
+        print(f"{'*' if i == best else ' '} {m:2d} {rate:6.3f}  {cells}  {score:8.0f}  "
+              f"{min_gm:8.0f}  {median_s:8.3f}")
 
-    print(f"\nbundled data (check only): {bundled.n} increments x {SEEDS} seeds; "
-          f"means over seeds")
-    print(f"  {'m':>2} {'accept':>6}  {'lambda_star ESS':>15}  {'min-ESS /s':>10}")
-    for m in MOVES:
-        fits = [fit(bundled, s, moves=m) for s in seeds]
+    print(f"\nbundled data (check only): {bundled.n} increments x {SEEDS} seeds, lengths "
+          f"interleaved per seed; means over seeds")
+    print(f"  {'m':>2} {'accept':>6}  {'lambda_star ESS':>15}  {'min-ESS /s':>10}  {'median s':>8}")
+    for m, fits in interleaved(seeds, lambda s, m: fit(bundled, s, moves=m)).items():
         lam = np.mean([e[0] for _, e, _ in fits])
         per_s = np.mean([min(e) / t for _, e, t in fits])
-        print(f"  {m:2d} {np.mean([r for r, _, _ in fits]):6.3f}  {lam:15.0f}  {per_s:10.0f}")
+        median_s = np.median([t for *_, t in fits])
+        print(f"  {m:2d} {np.mean([r for r, _, _ in fits]):6.3f}  {lam:15.0f}  {per_s:10.0f}  "
+              f"{median_s:8.3f}")
 
 
 def main() -> int:

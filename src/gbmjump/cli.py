@@ -33,6 +33,9 @@ ENV_PREFIX = "GBMJUMP_"
 SAMPLERS = {"gbm": run_gibbs, "gbm-jump": run_jump_gibbs}
 MODELS = tuple(SAMPLERS)
 FORMATS = ("csv", "json")
+# below this share of taken proposals the jump move barely moves the chain,
+# which then mixes through its conjugate sweeps alone: one in jumps._MOVES
+LOW_ACCEPTANCE = 0.1
 
 
 @dataclass
@@ -192,7 +195,8 @@ def cmd_mle(cfg: RunConfig) -> int:
 
 def _report(chain, out: Path, fmt: str):
     """Print the posterior summary table of chain, then the Metropolis
-    acceptance rate when the chain has one. Write chain_<tag>.csv,
+    acceptance rate when the chain has one, with a warning on stderr when
+    that rate is below LOW_ACCEPTANCE. Write chain_<tag>.csv,
     summary_<tag>.<fmt>, pacf_<tag>.csv of the drift draws when the chain is
     long enough and, for a jump chain, jump_probs_<tag>.csv with one row per
     increment. Return the summary and the PACF or None."""
@@ -201,8 +205,12 @@ def _report(chain, out: Path, fmt: str):
     print(f"{'parameter':<12}" + "".join(f"{column:>12}" for column in columns))
     for name, row in summary.items():
         print(f"{name:<12}" + "".join(f"{value:>12.4f}" for value in astuple(row)))
-    if chain.meta.accept_rate is not None:
-        print(f"metropolis acceptance rate {chain.meta.accept_rate:.3f}")
+    rate = chain.meta.accept_rate
+    if rate is not None:
+        print(f"metropolis acceptance rate {rate:.3f}")
+        if rate < LOW_ACCEPTANCE:
+            print(f"warning: metropolis acceptance rate {rate:.3f} is below {LOW_ACCEPTANCE}: "
+                  "the jump move is rarely taken", file=sys.stderr)
     tag = chain.meta.model.replace("-", "_")
     write_chain_csv(chain, out / f"chain_{tag}.csv")
     if fmt == "json":

@@ -118,12 +118,11 @@ _LOG_ODDS_FLOOR = -700.0
 _NO_DATA = _SuffStats(0, 0.0, 0.0, 0.0)
 # The move runs on series of at least _MOVE_MIN_N increments: on shorter ones
 # its proposal fits the posterior too loosely to be taken often, and its target
-# evaluations, _MOVES offers and one state per cycle of _MOVES sweeps, cost
-# more than the conjugate blocks. The threshold 250 was set when every sweep
-# made two one-point evaluations, before the cycle and before the offers were
-# evaluated in blocks, so at a higher cost per evaluation than today's; it has
-# not been measured again. The
-# proposal is a t with _T_DF degrees of freedom and _T_SCALE times the Laplace
+# evaluations, one at each sweep's offer and one per cycle at the state the
+# conjugate blocks leave, cost more than the blocks. The threshold 250 was set
+# when every sweep made two one-point evaluations, before the cycle and before
+# the offers were evaluated in blocks, so at a higher cost per evaluation than
+# today's; it has not been measured again. The proposal is a t with _T_DF degrees of freedom and _T_SCALE times the Laplace
 # covariance as its scale: of df in {5, 10, 20, 30, 50} and scale in {1.0, 1.1, 1.2}, the
 # pair with the highest geometric mean of the smallest per-parameter ESS over
 # synthetic jump-diffusion series (scripts/move_scan.py reruns the scan).
@@ -134,12 +133,17 @@ _NO_DATA = _SuffStats(0, 0.0, 0.0, 0.0)
 _MOVE_MIN_N, _T_DF, _T_SCALE, _NEWTON_CAP = 250, 30.0, 1.2, 50
 # With the move on, the sweeps run in cycles of _MOVES: the move alone in the
 # first _MOVES - 1, the whole sweep in the last. scripts/move_scan.py scores
-# each of {1, 2, 3, 5} by the geometric mean of the smallest per-parameter ESS
-# per second of sampler time over the same synthetic series. 5 scored highest,
-# but its chains, with one conjugate sweep in five, do not forget their start
-# within the 10 burn-in sweeps of the simulation-based calibration at
-# _MOVE_MIN_N increments (tests/test_sbc.py), which fails; 2 is the next.
-_MOVES = 2
+# each of {1, 2, 3, 5} by the geometric mean, over 40 synthetic fits, of the
+# smallest per-parameter ESS per second of sampler time, with every length
+# fitted back to back per fit. Two runs (2-CPU Xeon VM), per second:
+#   m = 1: 2,050 and 2,376    m = 3: 2,336 and 2,802
+#   m = 2: 1,759 and 2,085    m = 5: 2,226 and 2,640
+# 3 scored highest in both. Since the chain starts at the Laplace mode, the
+# simulation-based calibration passes at 10 burn-in sweeps at 3 and at 5
+# (tests/test_sbc.py). 8 is not scanned: on the bundled data its fitted band
+# is wider than the GBM fit's (width ratio 1.016 against 0.998 at 3), which
+# tests/test_predict.py's jump-band test rejects.
+_MOVES = 3
 # The move's offers are drawn and evaluated this many at a time (_offers);
 # the chain does not depend on it, and its E rows take _BLOCK * n * 8 bytes
 # (0.39 MB on the bundled data). Against 32, a sweep took 1.09 times as long

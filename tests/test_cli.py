@@ -335,15 +335,27 @@ class TestFitCommand:
 
     def test_jump_fit_reports_acceptance_rate(self, capsys, tmp_path):
         out_dir = tmp_path / "jump"
-        rc, out, _ = run_cli(
+        rc, out, err = run_cli(
             capsys, "fit", "--input", TRAIN_CSV, "--out", out_dir,
             "--model", "gbm-jump", "--iters", 20, "--burnin", 400, "--seed", 3,
         )
         assert rc == 0
         chain = read_chain_csv(out_dir / "chain_gbm_jump.csv")
-        assert 0.0 < chain.meta.accept_rate < 1.0
+        assert cli.LOW_ACCEPTANCE < chain.meta.accept_rate < 1.0
         assert out.splitlines()[-1] == (
             f"metropolis acceptance rate {chain.meta.accept_rate:.3f}"
+        )
+        assert "warning" not in err
+
+    def test_low_acceptance_warns_on_stderr_only(self, capsys, tmp_path):
+        draws = np.random.default_rng(4).uniform(0.01, 0.2, (8, 6))
+        draws[:, 5] = np.arange(8)
+        meta = ChainMeta("gbm-jump", 0, 4, "0" * 8, accept_rate=0.05)
+        cli._report(PosteriorChain(draws=draws, meta=meta), tmp_path, "csv")
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "metropolis acceptance rate 0.050"
+        assert err == (
+            "warning: metropolis acceptance rate 0.050 is below 0.1: the jump move is rarely taken\n"
         )
 
     @pytest.mark.parametrize(

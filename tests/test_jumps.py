@@ -740,6 +740,20 @@ class TestMetropolisMove:
             assert (rate is not None) == on
             assert rate is None or 0.0 < rate < 1.0
 
+    @pytest.mark.parametrize("n", [50, 249])
+    def test_short_chains_do_not_depend_on_the_cycle_length(self, train_inc, monkeypatch, n):
+        # below _MOVE_MIN_N the move is off and every sweep is a whole one, so
+        # a short series' chain keeps its bytes at any cycle length
+        inc = IncrementSeries(d=train_inc.d[:n], dt=train_inc.dt[:n])
+        chains = []
+        for moves in (1, 2, 3, 5):
+            monkeypatch.setattr(jumps, "_MOVES", moves)
+            chains.append(run_jump_gibbs(inc, n_keep=40, burn_in=7, seed=5))
+        for chain in chains:
+            assert chain.meta.accept_rate is None
+            assert np.array_equal(chain.draws, chains[0].draws)
+            assert np.array_equal(chain.jump_probs, chains[0].jump_probs)
+
     def test_on_from_sweep_0_at_any_burn_in(self, train_inc):
         # the proposal is fixed before sweep 0, so burn-in only says where
         # recording starts: the kept rows are a tail of a burn-in 0 chain
