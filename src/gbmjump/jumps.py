@@ -122,10 +122,11 @@ _NO_DATA = _SuffStats(0, 0.0, 0.0, 0.0)
 # conjugate blocks leave, cost more than the blocks. The threshold 250 was set
 # when every sweep made two one-point evaluations, before the cycle and before
 # the offers were evaluated in blocks, so at a higher cost per evaluation than
-# today's; it has not been measured again. The proposal is a t with _T_DF degrees of freedom and _T_SCALE times the Laplace
-# covariance as its scale: of df in {5, 10, 20, 30, 50} and scale in {1.0, 1.1, 1.2}, the
-# pair with the highest geometric mean of the smallest per-parameter ESS over
-# synthetic jump-diffusion series (scripts/move_scan.py reruns the scan).
+# today's; it has not been measured again. The proposal is a t with _T_DF
+# degrees of freedom and _T_SCALE times the Laplace covariance as its scale:
+# of df in {5, 10, 20, 30, 50} and scale in {1.0, 1.1, 1.2}, the pair with the
+# highest geometric mean of the smallest per-parameter ESS over synthetic
+# jump-diffusion series (scripts/move_scan.py reruns the scan).
 # Scale 1.2 over 1.0 is not resolved by that scan: its margin comes from the
 # n = 250 series, whose smallest ESS spans three orders of magnitude across
 # seeds, and on the bundled data 1.0 reads higher. The mode search takes at

@@ -270,8 +270,9 @@ def test_criterion_6_synthetic_recovery():
             IncrementSeries(d=d, dt=dt), n_keep=1500, burn_in=300, seed=100 + rep
         )
         lo, hi = np.quantile(jchain.column("sigma2"), [0.025, 0.975])
-        hits["jump sigma2"] += lo <= jump_true.sigma2 <= hi
-        if not lo <= jump_true.sigma2 <= hi:
+        covered = lo <= jump_true.sigma2 <= hi
+        hits["jump sigma2"] += covered
+        if not covered:
             misses.append(f"rep {rep} [{lo:.5f}, {hi:.5f}]")
         lo, hi = np.quantile(jchain.column("lambda_star"), [0.025, 0.975])
         hits["jump lambda"] += lo <= jump_true.lambda_star <= hi
