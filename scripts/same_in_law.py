@@ -2,11 +2,14 @@
 
 For each tree, one subprocess with PYTHONPATH=<tree>/src fits the bundled data
 with run_jump_gibbs (5,000 kept draws after 1,000 burn-in) at each seed of the
-range. From each chain it takes each parameter's posterior mean and ESS
-(perfbench/ess.py, Geyer's initial monotone sequence) and the move's
-acceptance rate. The table prints each quantity's mean over the seeds on each
-side, then z: the change's mean minus the parent's over the standard error of
-that difference, from the spread across seeds on each side. The two trees'
+range, on each step shape: trading-day steps (dt = 1/252, every step of one
+length) and calendar-day steps (dt = days between closes / 365, so weekends
+and holidays are longer steps). From each chain it takes each parameter's
+posterior mean and ESS (perfbench/ess.py, Geyer's initial monotone sequence)
+and the move's acceptance rate. One table per step shape prints each
+quantity's mean over the seeds on each side, then z: the change's mean minus
+the parent's over the standard error of that difference, from the spread
+across seeds on each side. The two trees'
 chains at one seed are taken as independent; they share their random streams,
 so when the samplers differ little they stay close, z sits near 0 and the
 standard error, which ignores that pairing, is conservative.
@@ -36,17 +39,22 @@ def _fit(first: int, last: int) -> None:
     from ess import ess
 
     import gbmjump
-    from gbmjump.series import load_price_series, to_increments
+    from gbmjump.series import IncrementSeries, load_price_series, to_increments
 
     print(json.dumps({"package": str(Path(gbmjump.__file__).parent)}), flush=True)
-    inc = to_increments(load_price_series(DATA))
-    for seed in range(first, last + 1):
-        chain = gbmjump.run_jump_gibbs(inc, n_keep=N_KEEP, burn_in=BURN_IN, seed=seed)
-        row = {"accept_rate": chain.meta.accept_rate}
-        for name in PARAMS:
-            draws = chain.column(name)
-            row[f"mean {name}"], row[f"ess {name}"] = float(draws.mean()), float(ess(draws))
-        print(json.dumps(row), flush=True)
+    series = load_price_series(DATA)
+    trading = to_increments(series)
+    days = [(b - a).days for a, b in zip(series.dates, series.dates[1:])]
+    shapes = {"trading": trading,
+              "calendar": IncrementSeries(d=trading.d, dt=[day / 365.0 for day in days])}
+    for steps, inc in shapes.items():
+        for seed in range(first, last + 1):
+            chain = gbmjump.run_jump_gibbs(inc, n_keep=N_KEEP, burn_in=BURN_IN, seed=seed)
+            row = {"steps": steps, "accept_rate": chain.meta.accept_rate}
+            for name in PARAMS:
+                draws = chain.column(name)
+                row[f"mean {name}"], row[f"ess {name}"] = float(draws.mean()), float(ess(draws))
+            print(json.dumps(row), flush=True)
 
 
 def _side(tree: Path, seeds: str) -> tuple[str, list[dict]]:
@@ -88,11 +96,14 @@ def main(argv=None) -> int:
     (pkg0, rows0), (pkg1, rows1) = _side(args.parent, args.seeds), _side(args.change, args.seeds)
     print(f"seeds {first}-{last}, {N_KEEP} kept draws after {BURN_IN} burn-in")
     print(f"parent: {pkg0}\nchange: {pkg1}")
-    print(f"{'quantity':<20}{'parent':>14}{'change':>14}{'z':>9}")
-    for key in rows0[0]:
-        parent, change = [r[key] for r in rows0], [r[key] for r in rows1]
-        print(f"{key:<20}{_mean_var(parent)[0]:>14.6g}{_mean_var(change)[0]:>14.6g}"
-              f"{_z(parent, change):>+9.2f}")
+    for steps in dict.fromkeys(r["steps"] for r in rows0):
+        side0, side1 = ([r for r in rows if r["steps"] == steps] for rows in (rows0, rows1))
+        print(f"\n{steps}-day steps")
+        print(f"{'quantity':<20}{'parent':>14}{'change':>14}{'z':>9}")
+        for key in list(side0[0])[1:]:
+            parent, change = [r[key] for r in side0], [r[key] for r in side1]
+            print(f"{key:<20}{_mean_var(parent)[0]:>14.6g}{_mean_var(change)[0]:>14.6g}"
+                  f"{_z(parent, change):>+9.2f}")
     return 0
 
 

@@ -45,10 +45,11 @@ the state it keeps is the indicator draw's input, and the chain's jump_probs
 average each step's jump probability 1/(1 + E) over kept sweeps of both kinds
 (Rao-Blackwellized), so they draw no random numbers. The blocks after the
 latent one read the sizes only through sum Z, sum Z^2 and the sizes'
-correction to the diffusion statistics. On equal steps those sums come from
-their joint law given J, from two normals and a chi-square, and no size is
-drawn (_size_sums); on unequal steps one normal per active step draws its
-size. run_jump_gibbs takes the same (inc, prior, n_keep, burn_in, seed) as
+correction to the diffusion statistics. Those sums come from their joint law
+given J, by groups of active steps, and no size is drawn (_size_sums): equal
+steps are one group, drawn from two normals and a chi-square; on unequal
+steps each active step is its own group, drawn from one normal.
+run_jump_gibbs takes the same (inc, prior, n_keep, burn_in, seed) as
 gibbs.run_gibbs.
 """
 
@@ -200,54 +201,29 @@ def _size_law(dt, theta, sigma2, mu_z, sigma2_z):
     return v / v0, v * (mu_z / sigma2_z - theta / sigma2), v
 
 
-def _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z):
-    """Z_i | J_i = 1 (_size_law) from one normal each in z, given the active
-    steps' increments d_act and step lengths dt_act (or one scalar dt)."""
-    alpha, beta, v = _size_law(dt_act, theta, sigma2, mu_z, sigma2_z)
-    sizes = alpha * d_act
-    sizes += beta
-    sizes += np.sqrt(v) * z
-    return sizes
-
-
-def _jump_adjusted_stats(stats: _SuffStats, d_act, dt_act, sizes, total: float) -> _SuffStats:
-    """_SuffStats of d_i - J_i*Z_i from those of d, corrected at the active
-    steps only, given the sizes' sum total: (d - Z)^2/dt = d^2/dt - (2d - Z)*Z/dt."""
-    w = sizes / dt_act
-    sdd = stats.sdd - (2.0 * float(d_act @ w) - float(sizes @ w))
-    return _SuffStats(stats.n, stats.sd - total, stats.st, sdd)
-
-
-def _size_sums(sums, draws, dt: float, theta, sigma2, mu_z, sigma2_z):
-    """(sum Z, sum Z^2, sum d*Z) over k >= 1 active steps of length dt, with
-    Z_i = alpha*d_i + beta + s*z_i (_size_law, s = sqrt(v)) as _jump_sizes
-    draws them one by one, from sums = (S2, S1, k), the active steps' sums
-    of d^2, d and 1, and draws = (g1, g2, W), two standard normals and a
-    chi-square with k - 2 degrees of freedom (0 for k <= 2). g1 and g2 are
-    z's projections on the orthonormal 1/sqrt(k) and (d - S1/k)/|d - S1/k|,
-    and W the rest of |z|^2, so sum z = A, sum d*z = C and |z|^2 = Q below
-    have their joint law given J; when every active d is equal, g2 stands
-    for any direction orthogonal to the first."""
+def _size_sums(sums, draws, dt, theta, sigma2, mu_z, sigma2_z):
+    """(sum Z, sum Z^2, sum d*Z) over a group of k >= 1 active steps of length
+    dt, with Z_i = alpha*d_i + beta + s*z_i (_size_law, s = sqrt(v)) from
+    standard normals z_i, from sums = (S2, S1, k), the group's sums of d^2, d
+    and 1, and draws = (g1, g2, W), two standard normals and a chi-square
+    with k - 2 degrees of freedom (g2 = 0 for k = 1, W = 0 for k <= 2). g1
+    and g2 are z's projections on the orthonormal 1/sqrt(k) and
+    (d - S1/k)/|d - S1/k|, and W the rest of |z|^2, so sum z = A,
+    sum d*z = C and |z|^2 = Q below have their joint law given J; when every
+    active d is equal, g2 stands for any direction orthogonal to the first.
+    At k = 1, |d - S1/k| is exactly 0. Floats for one group; for several,
+    arrays of the groups' values, dt among them, give arrays of their sums."""
     s2, s1, k = sums
     g1, g2, w = draws
     alpha, beta, v = _size_law(dt, theta, sigma2, mu_z, sigma2_z)
-    s, a = math.sqrt(v), math.sqrt(k) * g1
-    if k == 1:
-        c, q = s1 * g1, g1 * g1
-    else:
-        c = s1 / math.sqrt(k) * g1 + math.sqrt(max(s2 - s1 * s1 / k, 0.0)) * g2
-        q = g1 * g1 + g2 * g2 + w
+    sqrt, clip = (math.sqrt, max) if isinstance(v, float) else (np.sqrt, np.maximum)
+    s, a = sqrt(v), sqrt(k) * g1
+    c = s1 / sqrt(k) * g1 + sqrt(clip(s2 - s1 * s1 / k, 0.0)) * g2
+    q = g1 * g1 + g2 * g2 + w
     total = alpha * s1 + k * beta + s * a
     squares = (alpha * alpha * s2 + 2.0 * alpha * beta * s1 + k * beta * beta
                + 2.0 * s * (alpha * c + beta * a) + v * q)
     return total, squares, alpha * s2 + beta * s1 + s * c
-
-
-def _size_stats(sizes, total: float) -> _SuffStats:
-    """_SuffStats of the active sizes, given their sum total, as steps of
-    length 1: Z_i ~ Normal(mu_z, sigma2_z) is the diffusion model with
-    theta = mu_z and every dt = 1."""
-    return _SuffStats(sizes.size, total, sizes.size, float(sizes @ sizes))
 
 
 class _Marginal:
@@ -283,31 +259,33 @@ class _Marginal:
 
     def jump_stats(self, active, theta, sigma2, mu_z, sigma2_z, gen):
         """(_SuffStats of the active steps' sizes as unit-length steps,
-        _SuffStats of d - J*Z) with the sizes drawn given the indicators
-        active, 1.0 or 0.0 per step. Equal steps: one product with the powers
-        gives (S2, S1, k), and for k > 0 two normals and, for k > 2, a
-        chi-square with k - 2 degrees of freedom draw the sums (_size_sums).
-        Unequal steps: one normal per active step, in step order, draws its
-        size (_jump_sizes)."""
+        _SuffStats of d - J*Z) with the sizes' sums drawn given the indicators
+        active, 1.0 or 0.0 per step, by _size_sums. Equal steps are one group:
+        one product with the powers gives (S2, S1, k), and for k > 0 two
+        normals and, for k > 2, a chi-square with k - 2 degrees of freedom
+        draw its sums. On unequal steps each active step is a group of one,
+        with its own dt and one normal, in step order, and the groups' sums
+        are added."""
+        n, sd, st, sdd = self.stats
         if isinstance(self.dt, float):
             s2, s1, k = (self.powers @ active).tolist()
             k = int(k)
             if k == 0:
                 return _NO_DATA, self.stats
             g1, g2 = gen.standard_normal(2).tolist()
-            draws = (g1, g2, gen.chisquare(k - 2) if k > 2 else 0.0)
+            draws = (g1, g2 if k > 1 else 0.0, gen.chisquare(k - 2) if k > 2 else 0.0)
             total, squares, cross = _size_sums(
                 (s2, s1, k), draws, self.dt, theta, sigma2, mu_z, sigma2_z)
-            n, sd, st, sdd = self.stats
-            return (_SuffStats(k, total, k, squares),
-                    _SuffStats(n, sd - total, st, sdd - (2.0 * cross - squares) / self.dt))
-        idx = active.nonzero()[0]
-        d_act, dt_act = self.d[idx], self.dt[idx]
-        z = gen.standard_normal(idx.size)
-        sizes = _jump_sizes(d_act, dt_act, z, theta, sigma2, mu_z, sigma2_z)
-        total = float(sizes.sum())
-        stats = _jump_adjusted_stats(self.stats, d_act, dt_act, sizes, total)
-        return _size_stats(sizes, total), stats
+            shift = (2.0 * cross - squares) / self.dt
+        else:
+            idx = active.nonzero()[0]
+            k, dt = idx.size, self.dt[idx]
+            draws = (gen.standard_normal(k), 0.0, 0.0)
+            total, squares, cross = _size_sums(
+                (self.powers[0, idx], self.d[idx], 1), draws, dt, theta, sigma2, mu_z, sigma2_z)
+            shift = float(((2.0 * cross - squares) / dt).sum())
+            total, squares = float(total.sum()), float(squares.sum())
+        return _SuffStats(k, total, k, squares), _SuffStats(n, sd - total, st, sdd - shift)
 
     def neg_log_odds(self, theta, sigma2, mu_z, sigma2_z, logit_lam, out=None):
         """-max(L, _LOG_ODDS_FLOOR) of the log-odds L = (a*d + b)*d + c at

@@ -14,7 +14,6 @@ CPUs busy, and the bytes are those of a serial loop.
 
 from __future__ import annotations
 
-import threading
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -75,46 +74,31 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
 
     The log-price carried from block to block is added to a block's first row
     before the in-place cumsum, so every block length gives the same bytes.
-    One worker thread runs kernel.diffusion for block j+1, on request, while
-    the caller runs kernel.add_jumps on block j and reduces it, so each
-    substream is still consumed by one thread in block order. An error the
-    worker raises is raised here, and closing the generator stops and joins it.
+    A pool of one worker thread runs kernel.diffusion for block j+1 while the
+    caller runs kernel.add_jumps on block j and reduces it, so each substream
+    is still consumed by one thread in block order. An error the worker raises
+    is raised here, and closing the generator shuts the pool down and joins
+    its thread.
     """
     rows = _subsample_rows(len(chain), _MAX_DRAWS)
     names = ("theta", "sigma2", "lambda_star", "mu_z", "sigma2_z")
     theta, sigma2, *jump = (chain.column(c)[rows] for c in names if c in chain.columns)
     kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump or None)
-    import queue  # here, not at module level: a run that draws no band skips it
-
-    requests, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def draw() -> None:
-        for lo in iter(requests.get, None):
-            try:
-                drawn.put(kernel.diffusion(dt[lo:lo + _BLOCK]))
-            except BaseException as exc:  # raised again by the caller
-                drawn.put(exc)
+    # here, not at module level: a run that draws no band skips it
+    from concurrent.futures import ThreadPoolExecutor
 
     carry = np.full(len(rows), np.log(start))
-    # a daemon, so that a generator nobody closes cannot keep the process alive
-    worker = threading.Thread(target=draw, daemon=True)
-    worker.start()
-    requests.put(0)
-    try:
+    with ThreadPoolExecutor(1) as pool:
+        drawn = pool.submit(kernel.diffusion, dt[:_BLOCK])
         for lo in range(0, len(dt), _BLOCK):
-            item = drawn.get()
-            if isinstance(item, BaseException):
-                raise item
+            item = drawn.result()
             if lo + _BLOCK < len(dt):
-                requests.put(lo + _BLOCK)
+                drawn = pool.submit(kernel.diffusion, dt[lo + _BLOCK:lo + 2 * _BLOCK])
             y = kernel.add_jumps(*item)
             y[0] += carry
             np.cumsum(y, axis=0, out=y)
             carry = y[-1].copy()
             yield np.exp(y, out=y)
-    finally:
-        requests.put(None)
-        worker.join()
 
 
 def _tail(level: float) -> float:

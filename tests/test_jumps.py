@@ -29,8 +29,6 @@ from gbmjump.jumps import (
     _derivatives,
     _independence_step,
     _initial_params,
-    _jump_adjusted_stats,
-    _jump_sizes,
     _lambda_beta,
     _laplace,
     _logit,
@@ -38,7 +36,6 @@ from gbmjump.jumps import (
     _move_state,
     _NO_DATA,
     _offers,
-    _size_stats,
     _size_sums,
 )
 
@@ -59,6 +56,24 @@ def _with(params: JumpParams, **kw) -> JumpParams:
     vals = {f: getattr(params, f) for f in ("theta", "sigma2", "mu_z", "sigma2_z", "lambda_star")}
     vals.update(kw)
     return JumpParams(**vals)
+
+
+def trading_steps(inc):
+    """inc as it is: on the bundled data, every step of one length."""
+    return inc
+
+
+def weekend_steps(inc):
+    """inc with every fifth step three times as long."""
+    return IncrementSeries(d=inc.d, dt=inc.dt * np.where(np.arange(inc.n) % 5 == 4, 3.0, 1.0))
+
+
+def distinct_steps(inc):
+    """inc with each step's length scaled by its own uniform(0.8, 1.25) draw,
+    so that no two steps share a length."""
+    dt = inc.dt * np.random.default_rng(17).uniform(0.8, 1.25, inc.n)
+    assert np.unique(dt).size == inc.n
+    return IncrementSeries(d=inc.d, dt=dt)
 
 
 class TestJumpParams:
@@ -120,11 +135,12 @@ def latent_block(inc, params, gen):
     """(J, Z) given params and data, as what the later blocks read of them:
     the indicators, the _SuffStats of the active sizes as unit-length steps
     and the _SuffStats of d_i - J_i*Z_i. J_i = [u_i*(1 + E_i) < 1] from n
-    uniforms. Equal steps: the k active steps' sums of d^2, d and 1 from the
-    product with _Marginal's powers, then, for k > 0, two normals and, for
-    k > 2, a chi-square with k - 2 degrees of freedom for the sums of the
-    sizes (_size_sums). Unequal steps: one normal per active step, in step
-    order, for its size."""
+    uniforms. The sums of the sizes come from _size_sums, by groups of active
+    steps. Equal steps are one group: the k active steps' sums of d^2, d and
+    1 from the product with _Marginal's powers, then, for k > 0, two normals
+    and, for k > 2, a chi-square with k - 2 degrees of freedom. Unequal
+    steps: each active step is a group of one, with one normal, in step
+    order."""
     indicators = gen.random(inc.n) * (1.0 + odds_e(inc, params)) < 1.0
     suff = _SuffStats.of(inc.d, inc.dt)
     if inc.n and np.all(inc.dt == inc.dt[0]):
@@ -135,22 +151,23 @@ def latent_block(inc, params, gen):
             return indicators, _SuffStats(0, 0.0, 0, 0.0), suff
         g1, g2 = gen.standard_normal(2)
         w = gen.chisquare(k - 2) if k > 2 else 0.0
-        total, squares, cross = _size_sums((s2, s1, k), (g1, g2, w), dt, *astuple(params)[:4])
-        sdd = suff.sdd - (2.0 * cross - squares) / dt
-        resid = _SuffStats(suff.n, suff.sd - total, suff.st, sdd)
-        return indicators, _SuffStats(k, total, k, squares), resid
-    z = gen.standard_normal(int(np.count_nonzero(indicators)))
-    d, dt = inc.d[indicators], inc.dt[indicators]
-    sizes = _jump_sizes(d, dt, z, *astuple(params)[:4])
-    total = float(sizes.sum())
-    return indicators, _size_stats(sizes, total), _jump_adjusted_stats(suff, d, dt, sizes, total)
+        sums, draws = (s2, s1, k), (g1, g2 if k > 1 else 0.0, w)
+    else:
+        d, dt = inc.d[indicators], inc.dt[indicators]
+        k = d.size
+        sums, draws = (d * d, d, 1), (gen.standard_normal(k), 0.0, 0.0)
+    total, squares, cross = _size_sums(sums, draws, dt, *astuple(params)[:4])
+    total, squares, shift = (float(np.sum(x)) for x in (total, squares, (2.0 * cross - squares) / dt))
+    resid = _SuffStats(suff.n, suff.sd - total, suff.st, suff.sdd - shift)
+    return indicators, _SuffStats(k, total, k, squares), resid
 
 
 def draw_jump_moments(sizes, sigma2_z, prior, gen):
     """(mu_z, sigma2_z) drawn from the active sizes as the sweep draws them:
     mu_z | sigma2_z, then sigma2_z | mu_z."""
     sizes = np.asarray(sizes, dtype=float)
-    return _draw_theta_sigma2(_size_stats(sizes, float(sizes.sum())), sigma2_z, prior.jump, gen)
+    stats = _SuffStats(sizes.size, float(sizes.sum()), sizes.size, float(sizes @ sizes))
+    return _draw_theta_sigma2(stats, sigma2_z, prior.jump, gen)
 
 
 class TestIndicatorProb:
@@ -214,21 +231,44 @@ def size_conditional(d, dt, params):
     return v * (params.mu_z / params.sigma2_z + (d - params.theta * dt) / base_var), v
 
 
+def sizes_behind(d, dt, draws, params):
+    """The sizes Z_i = m_i + sqrt(v_i)*z_i (size_conditional) of one group of
+    active steps whose sums _size_sums gives at draws = (g1, g2, W):
+    z = g1*e1 + g2*e2 + sqrt(W)*u, with e1 = 1/sqrt(k), e2 along d - mean(d)
+    and u a unit vector orthogonal to both."""
+    k = d.size
+    g1, g2, w = draws
+    basis = np.column_stack((np.ones(k), d - d.mean(), np.linspace(-1.0, 1.0, k) ** 2))
+    e = np.linalg.qr(basis[:, :min(k, 3)])[0]
+    # QR's columns may point either way: e1 along +1 and e2 along d - mean(d)
+    e *= np.sign(e.T @ basis[:, :e.shape[1]]).diagonal()
+    z = g1 * e[:, 0]
+    if k > 1:
+        z += g2 * e[:, 1]
+    if k > 2:
+        z += math.sqrt(w) * e[:, 2]
+    m, v = size_conditional(d, dt, params)
+    return m + np.sqrt(v) * z
+
+
 class TestSampleLatent:
-    """The latent block's draws: sizes per step from the sweep's _jump_sizes
-    on unequal steps, the sums of the sizes from _Marginal.jump_stats on
-    equal ones."""
+    """The latent block's draws: the indicators, then the sums of the sizes
+    from _Marginal.jump_stats, by groups of active steps (_size_sums)."""
 
     def test_active_sizes_match_precision_weighted_normal(self):
-        # identical increments: every Z_i | J_i = 1 shares the same
-        # conditional Normal(m, v)
+        # identical increments, each a group of one, as unequal steps are:
+        # every Z_i | J_i = 1 shares the same conditional Normal(m, v), and
+        # each group's sum Z^2 and sum d*Z are Z_i^2 and d_i*Z_i
         n = 100_000
-        d0 = -0.04
+        d = np.full(n, -0.04)
         z = np.random.default_rng(31).standard_normal(n)
-        sizes = _jump_sizes(np.full(n, d0), DT, z, *astuple(REF)[:4])
-        m, v = size_conditional(d0, DT, REF)
+        sizes, squares, cross = _size_sums((d * d, d, 1), (z, 0.0, 0.0), np.full(n, DT),
+                                           *astuple(REF)[:4])
+        m, v = size_conditional(d[0], DT, REF)
         ks = stats.kstest(sizes, stats.norm(m, np.sqrt(v)).cdf)
         assert ks.statistic < 0.006
+        assert squares == pytest.approx(sizes * sizes, rel=1e-12)
+        assert cross == pytest.approx(d * sizes, rel=1e-12)
 
     def test_inactive_sizes_zero_after_n_uniforms_then_k_normals(self, train_inc):
         # unequal steps: no size is drawn or held for an inactive step
@@ -269,44 +309,64 @@ class TestSampleLatent:
 
 
 class TestDiffusionBlock:
-    """The (theta, sigma2) draw on the sweep's _jump_adjusted_stats."""
+    """The (theta, sigma2) draw on the statistics of d - J*Z that
+    _Marginal.jump_stats returns."""
 
     def test_no_jumps_reduces_to_plain_conditionals(self, train_inc):
-        none = np.array([])
-        suff = _jump_adjusted_stats(_SuffStats.of(train_inc.d, train_inc.dt), none, none, none, 0.0)
-        theta, sigma2 = _draw_theta_sigma2(suff, 0.03, GbmPrior(), np.random.default_rng(55))
-        gen = np.random.default_rng(55)
-        mean, var = theta_conditional(train_inc, 0.03)
-        theta_ref = mean + np.sqrt(var) * gen.standard_normal()
-        shape, scale = sigma2_conditional(train_inc, theta_ref)
-        sigma2_ref = scale / gen.gamma(shape)
-        assert theta == pytest.approx(theta_ref, rel=1e-12)
-        assert sigma2 == pytest.approx(sigma2_ref, rel=1e-12)
+        # with no active step, on equal steps and on unequal ones
+        for inc in (train_inc, weekend_steps(train_inc)):
+            _, suff = _Marginal(inc, JumpPrior()).jump_stats(
+                np.zeros(inc.n), *astuple(REF)[:4], np.random.default_rng(54))
+            theta, sigma2 = _draw_theta_sigma2(suff, 0.03, GbmPrior(), np.random.default_rng(55))
+            gen = np.random.default_rng(55)
+            mean, var = theta_conditional(inc, 0.03)
+            theta_ref = mean + np.sqrt(var) * gen.standard_normal()
+            shape, scale = sigma2_conditional(inc, theta_ref)
+            sigma2_ref = scale / gen.gamma(shape)
+            assert theta == pytest.approx(theta_ref, rel=1e-12)
+            assert sigma2 == pytest.approx(sigma2_ref, rel=1e-12)
 
     def test_active_jumps_shift_residuals(self, train_inc):
-        # the statistics corrected at the active steps are those of d - J*Z,
-        # for equal steps and for unequal ones
+        # the statistics jump_stats returns are those of the sizes its draws
+        # stand for (sizes_behind) and of d - J*Z, for equal steps (one
+        # group) and for unequal ones (a group per active step), at k = 1, 2,
+        # 3 and 451 active steps
         rng = np.random.default_rng(56)
         for inc in (train_inc, weekend_steps(train_inc)):
-            on = rng.random(inc.n) < 0.3
-            sizes = rng.normal(-0.002, 0.017, int(on.sum()))
-            got = _jump_adjusted_stats(
-                _SuffStats.of(inc.d, inc.dt), inc.d[on], inc.dt[on], sizes, float(sizes.sum())
-            )
-            shifted = inc.d.copy()
-            shifted[on] -= sizes
-            assert got == pytest.approx(_SuffStats.of(shifted, inc.dt), rel=1e-12)
+            equal = bool(np.all(inc.dt == inc.dt[0]))
+            marginal = _Marginal(inc, JumpPrior())
+            for k in (1, 2, 3, 451):
+                on = np.zeros(inc.n, dtype=bool)
+                on[rng.choice(inc.n, k, replace=False)] = True
+                gen = np.random.default_rng(57)
+                sizes, resid = marginal.jump_stats(on.astype(float), *astuple(REF)[:4], gen)
+                twin = np.random.default_rng(57)
+                d, dt = inc.d[on], inc.dt[on]
+                if equal:
+                    g1, g2 = twin.standard_normal(2)
+                    z = sizes_behind(d, dt, (g1, g2, twin.chisquare(k - 2) if k > 2 else 0.0), REF)
+                else:
+                    z = np.array([sizes_behind(d[i:i + 1], dt[i], (g, 0.0, 0.0), REF)[0]
+                                  for i, g in enumerate(twin.standard_normal(k))])
+                assert gen.bit_generator.state == twin.bit_generator.state
+                shifted = inc.d.copy()
+                shifted[on] -= z
+                assert sizes == pytest.approx((k, z.sum(), k, z @ z), rel=1e-12)
+                assert resid == pytest.approx(_SuffStats.of(shifted, inc.dt), rel=1e-12)
 
 
 class TestSizeSums:
-    """On equal steps _Marginal.jump_stats draws the sums the conjugate blocks
-    read in one go: their law given J is that of the sums of per-step sizes."""
+    """_Marginal.jump_stats draws the sums the conjugate blocks read, by
+    groups of active steps: one group on equal steps, a group per active step
+    on unequal ones. Their law given J is that of the sums of per-step sizes."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 50, "equal-d"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 50, "equal-d", "weekend", "distinct"])
     def test_matches_per_step_sizes(self, train_inc, k):
         inc = IncrementSeries(d=train_inc.d[:60], dt=train_inc.dt[:60])
         if k == "equal-d":  # every active d the same: sum d*z has one direction
             inc, k = IncrementSeries(d=np.full(60, -0.03), dt=np.full(60, DT)), 5
+        elif k in ("weekend", "distinct"):  # unequal steps: 50 groups of one
+            inc, k = {"weekend": weekend_steps, "distinct": distinct_steps}[k](inc), 50
         active = np.zeros(inc.n)
         active[:k] = 1.0
         marginal, gen, reps = _Marginal(inc, JumpPrior()), np.random.default_rng(61), 20_000
@@ -316,13 +376,13 @@ class TestSizeSums:
                                  for _ in range(reps))
         ])
         # brute force: one size per active step from its conditional normal
-        d = inc.d[:k]
-        m, v = size_conditional(d, DT, REF)
+        d, dt = inc.d[:k], inc.dt[:k]
+        m, v = size_conditional(d, dt, REF)
         z = m + np.sqrt(v) * gen.standard_normal((reps, k))
         suff = marginal.stats
         want = np.column_stack((
             z.sum(axis=1), (z * z).sum(axis=1),
-            suff.sd - z.sum(axis=1), suff.sdd - ((2.0 * d - z) * z).sum(axis=1) / DT,
+            suff.sd - z.sum(axis=1), suff.sdd - ((2.0 * d - z) * z / dt).sum(axis=1),
         ))
         for name, a, b in zip(("sum Z", "sum Z^2", "sd", "sdd"), got.T, want.T):
             p_value = stats.ks_2samp(a, b).pvalue
@@ -539,11 +599,12 @@ def scipy_log_posterior(inc, p, prior):
 class TestMarginalLogPosterior:
     """marginal_log_posterior is the scipy mixture log posterior up to a constant."""
 
-    @pytest.mark.parametrize("calendar", [False, True], ids=["trading-dt", "calendar-dt"])
-    def test_matches_scipy_up_to_a_constant(self, calendar):
+    @pytest.mark.parametrize("steps", [trading_steps, weekend_steps, distinct_steps],
+                             ids=["trading-dt", "calendar-dt", "distinct-dt"])
+    def test_matches_scipy_up_to_a_constant(self, steps):
         rng = np.random.default_rng(81)
         n = 40
-        dt = np.full(n, DT) * np.where(calendar & (np.arange(n) % 5 == 4), 3.0, 1.0)
+        dt = steps(IncrementSeries(d=np.zeros(n), dt=np.full(n, DT))).dt
         d = 0.1 * dt + np.sqrt(0.02 * dt) * rng.standard_normal(n)
         d[[9, 27]] = [0.25, -0.30]  # outliers: log-odds in the hundreds there
         inc = IncrementSeries(d=d, dt=dt)
@@ -659,11 +720,6 @@ def geweke_z(rows):
         "1/sigma2_z": batch_means_z(1.0 / rows[:, 3], jmp.ig_shape / jmp.ig_scale),
         "lambda_star": batch_means_z(rows[:, 4], lam_a / (lam_a + lam_b)),
     }
-
-
-def weekend_steps(inc):
-    """inc with every fifth step three times as long."""
-    return IncrementSeries(d=inc.d, dt=inc.dt * np.where(np.arange(inc.n) % 5 == 4, 3.0, 1.0))
 
 
 class TestMetropolisMove:
@@ -783,11 +839,12 @@ class TestMetropolisMove:
 class TestOfferBlocks:
     """The move's offers, drawn and evaluated _BLOCK at a time."""
 
-    @pytest.mark.parametrize("calendar", [False, True], ids=["trading-dt", "calendar-dt"])
-    def test_block_matches_one_point_evaluations(self, train_inc, calendar):
+    @pytest.mark.parametrize("steps", [trading_steps, weekend_steps, distinct_steps],
+                             ids=["trading-dt", "calendar-dt", "distinct-dt"])
+    def test_block_matches_one_point_evaluations(self, train_inc, steps):
         # equal steps take one product for the block, unequal steps go row by
         # row; a row whose sigma2 overflows is -inf in either
-        inc = weekend_steps(train_inc) if calendar else train_inc
+        inc = steps(train_inc)
         marginal = _Marginal(inc, SKEWED)
         xs = np.array([0.3, -5.0, -0.002, -8.0, -0.5]) + np.random.default_rng(12).normal(
             0.0, [0.1, 0.2, 1e-3, 0.3, 0.3], (8, 5))
@@ -962,16 +1019,19 @@ class TestSweepWiring:
             ("calendar", dict(seed=7, burn_in=400, prior=SKEWED)),
             ("calendar", dict(seed=3, burn_in=400, prior=SKEWED)),
             ("train", dict(seed=11, burn_in=3 * _MOVES + 1)),
+            ("distinct", dict(seed=42)),
+            ("distinct", dict(seed=7, burn_in=400, prior=SKEWED)),
         ],
         ids=["seed42", "seed7", "calendar-dt", "empty", "one-increment", "short-series",
              "move-seed42", "move-calendar-dt", "skewed-seed42", "skewed-move-seed42",
              "skewed-move-calendar-dt-seed7", "skewed-move-calendar-dt-seed3",
-             "move-burn-in-off-cycle"],
+             "move-burn-in-off-cycle", "distinct-dt", "skewed-move-distinct-dt-seed7"],
     )
     def test_matches_reference_loop(self, train_inc, series, kw):
         inc = {
             "train": train_inc,
             "calendar": weekend_steps(train_inc),
+            "distinct": distinct_steps(train_inc),
             "empty": IncrementSeries(d=np.array([]), dt=np.array([])),
             "one": IncrementSeries(d=np.array([0.012]), dt=np.array([DT])),
             "short": IncrementSeries(d=train_inc.d[:50], dt=train_inc.dt[:50]),

@@ -18,7 +18,8 @@ PUBLIC_NAMES = [
 
 # Modules that importing the package must not load: hashlib loads OpenSSL
 # (about 3.5 MB of resident memory), and queue, logging and concurrent each
-# add import time to every CLI run; predict imports queue when it draws a band.
+# add import time to every CLI run; predict imports concurrent.futures, which
+# imports logging and queue, when it draws a band.
 HEAVY_MODULES = ["hashlib", "_hashlib", "queue", "logging", "concurrent"]
 
 
