@@ -3,10 +3,11 @@
 For each tree, one subprocess with PYTHONPATH=<tree>/src fits the bundled data
 with run_jump_gibbs (5,000 kept draws after 1,000 burn-in) at each seed of the
 range, on each step shape: trading-day steps (dt = 1/252, every step of one
-length) and calendar-day steps (dt = days between closes / 365, so weekends
-and holidays are longer steps). From each chain it takes each parameter's
-posterior mean and ESS (perfbench/ess.py, Geyer's initial monotone sequence)
-and the move's acceptance rate. One table per step shape prints each
+length), calendar-day steps (dt = days between closes / 365, so weekends and
+holidays are longer steps) and all-distinct steps (each trading-day step
+times its own uniform(0.8, 1.25) draw, seed 17). From each chain it takes
+each parameter's posterior mean and ESS (perfbench/ess.py, Geyer's initial
+monotone sequence) and the move's acceptance rate. One table per step shape prints each
 quantity's mean over the seeds on each side, then z: the change's mean minus
 the parent's over the standard error of that difference, from the spread
 across seeds on each side. The two trees'
@@ -38,6 +39,8 @@ def _fit(first: int, last: int) -> None:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from ess import ess
 
+    import numpy as np
+
     import gbmjump
     from gbmjump.series import IncrementSeries, load_price_series, to_increments
 
@@ -45,8 +48,10 @@ def _fit(first: int, last: int) -> None:
     series = load_price_series(DATA)
     trading = to_increments(series)
     days = [(b - a).days for a, b in zip(series.dates, series.dates[1:])]
+    distinct = trading.dt * np.random.default_rng(17).uniform(0.8, 1.25, trading.n)
     shapes = {"trading": trading,
-              "calendar": IncrementSeries(d=trading.d, dt=[day / 365.0 for day in days])}
+              "calendar": IncrementSeries(d=trading.d, dt=[day / 365.0 for day in days]),
+              "distinct": IncrementSeries(d=trading.d, dt=distinct)}
     for steps, inc in shapes.items():
         for seed in range(first, last + 1):
             chain = gbmjump.run_jump_gibbs(inc, n_keep=N_KEEP, burn_in=BURN_IN, seed=seed)
@@ -98,7 +103,7 @@ def main(argv=None) -> int:
     print(f"parent: {pkg0}\nchange: {pkg1}")
     for steps in dict.fromkeys(r["steps"] for r in rows0):
         side0, side1 = ([r for r in rows if r["steps"] == steps] for rows in (rows0, rows1))
-        print(f"\n{steps}-day steps")
+        print(f"\n{steps} steps")
         print(f"{'quantity':<20}{'parent':>14}{'change':>14}{'z':>9}")
         for key in list(side0[0])[1:]:
             parent, change = [r[key] for r in side0], [r[key] for r in side1]

@@ -1,13 +1,23 @@
-"""Run a fixed set of seeded gbmjump commands on the bundled data and print
-one `sha256  path` line per output file and per command's stdout.
+"""Run a fixed set of seeded gbmjump commands and library calls on the bundled
+data and print one `sha256  name` line per output file, per command's stdout
+and per library output.
 
-The set: mle as csv and as json, fit of gbm and of gbm-jump, forecast
+The commands: mle as csv and as json, fit of gbm and of gbm-jump, forecast
 --fitted-band from each fit's chain, and study with the holdout, all at seed
 42 and default settings. Each command writes into its own folder of DIR and
 paths print relative to DIR, so the listings of two checkouts compare line by
 line. The fit times, the one thing that differs between runs, are hashed
 without: study.json's `seconds` lines. study prints its times on stderr,
 which is not hashed.
+
+The library calls run in one subprocess on this tree's src: run_gibbs and
+run_jump_gibbs on the first n increments of the bundled data, for n in SIZES,
+at each seed of SEEDS, N_KEEP draws kept after BURN_IN, on three step shapes:
+trading-day steps (1/252), calendar-day steps (days between closes / 365) and
+all-distinct steps (each trading-day step times its own uniform(0.8, 1.25)
+draw, seed 17). Each chain's line hashes its draws, jump_probs and
+accept_rate. simulate_jump_increments draws n increments over the same steps
+at each seed, for each n >= 1.
 
 Usage: python3 scripts/seeded_outputs.py DIR
 """
@@ -38,12 +48,43 @@ RUNS = {
     "study": ("study", "--input", TRAIN, "--holdout", HOLDOUT, *SEED),
 }
 _SECONDS = re.compile(rb' *"seconds": .*\n')
+SIZES, SEEDS, N_KEEP, BURN_IN = (0, 1, 50, 250, 1510), (1, 2, 42), 300, 100
 
 
 def _line(data: bytes, name: str) -> str:
     if name.endswith("/study.json"):
         data = _SECONDS.sub(b"", data)
     return f"{hashlib.sha256(data).hexdigest()}  {name}"
+
+
+def _library() -> None:
+    """Print the library outputs' lines, from the gbmjump on the path."""
+    import numpy as np
+
+    from gbmjump import (IncrementSeries, JumpParams, load_price_series, run_gibbs,
+                         run_jump_gibbs, simulate_jump_increments, to_increments)
+
+    series = load_price_series(TRAIN)
+    trading = to_increments(series)
+    days = np.array([(b - a).days for a, b in zip(series.dates, series.dates[1:])])
+    shapes = {
+        "trading": trading.dt,
+        "calendar": days / 365.0,
+        "distinct": trading.dt * np.random.default_rng(17).uniform(0.8, 1.25, trading.n),
+    }
+    params = JumpParams(theta=0.12, sigma2=0.02, mu_z=-0.0023, sigma2_z=0.017**2, lambda_star=0.36)
+    for steps, dt in shapes.items():
+        for n in SIZES:
+            inc = IncrementSeries(d=trading.d[:n], dt=dt[:n])
+            for seed in SEEDS:
+                for model, run in (("gbm", run_gibbs), ("gbm-jump", run_jump_gibbs)):
+                    chain = run(inc, n_keep=N_KEEP, burn_in=BURN_IN, seed=seed)
+                    probs = b"" if chain.jump_probs is None else chain.jump_probs.tobytes()
+                    data = chain.draws.tobytes() + probs + repr(chain.meta.accept_rate).encode()
+                    print(_line(data, f"library/{model}/{steps}/n{n}/seed{seed}"))
+                if n:
+                    d = simulate_jump_increments(params, dt[:n], n, rng=seed)
+                    print(_line(d.tobytes(), f"library/simulate/{steps}/n{n}/seed{seed}"))
 
 
 def main(argv=None) -> int:
@@ -61,6 +102,11 @@ def main(argv=None) -> int:
         for path in sorted((top / name).iterdir()):
             print(_line(path.read_bytes(), f"{name}/{path.name}"))
         print(_line(stdout, f"{name}/stdout"))
+    env["PYTHONPATH"] = os.pathsep.join((str(ROOT / "src"), str(ROOT / "scripts")))
+    code = "from seeded_outputs import _library; _library()"
+    library = subprocess.run([sys.executable, "-c", code], cwd=top, env=env, check=True,
+                             capture_output=True, text=True)
+    print(library.stdout, end="")
     return 0
 
 

@@ -16,7 +16,6 @@ from .gibbs import (
 from .jumps import (
     JumpParams,
     JumpPrior,
-    marginal_log_posterior,
     run_jump_gibbs,
     simulate_jump_increments,
 )

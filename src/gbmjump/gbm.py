@@ -111,10 +111,11 @@ def _substreams(gen: np.random.Generator):
 class IncrementKernel:
     """Log-increments of a set of parameter draws, drawn block by block in time order.
 
-    theta and sigma2, and jump = (lambda_star, mu_z, sigma2_z) when given, hold
-    one value per draw (a scalar or a length-1 array is shared by all). Three
-    substreams are split off gen through a SeedSequence: diffusion noise, jump
-    hits, and jump sizes, the sizes drawn only at hits. Blocks are time-major,
+    theta and sigma2, and jump = (mu_z, sigma2_z, lambda_star) when given, in
+    the order a jump chain stores them, hold one value per draw (a scalar or a
+    length-1 array is shared by all). Three substreams are split off gen
+    through a SeedSequence: diffusion noise, jump hits, and jump sizes, the
+    sizes drawn only at hits. Blocks are time-major,
     (steps, draws), and every substream is consumed in time order, so any split
     of the same steps into blocks gives the same increments bit for bit. block()
     is diffusion() (noise and hits substreams) then add_jumps() (sizes
@@ -132,8 +133,8 @@ class IncrementKernel:
         self._noise = substream(0)
         self._jump = None
         if jump:
-            lam, mu_z, sigma2_z = jump
-            self._jump = (lam, mu_z, np.sqrt(sigma2_z))
+            mu_z, sigma2_z, lam = jump
+            self._jump = (mu_z, np.sqrt(sigma2_z), lam)
             self._hits = substream(1)
             self._sizes = substream(2)
 
@@ -152,13 +153,13 @@ class IncrementKernel:
         d += self._theta * dt
         if self._jump is None:
             return d, np.empty(0, dtype=np.intp)
-        return d, np.flatnonzero(self._hits.random(d.shape) < self._jump[0])
+        return d, np.flatnonzero(self._hits.random(d.shape) < self._jump[2])
 
     def add_jumps(self, d: np.ndarray, at: np.ndarray) -> np.ndarray:
         """block()'s second step: adds a jump size at each flat index of d in
         at, in place, and returns d. Draws the sizes substream only."""
         if self._jump is not None:
-            _, mu_z, sigma_z = self._jump
+            mu_z, sigma_z, _ = self._jump
             draw = at % self._draws
             z = self._sizes.standard_normal(len(at))
             z *= sigma_z[draw]

@@ -9,8 +9,9 @@ sampler augments with latent indicators J_i and sizes Z_i. A whole sweep runs
 and then records the row. The Gibbs blocks are conjugate. The move is one
 independence Metropolis step on x = (theta, log sigma2, mu_z, log sigma2_z,
 logit lambda_star) targeting the posterior with J and Z summed out, which
-leaves that posterior invariant and jumps the ridge through sigma2,
-lambda_star and sigma2_z that the blocks cross slowly. Its proposal is a
+_Marginal.move_target alone evaluates, Jacobian included; the step leaves
+that posterior invariant and jumps the ridge through sigma2, lambda_star and
+sigma2_z that the blocks cross slowly. Its proposal is a
 multivariate t with 30 degrees of freedom centred at the posterior mode, with
 1.2 times the Laplace covariance (the inverse of minus the Hessian there) as
 its scale. Damped Newton ascent from the chain's start finds both before
@@ -170,6 +171,12 @@ def _natural(x):
     return theta, math.exp(log_s2), mu_z, math.exp(log_sz2), _expit(logit_lam)
 
 
+def _moved(theta, sigma2, mu_z, sigma2_z, lam):
+    """The move's x at (theta, sigma2, mu_z, sigma2_z, lambda_star), the
+    inverse of _natural."""
+    return np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
+
+
 def _softplus(t):
     """log(1 + exp(t)) without overflow, of a float or elementwise of an array."""
     if isinstance(t, float):
@@ -229,9 +236,10 @@ def _size_sums(sums, draws, dt, theta, sigma2, mu_z, sigma2_z):
 class _Marginal:
     """The posterior of (theta, sigma2, mu_z, sigma2_z, lambda_star) with J and Z
     summed out: per step the mixture (1-lambda)*N(d; theta*dt, sigma2*dt) +
-    lambda*N(d; theta*dt + mu_z, sigma2*dt + sigma2_z), times the priors. Its
-    evaluations also return E = exp(-max(L, _LOG_ODDS_FLOOR)) of the log-odds,
-    the indicator draw's input at that point."""
+    lambda*N(d; theta*dt + mu_z, sigma2*dt + sigma2_z), times the priors.
+    move_target is its one evaluator, on the move's coordinates x, at one
+    point or at k; it also returns E = exp(-max(L, _LOG_ODDS_FLOOR)) of the
+    log-odds, the indicator draw's input at that point."""
 
     def __init__(self, inc: IncrementSeries, prior: JumpPrior) -> None:
         self.d, self.prior = inc.d, prior
@@ -240,7 +248,7 @@ class _Marginal:
         self.dt = float(inc.dt[0]) if equal else inc.dt  # a float when every step is equal
         # rows (d^2, d, 1): L = (a, b, c) @ powers
         self.powers = np.stack((self.d * self.d, self.d, np.ones(inc.n)))
-        # log_kernel's work rows, free between calls, which indicators reuses.
+        # move_target's work rows, free between calls, which indicators reuses.
         # Allocating the two rows on each call took 1.19-1.20x the sweep time
         # (two runs of 40 alternating pairs of 1,200 sweeps of the bundled data,
         # faster in 0 and 3 of 40), for the same chain.
@@ -248,7 +256,7 @@ class _Marginal:
 
     def indicators(self, e, gen, probs=None):
         """J_i = [u_i < 1/(1 + E_i)] from n uniforms, as u_i*(1 + E_i) < 1,
-        1.0 or 0.0 per step in a work row of log_kernel, valid until its next
+        1.0 or 0.0 per step in a work row of move_target, valid until its next
         call, so e is left as it was; probs, when given, gains each step's
         jump probability 1/(1 + E_i)."""
         odds = np.add(e, 1.0, out=self.scratch[1])
@@ -303,80 +311,57 @@ class _Marginal:
             neg -= c
         return np.minimum(neg, -_LOG_ODDS_FLOOR, out=neg)
 
-    def log_kernel(self, theta, sigma2, mu_z, sigma2_z, logit_lam, out=None):
+    def move_target(self, x, out=None):
         """(log density up to a constant, E of the log-odds it summed, in out
-        when given), at one point given as floats, or at k points given as
-        arrays of k: then an array of k values and E with one row per point.
+        when given) at x = (theta, log sigma2, mu_z, log sigma2_z, logit
+        lambda_star): one point as a 1-d x, or k points as the rows of a
+        (k, 5) x, for an array of k values and E with one row per point.
 
         Each step's log mixture density is log N(d; theta*dt, sigma2*dt)
         + log(1 - lambda) + softplus(L) with L its jump log-odds, and
         softplus(L) = L + log1p(exp(-L)) on max(L, _LOG_ODDS_FLOOR); the no-jump
-        densities enter in closed form through the sufficient statistics.
-        k points on equal steps take one (k, 3) @ powers product into E's
-        rows, and log1p(E) goes through the two work rows, two rows at a
-        time; on unequal steps the points go through the one-point code row
-        by row.
-        """
-        if not isinstance(theta, np.ndarray):
-            neg = self.neg_log_odds(theta, sigma2, mu_z, sigma2_z, logit_lam, self.scratch[0])
-            e = np.exp(neg, out=out)
-            np.log1p(e, out=self.scratch[1])
-            sum_neg, sum_log1p = (self.scratch @ self.powers[2]).tolist()
-        elif isinstance(self.dt, float):
-            neg = self.neg_log_odds(theta, sigma2, mu_z, sigma2_z, logit_lam, out)
-            sum_neg = neg @ self.powers[2]
-            e = np.exp(neg, out=neg)
-            sum_log1p = np.concatenate([np.log1p(rows, out=self.scratch[:len(rows)]) @ self.powers[2]
-                                        for rows in np.split(e, range(2, len(e), 2))])
-        else:
-            points = np.array((theta, sigma2, mu_z, sigma2_z, logit_lam)).T.tolist()
-            e = np.empty((len(points), self.d.size)) if out is None else out
-            return np.array([self.log_kernel(*p, out=row)[0] for p, row in zip(points, e)]), e
-        prior = self.prior
-        log_1m = -_softplus(logit_lam)  # log(1 - lambda_star)
-        value = (_normal_ig_log_kernel(self.stats, theta, sigma2, prior.diffusion)
-                 + _normal_ig_log_kernel(_NO_DATA, mu_z, sigma2_z, prior.jump)
-                 + (prior.lambda_a - 1.0) * (logit_lam + log_1m)
-                 + (prior.lambda_b - 1.0 + self.stats.n) * log_1m + sum_log1p - sum_neg)
-        return value, e
-
-    def move_target(self, x, out=None):
-        """log_kernel on x = (theta, log sigma2, mu_z, log sigma2_z, logit
-        lambda_star) plus the Jacobian log sigma2 + log sigma2_z
-        + log lambda_star + log(1 - lambda_star); and E. x is one point, or
-        k points as the rows of a (k, 5) array, for k values and k rows of E.
+        densities enter in closed form through the sufficient statistics. The
+        priors follow, then the Jacobian of x's transforms, log sigma2
+        + log sigma2_z + log lambda_star + log(1 - lambda_star). k points on
+        equal steps take one (k, 3) @ powers product into E's rows, and
+        log1p(E) goes through the two work rows, two rows at a time; on
+        unequal steps the points go through the one-point code row by row.
         The value is -inf where a variance overflows or underflows: with E
-        None at one point; at k points that row of E is meaningless."""
+        None at one point; at k points that row of E is meaningless.
+        """
         if x.ndim == 1:
             theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
             if not -700.0 < min(log_s2, log_sz2) <= max(log_s2, log_sz2) < 700.0:
                 return -math.inf, None
             sigma2, sigma2_z = math.exp(log_s2), math.exp(log_sz2)
+            neg = self.neg_log_odds(theta, sigma2, mu_z, sigma2_z, logit_lam, self.scratch[0])
+            e = np.exp(neg, out=out)
+            np.log1p(e, out=self.scratch[1])
+            sum_neg, sum_log1p = (self.scratch @ self.powers[2]).tolist()
+        elif not isinstance(self.dt, float):
+            e = np.empty((len(x), self.d.size)) if out is None else out
+            return np.array([self.move_target(point, out=row)[0] for point, row in zip(x, e)]), e
         else:
             theta, log_s2, mu_z, log_sz2, logit_lam = x.T
             log_var = x[:, 1:4:2]
             bad = np.abs(log_var).max(axis=1) >= 700.0
             # the bad rows are evaluated at unit variances, then set to -inf
             sigma2, sigma2_z = np.exp(np.where(bad[:, None], 0.0, log_var)).T
-        value, e = self.log_kernel(theta, sigma2, mu_z, sigma2_z, logit_lam, out)
-        value = value + log_s2 + log_sz2 + logit_lam - 2.0 * _softplus(logit_lam)
+            neg = self.neg_log_odds(theta, sigma2, mu_z, sigma2_z, logit_lam, out)
+            sum_neg = neg @ self.powers[2]
+            e = np.exp(neg, out=neg)
+            sum_log1p = np.concatenate([np.log1p(rows, out=self.scratch[:len(rows)]) @ self.powers[2]
+                                        for rows in np.split(e, range(2, len(e), 2))])
+        prior = self.prior
+        log_1m = -_softplus(logit_lam)  # log(1 - lambda_star)
+        value = (_normal_ig_log_kernel(self.stats, theta, sigma2, prior.diffusion)
+                 + _normal_ig_log_kernel(_NO_DATA, mu_z, sigma2_z, prior.jump)
+                 + (prior.lambda_a - 1.0) * (logit_lam + log_1m)
+                 + (prior.lambda_b - 1.0 + self.stats.n) * log_1m + sum_log1p - sum_neg
+                 + log_s2 + log_sz2 + logit_lam + 2.0 * log_1m)
         if x.ndim == 2:
             value[bad] = -math.inf
         return value, e
-
-
-def marginal_log_posterior(
-    inc: IncrementSeries, params: JumpParams, prior: JumpPrior = JumpPrior()
-) -> float:
-    """log p(params | d) up to a constant that depends on the data and prior
-    only, with J and Z summed out, on the natural scale (no Jacobian): the
-    log of prod_i [(1-lambda)*N(d_i; theta*dt_i, sigma2*dt_i)
-    + lambda*N(d_i; theta*dt_i + mu_z, sigma2*dt_i + sigma2_z)] plus the
-    Normal, inverse-gamma and Beta prior log densities. This is the target of
-    run_jump_gibbs's Metropolis move; lambda_star must lie inside (0, 1)."""
-    if not 0.0 < params.lambda_star < 1.0:
-        raise ValueError("lambda_star must lie strictly inside (0, 1)")
-    return _Marginal(inc, prior).log_kernel(*astuple(params)[:4], _logit(params.lambda_star))[0]
 
 
 def _move_state(marginal: _Marginal, proposal, x, e):
@@ -486,22 +471,22 @@ def _lambda_beta(k: int, n: int, prior: JumpPrior):
     return prior.lambda_a + k, prior.lambda_b + n - k
 
 
-def _check_steps(dt) -> np.ndarray:
-    """dt as a float array; ValueError unless every step is positive and finite."""
-    dt = np.asarray(dt, dtype=float)
-    if not np.all((dt > 0.0) & (dt < np.inf)):
-        raise ValueError("dt must be positive and finite")
-    return dt
-
-
 def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.ndarray:
-    """Sample n increments: Normal diffusion plus Bernoulli(lambda_star) jumps."""
+    """Sample n increments: Normal diffusion plus Bernoulli(lambda_star) jumps,
+    over steps of dt, one length for every step or a 1-d array of n; a
+    ValueError for any other shape, or unless every step is positive and
+    finite."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = np.random.default_rng(rng)
-    dt = np.broadcast_to(_check_steps(dt), (n,))
-    jump = (params.lambda_star, params.mu_z, params.sigma2_z)
-    return IncrementKernel(params.theta, params.sigma2, gen, jump).block(dt)[:, 0]
+    dt = np.asarray(dt, dtype=float)
+    if dt.shape not in ((), (n,)):
+        raise ValueError(f"dt must be a scalar or a 1-d array of n = {n} steps, "
+                         f"got an array of shape {dt.shape}")
+    if not np.all((dt > 0.0) & (dt < np.inf)):
+        raise ValueError("dt must be positive and finite")
+    theta, sigma2, *jump = astuple(params)
+    kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump)
+    return kernel.block(np.broadcast_to(dt, (n,)))[:, 0]
 
 
 def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:
@@ -543,7 +528,7 @@ def run_jump_gibbs(
     theta, sigma2, mu_z, sigma2_z, lam = astuple(_initial_params(inc, prior))
     marginal = _Marginal(inc, prior)
     n = inc.n
-    x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
+    x = _moved(theta, sigma2, mu_z, sigma2_z, lam)
     proposal = _laplace(marginal, x) if n >= _MOVE_MIN_N else None
     if proposal is not None:
         # start at the mode. From the no-jump start, whose sigma2 also holds
@@ -559,7 +544,7 @@ def run_jump_gibbs(
     # state is the move's state (_move_state), or None when the blocks have
     # moved the parameters since. E, at the state or at the parameters of a
     # sweep without the move, is in e. E and the indicators as fresh arrays
-    # on each evaluation, in place of this row and log_kernel's, took about
+    # on each evaluation, in place of this row and move_target's, took about
     # 1.02-1.03x the sweep time (measured as for _Marginal.scratch: faster in
     # 17 and 12 of 40 pairs), for the same chain.
     e, state, moves, taken = np.empty(n), None, 0, 0
@@ -570,7 +555,7 @@ def run_jump_gibbs(
         moving = offers is not None and 0.0 < lam < 1.0
         if moving:
             if state is None:
-                x = np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
+                x = _moved(theta, sigma2, mu_z, sigma2_z, lam)
                 state = _move_state(marginal, proposal, x, e)
             state, accepted = _independence_step(state, next(offers))
             moves, taken = moves + 1, taken + accepted

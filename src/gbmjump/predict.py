@@ -81,9 +81,8 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
     its thread.
     """
     rows = _subsample_rows(len(chain), _MAX_DRAWS)
-    names = ("theta", "sigma2", "lambda_star", "mu_z", "sigma2_z")
-    theta, sigma2, *jump = (chain.column(c)[rows] for c in names if c in chain.columns)
-    kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump or None)
+    theta, sigma2, *jump = (chain.column(c)[rows] for c in chain.columns if c != "n_jumps")
+    kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump)
     # here, not at module level: a run that draws no band skips it
     from concurrent.futures import ThreadPoolExecutor
 

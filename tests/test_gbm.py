@@ -196,7 +196,7 @@ class TestIncrementKernel:
     def test_flat_scatter_matches_the_mask_scatter(self, lam, every_row):
         theta, steps = [0.1, -0.2, 0.3, 0.0], np.linspace(1.0, 3.0, 12) / 252
         mu_z, sigma2_z = np.array([-0.1, 0.2, 0.05, 0.3]), np.array([1e-4, 4e-4, 9e-4, 1e-2])
-        jump = (np.array(lam), mu_z, sigma2_z)
+        jump = (mu_z, sigma2_z, np.array(lam))
         d = IncrementKernel(theta, 0.04, np.random.default_rng(5), jump).block(steps)
         # the boolean-mask scatter onto the same diffusion, from a twin kernel's
         # hit and size substreams; a jump-free kernel shares the noise substream
@@ -214,7 +214,7 @@ class TestIncrementKernel:
         # every diffusion step before any jump step: each substream is drawn by
         # one step, so the order between the steps does not matter
         steps = np.linspace(1.0, 3.0, 60) / 252
-        jump = (np.array([0.3, 0.0, 1.0]), np.array([-0.1, 0.2, 0.05]), np.array([1e-4, 4e-4, 9e-4]))
+        jump = (np.array([-0.1, 0.2, 0.05]), np.array([1e-4, 4e-4, 9e-4]), np.array([0.3, 0.0, 1.0]))
 
         def kernel():
             return IncrementKernel([0.1, -0.2, 0.3], 0.04, np.random.default_rng(8), jump if jumps else None)

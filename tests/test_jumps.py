@@ -16,7 +16,6 @@ from gbmjump import (
     JumpParams,
     JumpPrior,
     jumps,
-    marginal_log_posterior,
     run_jump_gibbs,
     simulate_jump_increments,
 )
@@ -484,6 +483,15 @@ class TestIncrementMoments:
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 simulate_jump_increments(REF, dt, 3)
 
+    def test_simulator_names_a_dt_of_the_wrong_shape(self):
+        # 2 steps for 5 increments, no steps, and steps as a column: each used
+        # to fail inside numpy's broadcasting
+        for dt in ([DT, DT], [], np.full((5, 1), DT)):
+            with pytest.raises(ValueError) as info:
+                simulate_jump_increments(REF, dt, 5)
+            assert str(info.value) == ("dt must be a scalar or a 1-d array of n = 5 steps, "
+                                       f"got an array of shape {np.shape(dt)}")
+
 
 class TestRunJumpGibbs:
     def test_shape_columns_and_determinism(self, train_inc):
@@ -596,8 +604,9 @@ def scipy_log_posterior(inc, p, prior):
     )
 
 
-class TestMarginalLogPosterior:
-    """marginal_log_posterior is the scipy mixture log posterior up to a constant."""
+class TestMoveTarget:
+    """_Marginal.move_target less the Jacobian of x's transforms is the scipy
+    mixture log posterior up to a constant, at one point and at k points."""
 
     @pytest.mark.parametrize("steps", [trading_steps, weekend_steps, distinct_steps],
                              ids=["trading-dt", "calendar-dt", "distinct-dt"])
@@ -622,15 +631,22 @@ class TestMarginalLogPosterior:
         far = JumpParams(theta=0.1, sigma2=0.02, mu_z=1.0, sigma2_z=1e-4, lambda_star=0.3)
         no_jump, jump = scipy_log_densities(inc, far)
         assert np.max(jump - no_jump) < -700.0
-        got = np.array([marginal_log_posterior(inc, p, SKEWED) for p in [*points, far]])
-        want = np.array([scipy_log_posterior(inc, p, SKEWED) for p in [*points, far]])
-        assert np.all(np.isfinite(got))
-        assert np.ptp(got - want) < 1e-9
-
-    def test_lambda_on_the_boundary_rejected(self, train_inc):
-        for lam in (0.0, 1.0):
-            with pytest.raises(ValueError, match="lambda_star"):
-                marginal_log_posterior(train_inc, _with(REF, lambda_star=lam))
+        params = [*points, far]
+        want = np.array([scipy_log_posterior(inc, p, SKEWED) for p in params])
+        xs = np.array([to_x(p) for p in params])
+        lam = np.array([p.lambda_star for p in params])
+        jacobian = xs[:, 1] + xs[:, 3] + np.log(lam) + np.log1p(-lam)
+        # a variance of exp(-700), on the edge where the target refuses it
+        bad = np.array(to_x(REF))
+        bad[1] = -700.0
+        marginal = _Marginal(inc, SKEWED)
+        one = np.array([marginal.move_target(x)[0] for x in xs])
+        block = marginal.move_target(np.vstack((xs, bad)))[0]
+        for got in (one, block[:-1]):
+            assert np.all(np.isfinite(got))
+            assert np.ptp(got - jacobian - want) < 1e-9
+        assert block[-1] == -math.inf
+        assert marginal.move_target(bad) == (-math.inf, None)
 
 
 def to_x(params):
@@ -917,14 +933,6 @@ class TestWholeSampler:
         assert all(abs(v) < 4.0 for v in z.values()), z
 
 
-def move_target(inc, prior, x):
-    """marginal_log_posterior on x plus the Jacobian of x's transforms."""
-    params = from_x(x)
-    lam = params.lambda_star
-    jacobian = x[1] + x[3] + math.log(lam) + math.log1p(-lam)
-    return marginal_log_posterior(inc, params, prior) + jacobian
-
-
 def proposal_streams(gen):
     """The generators of the move's normals, chi-squares and uniforms that
     run_jump_gibbs splits off gen: children 0, 1 and 2 of a SeedSequence
@@ -936,24 +944,26 @@ def proposal_streams(gen):
 
 def t_move(inc, prior, proposal, streams):
     """The move(x) -> (x, accepted) of reference_sweep that run_jump_gibbs makes,
-    from marginal_log_posterior: one independence step with the t proposal
-    (mode, factor, inverse), y = mode + factor @ z for z = g*sqrt(_T_DF/w),
-    drawn one at a time: 5 normals g, a chi-square w and the uniform of the
-    test each from its generator in streams (proposal_streams). factor @ z is
-    summed elementwise in column order, as the sampler does; the proposal's
-    density comes from a solve against factor."""
+    from _Marginal.move_target, one point per call: one independence step
+    with the t proposal (mode, factor, inverse), y = mode + factor @ z for
+    z = g*sqrt(_T_DF/w), drawn one at a time: 5 normals g, a chi-square w and
+    the uniform of the test each from its generator in streams
+    (proposal_streams). factor @ z is summed elementwise in column order, as
+    the sampler does; the proposal's density comes from a solve against
+    factor."""
     mode, factor, _ = proposal
     normals, chisquares, uniforms = streams
+    marginal = _Marginal(inc, prior)
 
     def log_q(v):
         w = np.linalg.solve(factor, v - mode)
         return -0.5 * (_T_DF + 5) * math.log1p(w @ w / _T_DF)
 
     def move(x):
-        current = move_target(inc, prior, x)
+        current = marginal.move_target(x)[0]
         z = normals.standard_normal(5) * math.sqrt(_T_DF / chisquares.chisquare(_T_DF))
         y = mode + (z * factor).sum(axis=1)
-        log_ratio = move_target(inc, prior, y) - current + log_q(x) - log_q(y)
+        log_ratio = marginal.move_target(y)[0] - current + log_q(x) - log_q(y)
         if uniforms.random() < math.exp(min(log_ratio, 0.0)):
             return y, True
         return x, False

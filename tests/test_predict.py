@@ -245,9 +245,8 @@ def serial_price_blocks(chain, start, dt, rng, block):
     """_price_blocks as a serial loop: each block drawn by kernel.block on the
     caller's thread, then carried, summed and exponentiated."""
     rows = predict._subsample_rows(len(chain), predict._MAX_DRAWS)
-    names = ("theta", "sigma2", "lambda_star", "mu_z", "sigma2_z")
-    theta, sigma2, *jump = (chain.column(c)[rows] for c in names if c in chain.columns)
-    kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump or None)
+    theta, sigma2, *jump = (chain.column(c)[rows] for c in chain.columns if c != "n_jumps")
+    kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump)
     carry = np.full(len(rows), np.log(start))
     for lo in range(0, len(dt), block):
         y = kernel.block(dt[lo:lo + block])

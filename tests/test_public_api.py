@@ -10,8 +10,8 @@ from conftest import TRAIN_CSV
 PUBLIC_NAMES = [
     "Band", "ChainMeta", "DataError", "GbmParams", "GbmPrior", "IncrementSeries",
     "JumpParams", "JumpPrior", "ParamSummary", "PosteriorChain", "PriceSeries",
-    "fitted_band", "load_price_series", "log_likelihood", "marginal_log_posterior",
-    "mle_fit", "pacf", "predictive_band", "read_chain_csv", "run_gibbs", "run_jump_gibbs",
+    "fitted_band", "load_price_series", "log_likelihood", "mle_fit", "pacf",
+    "predictive_band", "read_chain_csv", "run_gibbs", "run_jump_gibbs",
     "simulate_jump_increments", "summarize", "to_increments", "write_band_csv",
     "write_chain_csv",
 ]
