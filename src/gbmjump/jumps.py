@@ -28,28 +28,31 @@ With the move on, the sweeps run in cycles of _MOVES from sweep 0: the move
 alone in the first _MOVES - 1, a whole sweep in the last. Each kernel leaves
 the posterior invariant, so the fixed cycle does too (Tierney 1994, Ann.
 Statist. 22). The proposal does not depend on the chain's state (Liu 1996,
-Stat. Comput. 6), so its offers are drawn, and the target's value and E at
+Stat. Comput. 6), so its offers are drawn, and the target's value and P at
 each evaluated, _BLOCK at a time before the sweeps reach them (Brockwell
 2006, JCGS 15), from three substreams split off the chain's generator before
-sweep 0; the step itself only compares and copies. The move keeps the
-target's value and E at its state from the evaluation that put it there, and
-evaluates afresh, at one point, only after the blocks have moved the state. A
-move-only sweep's row holds the move's (theta, sigma2, mu_z, sigma2_z,
-lambda_star) and, as n_jumps, the count of indicators drawn from n uniforms
-against the E at those parameters, so every row is a joint draw (van Dyk &
-Park 2008, JASA 103). The move is off, and every sweep a whole one, on series
+sweep 0; the step itself only compares and copies. Here P is the array of
+each step's jump probability 1/(1 + E), E = exp(-log-odds), which the target
+forms once per point it evaluates. The move keeps the target's value and P at
+its state from the evaluation that put it there, and evaluates afresh, at one
+point, only after the blocks have moved the state. A move-only sweep's row
+holds the move's (theta, sigma2, mu_z, sigma2_z, lambda_star) and, as
+n_jumps, the count of indicators drawn from n uniforms against the P at
+those parameters, so every row is a joint draw (van Dyk & Park 2008, JASA
+103); in burn-in, where that row is not kept, the generator skips the n
+uniforms instead. The move is off, and every sweep a whole one, on series
 of fewer than 250 increments, when Newton does not converge within 50 steps
 or minus the Hessian at its end is not positive definite (the conjugate
 blocks then run alone), and at a lambda_star of exactly 0 or 1 until the next
-draw of it. The array E = exp(-log-odds) that the move's target evaluates at
-the state it keeps is the indicator draw's input, and the chain's jump_probs
-average each step's jump probability 1/(1 + E) over kept sweeps of both kinds
-(Rao-Blackwellized), so they draw no random numbers. The blocks after the
-latent one read the sizes only through sum Z, sum Z^2 and the sizes'
-correction to the diffusion statistics. Those sums come from their joint law
-given J, by groups of active steps, and no size is drawn (_size_sums): equal
-steps are one group, drawn from two normals and a chi-square; on unequal
-steps each active step is its own group, drawn from one normal.
+draw of it. The P at the move's state, or at the parameters of a sweep
+without the move, is the indicator draw's input, and the chain's jump_probs
+average it over kept sweeps of both kinds (Rao-Blackwellized), so they draw
+no random numbers. The blocks after the latent one read the sizes only
+through sum Z, sum Z^2 and the sizes' correction to the diffusion
+statistics. Those sums come from their joint law given J, by groups of
+active steps, and no size is drawn (_size_sums): equal steps are one group,
+drawn from two normals and a chi-square; on unequal steps each active step
+is its own group, drawn from one normal.
 run_jump_gibbs takes the same (inc, prior, n_keep, burn_in, seed) as
 gibbs.run_gibbs.
 """
@@ -118,13 +121,15 @@ class JumpPrior:
 # log1p(exp(-L)) + L still gives softplus(L) to within 1e-13 below it.
 _LOG_ODDS_FLOOR = -700.0
 _NO_DATA = _SuffStats(0, 0.0, 0.0, 0.0)
-# The move runs on series of at least _MOVE_MIN_N increments: on shorter ones
-# its proposal fits the posterior too loosely to be taken often, and its target
-# evaluations, one at each sweep's offer and one per cycle at the state the
-# conjugate blocks leave, cost more than the blocks. The threshold 250 was set
-# when every sweep made two one-point evaluations, before the cycle and before
-# the offers were evaluated in blocks, so at a higher cost per evaluation than
-# today's; it has not been measured again. The proposal is a t with _T_DF
+# The move runs on series of at least _MOVE_MIN_N increments. The threshold
+# 250 was set when every sweep made two one-point evaluations of the target,
+# before the cycle and the block offers, on the view that below it the move
+# costs more than the conjugate blocks and is seldom taken. A later scan
+# (ROADMAP item 19) found the opposite on series shaped like the bundled data:
+# at n = 60, 120 and 249 the move raised the smallest per-parameter ESS per
+# second of sampler time (157 -> 195, 140 -> 213, 201 -> 450), with
+# acceptance 0.28-0.43. The threshold stays until item 19's scan over shapes
+# and seeds decides it. The proposal is a t with _T_DF
 # degrees of freedom and _T_SCALE times the Laplace covariance as its scale:
 # of df in {5, 10, 20, 30, 50} and scale in {1.0, 1.1, 1.2}, the pair with the
 # highest geometric mean of the smallest per-parameter ESS over synthetic
@@ -148,11 +153,12 @@ _MOVE_MIN_N, _T_DF, _T_SCALE, _NEWTON_CAP = 250, 30.0, 1.2, 50
 # tests/test_predict.py's jump-band test rejects.
 _MOVES = 3
 # The move's offers are drawn and evaluated this many at a time (_offers);
-# the chain does not depend on it, and its E rows take _BLOCK * n * 8 bytes
-# (0.39 MB on the bundled data). Against 32, a sweep took 1.09 times as long
-# at 16 and 0.96 times at 64 (medians of 16 alternating 2,000-sweep fits of
-# the bundled data in one process, 2-CPU Xeon VM).
-_BLOCK = 32
+# the chain does not depend on it, and its P rows take _BLOCK * n * 8 bytes
+# (0.77 MB on the bundled data). On the bundled data's equal steps a sweep
+# took 0.94 of its thread CPU time at 32 (medians of 20 alternating 6,000-sweep
+# fits in one process, faster in 17, scripts/sweep_time.py, 2-CPU Xeon VM).
+# Unequal steps evaluate the offers row by row, so there it changes little.
+_BLOCK = 64
 
 
 def _logit(p: float) -> float:
@@ -175,6 +181,11 @@ def _moved(theta, sigma2, mu_z, sigma2_z, lam):
     """The move's x at (theta, sigma2, mu_z, sigma2_z, lambda_star), the
     inverse of _natural."""
     return np.array((theta, math.log(sigma2), mu_z, math.log(sigma2_z), _logit(lam)))
+
+
+def _jump_probs(e):
+    """1/(1 + E) in place of the array E, which it returns."""
+    return np.reciprocal(np.add(e, 1.0, out=e), out=e)
 
 
 def _softplus(t):
@@ -238,8 +249,9 @@ class _Marginal:
     summed out: per step the mixture (1-lambda)*N(d; theta*dt, sigma2*dt) +
     lambda*N(d; theta*dt + mu_z, sigma2*dt + sigma2_z), times the priors.
     move_target is its one evaluator, on the move's coordinates x, at one
-    point or at k; it also returns E = exp(-max(L, _LOG_ODDS_FLOOR)) of the
-    log-odds, the indicator draw's input at that point."""
+    point or at k; it also returns each step's jump probability
+    P = 1/(1 + E), E = exp(-max(L, _LOG_ODDS_FLOOR)) of the log-odds L, the
+    indicator draw's input at that point."""
 
     def __init__(self, inc: IncrementSeries, prior: JumpPrior) -> None:
         self.d, self.prior = inc.d, prior
@@ -254,16 +266,17 @@ class _Marginal:
         # faster in 0 and 3 of 40), for the same chain.
         self.scratch = np.empty((2, inc.n))
 
-    def indicators(self, e, gen, probs=None):
-        """J_i = [u_i < 1/(1 + E_i)] from n uniforms, as u_i*(1 + E_i) < 1,
-        1.0 or 0.0 per step in a work row of move_target, valid until its next
-        call, so e is left as it was; probs, when given, gains each step's
-        jump probability 1/(1 + E_i)."""
-        odds = np.add(e, 1.0, out=self.scratch[1])
+    def indicators(self, p, gen, probs=None):
+        """J_i = [u_i < P_i] from n uniforms drawn into a work row of
+        move_target, 1.0 or 0.0 per step in that row, valid until its next
+        call; p is left as it was, and probs, when given, gains p. Drawn as
+        u_i*(1 + E_i) < 1, the indicators would differ only where u_i is one
+        value, fixed by E_i, of the 2^53 that random() draws: at most once in
+        2^53 draws."""
         if probs is not None:
-            probs += np.reciprocal(odds, out=self.scratch[0])
-        odds *= gen.random(odds.size)
-        return np.less(odds, 1.0, out=odds)
+            probs += p
+        u = gen.random(out=self.scratch[1])
+        return np.less(u, p, out=u)
 
     def jump_stats(self, active, theta, sigma2, mu_z, sigma2_z, gen):
         """(_SuffStats of the active steps' sizes as unit-length steps,
@@ -312,10 +325,11 @@ class _Marginal:
         return np.minimum(neg, -_LOG_ODDS_FLOOR, out=neg)
 
     def move_target(self, x, out=None):
-        """(log density up to a constant, E of the log-odds it summed, in out
-        when given) at x = (theta, log sigma2, mu_z, log sigma2_z, logit
-        lambda_star): one point as a 1-d x, or k points as the rows of a
-        (k, 5) x, for an array of k values and E with one row per point.
+        """(log density up to a constant, P = 1/(1 + E) of the log-odds it
+        summed, in out when given) at x = (theta, log sigma2, mu_z, log
+        sigma2_z, logit lambda_star): one point as a 1-d x, or k points as
+        the rows of a (k, 5) x, for an array of k values and P with one row
+        per point.
 
         Each step's log mixture density is log N(d; theta*dt, sigma2*dt)
         + log(1 - lambda) + softplus(L) with L its jump log-odds, and
@@ -323,11 +337,11 @@ class _Marginal:
         densities enter in closed form through the sufficient statistics. The
         priors follow, then the Jacobian of x's transforms, log sigma2
         + log sigma2_z + log lambda_star + log(1 - lambda_star). k points on
-        equal steps take one (k, 3) @ powers product into E's rows, and
-        log1p(E) goes through the two work rows, two rows at a time; on
-        unequal steps the points go through the one-point code row by row.
-        The value is -inf where a variance overflows or underflows: with E
-        None at one point; at k points that row of E is meaningless.
+        equal steps take one (k, 3) @ powers product into the rows that E and
+        then P take, and log1p(E) goes through the two work rows, two rows at
+        a time; on unequal steps the points go through the one-point code row
+        by row. The value is -inf where a variance overflows or underflows:
+        with P None at one point; at k points that row of P is meaningless.
         """
         if x.ndim == 1:
             theta, log_s2, mu_z, log_sz2, logit_lam = x.tolist()
@@ -338,9 +352,10 @@ class _Marginal:
             e = np.exp(neg, out=out)
             np.log1p(e, out=self.scratch[1])
             sum_neg, sum_log1p = (self.scratch @ self.powers[2]).tolist()
+            p = _jump_probs(e)
         elif not isinstance(self.dt, float):
-            e = np.empty((len(x), self.d.size)) if out is None else out
-            return np.array([self.move_target(point, out=row)[0] for point, row in zip(x, e)]), e
+            p = np.empty((len(x), self.d.size)) if out is None else out
+            return np.array([self.move_target(point, out=row)[0] for point, row in zip(x, p)]), p
         else:
             theta, log_s2, mu_z, log_sz2, logit_lam = x.T
             log_var = x[:, 1:4:2]
@@ -352,6 +367,7 @@ class _Marginal:
             e = np.exp(neg, out=neg)
             sum_log1p = np.concatenate([np.log1p(rows, out=self.scratch[:len(rows)]) @ self.powers[2]
                                         for rows in np.split(e, range(2, len(e), 2))])
+            p = _jump_probs(e)
         prior = self.prior
         log_1m = -_softplus(logit_lam)  # log(1 - lambda_star)
         value = (_normal_ig_log_kernel(self.stats, theta, sigma2, prior.diffusion)
@@ -361,24 +377,24 @@ class _Marginal:
                  + log_s2 + log_sz2 + logit_lam + 2.0 * log_1m)
         if x.ndim == 2:
             value[bad] = -math.inf
-        return value, e
+        return value, p
 
 
-def _move_state(marginal: _Marginal, proposal, x, e):
+def _move_state(marginal: _Marginal, proposal, x, p):
     """The move's state at x: (x, marginal.move_target's value there,
     _T_DF + |inverse @ (x - mode)|^2 for the t proposal (mode, factor,
-    inverse), E at x in the buffer e)."""
+    inverse), P at x in the buffer p)."""
     mode, _, inverse = proposal
     w = inverse @ (x - mode)
-    return x, marginal.move_target(x, e)[0], _T_DF + w @ w, e
+    return x, marginal.move_target(x, p)[0], _T_DF + w @ w, p
 
 
 def _offers(marginal: _Marginal, proposal, streams):
     """The move's offers, one at a time: (y, marginal.move_target's value at
-    y, _T_DF + |z|^2, E at y, a uniform u) for y = mode + factor @ z of the t
+    y, _T_DF + |z|^2, P at y, a uniform u) for y = mode + factor @ z of the t
     proposal (mode, factor, inverse), z = g*sqrt(_T_DF/w) from 5 standard
     normals g and a chi-square w with _T_DF degrees of freedom. The offers
-    are drawn and evaluated _BLOCK at a time, and the E rows live in one
+    are drawn and evaluated _BLOCK at a time, and the P rows live in one
     (_BLOCK, n) block that the next draw refills. The normals, the
     chi-squares and the uniforms each come from one of the three generators
     in streams, and factor @ z is an elementwise sum (a BLAS product rounds
@@ -386,30 +402,30 @@ def _offers(marginal: _Marginal, proposal, streams):
     offers."""
     mode, factor, _ = proposal
     normals, chisquares, uniforms = streams
-    e = np.empty((_BLOCK, marginal.d.size))
+    p = np.empty((_BLOCK, marginal.d.size))
     while True:
         z = normals.standard_normal((_BLOCK, len(mode)))
         z *= np.sqrt(_T_DF / chisquares.chisquare(_T_DF, _BLOCK))[:, None]
         y = mode + (z[:, None, :] * factor).sum(axis=2)
-        values = marginal.move_target(y, e)[0].tolist()
+        values = marginal.move_target(y, p)[0].tolist()
         norms = (_T_DF + (z * z).sum(axis=1)).tolist()
-        yield from zip(y, values, norms, e, uniforms.random(_BLOCK).tolist())
+        yield from zip(y, values, norms, p, uniforms.random(_BLOCK).tolist())
 
 
 def _independence_step(state, offer):
     """One independence Metropolis step from the move's state (x, target
-    value, _T_DF + |w|^2, E) of _move_state, to the offer's y (_offers),
+    value, _T_DF + |w|^2, P) of _move_state, to the offer's y (_offers),
     taken when u < exp(target(y) - target(x) + log q(x) - log q(y)) for the
     t proposal's log density log q = -(_T_DF + 5)/2*log(_T_DF + |w|^2)
     + constant, w = inverse @ (x - mode), which is z at y. Taking y copies
-    its E row into the state's buffer. Returns the next state and whether y
+    its P row into the state's buffer. Returns the next state and whether y
     was taken."""
-    x, value, norm, e = state
-    y, y_value, y_norm, y_e, u = offer
+    x, value, norm, p = state
+    y, y_value, y_norm, y_p, u = offer
     log_q = 0.5 * (_T_DF + len(x)) * math.log(y_norm / norm)
     if u < math.exp(min(y_value - value + log_q, 0.0)):
-        np.copyto(e, y_e)
-        return (y, y_value, y_norm, e), True
+        np.copyto(p, y_p)
+        return (y, y_value, y_norm, p), True
     return state, False
 
 
@@ -517,9 +533,9 @@ def run_jump_gibbs(
     sigma2, mu_z, sigma2_z, lambda_star, n_jumps) whose meta.accept_rate is
     the share of the move's proposals taken over all sweeps, or None when the
     move is off, and whose jump_probs holds the posterior mean of each J_i:
-    the mean over kept sweeps of the probability 1/(1 + E_i) that the
-    indicator draw used. As in run_gibbs, burn_in and seed are checked by
-    ChainMeta before the first sweep.
+    the mean over kept sweeps of the probability P_i that the indicator draw
+    used. As in run_gibbs, burn_in and seed are checked by ChainMeta before
+    the first sweep.
     """
     if n_keep < 1:
         raise ValueError("need n_keep >= 1")
@@ -542,12 +558,12 @@ def run_jump_gibbs(
     offers = None if proposal is None else _offers(
         marginal, proposal, tuple(map(_substreams(gen), range(3))))
     # state is the move's state (_move_state), or None when the blocks have
-    # moved the parameters since. E, at the state or at the parameters of a
-    # sweep without the move, is in e. E and the indicators as fresh arrays
+    # moved the parameters since. P, at the state or at the parameters of a
+    # sweep without the move, is in p. Fresh arrays for it and the indicators
     # on each evaluation, in place of this row and move_target's, took about
     # 1.02-1.03x the sweep time (measured as for _Marginal.scratch: faster in
     # 17 and 12 of 40 pairs), for the same chain.
-    e, state, moves, taken = np.empty(n), None, 0, 0
+    p, state, moves, taken = np.empty(n), None, 0, 0
     draws, jump_probs = np.empty((n_keep, 6)), np.zeros(n)
     for sweep in range(burn_in + n_keep):
         kept = sweep >= burn_in
@@ -556,18 +572,26 @@ def run_jump_gibbs(
         if moving:
             if state is None:
                 x = _moved(theta, sigma2, mu_z, sigma2_z, lam)
-                state = _move_state(marginal, proposal, x, e)
+                state = _move_state(marginal, proposal, x, p)
             state, accepted = _independence_step(state, next(offers))
             moves, taken = moves + 1, taken + accepted
             if accepted:
                 theta, sigma2, mu_z, sigma2_z, lam = _natural(state[0])
         else:
-            np.exp(marginal.neg_log_odds(theta, sigma2, mu_z, sigma2_z, _logit(lam), e), out=e)
-        active = marginal.indicators(e, gen, jump_probs if kept else None)
-        # n_jumps counts the indicators drawn in the sweep. A move-only sweep
-        # ends with the move's state; the last sweep of a cycle, and every
-        # sweep without the move, runs the blocks too.
-        if moving and sweep % _MOVES < _MOVES - 1:
+            _jump_probs(np.exp(marginal.neg_log_odds(
+                theta, sigma2, mu_z, sigma2_z, _logit(lam), p), out=p))
+        # A move-only sweep ends with the move's state; the last sweep of a
+        # cycle, and every sweep without the move, runs the blocks too. In
+        # burn-in, a move-only sweep's indicators would feed nothing: the
+        # generator skips the n uniforms they take (PCG64 spends one 64-bit
+        # output per double), so every later draw is the one it would be.
+        move_only = moving and sweep % _MOVES < _MOVES - 1
+        if move_only and not kept:
+            gen.bit_generator.advance(n)
+            continue
+        active = marginal.indicators(p, gen, jump_probs if kept else None)
+        # n_jumps counts the indicators drawn in the sweep
+        if move_only:
             n_jumps = np.count_nonzero(active)
         else:
             sizes, stats = marginal.jump_stats(active, theta, sigma2, mu_z, sigma2_z, gen)

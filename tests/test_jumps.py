@@ -19,7 +19,7 @@ from gbmjump import (
     run_jump_gibbs,
     simulate_jump_increments,
 )
-from gbmjump.gbm import _SuffStats
+from gbmjump.gbm import _substreams, _SuffStats
 from gbmjump.gibbs import _draw_theta_sigma2
 from gbmjump.jumps import (
     _MOVE_MIN_N,
@@ -859,24 +859,28 @@ class TestOfferBlocks:
                              ids=["trading-dt", "calendar-dt", "distinct-dt"])
     def test_block_matches_one_point_evaluations(self, train_inc, steps):
         # equal steps take one product for the block, unequal steps go row by
-        # row; a row whose sigma2 overflows is -inf in either
+        # row; a row whose sigma2 overflows is -inf in either. Each row of P,
+        # at one point and in the block, is every step's jump probability
+        # from the oracle's scipy densities.
         inc = steps(train_inc)
         marginal = _Marginal(inc, SKEWED)
         xs = np.array([0.3, -5.0, -0.002, -8.0, -0.5]) + np.random.default_rng(12).normal(
             0.0, [0.1, 0.2, 1e-3, 0.3, 0.3], (8, 5))
         xs[5, 1] = 800.0
-        e = np.full((8, inc.n), np.nan)
+        probs = np.full((8, inc.n), np.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, rows = marginal.move_target(xs, e)
-        assert rows is e and values.shape == (8,)
+            values, rows = marginal.move_target(xs, probs)
+        assert rows is probs and values.shape == (8,)
         for i, x in enumerate(xs):
             value, row = marginal.move_target(x, np.empty(inc.n))
             if i == 5:
                 assert value == values[i] == -math.inf and row is None
             else:
+                want = jump_indicator_prob(inc, from_x(x))
                 assert values[i] == pytest.approx(value, rel=1e-12, abs=0.0)
-                assert e[i] == pytest.approx(row, rel=1e-12, abs=0.0)
+                assert row == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert probs[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_chain_never_takes_an_overflowing_offer(self, train_inc, monkeypatch):
         # every other offer's sigma2 overflows: its target is -inf, and were
@@ -1054,3 +1058,40 @@ class TestSweepWiring:
         assert np.array_equal(chain.draws, draws)
         # the same probabilities, evaluated along another route
         assert chain.jump_probs == pytest.approx(probs, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", [1, 42, 7])
+    def test_advance_skips_exactly_the_uniforms(self, seed):
+        # a move-only sweep of burn-in advances the chain's generator past the
+        # n uniforms its indicators would take: after the move's substreams
+        # are split off, every draw a sweep makes comes out as if they had
+        # been drawn
+        n = 1510
+        skipped, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        for gen in (skipped, drawn):
+            _substreams(gen)
+        skipped.bit_generator.advance(n)
+        drawn.random(n)
+        for _ in range(3):
+            for draw in (lambda g: g.standard_normal(2), lambda g: g.chisquare(57.0),
+                         lambda g: g.beta(3.0, 9.0), lambda g: g.gamma(4.0),
+                         lambda g: g.random(n)):
+                assert np.array_equal(draw(skipped), draw(drawn))
+        # both end at one position with the same 32-bit buffer flag; the
+        # stale word that advance zeroes is read only while that flag is set
+        for key in ("state", "has_uint32"):
+            assert skipped.bit_generator.state[key] == drawn.bit_generator.state[key]
+
+    def test_burn_in_draws_indicators_only_in_whole_sweeps(self, train_inc, monkeypatch):
+        # with the move on, every kept sweep draws indicators, and of the 10
+        # burn-in sweeps only the whole ones, the last of each cycle: 20 + 3
+        calls = []
+        indicators = jumps._Marginal.indicators
+
+        def counted(self, *args):
+            calls.append(1)
+            return indicators(self, *args)
+
+        monkeypatch.setattr(jumps._Marginal, "indicators", counted)
+        chain = run_jump_gibbs(train_inc, n_keep=20, burn_in=10, seed=42)
+        assert train_inc.n == 1510 and chain.meta.accept_rate is not None
+        assert len(calls) == 20 + len(range(_MOVES - 1, 10, _MOVES)) == 23
