@@ -43,17 +43,12 @@ class GbmPrior:
         return self.ig_scale
 
 
-def _theta_conditional(stats: _SuffStats, sigma2: float, prior: GbmPrior):
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    prec = 1.0 / prior.theta_var + stats.st / sigma2
-    mean = (prior.theta_mean / prior.theta_var + stats.sd / sigma2) / prec
-    return mean, 1.0 / prec
-
-
-def _sigma2_conditional(stats: _SuffStats, theta: float, prior: GbmPrior):
-    rss = stats.sdd - 2.0 * theta * stats.sd + theta * theta * stats.st
-    return prior.ig_shape + 0.5 * stats.n, prior.ig_scale + 0.5 * rss
+def _sigma2_conditional(stats, theta: float, prior: GbmPrior):
+    """(shape, scale) of sigma2 | theta from stats, a _SuffStats or a plain
+    tuple in its field order."""
+    n, sd, st, sdd = stats
+    rss = sdd - 2.0 * theta * sd + theta * theta * st
+    return prior.ig_shape + 0.5 * n, prior.ig_scale + 0.5 * rss
 
 
 def _normal_ig_log_kernel(stats: _SuffStats, theta: float, sigma2: float, prior: GbmPrior):
@@ -67,10 +62,14 @@ def _normal_ig_log_kernel(stats: _SuffStats, theta: float, sigma2: float, prior:
     return -(shape + 1.0) * log_sigma2 - scale / sigma2 - 0.5 * dev * dev / prior.theta_var
 
 
-def _draw_theta_sigma2(stats: _SuffStats, sigma2: float, prior: GbmPrior, gen):
-    """One sweep of the diffusion block: theta | sigma2, then sigma2 | theta."""
-    mean, var = _theta_conditional(stats, sigma2, prior)
-    theta = mean + math.sqrt(var) * gen.standard_normal()
+def _draw_theta_sigma2(stats, sigma2: float, prior: GbmPrior, gen):
+    """One sweep of the diffusion block from stats, a _SuffStats or a plain
+    tuple in its field order: theta | sigma2 ~ Normal(m, v) of the module
+    docstring, written out here alone, then sigma2 | theta."""
+    _, sd, st, _ = stats
+    prec = 1.0 / prior.theta_var + st / sigma2
+    mean = (prior.theta_mean / prior.theta_var + sd / sigma2) / prec
+    theta = mean + math.sqrt(1.0 / prec) * gen.standard_normal()
     shape, scale = _sigma2_conditional(stats, theta, prior)
     return float(theta), float(scale / gen.gamma(shape))
 

@@ -9,11 +9,15 @@ and dropped, so no band holds the draws x steps path matrix. A worker thread
 draws the next block's diffusion and jump hits while the caller adds the
 current block's jump sizes, sums, exponentiates, and sorts each step's prices
 in place for its quantiles; numpy releases the GIL in both, so a band keeps two
-CPUs busy, and the bytes are those of a serial loop.
+CPUs busy, and the bytes are those of a serial loop. The worker is a plain
+threading.Thread fed through two queue.SimpleQueues: a concurrent.futures
+pool imported logging as well, which cost each forecast process 6-10 ms.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -74,25 +78,36 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
 
     The log-price carried from block to block is added to a block's first row
     before the in-place prefix sum, so every block length gives the same bytes.
-    A pool of one worker thread runs kernel.diffusion for block j+1 while the
-    caller runs kernel.add_jumps on block j and reduces it, so each substream
-    is still consumed by one thread in block order. An error the worker raises
-    is raised here, and closing the generator shuts the pool down and joins
-    its thread.
+    One worker thread runs kernel.diffusion for block j+1 while the caller runs
+    kernel.add_jumps on block j and reduces it, so each substream is still
+    consumed by one thread in block order. The caller asks for a block through
+    one queue and takes its draws from the other, so at most one block is
+    drawn ahead. An error the worker raises ends the worker and is raised
+    here, and closing the generator stops the worker and joins its thread.
     """
     rows = _subsample_rows(len(chain), _MAX_DRAWS)
     theta, sigma2, *jump = (chain.column(c)[rows] for c in chain.columns if c != "n_jumps")
     kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump)
-    # here, not at module level: a run that draws no band skips it
-    from concurrent.futures import ThreadPoolExecutor
+    asked, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw():  # the worker: each asked block's diffusion, until None
+        try:
+            while (steps := asked.get()) is not None:
+                drawn.put(kernel.diffusion(steps))
+        except Exception as exc:  # for the caller to raise
+            drawn.put(exc)
 
     carry = np.full(len(rows), np.log(start))
-    with ThreadPoolExecutor(1) as pool:
-        drawn = pool.submit(kernel.diffusion, dt[:_BLOCK])
+    asked.put(dt[:_BLOCK])
+    worker = threading.Thread(target=draw)
+    worker.start()
+    try:
         for lo in range(0, len(dt), _BLOCK):
-            item = drawn.result()
+            item = drawn.get()
+            if isinstance(item, Exception):
+                raise item
             if lo + _BLOCK < len(dt):
-                drawn = pool.submit(kernel.diffusion, dt[lo + _BLOCK:lo + 2 * _BLOCK])
+                asked.put(dt[lo + _BLOCK:lo + 2 * _BLOCK])
             y = kernel.add_jumps(*item)
             y[0] += carry
             # the prefix sum down the rows: np.cumsum(y, axis=0)'s additions in
@@ -103,6 +118,9 @@ def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
                 y[i] += y[i - 1]
             carry = y[-1].copy()
             yield np.exp(y, out=y)
+    finally:
+        asked.put(None)
+        worker.join()
 
 
 def _tail(level: float) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 import math
 import zlib
 from dataclasses import dataclass
@@ -194,6 +193,8 @@ def write_csv(path, columns: dict, meta: dict | None = None) -> None:
 
 def write_json(path, data) -> None:
     """Write data as indented JSON with sorted keys and a final newline."""
+    import json  # here, not at module level: only json output needs it
+
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,10 +1,11 @@
 """The conjugate conditionals on a series, as the paper writes them, and the
 jump model's increment moments: reference forms that only the tests read.
 
-The samplers call the private _theta_conditional, _sigma2_conditional and
-_draw_theta_sigma2 on a series' sufficient statistics; the conditionals here
-are those on an IncrementSeries, and their samplers draw one parameter each
-from a generator of their own.
+The samplers call the private _sigma2_conditional and _draw_theta_sigma2 on a
+series' sufficient statistics; _draw_theta_sigma2 writes theta | sigma2 out
+inline, and theta_conditional here is its reference form. The conditionals
+here are those on an IncrementSeries, and their samplers draw one parameter
+each from a generator of their own.
 """
 
 import math
@@ -13,12 +14,18 @@ import numpy as np
 
 from gbmjump import GbmPrior, IncrementSeries, JumpParams
 from gbmjump.gbm import _SuffStats
-from gbmjump.gibbs import _sigma2_conditional, _theta_conditional
+from gbmjump.gibbs import _sigma2_conditional
 
 
 def theta_conditional(inc: IncrementSeries, sigma2: float, prior: GbmPrior = GbmPrior()):
-    """(mean, variance) of theta | sigma2, data."""
-    return _theta_conditional(_SuffStats.of(inc.d, inc.dt), sigma2, prior)
+    """(mean, variance) of theta | sigma2, data: 1/v = 1/theta_var +
+    sum(dt)/sigma2, m = v*(theta_mean/theta_var + sum(d)/sigma2)."""
+    if sigma2 <= 0.0:
+        raise ValueError("sigma2 must be positive")
+    _, sd, st, _ = _SuffStats.of(inc.d, inc.dt)
+    prec = 1.0 / prior.theta_var + st / sigma2
+    mean = (prior.theta_mean / prior.theta_var + sd / sigma2) / prec
+    return mean, 1.0 / prec
 
 
 def sigma2_conditional(inc: IncrementSeries, theta: float, prior: GbmPrior = GbmPrior()):

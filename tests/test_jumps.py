@@ -289,8 +289,9 @@ class TestSampleLatent:
         active = np.zeros(train_inc.n)
         active[:k] = 1.0
         gen = np.random.default_rng(32)
-        sizes, _ = _Marginal(train_inc, JumpPrior()).jump_stats(active, *astuple(REF)[:4], gen)
-        assert sizes.n == k
+        (count, *_), _ = _Marginal(train_inc, JumpPrior()).jump_stats(
+            active, *astuple(REF)[:4], gen)
+        assert count == k
         twin = np.random.default_rng(32)
         if k > 0:
             twin.standard_normal(2)
@@ -369,10 +370,11 @@ class TestSizeSums:
         active = np.zeros(inc.n)
         active[:k] = 1.0
         marginal, gen, reps = _Marginal(inc, JumpPrior()), np.random.default_rng(61), 20_000
+        # plain tuples in _SuffStats' field order (n, sd, st, sdd)
         got = np.array([
-            (sizes.sd, sizes.sdd, resid.sd, resid.sdd)
-            for sizes, resid in (marginal.jump_stats(active, *astuple(REF)[:4], gen)
-                                 for _ in range(reps))
+            (sizes_sd, sizes_sdd, resid_sd, resid_sdd)
+            for (_, sizes_sd, _, sizes_sdd), (_, resid_sd, _, resid_sdd) in (
+                marginal.jump_stats(active, *astuple(REF)[:4], gen) for _ in range(reps))
         ])
         # brute force: one size per active step from its conditional normal
         d, dt = inc.d[:k], inc.dt[:k]
@@ -719,7 +721,7 @@ def geweke_step(inc, x, streams):
     under GEWEKE_PRIOR with GEWEKE_PROPOSAL, its offer drawn from streams."""
     marginal = _Marginal(inc, GEWEKE_PRIOR)
     state = _move_state(marginal, GEWEKE_PROPOSAL, x, np.empty(inc.n))
-    state, taken = _independence_step(state, next(_offers(marginal, GEWEKE_PROPOSAL, streams)))
+    state, taken = _independence_step(state, next(_offers(marginal, GEWEKE_PROPOSAL, streams, 1)))
     return state[0], taken
 
 

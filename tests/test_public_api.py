@@ -1,10 +1,11 @@
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import gbmjump
-from conftest import TRAIN_CSV
+from conftest import SCRIPTS, TRAIN_CSV
 
 # A new export is a deliberate change to this list.
 PUBLIC_NAMES = [
@@ -18,9 +19,12 @@ PUBLIC_NAMES = [
 
 # Modules that importing the package must not load: hashlib loads OpenSSL
 # (about 3.5 MB of resident memory), and queue, logging and concurrent each
-# add import time to every CLI run; predict imports concurrent.futures, which
-# imports logging and queue, when it draws a band.
+# add import time to every CLI run. predict imports queue, for its band
+# thread, and no longer concurrent.futures, which imported logging as well.
 HEAVY_MODULES = ["hashlib", "_hashlib", "queue", "logging", "concurrent"]
+# The modules not every command runs, and json, which only json output and
+# --config read.
+LAZY_MODULES = ["gbmjump.cli", "gbmjump.diagnostics", "gbmjump.jumps", "gbmjump.predict", "json"]
 
 
 def test_all_pins_the_public_names():
@@ -37,6 +41,66 @@ def fresh_interpreter(code: str) -> str:
         env={**os.environ, "PYTHONPATH": path},
     )
     return run.stdout
+
+
+def test_every_public_name_is_listed_and_resolves():
+    # dir first: resolving a name binds it in the package
+    code = (
+        "import gbmjump\n"
+        "print(set(gbmjump.__all__) <= set(dir(gbmjump)))\n"
+        "print(all(getattr(gbmjump, name).__name__ == name for name in gbmjump.__all__))\n"
+    )
+    assert fresh_interpreter(code) == "True\nTrue\n"
+
+
+def test_import_loads_no_lazy_module():
+    code = f"import sys, gbmjump; print(sorted(set({LAZY_MODULES}) & set(sys.modules)))"
+    assert fresh_interpreter(code) == "[]\n"
+
+
+def loaded_by(argv, names) -> list[str]:
+    """Those of names that a fresh interpreter has loaded after main(argv)."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from gbmjump.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        f"print(sorted(set({names!r}) & set(sys.modules)))\n"
+    )
+    return ast.literal_eval(fresh_interpreter(code))
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    common = ["--input", str(TRAIN_CSV), "--model", "gbm-jump", "--out", str(tmp_path)]
+    fit = ["fit", *common, "--iters", "50", "--burnin", "10"]
+    band = ["forecast", *common, "--chain", str(tmp_path / "chain_gbm_jump.csv")]
+    watched = [*LAZY_MODULES, "concurrent", "logging"]
+    assert loaded_by(["mle", *common[:2]], watched) == ["gbmjump.cli"]
+    assert loaded_by(fit, watched) == ["gbmjump.cli", "gbmjump.diagnostics", "gbmjump.jumps"]
+    assert loaded_by(band, watched) == ["gbmjump.cli", "gbmjump.diagnostics", "gbmjump.predict"]
+
+
+def test_scripts_that_load_other_trees_still_run():
+    # sweep_time loads this tree twice, under the names gbmjump_parent and
+    # gbmjump_change, so the package's lazy names must resolve relative to
+    # its own name; same_in_law's fitting side runs on the path's gbmjump.
+    # Short chains keep it quick.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import same_in_law, sweep_time\n"
+        "for script in (same_in_law, sweep_time):\n"
+        "    script.N_KEEP, script.BURN_IN = 60, 10\n"
+        f"sweep_time.main([{str(SCRIPTS.parent)!r}, {str(SCRIPTS.parent)!r}, '--fits', '1'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gbmjump')))\n"
+        "same_in_law.main(['--fit', '1-1'])\n"
+    )
+    out = fresh_interpreter(code)
+    assert out.count(" yes\n") == 4  # every input's two chains are equal
+    # each tree ran its own jumps, and neither loaded the gbmjump on the path
+    trees = [f"gbmjump_{side}{module}" for side in ("change", "parent")
+             for module in ("", ".gbm", ".gibbs", ".jumps", ".series")]
+    assert str(trees) + "\n" in out
+    assert out.count('{"steps": ') == 3
 
 
 def test_import_loads_no_heavy_module():
