@@ -12,10 +12,9 @@ which is not hashed.
 
 The library calls run in one subprocess on this tree's src: run_gibbs and
 run_jump_gibbs on the first n increments of the bundled data, for n in SIZES,
-at each seed of SEEDS, N_KEEP draws kept after BURN_IN, on three step shapes:
-trading-day steps (1/252), calendar-day steps (days between closes / 365) and
-all-distinct steps (each trading-day step times its own uniform(0.8, 1.25)
-draw, seed 17). Each chain's line hashes its draws, jump_probs and
+at each seed of SEEDS, N_KEEP draws kept after BURN_IN, on the trading-day,
+calendar-day and all-distinct steps of scripts/compare_trees.py's
+step_shapes. Each chain's line hashes its draws, jump_probs and
 accept_rate. simulate_jump_increments draws n increments over the same steps
 at each seed, for each n >= 1.
 
@@ -59,23 +58,17 @@ def _line(data: bytes, name: str) -> str:
 
 def _library() -> None:
     """Print the library outputs' lines, from the gbmjump on the path."""
-    import numpy as np
+    import gbmjump
+    from compare_trees import step_shapes
+    from gbmjump import (IncrementSeries, JumpParams, run_gibbs, run_jump_gibbs,
+                         simulate_jump_increments)
 
-    from gbmjump import (IncrementSeries, JumpParams, load_price_series, run_gibbs,
-                         run_jump_gibbs, simulate_jump_increments, to_increments)
-
-    series = load_price_series(TRAIN)
-    trading = to_increments(series)
-    days = np.array([(b - a).days for a, b in zip(series.dates, series.dates[1:])])
-    shapes = {
-        "trading": trading.dt,
-        "calendar": days / 365.0,
-        "distinct": trading.dt * np.random.default_rng(17).uniform(0.8, 1.25, trading.n),
-    }
+    shapes = step_shapes(gbmjump)
     params = JumpParams(theta=0.12, sigma2=0.02, mu_z=-0.0023, sigma2_z=0.017**2, lambda_star=0.36)
-    for steps, dt in shapes.items():
+    for steps in ("trading", "calendar", "distinct"):
+        d, dt = shapes[steps]
         for n in SIZES:
-            inc = IncrementSeries(d=trading.d[:n], dt=dt[:n])
+            inc = IncrementSeries(d=d[:n], dt=dt[:n])
             for seed in SEEDS:
                 for model, run in (("gbm", run_gibbs), ("gbm-jump", run_jump_gibbs)):
                     chain = run(inc, n_keep=N_KEEP, burn_in=BURN_IN, seed=seed)
@@ -83,8 +76,8 @@ def _library() -> None:
                     data = chain.draws.tobytes() + probs + repr(chain.meta.accept_rate).encode()
                     print(_line(data, f"library/{model}/{steps}/n{n}/seed{seed}"))
                 if n:
-                    d = simulate_jump_increments(params, dt[:n], n, rng=seed)
-                    print(_line(d.tobytes(), f"library/simulate/{steps}/n{n}/seed{seed}"))
+                    sim = simulate_jump_increments(params, dt[:n], n, rng=seed)
+                    print(_line(sim.tobytes(), f"library/simulate/{steps}/n{n}/seed{seed}"))
 
 
 def main(argv=None) -> int:

@@ -4,10 +4,6 @@ Option precedence is flags > GBMJUMP_* environment variables > --config JSON
 file > built-in defaults. Each subcommand has a flag for every option it reads
 and takes only those options from the environment and the config file.
 Identical configuration plus identical seed yields byte-identical output files.
-
-main loads the modules of the command it runs and no others (COMMANDS): mle
-runs series, gbm and gibbs alone, fit adds diagnostics and jumps, forecast
-predict, study all three.
 """
 
 from __future__ import annotations
@@ -364,13 +360,12 @@ def cmd_study(cfg: RunConfig) -> int:
     return 0
 
 
-# subcommand -> (handler, help, the modules it runs besides series, gbm and gibbs)
+# subcommand -> (handler, help)
 COMMANDS = {
-    "mle": (cmd_mle, "closed-form maximum likelihood", ()),
-    "fit": (cmd_fit, "Gibbs posterior sampling", ("diagnostics", "jumps")),
-    "forecast": (cmd_forecast, "posterior predictive band", ("predict",)),
-    "study": (cmd_study, "fit every model, band it over a holdout, report coverage",
-              ("diagnostics", "jumps", "predict")),
+    "mle": (cmd_mle, "closed-form maximum likelihood"),
+    "fit": (cmd_fit, "Gibbs posterior sampling"),
+    "forecast": (cmd_forecast, "posterior predictive band"),
+    "study": (cmd_study, "fit every model, band it over a holdout, report coverage"),
 }
 
 
@@ -380,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fit GBM or GBM-with-jumps to daily closes and forecast.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, _) in COMMANDS.items():
+    for command, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file of option defaults")
         for name, (readers, keywords) in OPTIONS.items():
@@ -391,15 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # The command's modules load before the parser is built: a jump fit that
-    # loaded them on first use, after the data, peaked 0.16 MB higher
-    # (os.wait4 maxrss medians of 12 alternating runs, 38.22 against 38.06).
-    if argv and argv[0] in COMMANDS:
-        for module in COMMANDS[argv[0]][2]:
-            importlib.import_module("." + module, __package__)
     flag_values = vars(_build_parser().parse_args(argv))
-    handler, *_ = COMMANDS[flag_values.pop("command")]
+    handler, _ = COMMANDS[flag_values.pop("command")]
     config_path = flag_values.pop("config")
     try:
         return handler(build_config(flag_values, config_path))

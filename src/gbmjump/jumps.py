@@ -157,7 +157,7 @@ _MOVES = 3
 # the chain does not depend on it, and its P rows take _BLOCK * n * 8 bytes
 # (0.77 MB on the bundled data). On the bundled data's equal steps a sweep
 # took 0.94 of its thread CPU time at 32 (medians of 20 alternating 6,000-sweep
-# fits in one process, faster in 17, scripts/sweep_time.py, 2-CPU Xeon VM).
+# fits in one process, faster in 17, scripts/compare_trees.py, 2-CPU Xeon VM).
 # Unequal steps evaluate the offers row by row, so there it changes little.
 _BLOCK = 64
 

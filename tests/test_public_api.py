@@ -74,33 +74,39 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     common = ["--input", str(TRAIN_CSV), "--model", "gbm-jump", "--out", str(tmp_path)]
     fit = ["fit", *common, "--iters", "50", "--burnin", "10"]
     band = ["forecast", *common, "--chain", str(tmp_path / "chain_gbm_jump.csv")]
+    gbm_fit = [*fit[:4], "gbm", *fit[5:]]  # fit --model gbm runs no jump code
     watched = [*LAZY_MODULES, "concurrent", "logging"]
     assert loaded_by(["mle", *common[:2]], watched) == ["gbmjump.cli"]
     assert loaded_by(fit, watched) == ["gbmjump.cli", "gbmjump.diagnostics", "gbmjump.jumps"]
     assert loaded_by(band, watched) == ["gbmjump.cli", "gbmjump.diagnostics", "gbmjump.predict"]
+    assert loaded_by(gbm_fit, watched) == ["gbmjump.cli", "gbmjump.diagnostics"]
 
 
 def test_scripts_that_load_other_trees_still_run():
-    # sweep_time loads this tree twice, under the names gbmjump_parent and
+    # compare_trees loads this tree twice, under the names gbmjump_parent and
     # gbmjump_change, so the package's lazy names must resolve relative to
-    # its own name; same_in_law's fitting side runs on the path's gbmjump.
-    # Short chains keep it quick.
+    # its own name. Short chains keep it quick.
+    tree = str(SCRIPTS.parent)
     code = (
         f"import sys; sys.path.insert(0, {str(SCRIPTS)!r})\n"
-        "import same_in_law, sweep_time\n"
-        "for script in (same_in_law, sweep_time):\n"
-        "    script.N_KEEP, script.BURN_IN = 60, 10\n"
-        f"sweep_time.main([{str(SCRIPTS.parent)!r}, {str(SCRIPTS.parent)!r}, '--fits', '1'])\n"
+        "import compare_trees\n"
+        "compare_trees.N_KEEP, compare_trees.BURN_IN = 60, 10\n"
+        f"compare_trees.main([{tree!r}, {tree!r}, '--seeds', '1-2'])\n"
         "print(sorted(m for m in sys.modules if m.startswith('gbmjump')))\n"
-        "same_in_law.main(['--fit', '1-1'])\n"
     )
     out = fresh_interpreter(code)
-    assert out.count(" yes\n") == 4  # every input's two chains are equal
     # each tree ran its own jumps, and neither loaded the gbmjump on the path
     trees = [f"gbmjump_{side}{module}" for side in ("change", "parent")
              for module in ("", ".gbm", ".gibbs", ".jumps", ".series")]
-    assert str(trees) + "\n" in out
-    assert out.count('{"steps": ') == 3
+    assert out.endswith(str(trees) + "\n")
+    assert out.count(" yes\n") == 4  # every input's two chains are equal
+    rows = [line.split() for line in out.splitlines()
+            if line.startswith(("accept_rate", "mean ", "ess "))]
+    assert len(rows) == 4 * 11  # 4 inputs, each with 11 quantities
+    # on the first 50 increments the move is off: no acceptance rate, no z;
+    # every other quantity is equal on both sides
+    assert rows[33] == ["accept_rate", "-", "-"]
+    assert all(row[-1] == "+0.00" for row in rows[:33] + rows[34:])
 
 
 def test_import_loads_no_heavy_module():
