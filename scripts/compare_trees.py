@@ -68,21 +68,28 @@ def step_shapes(pkg) -> dict:
             "distinct": (trading.d, distinct), "first 50": (trading.d[:50], trading.dt[:50])}
 
 
-def _fit(pkg, d, dt, seed: int):
-    """(thread CPU µs per sweep, wall µs per sweep, the chain's bytes, its quantities)."""
+def chain_bytes(chain) -> bytes:
+    """A chain's draws, its jump_probs when it has them, and its acceptance rate."""
+    probs = b"" if chain.jump_probs is None else chain.jump_probs.tobytes()
+    return chain.draws.tobytes() + probs + repr(chain.meta.accept_rate).encode()
+
+
+def _fit(pkg, d, dt, seed: int, n_keep: int, burn_in: int):
+    """(thread CPU µs per sweep, wall µs per sweep, chain_bytes, the quantities)
+    of the package pkg's jump chain on (d, dt): the acceptance rate, and each
+    parameter's posterior mean and ESS."""
     from ess import ess
 
     inc = pkg.IncrementSeries(d=d, dt=dt)
     cpu, wall = time.thread_time(), time.perf_counter()
-    chain = pkg.run_jump_gibbs(inc, n_keep=N_KEEP, burn_in=BURN_IN, seed=seed)
+    chain = pkg.run_jump_gibbs(inc, n_keep=n_keep, burn_in=burn_in, seed=seed)
     cpu, wall = time.thread_time() - cpu, time.perf_counter() - wall
-    rate = chain.meta.accept_rate
-    row = {"accept_rate": rate}
+    row = {"accept_rate": chain.meta.accept_rate}
     for name in PARAMS:
         draws = chain.column(name)
         row[f"mean {name}"], row[f"ess {name}"] = float(draws.mean()), float(ess(draws))
-    data = chain.draws.tobytes() + chain.jump_probs.tobytes() + repr(rate).encode()
-    return 1e6 * cpu / (N_KEEP + BURN_IN), 1e6 * wall / (N_KEEP + BURN_IN), data, row
+    sweeps = n_keep + burn_in
+    return 1e6 * cpu / sweeps, 1e6 * wall / sweeps, chain_bytes(chain), row
 
 
 def _mean_var(values: list[float]) -> tuple[float, float]:
@@ -141,7 +148,7 @@ def main(argv=None) -> int:
         fits, equal = {side: [] for side in SIDES}, True
         for seed in range(first, last + 1):
             for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
-                fits[side].append(_fit(pkgs[side], d, dt, seed))
+                fits[side].append(_fit(pkgs[side], d, dt, seed, N_KEEP, BURN_IN))
             equal &= fits["parent"][-1][2] == fits["change"][-1][2]
         print(f"\n{name} steps")
         _print_times(fits, equal)

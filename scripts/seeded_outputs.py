@@ -10,13 +10,13 @@ line. The fit times, the one thing that differs between runs, are hashed
 without: study.json's `seconds` lines. study prints its times on stderr,
 which is not hashed.
 
-The library calls run in one subprocess on this tree's src: run_gibbs and
+The library calls run in this process on this tree's src: run_gibbs and
 run_jump_gibbs on the first n increments of the bundled data, for n in SIZES,
 at each seed of SEEDS, N_KEEP draws kept after BURN_IN, on the trading-day,
 calendar-day and all-distinct steps of scripts/compare_trees.py's
-step_shapes. Each chain's line hashes its draws, jump_probs and
-accept_rate. simulate_jump_increments draws n increments over the same steps
-at each seed, for each n >= 1.
+step_shapes. Each chain's line hashes its compare_trees.chain_bytes.
+simulate_jump_increments draws n increments over the same steps at each seed,
+for each n >= 1.
 
 Usage: python3 scripts/seeded_outputs.py DIR
 """
@@ -29,6 +29,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from compare_trees import _load, chain_bytes, step_shapes
 
 ROOT = Path(__file__).resolve().parent.parent
 TRAIN = str(ROOT / "data" / "sp500_synthetic.csv")
@@ -57,26 +59,21 @@ def _line(data: bytes, name: str) -> str:
 
 
 def _library() -> None:
-    """Print the library outputs' lines, from the gbmjump on the path."""
-    import gbmjump
-    from compare_trees import step_shapes
-    from gbmjump import (IncrementSeries, JumpParams, run_gibbs, run_jump_gibbs,
-                         simulate_jump_increments)
-
-    shapes = step_shapes(gbmjump)
-    params = JumpParams(theta=0.12, sigma2=0.02, mu_z=-0.0023, sigma2_z=0.017**2, lambda_star=0.36)
+    """Print the library outputs' lines, from this tree's src/gbmjump."""
+    pkg = _load(ROOT, "gbmjump")
+    shapes = step_shapes(pkg)
+    params = pkg.JumpParams(theta=0.12, sigma2=0.02, mu_z=-0.0023, sigma2_z=0.017**2,
+                            lambda_star=0.36)
     for steps in ("trading", "calendar", "distinct"):
         d, dt = shapes[steps]
         for n in SIZES:
-            inc = IncrementSeries(d=d[:n], dt=dt[:n])
+            inc = pkg.IncrementSeries(d=d[:n], dt=dt[:n])
             for seed in SEEDS:
-                for model, run in (("gbm", run_gibbs), ("gbm-jump", run_jump_gibbs)):
+                for model, run in (("gbm", pkg.run_gibbs), ("gbm-jump", pkg.run_jump_gibbs)):
                     chain = run(inc, n_keep=N_KEEP, burn_in=BURN_IN, seed=seed)
-                    probs = b"" if chain.jump_probs is None else chain.jump_probs.tobytes()
-                    data = chain.draws.tobytes() + probs + repr(chain.meta.accept_rate).encode()
-                    print(_line(data, f"library/{model}/{steps}/n{n}/seed{seed}"))
+                    print(_line(chain_bytes(chain), f"library/{model}/{steps}/n{n}/seed{seed}"))
                 if n:
-                    sim = simulate_jump_increments(params, dt[:n], n, rng=seed)
+                    sim = pkg.simulate_jump_increments(params, dt[:n], n, rng=seed)
                     print(_line(sim.tobytes(), f"library/simulate/{steps}/n{n}/seed{seed}"))
 
 
@@ -95,11 +92,7 @@ def main(argv=None) -> int:
         for path in sorted((top / name).iterdir()):
             print(_line(path.read_bytes(), f"{name}/{path.name}"))
         print(_line(stdout, f"{name}/stdout"))
-    env["PYTHONPATH"] = os.pathsep.join((str(ROOT / "src"), str(ROOT / "scripts")))
-    code = "from seeded_outputs import _library; _library()"
-    library = subprocess.run([sys.executable, "-c", code], cwd=top, env=env, check=True,
-                             capture_output=True, text=True)
-    print(library.stdout, end="")
+    _library()
     return 0
 
 

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from gbmjump import (
-    ChainMeta, PosteriorChain, load_price_series, read_chain_csv, run_gibbs, to_increments,
-    write_chain_csv,
+    ChainMeta, DataError, PosteriorChain, load_price_series, read_chain_csv, run_gibbs,
+    to_increments, write_chain_csv,
 )
-from gbmjump import cli
+from gbmjump import cli, jumps
 from gbmjump.cli import (
     COMMANDS, OPTIONS, RunConfig, _build_parser, _next_weekdays, build_config, main,
 )
 
-from conftest import DATA_DIR, HOLDOUT_CSV, TRAIN_CSV, load_script
+from conftest import DATA_DIR, HOLDOUT_CSV, SCRIPTS, TRAIN_CSV, load_script
 
 
 def run_cli(capsys, *args):
@@ -677,3 +677,32 @@ class TestCodeLines:
             "            1)\n"
         )
         assert load_script("code_lines").code_lines(source) == 3
+
+
+class TestMoveScan:
+    def test_cut_scan_stars_one_row_per_table_and_restores_the_constants(
+            self, capsys, monkeypatch):
+        # for compare_trees; the script's own sys.path edits are undone with this
+        monkeypatch.syspath_prepend(str(SCRIPTS))
+        scan = load_script("move_scan")
+        for name, value in (("SHAPES", scan.SHAPES[:2]), ("SEEDS", 2), ("KEEP", 300),
+                            ("BURN_IN", 50)):
+            monkeypatch.setattr(scan, name, value)
+        proposals = [{"_T_DF": df, "_T_SCALE": s} for df in (5.0, 30.0) for s in (1.0, 1.2)]
+        monkeypatch.setitem(scan.GRIDS, "proposal", (scan.min_ess, proposals))
+        names = ("_MOVES", "_T_DF", "_T_SCALE")
+        today = [getattr(jumps, name) for name in names]
+        assert scan.main() == 0
+        blocks = capsys.readouterr().out.strip().split("\n\n")
+        assert [block.split(":")[0] for block in blocks] == ["cycle length", "proposal"]
+        for block, (_, points) in zip(blocks, scan.GRIDS.values()):
+            synthetic, bundled = block.split("\nbundled data")
+            rows = synthetic.splitlines()[2:]
+            assert len(rows) == len(points) == len(bundled.splitlines()) - 2
+            assert sum(row.startswith("*") for row in rows) == 1
+        assert [getattr(jumps, name) for name in names] == today
+        # a fit that raises after its point's constants were set
+        bad = [(np.array([np.nan]), np.ones(1), 1)]
+        with pytest.raises(DataError):
+            scan.scan("proposal", scan.min_ess, proposals, bad, (np.zeros(2), np.ones(2)))
+        assert [getattr(jumps, name) for name in names] == today

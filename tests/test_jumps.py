@@ -887,16 +887,20 @@ class TestOfferBlocks:
     def test_chain_never_takes_an_overflowing_offer(self, train_inc, monkeypatch):
         # every other offer's sigma2 overflows: its target is -inf, and were
         # it taken the chain would hold exp(800), which math.exp cannot make.
-        # Only the offer blocks are edited, not the Laplace fit's stencil.
+        # Every offer block is edited, the capped last one too, but not the
+        # Laplace fit's stencil of 1 + 2*5 + 10 = 21 points.
         target = jumps._Marginal.move_target
+        blocks = []
 
         def overflowing(self, x, out=None):
-            if x.ndim == 2 and len(x) == jumps._BLOCK:
+            if x.ndim == 2 and len(x) != 21:
                 x[::2, 1] = 800.0
+                blocks.append(len(x))
             return target(self, x, out)
 
         monkeypatch.setattr(jumps._Marginal, "move_target", overflowing)
         chain = run_jump_gibbs(train_inc, n_keep=200, burn_in=0, seed=5)
+        assert sum(blocks) == 200 and blocks[-1] < jumps._BLOCK
         assert np.all(chain.column("sigma2") < 1.0)
         assert 0.0 < chain.meta.accept_rate <= 0.5
 
