@@ -1,5 +1,5 @@
-"""Compare the jump sampler of two source trees, fit by fit in one process:
-its time per sweep, and its posterior in law.
+"""Compare the jump sampler and the fitted band of two source trees, in one
+process: their times, and their outputs in law.
 
 Each tree's src/gbmjump is loaded under a name of its own (gbmjump_parent,
 gbmjump_change), so both run in this process. Each tree's run_jump_gibbs fits
@@ -26,6 +26,14 @@ their random streams, so when the samplers differ little they stay close, z
 sits near 0 and the standard error, which ignores that pairing, is
 conservative.
 
+Last, the bands: one jump chain, the parent's fit of the trading-day input
+at the first seed, and each tree's fitted_band of it from the first bundled
+price at 20 band seeds per seed of the range (20*FIRST to 20*LAST + 19; 200
+at the default range), the parent first at even band seeds. It prints ms
+per band by process CPU time (all threads) and by wall time, as above, and
+then the same table of lower, mean and upper at the steps of BAND_STEPS and
+of the mean width over steps 1 to n, with z over the band seeds.
+
 Usage: python3 scripts/compare_trees.py PARENT_DIR CHANGE_DIR [--seeds FIRST-LAST]
 """
 
@@ -45,6 +53,8 @@ DATA = ROOT / "data" / "sp500_synthetic.csv"
 PARAMS = ("mu", "sigma", "mu_z", "sigma_z", "lambda_star")
 N_KEEP, BURN_IN = 5000, 1000
 SIDES = ("parent", "change")
+BAND_STEPS = (1, 10, 100, 500, 1000, 1510)
+BANDS_PER_SEED = 20
 
 
 def _load(tree: Path, name: str):
@@ -92,6 +102,20 @@ def _fit(pkg, d, dt, seed: int, n_keep: int, burn_in: int):
     return 1e6 * cpu / sweeps, 1e6 * wall / sweeps, chain_bytes(chain), row
 
 
+def _band(pkg, chain, inc, x0: float, seed: int):
+    """(process CPU ms, wall ms, band bytes, the quantities) of the package
+    pkg's fitted band of chain at band seed seed: lower, mean and upper at
+    each step of BAND_STEPS, and the mean width."""
+    cpu, wall = time.process_time(), time.perf_counter()
+    band = pkg.fitted_band(chain, inc, x0, rng=seed)
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    row = {f"{name} step {step}": float(getattr(band, name)[step])
+           for step in BAND_STEPS for name in ("lower", "mean", "upper")}
+    row["mean width"] = float(np.mean(band.width[1:]))
+    raw = b"".join(getattr(band, a).tobytes() for a in ("grid", "lower", "mean", "upper"))
+    return 1e3 * cpu, 1e3 * wall, raw, row
+
+
 def _mean_var(values: list[float]) -> tuple[float, float]:
     mean = sum(values) / len(values)
     return mean, sum((v - mean) ** 2 for v in values) / max(len(values) - 1, 1)
@@ -103,9 +127,9 @@ def _z(parent: list[float], change: list[float]) -> float:
     return (m1 - m0) / se if se > 0.0 else (0.0 if m1 == m0 else math.copysign(math.inf, m1 - m0))
 
 
-def _print_times(fits: dict, equal: bool) -> None:
+def _print_times(fits: dict, equal: bool, clock: str = "thread CPU") -> None:
     cpu, wall = ({side: np.array([fit[k] for fit in fits[side]]) for side in SIDES} for k in (0, 1))
-    print(f"{'side':<20}{'thread CPU':>26}{'wall':>26}{'equal':>7}")
+    print(f"{'side':<20}{clock:>26}{'wall':>26}{'equal':>7}")
     for side in SIDES:
         cells = [f"{np.median(t[side]):8.1f} [{np.quantile(t[side], 0.25):6.1f}, "
                  f"{np.quantile(t[side], 0.75):6.1f}]" for t in (cpu, wall)]
@@ -123,6 +147,25 @@ def _print_law(fits: dict) -> None:
         cells = [f"{'-' if None in v else f'{_mean_var(v)[0]:.6g}':>14}" for v in (parent, change)]
         z = "" if None in parent + change else f"{_z(parent, change):>+9.2f}"
         print(f"{key:<20}{cells[0]}{cells[1]}{z}")
+
+
+def _compare_bands(pkgs: dict, first: int, last: int) -> None:
+    """Time and compare both trees' fitted bands of the parent's jump chain
+    at seed first, at the band seeds of the range first-last."""
+    seeds = range(BANDS_PER_SEED * first, BANDS_PER_SEED * (last + 1))
+    parent = pkgs["parent"]
+    d, dt = step_shapes(parent)["trading"]
+    inc = parent.IncrementSeries(d=d, dt=dt)
+    chain = parent.run_jump_gibbs(inc, n_keep=N_KEEP, burn_in=BURN_IN, seed=first)
+    x0 = float(parent.load_price_series(DATA).prices[0])
+    bands, equal = {side: [] for side in SIDES}, True
+    for seed in seeds:
+        for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
+            bands[side].append(_band(pkgs[side], chain, inc, x0, seed))
+        equal &= bands["parent"][-1][2] == bands["change"][-1][2]
+    print(f"\nfitted bands, band seeds {seeds[0]}-{seeds[-1]}; ms per band, median [q1, q3]")
+    _print_times(bands, equal, "process CPU")
+    _print_law(bands)
 
 
 def main(argv=None) -> int:
@@ -154,6 +197,7 @@ def main(argv=None) -> int:
         _print_times(fits, equal)
         _print_law(fits)
         sys.stdout.flush()
+    _compare_bands(pkgs, first, last)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Geometric Brownian motion: exact transition density, closed-form MLE, simulation.
+"""Geometric Brownian motion: exact transition density and closed-form MLE.
 
 Parameterization is (theta, sigma2) with theta = mu - sigma2/2, so log-increments
 over a step dt are Normal(theta*dt, sigma2*dt) and the price solution is
@@ -23,7 +23,7 @@ class GbmParams:
     """Drift (log-scale) and squared volatility, both per year.
 
     sigma2 == 0 is permitted so the degenerate MLE of a noise-free series can be
-    represented; densities refuse it, simulation treats it as a deterministic path.
+    represented; densities refuse it.
     """
 
     theta: float
@@ -106,63 +106,3 @@ def _substreams(gen: np.random.Generator):
     when asked for."""
     entropy = gen.integers(2**32, size=4)
     return lambda k: np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
-
-
-class IncrementKernel:
-    """Log-increments of a set of parameter draws, drawn block by block in time order.
-
-    theta and sigma2, and jump = (mu_z, sigma2_z, lambda_star) when given, in
-    the order a jump chain stores them, hold one value per draw (a scalar or a
-    length-1 array is shared by all). Three substreams are split off gen
-    through a SeedSequence: diffusion noise, jump hits, and jump sizes, the
-    sizes drawn only at hits. Blocks are time-major,
-    (steps, draws), and every substream is consumed in time order, so any split
-    of the same steps into blocks gives the same increments bit for bit. block()
-    is diffusion() (noise and hits substreams) then add_jumps() (sizes
-    substream), and only these draw. A caller may run either step on another
-    thread, as the bands run diffusion() on a worker and add_jumps() on the
-    caller, provided one thread at a time runs each step, in block order.
-    """
-
-    def __init__(self, theta, sigma2, gen: np.random.Generator, jump=None) -> None:
-        params = np.broadcast_arrays(*map(np.ravel, (theta, sigma2, *(jump or ()))))
-        self._draws = len(params[0])
-        self._theta, sigma2, *jump = params
-        self._sigma = np.sqrt(sigma2)
-        substream = _substreams(gen)
-        self._noise = substream(0)
-        self._jump = None
-        if jump:
-            mu_z, sigma2_z, lam = jump
-            self._jump = (mu_z, np.sqrt(sigma2_z), lam)
-            self._hits = substream(1)
-            self._sizes = substream(2)
-
-    def block(self, dt) -> np.ndarray:
-        """The next len(dt) increments of every draw, one row per step of dt."""
-        return self.add_jumps(*self.diffusion(dt))
-
-    def diffusion(self, dt) -> tuple[np.ndarray, np.ndarray]:
-        """block()'s first step: the next len(dt) jump-free increments, and the
-        flat indices of their jump hits (empty without jumps), in time order,
-        then draw. Draws the noise and hits substreams only."""
-        dt = np.asarray(dt, dtype=float)[:, None]
-        d = self._noise.standard_normal((len(dt), self._draws))
-        d *= np.sqrt(dt)  # scaled by a row and a column: no full-size temporary
-        d *= self._sigma
-        d += self._theta * dt
-        if self._jump is None:
-            return d, np.empty(0, dtype=np.intp)
-        return d, np.flatnonzero(self._hits.random(d.shape) < self._jump[2])
-
-    def add_jumps(self, d: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """block()'s second step: adds a jump size at each flat index of d in
-        at, in place, and returns d. Draws the sizes substream only."""
-        if self._jump is not None:
-            mu_z, sigma_z, _ = self._jump
-            draw = at % self._draws
-            z = self._sizes.standard_normal(len(at))
-            z *= sigma_z[draw]
-            z += mu_z[draw]
-            d.reshape(-1)[at] += z  # d is C-contiguous, so the reshape is a view
-        return d

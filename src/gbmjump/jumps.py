@@ -65,7 +65,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .gbm import IncrementKernel, _substreams, _SuffStats
+from .gbm import _substreams, _SuffStats
 from .gibbs import (
     ChainMeta,
     GbmPrior,
@@ -495,7 +495,8 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
     """Sample n increments: Normal diffusion plus Bernoulli(lambda_star) jumps,
     over steps of dt, one length for every step or a 1-d array of n; a
     ValueError for any other shape, or unless every step is positive and
-    finite."""
+    finite. The diffusion noise, the jump hits and the jump sizes (drawn at
+    hits only) come from substreams 0, 1 and 2 split off rng's generator."""
     if n < 1:
         raise ValueError("n must be >= 1")
     dt = np.asarray(dt, dtype=float)
@@ -504,9 +505,12 @@ def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.nda
                          f"got an array of shape {dt.shape}")
     if not np.all((dt > 0.0) & (dt < np.inf)):
         raise ValueError("dt must be positive and finite")
-    theta, sigma2, *jump = astuple(params)
-    kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump)
-    return kernel.block(np.broadcast_to(dt, (n,)))[:, 0]
+    dt = np.broadcast_to(dt, (n,))
+    substream = _substreams(np.random.default_rng(rng))
+    d = substream(0).standard_normal(n) * np.sqrt(dt) * math.sqrt(params.sigma2) + params.theta * dt
+    hit = substream(1).random(n) < params.lambda_star
+    d[hit] += substream(2).standard_normal(np.count_nonzero(hit)) * math.sqrt(params.sigma2_z) + params.mu_z
+    return d
 
 
 def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:

@@ -1,30 +1,26 @@
 """Posterior-predictive credible bands.
 
-Each retained posterior draw contributes one free-running path (parameter and
-path noise both enter), so bands reflect full predictive uncertainty.
+Each retained posterior draw contributes one price at every step (parameter
+and path noise both enter), so bands reflect full predictive uncertainty.
 predictive_band covers the steps of dt past a start price, as a forecast does;
 fitted_band reruns the model over the observation grid from the first observed
-price. Paths are simulated in blocks of time steps, reduced to their band rows
-and dropped, so no band holds the draws x steps path matrix. A worker thread
-draws the next block's diffusion and jump hits while the caller adds the
-current block's jump sizes, sums, exponentiates, and sorts each step's prices
-in place for its quantiles; numpy releases the GIL in both, so a band keeps two
-CPUs busy, and the bytes are those of a serial loop. The worker is a plain
-threading.Thread fed through two queue.SimpleQueues: a concurrent.futures
-pool imported logging as well, which cost each forecast process 6-10 ms.
+price. A band reads each step's prices on their own, so a draw's price at a
+step comes from its exact law there, given the draw's jump count so far, not
+from a simulated path: one normal per draw serves every step, and only the
+jump hits are drawn per step. The prices of one draw at two steps are
+therefore not a path's, which a pointwise band does not read. Prices are drawn
+in blocks of time steps, reduced to their band rows and dropped, so no band
+holds the draws x steps price matrix.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import quantiles
-from .gbm import IncrementKernel
+from .gbm import _substreams
 from .gibbs import PosteriorChain
 from .series import IncrementSeries, write_csv
 
@@ -59,68 +55,62 @@ def _subsample_rows(n_rows: int, max_draws: int) -> np.ndarray:
     return (np.arange(max_draws) * n_rows) // max_draws
 
 
-# Chain rows that a band draws one path each from, evenly strided.
+# Chain rows that a band draws one price each from at every step, evenly strided.
 _MAX_DRAWS = 2000
-# Time steps per block. Two blocks are in flight, one drawn while the other is
-# reduced, so memory is O(draws x _BLOCK); the bytes do not depend on it. For
-# the bundled jump fit (2000 draws x 1510 steps, 2-CPU Xeon VM, medians of 14
-# bands over 3 runs) a fitted band took 0.09-0.12 s at 8 to 64 steps per block
-# (0.08-0.10 s at 32 and 64, within the VM's drift), 0.17-0.20 s at 1510 (one
-# block: nothing overlaps) and 0.37-0.43 s at 1, where the hand-off per block
-# dominates. At 16 a band's traced peak is 1.4 MiB (2.5 at 32).
+# Time steps per block: memory is O(draws x _BLOCK), and the bytes do not
+# depend on it. For the bundled jump fit (2000 draws x 1510 steps, 2-CPU Xeon
+# VM) a fitted band took a median 62-67 ms at 16 and at 32 steps per block and
+# 73-74 ms at 64 (16 alternating bands, two runs). perfbench jump-bands read
+# peak_rss_mb 37.38 MB at 16 and 41.75 MB at 64, and wall_s 0.336-0.348 s
+# against 0.352-0.364 s (seeds 901-903). At 16 a band's traced peak is 1.6 MiB.
 _BLOCK = 16
 
 
 def _price_blocks(chain: PosteriorChain, start: float, dt: np.ndarray, rng):
-    """Prices after each step of dt from start, start * exp(cumsum of model
-    increments), as time-major blocks of up to _BLOCK steps with one column
-    per subsampled draw.
+    """Prices after each step of dt from start, as time-major blocks of up to
+    _BLOCK steps with one column per subsampled draw.
 
-    The log-price carried from block to block is added to a block's first row
-    before the in-place prefix sum, so every block length gives the same bytes.
-    One worker thread runs kernel.diffusion for block j+1 while the caller runs
-    kernel.add_jumps on block j and reduces it, so each substream is still
-    consumed by one thread in block order. The caller asks for a block through
-    one queue and takes its draws from the other, so at most one block is
-    drawn ahead. An error the worker raises ends the worker and is raised
-    here, and closing the generator stops the worker and joins its thread.
+    A band reads each step on its own, so each column is drawn from its law
+    at that step, not as a path: given its jump count N_t up to elapsed
+    time T_t, a draw's log-price is exactly Normal(log start + theta*T_t +
+    mu_z*N_t, sigma2*T_t + sigma_z^2*N_t) (Merton 1976, J. Financial Econ.
+    3). One standard normal Z per draw (substream 0) gives that law at every
+    step, and N_t sums Bernoulli(lambda_star) hits drawn time-major
+    (substream 1) and carried from block to block, so every block length
+    gives the same bytes. sigma_z is read, not sigma2_z, because a chain file
+    holds sigma_z: a chain read back from its file gives the same band.
     """
     rows = _subsample_rows(len(chain), _MAX_DRAWS)
-    theta, sigma2, *jump = (chain.column(c)[rows] for c in chain.columns if c != "n_jumps")
-    kernel = IncrementKernel(theta, sigma2, np.random.default_rng(rng), jump)
-    asked, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def draw():  # the worker: each asked block's diffusion, until None
-        try:
-            while (steps := asked.get()) is not None:
-                drawn.put(kernel.diffusion(steps))
-        except Exception as exc:  # for the caller to raise
-            drawn.put(exc)
-
-    carry = np.full(len(rows), np.log(start))
-    asked.put(dt[:_BLOCK])
-    worker = threading.Thread(target=draw)
-    worker.start()
-    try:
-        for lo in range(0, len(dt), _BLOCK):
-            item = drawn.get()
-            if isinstance(item, Exception):
-                raise item
-            if lo + _BLOCK < len(dt):
-                asked.put(dt[lo + _BLOCK:lo + 2 * _BLOCK])
-            y = kernel.add_jumps(*item)
-            y[0] += carry
-            # the prefix sum down the rows: np.cumsum(y, axis=0)'s additions in
-            # its order, the same bytes. The bundled jump fit's fitted band took
-            # 0.89 and 0.95 of cumsum's time (two runs of 16 alternating bands
-            # in one process, faster in 14 and 13, 2-CPU Xeon VM).
-            for i in range(1, len(y)):
-                y[i] += y[i - 1]
-            carry = y[-1].copy()
-            yield np.exp(y, out=y)
-    finally:
-        asked.put(None)
-        worker.join()
+    theta, sigma2 = (chain.column(c)[rows] for c in ("theta", "sigma2"))
+    substream = _substreams(np.random.default_rng(rng))
+    z = substream(0).standard_normal(len(rows))
+    jumps = "lambda_star" in chain.columns
+    if jumps:
+        mu_z, sigma_z, lam = (chain.column(c)[rows] for c in ("mu_z", "sigma_z", "lambda_star"))
+        var_z = np.square(sigma_z)
+        hits = substream(1)
+        count = np.zeros(len(rows))
+    elapsed = np.cumsum(dt)[:, None]
+    log_start = np.log(start)
+    for lo in range(0, len(dt), _BLOCK):
+        t = elapsed[lo:lo + _BLOCK]
+        y = theta * t
+        y += log_start
+        var = sigma2 * t
+        if jumps:
+            n = hits.random((len(t), len(rows)))
+            np.less(n, lam, out=n)
+            n[0] += count
+            for i in range(1, len(n)):  # a fifth of np.cumsum(n, axis=0)'s time
+                n[i] += n[i - 1]
+            count = n[-1].copy()
+            var += var_z * n
+            n *= mu_z
+            y += n
+        np.sqrt(var, out=var)
+        var *= z
+        y += var
+        yield np.exp(y, out=y)
 
 
 def _tail(level: float) -> float:
@@ -138,7 +128,7 @@ def predictive_band(
 ) -> Band:
     """Pointwise band of the prices after each step of dt from start: the
     empirical (1-level)/2 and 1-(1-level)/2 quantiles and the mean over one
-    path per chain row (up to _MAX_DRAWS rows, evenly strided).
+    price per chain row at each step (up to _MAX_DRAWS rows, evenly strided).
 
     Prices are drawn _BLOCK steps at a time, checked positive and finite,
     reduced to their quantile and mean rows and dropped, so memory is
@@ -154,10 +144,10 @@ def predictive_band(
     if len(chain) < 2:
         raise ValueError("need at least two paths for a band (chain rows >= 2)")
     rows = []
-    # the generator's exp runs on this thread, so an overflow to inf is
-    # silenced here and rejected below, before a quantile subtracts infs
-    with closing(_price_blocks(chain, start, dt, rng)) as blocks, np.errstate(over="ignore"):
-        for prices in blocks:
+    # an overflow to inf in the generator's exp is silenced here and rejected
+    # below, before a quantile subtracts infs
+    with np.errstate(over="ignore"):
+        for prices in _price_blocks(chain, start, dt, rng):
             mean = prices.mean(axis=1)  # prices are >= 0: finite means, finite prices
             if not (np.all(prices > 0.0) and np.all(np.isfinite(mean))):
                 raise ValueError("price paths must stay positive and finite")

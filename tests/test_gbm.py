@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmjump import GbmParams, IncrementSeries, log_likelihood, mle_fit
-from gbmjump.gbm import IncrementKernel
 
 
 def series_from(d, dt=None):
@@ -186,67 +185,3 @@ class TestMleFit:
         fit = mle_fit(train_inc)
         assert fit.mu == pytest.approx(0.149, abs=0.002)
         assert fit.sigma == pytest.approx(0.183, abs=0.002)
-
-
-class TestIncrementKernel:
-    @pytest.mark.parametrize("lam,every_row", [
-        ((1.0, 0.5, 0.0, 0.25), True),  # draw 0 hits at every step, draw 2 never
-        ((0.1, 0.05, 0.0, 0.1), False),
-    ])
-    def test_flat_scatter_matches_the_mask_scatter(self, lam, every_row):
-        theta, steps = [0.1, -0.2, 0.3, 0.0], np.linspace(1.0, 3.0, 12) / 252
-        mu_z, sigma2_z = np.array([-0.1, 0.2, 0.05, 0.3]), np.array([1e-4, 4e-4, 9e-4, 1e-2])
-        jump = (mu_z, sigma2_z, np.array(lam))
-        d = IncrementKernel(theta, 0.04, np.random.default_rng(5), jump).block(steps)
-        # the boolean-mask scatter onto the same diffusion, from a twin kernel's
-        # hit and size substreams; a jump-free kernel shares the noise substream
-        twin = IncrementKernel(theta, 0.04, np.random.default_rng(5), jump)
-        want = IncrementKernel(theta, 0.04, np.random.default_rng(5)).block(steps)
-        hit = twin._hits.random(want.shape) < np.array(lam)
-        assert hit.any(axis=1).all() == every_row and hit.any()
-        draw = np.nonzero(hit)[1]
-        want[hit] += twin._sizes.standard_normal(len(draw)) * np.sqrt(sigma2_z)[draw] + mu_z[draw]
-        assert d.tobytes() == want.tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(length=st.integers(1, 60), jumps=st.booleans())
-    def test_two_steps_match_block_at_any_block_length(self, length, jumps):
-        # every diffusion step before any jump step: each substream is drawn by
-        # one step, so the order between the steps does not matter
-        steps = np.linspace(1.0, 3.0, 60) / 252
-        jump = (np.array([-0.1, 0.2, 0.05]), np.array([1e-4, 4e-4, 9e-4]), np.array([0.3, 0.0, 1.0]))
-
-        def kernel():
-            return IncrementKernel([0.1, -0.2, 0.3], 0.04, np.random.default_rng(8), jump if jumps else None)
-
-        want, split = kernel().block(steps), kernel()
-        drawn = [split.diffusion(steps[lo:lo + length]) for lo in range(0, len(steps), length)]
-        got = np.concatenate([split.add_jumps(d, at) for d, at in drawn])
-        assert got.tobytes() == want.tobytes()
-
-    def test_zero_volatility_is_exponential_drift(self):
-        grid = np.linspace(0.0, 2.0, 9)
-        d = IncrementKernel(0.3, 0.0, np.random.default_rng(0)).block(np.diff(grid))[:, 0]
-        path = 5.0 * np.exp(np.concatenate(([0.0], np.cumsum(d))))
-        assert np.allclose(path, 5.0 * np.exp(0.3 * grid))
-
-    def test_same_seed_same_path(self):
-        steps = np.full(20, 0.05)
-
-        def draw():
-            return IncrementKernel(0.1, 0.2, np.random.default_rng(99)).block(steps)
-
-        assert np.array_equal(draw(), draw())
-
-    def test_terminal_mean_matches_lognormal(self):
-        # E[S_t] = x0 * exp(mu * t) for the exact solution
-        params = GbmParams(theta=0.1, sigma2=0.09)
-        t = 1.5
-        draws = 10000
-        kernel = IncrementKernel(
-            np.full(draws, params.theta), params.sigma2, np.random.default_rng(4)
-        )
-        finals = np.exp(kernel.block([t])[0])
-        expected = math.exp(params.mu * t)
-        se = finals.std(ddof=1) / math.sqrt(len(finals))
-        assert abs(finals.mean() - expected) < 4 * se

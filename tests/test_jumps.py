@@ -478,6 +478,20 @@ class TestIncrementMoments:
         assert abs(x.mean() - mean) < 4 * se_mean
         assert abs(x.var(ddof=1) - var) < 4 * se_var
 
+    @pytest.mark.parametrize("lam", [1.0, 0.3, 0.0])
+    def test_simulator_draws_three_substreams_in_order(self, lam):
+        # diffusion noise, hits and sizes (at hits only) from substreams 0, 1
+        # and 2 of rng's generator, in time order
+        p = JumpParams(theta=0.1, sigma2=0.04, mu_z=-0.1, sigma2_z=4e-4, lambda_star=lam)
+        steps = np.linspace(1.0, 3.0, 40) / 252
+        substream = _substreams(np.random.default_rng(5))
+        want = substream(0).standard_normal(40) * np.sqrt(steps) * np.sqrt(p.sigma2) + p.theta * steps
+        hit = substream(1).random(40) < lam
+        want[hit] += substream(2).standard_normal(np.count_nonzero(hit)) * np.sqrt(p.sigma2_z) + p.mu_z
+        assert hit.any() == (lam > 0.0) and hit.all() == (lam == 1.0)
+        got = simulate_jump_increments(p, steps, 40, rng=5)
+        assert got.tobytes() == want.tobytes()
+
     def test_simulator_input_validation(self):
         with pytest.raises(ValueError):
             simulate_jump_increments(REF, DT, 0)

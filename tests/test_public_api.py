@@ -19,8 +19,7 @@ PUBLIC_NAMES = [
 
 # Modules that importing the package must not load: hashlib loads OpenSSL
 # (about 3.5 MB of resident memory), and queue, logging and concurrent each
-# add import time to every CLI run. predict imports queue, for its band
-# thread, and no longer concurrent.futures, which imported logging as well.
+# add import time to every CLI run.
 HEAVY_MODULES = ["hashlib", "_hashlib", "queue", "logging", "concurrent"]
 # The modules not every command runs, and json, which only json output and
 # --config read.
@@ -95,18 +94,23 @@ def test_scripts_that_load_other_trees_still_run():
         "print(sorted(m for m in sys.modules if m.startswith('gbmjump')))\n"
     )
     out = fresh_interpreter(code)
-    # each tree ran its own jumps, and neither loaded the gbmjump on the path
+    # each tree ran its own jumps and predict (with diagnostics, for its
+    # quantiles), and neither loaded the gbmjump on the path
     trees = [f"gbmjump_{side}{module}" for side in ("change", "parent")
-             for module in ("", ".gbm", ".gibbs", ".jumps", ".series")]
+             for module in ("", ".diagnostics", ".gbm", ".gibbs", ".jumps", ".predict", ".series")]
     assert out.endswith(str(trees) + "\n")
-    assert out.count(" yes\n") == 4  # every input's two chains are equal
-    rows = [line.split() for line in out.splitlines()
+    assert out.count(" yes\n") == 5  # every input's two chains and every two bands are equal
+    fits, bands = out.split("\nfitted bands, band seeds 20-59;")
+    rows = [line.split() for line in fits.splitlines()
             if line.startswith(("accept_rate", "mean ", "ess "))]
     assert len(rows) == 4 * 11  # 4 inputs, each with 11 quantities
     # on the first 50 increments the move is off: no acceptance rate, no z;
     # every other quantity is equal on both sides
     assert rows[33] == ["accept_rate", "-", "-"]
     assert all(row[-1] == "+0.00" for row in rows[:33] + rows[34:])
+    # lower, mean and upper at 6 steps, and the mean width
+    rows = [line.split() for line in bands.splitlines() if line.startswith(("lower", "mean", "upper"))]
+    assert len(rows) == 19 and all(row[-1] == "+0.00" for row in rows)
 
 
 def test_import_loads_no_heavy_module():
