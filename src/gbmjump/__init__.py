@@ -29,8 +29,9 @@ from .series import (
 # exported name -> the submodule that defines it and loads on first access
 _LAZY = {name: module for module, names in (
     ("diagnostics", ("ParamSummary", "pacf", "summarize")),
-    ("jumps", ("JumpParams", "JumpPrior", "run_jump_gibbs", "simulate_jump_increments")),
-    ("predict", ("Band", "fitted_band", "predictive_band", "write_band_csv")),
+    ("jumps", ("JumpParams", "JumpPrior", "run_jump_gibbs")),
+    ("predict", ("Band", "fitted_band", "predictive_band", "simulate_jump_increments",
+                 "write_band_csv")),
 ) for name in names}
 
 __all__ = [

@@ -62,16 +62,19 @@ def _normal_ig_log_kernel(stats: _SuffStats, theta: float, sigma2: float, prior:
     return -(shape + 1.0) * log_sigma2 - scale / sigma2 - 0.5 * dev * dev / prior.theta_var
 
 
-def _draw_theta_sigma2(stats, sigma2: float, prior: GbmPrior, gen):
+def _draw_theta_sigma2(stats, sigma2: float, prior: GbmPrior, normal: float, gamma: float):
     """One sweep of the diffusion block from stats, a _SuffStats or a plain
     tuple in its field order: theta | sigma2 ~ Normal(m, v) of the module
-    docstring, written out here alone, then sigma2 | theta."""
+    docstring, written out here alone, from the standard normal normal, then
+    sigma2 | theta as its scale over gamma, a Gamma(ig_shape + n/2, 1) draw
+    for the n of stats. The caller draws both, so that a shape that does not
+    move can be drawn ahead."""
     _, sd, st, _ = stats
     prec = 1.0 / prior.theta_var + st / sigma2
     mean = (prior.theta_mean / prior.theta_var + sd / sigma2) / prec
-    theta = mean + math.sqrt(1.0 / prec) * gen.standard_normal()
-    shape, scale = _sigma2_conditional(stats, theta, prior)
-    return float(theta), float(scale / gen.gamma(shape))
+    theta = mean + math.sqrt(1.0 / prec) * normal
+    _, scale = _sigma2_conditional(stats, theta, prior)
+    return float(theta), float(scale / gamma)
 
 
 class ChainColumns(NamedTuple):
@@ -209,7 +212,8 @@ def run_gibbs(
 ) -> PosteriorChain:
     """Systematic-scan Gibbs for (theta, sigma2), initialized at the MLE.
 
-    Draws theta | sigma2 then sigma2 | theta each sweep; records n_keep sweeps
+    Draws theta | sigma2 then sigma2 | theta each sweep, from one standard
+    normal and then one gamma of the seed's generator; records n_keep sweeps
     after burn_in. Empty or single-increment data fall back to a prior-centered
     start (the conditionals then reproduce the prior exactly when n == 0).
     The chain's ChainMeta is built, and so burn_in and seed checked, before
@@ -220,10 +224,12 @@ def run_gibbs(
     meta = ChainMeta("gbm", burn_in, seed, inc.digest())
     theta, sigma2 = _start(inc, prior)
     stats = _SuffStats.of(inc.d, inc.dt)
+    shape = _sigma2_conditional(stats, theta, prior)[0]
     gen = np.random.default_rng(seed)
     draws = np.empty((n_keep, 2))
     for sweep in range(burn_in + n_keep):
-        theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior, gen)
+        normal = gen.standard_normal()
+        theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior, normal, gen.gamma(shape))
         if sweep >= burn_in:
             draws[sweep - burn_in] = (theta, sigma2)
     return PosteriorChain(draws=draws, meta=meta)

@@ -30,22 +30,21 @@ the posterior invariant, so the fixed cycle does too (Tierney 1994, Ann.
 Statist. 22). The proposal does not depend on the chain's state (Liu 1996,
 Stat. Comput. 6), so its offers are drawn, and the target's value and P at
 each evaluated, _BLOCK at a time before the sweeps reach them and no
-further than the last sweep (Brockwell 2006, JCGS 15), from three substreams
-split off the chain's generator before sweep 0; the step itself only
-compares and copies. Here P is the array of
-each step's jump probability 1/(1 + E), E = exp(-log-odds), which the target
-forms once per point it evaluates. The move keeps the target's value and P at
-its state from the evaluation that put it there, and evaluates afresh, at one
-point, only after the blocks have moved the state. A move-only sweep's row
-holds the move's (theta, sigma2, mu_z, sigma2_z, lambda_star) and, as
-n_jumps, the count of indicators drawn from n uniforms against the P at
-those parameters, so every row is a joint draw (van Dyk & Park 2008, JASA
-103); in burn-in, where that row is not kept, the generator skips the n
-uniforms instead. The move is off, and every sweep a whole one, on series
-of fewer than 250 increments, when Newton does not converge within 50 steps
-or minus the Hessian at its end is not positive definite (the conjugate
-blocks then run alone), and at a lambda_star of exactly 0 or 1 until the next
-draw of it. The P at the move's state, or at the parameters of a sweep
+further than the last sweep (Brockwell 2006, JCGS 15), from streams 0-2 of
+the seed (below); the step itself only compares and copies. Here P is the
+array of each step's jump probability 1/(1 + E), E = exp(-log-odds), which
+the target forms once per point it evaluates. The move keeps the target's
+value and P at its state from the evaluation that put it there, and
+evaluates afresh, at one point, only after the blocks have moved the state.
+A move-only sweep's row holds the move's (theta, sigma2, mu_z, sigma2_z,
+lambda_star) and, as n_jumps, the count of indicators drawn from n uniforms
+against the P at those parameters, so every row is a joint draw (van Dyk &
+Park 2008, JASA 103); in burn-in, where that row is not kept, its uniforms
+go unread. The move is off, and every sweep a whole one, on series of fewer
+than 250 increments, when Newton does not converge within 50 steps or minus
+the Hessian at its end is not positive definite (the conjugate blocks then
+run alone), and at a lambda_star of exactly 0 or 1 until the next draw of
+it. The P at the move's state, or at the parameters of a sweep
 without the move, is the indicator draw's input, and the chain's jump_probs
 average it over kept sweeps of both kinds (Rao-Blackwellized), so they draw
 no random numbers. The blocks after the latent one read the sizes only
@@ -54,6 +53,22 @@ statistics. Those sums come from their joint law given J, by groups of
 active steps, and no size is drawn (_size_sums): equal steps are one group,
 drawn from two normals and a chi-square; on unequal steps each active step
 is its own group, drawn from one normal.
+Every fit spawns six child streams of its seed's SeedSequence before sweep
+0; the chain's generator is the seed's own. Children 0-2 hold the move's
+offers, made only when the move is on. Each kind of draw that does not
+depend on the chain's state has a child of its own, fetched ahead in blocks
+(_fetched) and taken in order, so the chain does not depend on the
+block length: child 3 the indicator uniforms, a row of n per sweep; child 4
+four standard normals per whole sweep, the size sums' two (unread on
+unequal steps), then one for the jump block and one for the diffusion
+block; child 5 the diffusion block's unit gamma, whose shape ig_shape + n/2
+does not move. The generator itself draws only what depends on the state:
+the size sums' chi-square with k - 2 degrees of freedom (on unequal steps
+their k normals instead), the Beta draw of lambda_star and the jump block's
+gamma of shape ig_shape + k/2. A burn-in sweep that runs the move alone
+leaves its row of uniforms unread, so every sweep takes one, and burn-in
+only says where recording starts: the kept rows are those of a chain with
+no burn-in.
 run_jump_gibbs takes the same (inc, prior, n_keep, burn_in, seed) as
 gibbs.run_gibbs.
 """
@@ -65,7 +80,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .gbm import _substreams, _SuffStats
+from .gbm import _SuffStats
 from .gibbs import (
     ChainMeta,
     GbmPrior,
@@ -75,6 +90,12 @@ from .gibbs import (
     _start,
 )
 from .series import IncrementSeries
+
+# This module compiles from fewer than 4,096 tokens, comments aside. Past
+# that, CPython 3.11's parser doubles its token buffer and compiling the
+# module peaks about 0.22 MB higher (tracemalloc peak of compile(): 1,385 KB
+# at 4,095 tokens, 1,607 KB with one more statement), and a process that
+# compiles it on import, as perfbench's do, keeps that as peak memory.
 
 
 @dataclass(frozen=True)
@@ -160,6 +181,15 @@ _MOVES = 3
 # fits in one process, faster in 17, scripts/compare_trees.py, 2-CPU Xeon VM).
 # Unequal steps evaluate the offers row by row, so there it changes little.
 _BLOCK = 64
+# The sweep's state-free draws are fetched _FETCH sweeps' rows at a time
+# (_fetched), the indicator uniforms at most _FETCH_VALUES values at a
+# time but at least one row: 32 rows at n = 50, 2 on the bundled data.
+# Neither changes the chain. At n = 50 a sweep took 29.4, 28.7 and 28.3 us of
+# thread CPU time at _FETCH 16, 64 and 256 (medians of 12 alternating fits
+# each in one process, 2-CPU Xeon VM under load), but at 256 perfbench's
+# short-series batch peaked 0.2 MB higher than at 8 to 64 (os.wait4 maxrss,
+# medians of 10 processes).
+_FETCH, _FETCH_VALUES = 32, 4096
 
 
 def _logit(p: float) -> float:
@@ -205,7 +235,8 @@ def _log_odds_terms(dt, theta, sigma2, mu_z, sigma2_z, logit_lam):
     v1, m1 = v0 + sigma2_z, m0 + mu_z
     a = 0.5 * (1.0 / v0 - 1.0 / v1)
     b = m1 / v1 - m0 / v0
-    c = logit_lam - 0.5 * np.log(v1 / v0) + 0.5 * (m0 * m0 / v0 - m1 * m1 / v1)
+    log = math.log if isinstance(v0, float) else np.log
+    c = logit_lam - 0.5 * log(v1 / v0) + 0.5 * (m0 * m0 / v0 - m1 * m1 / v1)
     return a, b, c
 
 
@@ -218,6 +249,17 @@ def _size_law(dt, theta, sigma2, mu_z, sigma2_z):
     v0 = sigma2 * dt
     v = 1.0 / (1.0 / sigma2_z + 1.0 / v0)
     return v / v0, v * (mu_z / sigma2_z - theta / sigma2), v
+
+
+def _indicators(p, u, probs=None):
+    """J_i = [u_i < P_i] from the row u of n uniforms, 1.0 or 0.0 per step
+    written over u; p is left as it was, and probs, when given, gains p.
+    Drawn as u_i*(1 + E_i) < 1, the indicators would differ only where u_i
+    is one value, fixed by E_i, of the 2^53 that random() draws: at most
+    once in 2^53 draws."""
+    if probs is not None:
+        probs += p
+    return np.less(u, p, out=u)
 
 
 def _size_sums(sums, draws, dt, theta, sigma2, mu_z, sigma2_z):
@@ -261,41 +303,30 @@ class _Marginal:
         self.dt = float(inc.dt[0]) if equal else inc.dt  # a float when every step is equal
         # rows (d^2, d, 1): L = (a, b, c) @ powers
         self.powers = np.stack((self.d * self.d, self.d, np.ones(inc.n)))
-        # move_target's work rows, free between calls, which indicators reuses.
-        # Allocating the two rows on each call took 1.19-1.20x the sweep time
-        # (two runs of 40 alternating pairs of 1,200 sweeps of the bundled data,
-        # faster in 0 and 3 of 40), for the same chain.
+        # move_target's work rows, free between calls. Allocating the two
+        # rows on each call took 1.19-1.20x the sweep time (two runs of 40
+        # alternating pairs of 1,200 sweeps of the bundled data, faster in 0
+        # and 3 of 40), for the same chain.
         self.scratch = np.empty((2, inc.n))
 
-    def indicators(self, p, gen, probs=None):
-        """J_i = [u_i < P_i] from n uniforms drawn into a work row of
-        move_target, 1.0 or 0.0 per step in that row, valid until its next
-        call; p is left as it was, and probs, when given, gains p. Drawn as
-        u_i*(1 + E_i) < 1, the indicators would differ only where u_i is one
-        value, fixed by E_i, of the 2^53 that random() draws: at most once in
-        2^53 draws."""
-        if probs is not None:
-            probs += p
-        u = gen.random(out=self.scratch[1])
-        return np.less(u, p, out=u)
-
-    def jump_stats(self, active, theta, sigma2, mu_z, sigma2_z, gen):
+    def jump_stats(self, active, theta, sigma2, mu_z, sigma2_z, normals, gen):
         """(the statistics of the active steps' sizes as unit-length steps,
         those of d - J*Z), each a plain tuple in _SuffStats' field order (a
         NamedTuple took about 0.33 us to build), with the sizes' sums drawn
         given the indicators active, 1.0 or 0.0 per step, by _size_sums.
         Equal steps are one group: one product with the powers gives (S2, S1,
-        k), and for k > 0 two normals and, for k > 2, a chi-square with k - 2
-        degrees of freedom draw its sums. On unequal steps each active step is
-        a group of one, with its own dt and one normal, in step order, and the
-        groups' sums are added."""
+        k), and for k > 0 the two standard normals in normals and, for k > 2,
+        a chi-square with k - 2 degrees of freedom from gen draw its sums. On
+        unequal steps, which leave normals unread, each active step is a
+        group of one, with its own dt and one normal from gen, in step order,
+        and the groups' sums are added."""
         n, sd, st, sdd = self.stats
         if isinstance(self.dt, float):
             s2, s1, k = (self.powers @ active).tolist()
             k = int(k)
             if k == 0:
                 return _NO_DATA, self.stats
-            g1, g2 = gen.standard_normal(2).tolist()
+            g1, g2 = normals
             draws = (g1, g2 if k > 1 else 0.0, gen.chisquare(k - 2) if k > 2 else 0.0)
             total, squares, cross = _size_sums(
                 (s2, s1, k), draws, self.dt, theta, sigma2, mu_z, sigma2_z)
@@ -391,6 +422,14 @@ def _move_state(marginal: _Marginal, proposal, x, p):
     return x, marginal.move_target(x, p)[0], _T_DF + w @ w, p
 
 
+def _fetched(draw, rows: int, count: int):
+    """count rows, one at a time, from blocks that draw(m) makes m rows at a
+    time, at most rows each: a stream's draws fetched ahead. A block's rows
+    are the stream's values in order, so every rows gives the same rows."""
+    for lo in range(0, count, rows):
+        yield from draw(min(rows, count - lo))
+
+
 def _offers(marginal: _Marginal, proposal, streams, count: int):
     """The move's count offers, one at a time: (y, marginal.move_target's
     value at y, _T_DF + |z|^2, P at y, a uniform u) for y = mode + factor @ z
@@ -398,22 +437,24 @@ def _offers(marginal: _Marginal, proposal, streams, count: int):
     standard normals g and a chi-square w with _T_DF degrees of freedom. The
     offers are drawn and evaluated _BLOCK at a time, the last block only as
     far as count, and the P rows live in one (_BLOCK, n) block that the next
-    draw refills. The normals, the chi-squares and the uniforms each come
-    from one of the three generators in streams, and factor @ z is an
-    elementwise sum (a BLAS product rounds differently at different
+    draw refills (_fetched). The normals, the chi-squares and the uniforms
+    each come from one of the three generators in streams, and factor @ z is
+    an elementwise sum (a BLAS product rounds differently at different
     lengths), so every block length gives the same offers."""
     mode, factor, _ = proposal
     normals, chisquares, uniforms = streams
     block = np.empty((min(_BLOCK, count), marginal.d.size))
-    for lo in range(0, count, _BLOCK):
-        rows = min(_BLOCK, count - lo)
+
+    def draw(rows):
         p = block[:rows]
         z = normals.standard_normal((rows, len(mode)))
         z *= np.sqrt(_T_DF / chisquares.chisquare(_T_DF, rows))[:, None]
         y = mode + (z[:, None, :] * factor).sum(axis=2)
         values = marginal.move_target(y, p)[0].tolist()
         norms = (_T_DF + (z * z).sum(axis=1)).tolist()
-        yield from zip(y, values, norms, p, uniforms.random(rows).tolist())
+        return zip(y, values, norms, p, uniforms.random(rows).tolist())
+
+    return _fetched(draw, _BLOCK, count)
 
 
 def _independence_step(state, offer):
@@ -491,28 +532,6 @@ def _lambda_beta(k: int, n: int, prior: JumpPrior):
     return prior.lambda_a + k, prior.lambda_b + n - k
 
 
-def simulate_jump_increments(params: JumpParams, dt, n: int, rng=None) -> np.ndarray:
-    """Sample n increments: Normal diffusion plus Bernoulli(lambda_star) jumps,
-    over steps of dt, one length for every step or a 1-d array of n; a
-    ValueError for any other shape, or unless every step is positive and
-    finite. The diffusion noise, the jump hits and the jump sizes (drawn at
-    hits only) come from substreams 0, 1 and 2 split off rng's generator."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dt = np.asarray(dt, dtype=float)
-    if dt.shape not in ((), (n,)):
-        raise ValueError(f"dt must be a scalar or a 1-d array of n = {n} steps, "
-                         f"got an array of shape {dt.shape}")
-    if not np.all((dt > 0.0) & (dt < np.inf)):
-        raise ValueError("dt must be positive and finite")
-    dt = np.broadcast_to(dt, (n,))
-    substream = _substreams(np.random.default_rng(rng))
-    d = substream(0).standard_normal(n) * np.sqrt(dt) * math.sqrt(params.sigma2) + params.theta * dt
-    hit = substream(1).random(n) < params.lambda_star
-    d[hit] += substream(2).standard_normal(np.count_nonzero(hit)) * math.sqrt(params.sigma2_z) + params.mu_z
-    return d
-
-
 def _initial_params(inc: IncrementSeries, prior: JumpPrior) -> JumpParams:
     """Diffusion at the no-jump start (the MLE, or the prior center below two
     increments), lambda_star = 0.1, mu_z = 0 and sigma2_z the variance of d
@@ -548,10 +567,17 @@ def run_jump_gibbs(
     if n_keep < 1:
         raise ValueError("need n_keep >= 1")
     meta = ChainMeta("gbm-jump", burn_in, seed, inc.digest())
-    gen = np.random.default_rng(seed)
+    seq = np.random.SeedSequence(seed)
+    gen = np.random.default_rng(seq)
+    # Spawning the children draws nothing from gen. Drawing their entropy
+    # from gen, as gbm._substreams does, builds numpy's integer limits
+    # (np.iinfo) on its first call, which a process that fits short series
+    # needs nowhere else: 0.19 MB more peak memory for perfbench's
+    # short-series batch (os.wait4 maxrss, medians of 10 processes).
+    children = seq.spawn(6)
     theta, sigma2, mu_z, sigma2_z, lam = astuple(_initial_params(inc, prior))
     marginal = _Marginal(inc, prior)
-    n = inc.n
+    n, sweeps = inc.n, burn_in + n_keep
     x = _moved(theta, sigma2, mu_z, sigma2_z, lam)
     proposal = _laplace(marginal, x) if n >= _MOVE_MIN_N else None
     if proposal is not None:
@@ -561,20 +587,25 @@ def run_jump_gibbs(
         # above the truth: its lowest rank bin held 263 of 1,000 over four
         # seeds, against 220 from the mode and 200 expected.
         theta, sigma2, mu_z, sigma2_z, lam = _natural(proposal[0])
-    # the move's offers come from three substreams, split off gen only when
-    # the move is on, so that chains without it keep their streams; a sweep
-    # takes at most one
+    # a sweep takes at most one offer, one row of uniforms, and, when whole,
+    # one row of normals and one gamma (the module docstring gives the layout)
     offers = None if proposal is None else _offers(
-        marginal, proposal, tuple(map(_substreams(gen), range(3))), burn_in + n_keep)
+        marginal, proposal, tuple(map(np.random.default_rng, children[:3])), sweeps)
+    uniform, normal, gamma = map(np.random.default_rng, children[3:])
+    shape = prior.diffusion.ig_shape + 0.5 * n
+    uniforms = _fetched(lambda m: uniform.random((m, n)),
+                        max(1, min(_FETCH, _FETCH_VALUES // max(n, 1))), sweeps)
+    normals = _fetched(lambda m: normal.standard_normal((m, 4)).tolist(), _FETCH, sweeps)
+    gammas = _fetched(lambda m: gamma.standard_gamma(shape, m).tolist(), _FETCH, sweeps)
     # state is the move's state (_move_state), or None when the blocks have
     # moved the parameters since. P, at the state or at the parameters of a
     # sweep without the move, is in p. Fresh arrays for it and the indicators
-    # on each evaluation, in place of this row and move_target's, took about
-    # 1.02-1.03x the sweep time (measured as for _Marginal.scratch: faster in
-    # 17 and 12 of 40 pairs), for the same chain.
+    # on each evaluation took about 1.02-1.03x the sweep time (measured as for
+    # _Marginal.scratch: faster in 17 and 12 of 40 pairs), for the same
+    # chain; the indicators overwrite their row of uniforms.
     p, state, moves, taken = np.empty(n), None, 0, 0
     draws, jump_probs = np.empty((n_keep, 6)), np.zeros(n)
-    for sweep in range(burn_in + n_keep):
+    for sweep in range(sweeps):
         kept = sweep >= burn_in
         # a lambda_star of exactly 0 or 1 has no logit: skip that move
         moving = offers is not None and 0.0 < lam < 1.0
@@ -591,23 +622,28 @@ def run_jump_gibbs(
                 theta, sigma2, mu_z, sigma2_z, _logit(lam), p), out=p))
         # A move-only sweep ends with the move's state; the last sweep of a
         # cycle, and every sweep without the move, runs the blocks too. In
-        # burn-in, a move-only sweep's indicators would feed nothing: the
-        # generator skips the n uniforms they take (PCG64 spends one 64-bit
-        # output per double), so every later draw is the one it would be.
+        # burn-in, a move-only sweep's indicators would feed nothing: its row
+        # of uniforms goes unread, so that the later rows are those of a
+        # chain that keeps this sweep.
         move_only = moving and sweep % _MOVES < _MOVES - 1
+        u = next(uniforms)
         if move_only and not kept:
-            gen.bit_generator.advance(n)
             continue
-        active = marginal.indicators(p, gen, jump_probs if kept else None)
+        active = _indicators(p, u, jump_probs if kept else None)
         # n_jumps counts the indicators drawn in the sweep
         if move_only:
             n_jumps = np.count_nonzero(active)
         else:
-            sizes, stats = marginal.jump_stats(active, theta, sigma2, mu_z, sigma2_z, gen)
+            *size_normals, jump_normal, diffusion_normal = next(normals)
+            sizes, stats = marginal.jump_stats(
+                active, theta, sigma2, mu_z, sigma2_z, size_normals, gen)
             n_jumps = sizes[0]
             lam = float(gen.beta(*_lambda_beta(n_jumps, n, prior)))
-            mu_z, sigma2_z = _draw_theta_sigma2(sizes, sigma2_z, prior.jump, gen)
-            theta, sigma2 = _draw_theta_sigma2(stats, sigma2, prior.diffusion, gen)
+            jump_gamma = gen.gamma(prior.jump.ig_shape + 0.5 * n_jumps)
+            mu_z, sigma2_z = _draw_theta_sigma2(
+                sizes, sigma2_z, prior.jump, jump_normal, jump_gamma)
+            theta, sigma2 = _draw_theta_sigma2(
+                stats, sigma2, prior.diffusion, diffusion_normal, next(gammas))
             state = None
         if kept:
             draws[sweep - burn_in] = (theta, sigma2, mu_z, sigma2_z, lam, n_jumps)

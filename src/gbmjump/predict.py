@@ -10,11 +10,13 @@ from a simulated path: one normal per draw serves every step, and only the
 jump hits are drawn per step. The prices of one draw at two steps are
 therefore not a path's, which a pointwise band does not read. Prices are drawn
 in blocks of time steps, reduced to their band rows and dropped, so no band
-holds the draws x steps price matrix.
+holds the draws x steps price matrix. simulate_jump_increments draws
+increments of the jump model, whose cumulative sums are paths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +144,7 @@ def predictive_band(
         raise ValueError("dt must be a non-empty 1-d array of positive finite steps")
     tail = _tail(level)
     if len(chain) < 2:
-        raise ValueError("need at least two paths for a band (chain rows >= 2)")
+        raise ValueError("need at least two draws for a band (chain rows >= 2)")
     rows = []
     # an overflow to inf in the generator's exp is silenced here and rejected
     # below, before a quantile subtracts infs
@@ -150,7 +152,7 @@ def predictive_band(
         for prices in _price_blocks(chain, start, dt, rng):
             mean = prices.mean(axis=1)  # prices are >= 0: finite means, finite prices
             if not (np.all(prices > 0.0) and np.all(np.isfinite(mean))):
-                raise ValueError("price paths must stay positive and finite")
+                raise ValueError("band prices must stay positive and finite")
             # the mean's bits depend on element order, so it comes before the sort
             rows.append((*quantiles(prices, (tail, 1.0 - tail)), mean))
     lower, upper, mean = (np.concatenate(parts) for parts in zip(*rows))
@@ -187,3 +189,26 @@ def write_band_csv(band: Band, path, dates) -> None:
         "lower": band.lower, "mean": band.mean, "upper": band.upper,
     }
     write_csv(path, columns, meta={"level": band.level})
+
+
+def simulate_jump_increments(params, dt, n: int, rng=None) -> np.ndarray:
+    """Sample n increments of the jump model at params, a jumps.JumpParams:
+    Normal diffusion plus Bernoulli(lambda_star) jumps, over steps of dt, one
+    length for every step or a 1-d array of n; a ValueError for any other
+    shape, or unless every step is positive and finite. The diffusion noise,
+    the jump hits and the jump sizes (drawn at hits only) come from
+    substreams 0, 1 and 2 split off rng's generator."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    dt = np.asarray(dt, dtype=float)
+    if dt.shape not in ((), (n,)):
+        raise ValueError(f"dt must be a scalar or a 1-d array of n = {n} steps, "
+                         f"got an array of shape {dt.shape}")
+    if not np.all((dt > 0.0) & (dt < np.inf)):
+        raise ValueError("dt must be positive and finite")
+    dt = np.broadcast_to(dt, (n,))
+    substream = _substreams(np.random.default_rng(rng))
+    d = substream(0).standard_normal(n) * np.sqrt(dt) * math.sqrt(params.sigma2) + params.theta * dt
+    hit = substream(1).random(n) < params.lambda_star
+    d[hit] += substream(2).standard_normal(np.count_nonzero(hit)) * math.sqrt(params.sigma2_z) + params.mu_z
+    return d

@@ -231,7 +231,7 @@ class TestScopedOptions:
             chain = tmp_path / "chain_gbm.csv"
             write_chain_csv(run_gibbs(train_inc, n_keep=1, burn_in=0, seed=1), chain)
             args = ("--chain", chain)
-            message = "need at least two paths for a band (chain rows >= 2)"
+            message = "need at least two draws for a band (chain rows >= 2)"
         rc, _, err = run_cli(
             capsys, command, "--input", TRAIN_CSV, *args, "--out", tmp_path / "out"
         )
@@ -417,7 +417,7 @@ class TestForecastCommand:
             capsys, "forecast", "--input", TRAIN_CSV, "--chain", chain, "--fitted-band",
             "--out", tmp_path / "fc", "--seed", 1,
         )
-        assert (rc, err) == (1, "error: price paths must stay positive and finite\n")
+        assert (rc, err) == (1, "error: band prices must stay positive and finite\n")
         assert not (tmp_path / "fc").exists()
 
     @pytest.mark.parametrize(

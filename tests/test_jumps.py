@@ -130,17 +130,18 @@ def sweep_jump_prob(inc, params):
 # it draw for draw and so check the order of the blocks, the state each
 # conditions on, their priors and the random stream; the tests below check
 # that arithmetic against the laws it draws from.
-def latent_block(inc, params, gen):
+def latent_block(inc, params, uniforms, normals, gen):
     """(J, Z) given params and data, as what the later blocks read of them:
     the indicators, the _SuffStats of the active sizes as unit-length steps
     and the _SuffStats of d_i - J_i*Z_i. J_i = [u_i*(1 + E_i) < 1] from n
-    uniforms. The sums of the sizes come from _size_sums, by groups of active
-    steps. Equal steps are one group: the k active steps' sums of d^2, d and
-    1 from the product with _Marginal's powers, then, for k > 0, two normals
-    and, for k > 2, a chi-square with k - 2 degrees of freedom. Unequal
-    steps: each active step is a group of one, with one normal, in step
-    order."""
-    indicators = gen.random(inc.n) * (1.0 + odds_e(inc, params)) < 1.0
+    uniforms drawn from the generator uniforms. The sums of the sizes come
+    from _size_sums, by groups of active steps. Equal steps are one group:
+    the k active steps' sums of d^2, d and 1 from the product with
+    _Marginal's powers, then, for k > 0, the two standard normals in normals
+    and, for k > 2, a chi-square with k - 2 degrees of freedom from gen.
+    Unequal steps: each active step is a group of one, with one normal from
+    gen, in step order."""
+    indicators = uniforms.random(inc.n) * (1.0 + odds_e(inc, params)) < 1.0
     suff = _SuffStats.of(inc.d, inc.dt)
     if inc.n and np.all(inc.dt == inc.dt[0]):
         dt = float(inc.dt[0])
@@ -148,7 +149,7 @@ def latent_block(inc, params, gen):
         k = int(k)
         if k == 0:
             return indicators, _SuffStats(0, 0.0, 0, 0.0), suff
-        g1, g2 = gen.standard_normal(2)
+        g1, g2 = normals
         w = gen.chisquare(k - 2) if k > 2 else 0.0
         sums, draws = (s2, s1, k), (g1, g2 if k > 1 else 0.0, w)
     else:
@@ -163,10 +164,13 @@ def latent_block(inc, params, gen):
 
 def draw_jump_moments(sizes, sigma2_z, prior, gen):
     """(mu_z, sigma2_z) drawn from the active sizes as the sweep draws them:
-    mu_z | sigma2_z, then sigma2_z | mu_z."""
+    mu_z | sigma2_z from a standard normal, then sigma2_z | mu_z from a
+    gamma, both from gen."""
     sizes = np.asarray(sizes, dtype=float)
     stats = _SuffStats(sizes.size, float(sizes.sum()), sizes.size, float(sizes @ sizes))
-    return _draw_theta_sigma2(stats, sigma2_z, prior.jump, gen)
+    normal = gen.standard_normal()
+    return _draw_theta_sigma2(stats, sigma2_z, prior.jump, normal,
+                              gen.gamma(prior.jump.ig_shape + 0.5 * sizes.size))
 
 
 class TestIndicatorProb:
@@ -270,31 +274,32 @@ class TestSampleLatent:
         assert cross == pytest.approx(d * sizes, rel=1e-12)
 
     def test_inactive_sizes_zero_after_n_uniforms_then_k_normals(self, train_inc):
-        # unequal steps: no size is drawn or held for an inactive step
+        # unequal steps: no size is drawn or held for an inactive step; the
+        # uniforms' stream gives n, and gen k normals
         inc = weekend_steps(train_inc)
-        gen = np.random.default_rng(32)
-        indicators, sizes, _ = latent_block(inc, REF, gen)
+        uniforms, gen = np.random.default_rng(31), np.random.default_rng(32)
+        indicators, sizes, _ = latent_block(inc, REF, uniforms, (), gen)
         k = int(np.count_nonzero(indicators))
         assert 0 < k < inc.n
         assert sizes.n == k
-        twin = np.random.default_rng(32)
-        twin.random(inc.n)
+        twin_uniforms, twin = np.random.default_rng(31), np.random.default_rng(32)
+        twin_uniforms.random(inc.n)
         twin.standard_normal(k)
+        assert uniforms.bit_generator.state == twin_uniforms.bit_generator.state
         assert gen.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 50])
     def test_equal_steps_draw_two_normals_then_a_chi_square(self, train_inc, k):
-        # equal steps: no size is drawn; k = 0 draws nothing, k > 0 two
-        # normals and k > 2 then a chi-square with k - 2 degrees of freedom
+        # equal steps: no size is drawn; the two normals are given (the
+        # sweep's row of normals holds them), and gen draws a chi-square with
+        # k - 2 degrees of freedom for k > 2, nothing otherwise
         active = np.zeros(train_inc.n)
         active[:k] = 1.0
         gen = np.random.default_rng(32)
         (count, *_), _ = _Marginal(train_inc, JumpPrior()).jump_stats(
-            active, *astuple(REF)[:4], gen)
+            active, *astuple(REF)[:4], (0.4, -1.1), gen)
         assert count == k
         twin = np.random.default_rng(32)
-        if k > 0:
-            twin.standard_normal(2)
         if k > 2:
             twin.chisquare(k - 2)
         assert gen.bit_generator.state == twin.bit_generator.state
@@ -302,7 +307,8 @@ class TestSampleLatent:
     def test_indicator_frequency_tracks_probability(self):
         n = 100_000
         inc = IncrementSeries(d=np.full(n, -0.02), dt=np.full(n, DT))
-        indicators, *_ = latent_block(inc, REF, np.random.default_rng(33))
+        indicators, *_ = latent_block(inc, REF, np.random.default_rng(33), (0.0, 0.0),
+                                      np.random.default_rng(34))
         p = jump_indicator_prob(inc, REF)[0]
         se = np.sqrt(p * (1.0 - p) / n)
         assert abs(indicators.mean() - p) < 4 * se
@@ -316,13 +322,15 @@ class TestDiffusionBlock:
         # with no active step, on equal steps and on unequal ones
         for inc in (train_inc, weekend_steps(train_inc)):
             _, suff = _Marginal(inc, JumpPrior()).jump_stats(
-                np.zeros(inc.n), *astuple(REF)[:4], np.random.default_rng(54))
-            theta, sigma2 = _draw_theta_sigma2(suff, 0.03, GbmPrior(), np.random.default_rng(55))
+                np.zeros(inc.n), *astuple(REF)[:4], (0.0, 0.0), np.random.default_rng(54))
             gen = np.random.default_rng(55)
+            normal = gen.standard_normal()
             mean, var = theta_conditional(inc, 0.03)
-            theta_ref = mean + np.sqrt(var) * gen.standard_normal()
+            theta_ref = mean + np.sqrt(var) * normal
             shape, scale = sigma2_conditional(inc, theta_ref)
-            sigma2_ref = scale / gen.gamma(shape)
+            gamma = gen.gamma(shape)
+            sigma2_ref = scale / gamma
+            theta, sigma2 = _draw_theta_sigma2(suff, 0.03, GbmPrior(), normal, gamma)
             assert theta == pytest.approx(theta_ref, rel=1e-12)
             assert sigma2 == pytest.approx(sigma2_ref, rel=1e-12)
 
@@ -338,12 +346,13 @@ class TestDiffusionBlock:
             for k in (1, 2, 3, 451):
                 on = np.zeros(inc.n, dtype=bool)
                 on[rng.choice(inc.n, k, replace=False)] = True
+                g1, g2 = rng.standard_normal(2)
                 gen = np.random.default_rng(57)
-                sizes, resid = marginal.jump_stats(on.astype(float), *astuple(REF)[:4], gen)
+                sizes, resid = marginal.jump_stats(
+                    on.astype(float), *astuple(REF)[:4], (g1, g2), gen)
                 twin = np.random.default_rng(57)
                 d, dt = inc.d[on], inc.dt[on]
                 if equal:
-                    g1, g2 = twin.standard_normal(2)
                     z = sizes_behind(d, dt, (g1, g2, twin.chisquare(k - 2) if k > 2 else 0.0), REF)
                 else:
                     z = np.array([sizes_behind(d[i:i + 1], dt[i], (g, 0.0, 0.0), REF)[0]
@@ -370,11 +379,12 @@ class TestSizeSums:
         active = np.zeros(inc.n)
         active[:k] = 1.0
         marginal, gen, reps = _Marginal(inc, JumpPrior()), np.random.default_rng(61), 20_000
+        normals = np.random.default_rng(60).standard_normal((reps, 2)).tolist()
         # plain tuples in _SuffStats' field order (n, sd, st, sdd)
         got = np.array([
             (sizes_sd, sizes_sdd, resid_sd, resid_sdd)
             for (_, sizes_sd, _, sizes_sdd), (_, resid_sd, _, resid_sdd) in (
-                marginal.jump_stats(active, *astuple(REF)[:4], gen) for _ in range(reps))
+                marginal.jump_stats(active, *astuple(REF)[:4], g, gen) for g in normals)
         ])
         # brute force: one size per active step from its conditional normal
         d, dt = inc.d[:k], inc.dt[:k]
@@ -392,7 +402,7 @@ class TestSizeSums:
     def test_no_active_step_leaves_the_statistics(self, train_inc):
         marginal = _Marginal(train_inc, JumpPrior())
         sizes, resid = marginal.jump_stats(
-            np.zeros(train_inc.n), *astuple(REF)[:4], np.random.default_rng(62))
+            np.zeros(train_inc.n), *astuple(REF)[:4], (0.0, 0.0), np.random.default_rng(62))
         assert sizes == _NO_DATA
         assert resid == marginal.stats
 
@@ -678,11 +688,16 @@ def from_x(x):
     return JumpParams(theta, math.exp(log_s2), mu_z, math.exp(log_sz2), float(expit(logit_lam)))
 
 
-def reference_sweep(inc, params, prior, gen, move=None):
+def reference_sweep(inc, params, prior, gen, streams, move=None):
     """One sweep of run_jump_gibbs from the oracle's blocks and the sweep's
     lambda_star and jump-moment draws, with JumpParams rebuilt after every
     block: first move(x) -> (x, accepted) on x = to_x(params) when a move is
     given, then (J, Z), lambda_star, (mu_z, sigma2_z) and (theta, sigma2).
+    Each draw comes one at a time from its generator: the n uniforms from
+    streams[3]; from streams[4], the size sums' two standard normals (unread
+    on unequal steps), then one normal for each of (mu_z, sigma2_z) and
+    (theta, sigma2); sigma2's unit gamma of shape
+    ig_shape + n/2 from streams[5]; the rest from gen (sweep_streams).
     Returns the new params, the indicators, whether the move's proposal was
     taken (None with no move) and the params the latent draw conditioned on."""
     accepted = None
@@ -691,12 +706,16 @@ def reference_sweep(inc, params, prior, gen, move=None):
         if accepted:
             params = from_x(x)
     drawn_at = params
-    indicators, sizes, resid = latent_block(inc, params, gen)
+    *size_normals, jump_normal, diffusion_normal = streams[4].standard_normal(4)
+    indicators, sizes, resid = latent_block(inc, params, streams[3], size_normals, gen)
     k = int(np.count_nonzero(indicators))
     params = _with(params, lambda_star=float(gen.beta(*_lambda_beta(k, indicators.size, prior))))
-    mu_z, sigma2_z = _draw_theta_sigma2(sizes, params.sigma2_z, prior.jump, gen)
+    jump_gamma = gen.gamma(prior.jump.ig_shape + 0.5 * k)
+    mu_z, sigma2_z = _draw_theta_sigma2(sizes, params.sigma2_z, prior.jump, jump_normal, jump_gamma)
     params = _with(params, mu_z=mu_z, sigma2_z=sigma2_z)
-    theta, sigma2 = _draw_theta_sigma2(resid, params.sigma2, prior.diffusion, gen)
+    diffusion_gamma = streams[5].standard_gamma(prior.diffusion.ig_shape + 0.5 * inc.n)
+    theta, sigma2 = _draw_theta_sigma2(
+        resid, params.sigma2, prior.diffusion, diffusion_normal, diffusion_gamma)
     return _with(params, theta=theta, sigma2=sigma2), indicators, accepted, drawn_at
 
 
@@ -764,7 +783,7 @@ class TestMetropolisMove:
         monkeypatch.setattr(jumps, "_BLOCK", 1)
         n, iters = 20, 20_000
         gen = np.random.default_rng(4)
-        streams = proposal_streams(gen)
+        streams = sweep_streams(4)[:3]
         dt = np.full(n, DT)
         x = np.array(to_x(geweke_start(gen)))
         rows = np.empty((iters, 5))
@@ -943,27 +962,28 @@ class TestWholeSampler:
         monkeypatch.setattr(jumps, "_BLOCK", 1)
         n, iters = 20, 10_000
         gen = np.random.default_rng(1)
-        streams = proposal_streams(gen)
+        streams = sweep_streams(1)
         dt = np.full(n, DT)
         params = geweke_start(gen)
         rows = np.empty((iters, 5))
         for i in range(iters):
             inc = IncrementSeries(d=geweke_data(params, dt, gen), dt=dt)
-            move = partial(geweke_step, inc, streams=streams)
-            params = reference_sweep(inc, params, GEWEKE_PRIOR, gen, move)[0]
+            move = partial(geweke_step, inc, streams=streams[:3])
+            params = reference_sweep(inc, params, GEWEKE_PRIOR, gen, streams, move)[0]
             rows[i] = (params.theta, params.sigma2, params.mu_z, params.sigma2_z,
                        params.lambda_star)
         z = geweke_z(rows)
         assert all(abs(v) < 4.0 for v in z.values()), z
 
 
-def proposal_streams(gen):
-    """The generators of the move's normals, chi-squares and uniforms that
-    run_jump_gibbs splits off gen: children 0, 1 and 2 of a SeedSequence
-    whose entropy is four 32-bit words drawn from gen."""
-    entropy = gen.integers(2**32, size=4)
-    return [np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(k,)))
-            for k in range(3)]
+def sweep_streams(seed):
+    """The six generators that run_jump_gibbs spawns from seed, besides the
+    seed's own: children 0-5 of SeedSequence(seed). The move's normals,
+    chi-squares and uniforms come from 0, 1 and 2, the indicators' uniforms
+    from 3, the whole sweeps' normals from 4 and the diffusion block's unit
+    gammas from 5 (reference_sweep)."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+            for k in range(6)]
 
 
 def t_move(inc, prior, proposal, streams):
@@ -972,7 +992,7 @@ def t_move(inc, prior, proposal, streams):
     with the t proposal (mode, factor, inverse), y = mode + factor @ z for
     z = g*sqrt(_T_DF/w), drawn one at a time: 5 normals g, a chi-square w and
     the uniform of the test each from its generator in streams
-    (proposal_streams). factor @ z is summed elementwise in column order, as
+    (sweep_streams' first three). factor @ z is summed elementwise in column order, as
     the sampler does; the proposal's density comes from a solve against
     factor."""
     mode, factor, _ = proposal
@@ -996,38 +1016,43 @@ def t_move(inc, prior, proposal, streams):
 
 
 def reference_chain(inc, n_keep, burn_in, seed, prior):
-    """run_jump_gibbs rebuilt from t_move and reference_sweep under prior. On a
-    series of at least _MOVE_MIN_N increments, t_move is fed the proposal that
-    _laplace finds from the chain's start, unless it finds none, the chain
-    then starts at the proposal's mode, and t_move's streams split off the
-    chain's generator after that search; the sweeps run in cycles of _MOVES
-    from the first: t_move alone in the first _MOVES - 1, its row counting n
-    indicators drawn at its parameters, and the whole reference_sweep in the
-    last. Without the move every sweep is a reference_sweep. Returns the
-    draws, the mean over kept sweeps of each step's jump probability at the
-    parameters its indicators were drawn at, and the acceptance rate."""
+    """run_jump_gibbs rebuilt from t_move and reference_sweep under prior, on
+    the seed's generator and the streams sweep_streams spawns from it. On
+    a series of at least _MOVE_MIN_N increments, t_move is fed the proposal
+    that _laplace finds from the chain's start, unless it finds none, and
+    the chain then starts at the proposal's mode; the sweeps run in cycles of
+    _MOVES from the first: t_move alone in the first _MOVES - 1, and the
+    whole reference_sweep in the last. A move-only sweep draws n uniforms
+    from streams[3], and a kept one's row counts the indicators they give at
+    its parameters. Without the move every sweep is a reference_sweep.
+    Returns the draws, the mean over kept sweeps of each step's jump
+    probability at the parameters its indicators were drawn at, and the
+    acceptance rate."""
     gen = np.random.default_rng(seed)
+    streams = sweep_streams(seed)
     params = _initial_params(inc, prior)
     move = None
     if inc.n >= _MOVE_MIN_N:
         proposal = _laplace(_Marginal(inc, prior), np.array(to_x(params)))
         if proposal is not None:
             params = from_x(proposal[0])
-            move = t_move(inc, prior, proposal, proposal_streams(gen))
+            move = t_move(inc, prior, proposal, streams[:3])
     moves, taken = 0, 0
     draws, probs = [], np.zeros(inc.n)
     for sweep in range(burn_in + n_keep):
+        kept = sweep >= burn_in
         if move is not None and sweep % _MOVES < _MOVES - 1:
             x, accepted = move(np.array(to_x(params)))
             params = from_x(x) if accepted else params
-            indicators = gen.random(inc.n) < jump_indicator_prob(inc, params)
+            indicators = streams[3].random(inc.n) < jump_indicator_prob(inc, params)
             drawn_at = params
         else:
-            params, indicators, accepted, drawn_at = reference_sweep(inc, params, prior, gen, move)
+            params, indicators, accepted, drawn_at = reference_sweep(
+                inc, params, prior, gen, streams, move)
         if accepted is not None:
             moves += 1
             taken += accepted
-        if sweep >= burn_in:
+        if kept:
             draws.append((params.theta, params.sigma2, params.mu_z, params.sigma2_z,
                           params.lambda_star, np.count_nonzero(indicators)))
             probs += jump_indicator_prob(inc, drawn_at)
@@ -1079,39 +1104,37 @@ class TestSweepWiring:
         # the same probabilities, evaluated along another route
         assert chain.jump_probs == pytest.approx(probs, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("seed", [1, 42, 7])
-    def test_advance_skips_exactly_the_uniforms(self, seed):
-        # a move-only sweep of burn-in advances the chain's generator past the
-        # n uniforms its indicators would take: after the move's substreams
-        # are split off, every draw a sweep makes comes out as if they had
-        # been drawn
-        n = 1510
-        skipped, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
-        for gen in (skipped, drawn):
-            _substreams(gen)
-        skipped.bit_generator.advance(n)
-        drawn.random(n)
-        for _ in range(3):
-            for draw in (lambda g: g.standard_normal(2), lambda g: g.chisquare(57.0),
-                         lambda g: g.beta(3.0, 9.0), lambda g: g.gamma(4.0),
-                         lambda g: g.random(n)):
-                assert np.array_equal(draw(skipped), draw(drawn))
-        # both end at one position with the same 32-bit buffer flag; the
-        # stale word that advance zeroes is read only while that flag is set
-        for key in ("state", "has_uint32"):
-            assert skipped.bit_generator.state[key] == drawn.bit_generator.state[key]
+    @pytest.mark.parametrize("n", [50, 1510])
+    def test_fetch_length_leaves_the_chain(self, train_inc, monkeypatch, n):
+        # the state-free draws are taken in order from their own streams, so
+        # blocks of any length give the same chain: 1 row, 7 rows and the
+        # defaults (blocks of 32 rows at n = 50, where the move is off; 2
+        # rows of uniforms and 32 of the rest at n = 1,510, where it is on)
+        inc = IncrementSeries(d=train_inc.d[:n], dt=train_inc.dt[:n])
+        defaults = (jumps._FETCH, jumps._FETCH_VALUES)
+        chains = []
+        for rows, values in ((1, 1), (7, 7 * n), defaults):
+            monkeypatch.setattr(jumps, "_FETCH", rows)
+            monkeypatch.setattr(jumps, "_FETCH_VALUES", values)
+            chains.append(run_jump_gibbs(inc, n_keep=200, burn_in=7, seed=11))
+        *others, default = chains
+        assert (default.meta.accept_rate is None) == (n < _MOVE_MIN_N)
+        for chain in others:
+            assert np.array_equal(chain.draws, default.draws)
+            assert np.array_equal(chain.jump_probs, default.jump_probs)
+            assert chain.meta.accept_rate == default.meta.accept_rate
 
     def test_burn_in_draws_indicators_only_in_whole_sweeps(self, train_inc, monkeypatch):
         # with the move on, every kept sweep draws indicators, and of the 10
         # burn-in sweeps only the whole ones, the last of each cycle: 20 + 3
         calls = []
-        indicators = jumps._Marginal.indicators
+        indicators = jumps._indicators
 
-        def counted(self, *args):
+        def counted(*args):
             calls.append(1)
-            return indicators(self, *args)
+            return indicators(*args)
 
-        monkeypatch.setattr(jumps._Marginal, "indicators", counted)
+        monkeypatch.setattr(jumps, "_indicators", counted)
         chain = run_jump_gibbs(train_inc, n_keep=20, burn_in=10, seed=42)
         assert train_inc.n == 1510 and chain.meta.accept_rate is not None
         assert len(calls) == 20 + len(range(_MOVES - 1, 10, _MOVES)) == 23

@@ -116,7 +116,7 @@ class TestCredibleBand:
                                 rng=np.random.default_rng(1))
 
     def test_two_paths_minimum(self):
-        with pytest.raises(ValueError, match="two paths"):
+        with pytest.raises(ValueError, match="two draws"):
             predictive_band(constant_chain(0.0, 0.04, n=1), 5.0, np.full(1, DT))
 
     def test_one_step_unit_lognormal_quantiles(self, monkeypatch):
@@ -213,7 +213,7 @@ class TestBandCsv:
 
 
 class TestSimulatorAgreement:
-    def test_one_draw_forecast_is_the_jump_increment_path(self, monkeypatch):
+    def test_one_draw_band_matches_simulated_increments_in_law(self, monkeypatch):
         # in law: a band's draws at a step, from one parameter draw, against the
         # cumulative sums of simulate_jump_increments paths over the same steps
         stats = pytest.importorskip("scipy.stats")
@@ -333,7 +333,7 @@ class TestStreamedBands:
         steps = np.full(300, DT)
         assert 188 > predict._BLOCK
         predictive_band(chain, 1.0, steps[: predict._BLOCK], rng=np.random.default_rng(1))
-        with pytest.raises(ValueError, match="price paths must stay positive"):
+        with pytest.raises(ValueError, match="band prices must stay positive"):
             predictive_band(chain, 1.0, steps, rng=np.random.default_rng(1))
 
     def test_overflow_in_a_later_block_is_rejected(self):
@@ -341,7 +341,7 @@ class TestStreamedBands:
         chain = constant_chain(theta=1000.0, sigma2=1e-6, n=4)
         assert 179 > predict._BLOCK
         # no RuntimeWarning either: the suite turns warnings into errors
-        with pytest.raises(ValueError, match="price paths must stay positive and finite"):
+        with pytest.raises(ValueError, match="band prices must stay positive and finite"):
             predictive_band(chain, 1.0, np.full(300, DT), rng=np.random.default_rng(1))
 
     def test_concurrent_bands_match_serial_bands(self, monkeypatch, jump_chain):
@@ -390,7 +390,7 @@ class TestStreamedBands:
             args = {"start": 100.0, "dt": steps, **kwargs}
             with pytest.raises(ValueError):
                 predictive_band(gbm_chain, **args)
-        with pytest.raises(ValueError, match="two paths"):
+        with pytest.raises(ValueError, match="two draws"):
             predictive_band(constant_chain(0.1, 0.04, n=1), 100.0, steps)
         # non-finite inputs fail before any path is drawn, naming the argument
         for name, bad in (
